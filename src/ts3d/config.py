@@ -55,11 +55,9 @@ class RunConfig:
     # augmentation
     augment: bool = True
     flip_probability: float = 0.5
-    # inference / eval
+    # inference
     score_threshold: float = 0.1
     nms_iou: float = 0.4
-    eval_iou: float = 0.5
-    eval_mode: str = "bev"
     # pseudo ground truth
     bm_max_disp: int = 0                 # 0 -> derived as 4 * c_disp
     bm_window: int = 9
@@ -151,7 +149,7 @@ _BOOL_KEYS = {"intermediate_supervision", "ensure_matches", "augment"}
 _INT_TUPLE_KEYS = {"bins"}
 _FLOAT_TUPLE_KEYS = {"anchor_ratios"}
 _STR_TUPLE_KEYS = {"classes"}
-_STR_KEYS = {"pyramid_variant", "dape_mode", "dtype", "eval_mode"}
+_STR_KEYS = {"pyramid_variant", "dape_mode", "dtype"}
 _INT_KEYS = {
     "width", "height", "c_bb", "blocks_per_stage", "c_dec", "c_disp", "n_dec",
     "heads", "points", "anchor_scales", "batch_size", "total_steps",

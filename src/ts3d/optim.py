@@ -38,12 +38,9 @@ class AdamW:
         self.m = {p.name: np.zeros_like(p.data) for p in self.params}
         self.v = {p.name: np.zeros_like(p.data) for p in self.params}
 
-    def current_lr(self) -> float:
-        return cosine_lr(self.step_count, self.total_steps, self.base_lr)
-
     def step(self) -> float:
         """Apply one update using gradients already populated; returns the lr used."""
-        lr = self.current_lr()
+        lr = cosine_lr(self.step_count, self.total_steps, self.base_lr)
         t = self.step_count + 1
         b1, b2 = self.beta1, self.beta2
         bc1 = 1.0 - b1 ** t
@@ -72,15 +69,12 @@ class AdamW:
     # -- (de)serialization as a flat named-array dict -------------------
 
     def state_arrays(self) -> dict:
-        out = {}
+        """The step counter and moment buffers; hyperparameters belong to the config."""
+        out = {"step": np.array([float(self.step_count)], dtype=np.float64)}
         for name, buf in self.m.items():
             out["m." + name] = buf
         for name, buf in self.v.items():
             out["v." + name] = buf
-        out["scalar.step"] = np.array([float(self.step_count)], dtype=np.float64)
-        out["scalar.base_lr"] = np.array([self.base_lr], dtype=np.float64)
-        out["scalar.weight_decay"] = np.array([self.weight_decay], dtype=np.float64)
-        out["scalar.total_steps"] = np.array([float(self.total_steps)], dtype=np.float64)
         return out
 
     def load_state_arrays(self, arrays: dict) -> None:
@@ -92,7 +86,4 @@ class AdamW:
                 if arrays[key].shape != p.data.shape:
                     raise ValueError(f"optimizer state shape mismatch for '{key}'")
                 store[p.name] = arrays[key].astype(p.data.dtype).copy()
-        self.step_count = int(arrays["scalar.step"][0])
-        self.base_lr = float(arrays["scalar.base_lr"][0])
-        self.weight_decay = float(arrays["scalar.weight_decay"][0])
-        self.total_steps = int(arrays["scalar.total_steps"][0])
+        self.step_count = int(arrays["step"][0])

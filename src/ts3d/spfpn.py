@@ -14,10 +14,9 @@ import numpy as np
 
 from . import ops
 from .backbone import UnaryPyramids
+from .config import PYRAMID_VARIANTS
 from .layers import Conv2d
 from .tensor import ConfigError, DimensionError, Module, ModuleList, Tensor
-
-VARIANTS = ("spfpn", "topdown_fpn", "bifpn_like")
 
 
 def intra_scale_fuse(c_primary: Tensor, c_enhanced: Tensor) -> Tensor:
@@ -42,7 +41,7 @@ class SPFPN(Module):
     def __init__(self, rng, bins=(24, 48, 96), c_dec=256, variant="spfpn",
                  dtype=np.float32):
         super().__init__()
-        if variant not in VARIANTS:
+        if variant not in PYRAMID_VARIANTS:
             raise ConfigError(f"unknown pyramid variant '{variant}'")
         self.bins = tuple(bins)
         self.variant = variant

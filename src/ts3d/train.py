@@ -1,22 +1,23 @@
-"""Training loop: seeded data order, augmentation, AdamW with cosine decay,
-structured per-step logging, periodic checkpoints, and exact resume.
+"""Training loop: augmentation, AdamW with cosine decay, per-step logging,
+periodic checkpoints, and exact resume.
 
-A checkpoint is three files: parameters (binary container), optimizer state
-(same container), and a JSON sidecar holding the step counter, the data RNG
-state, and the remaining epoch queue, so a resumed run reproduces the
-original loss trajectory bit for bit.
+The data stream is a function of (seed, position): frame
+``k = step * batch_size + b`` is ``train_ids[perm_e[k % n]]`` with ``e = k // n``
+and ``perm_e = default_rng((seed, 1, e)).permutation(n)``, augmented with draws
+from ``default_rng((seed, 2, k))``. A checkpoint is one ``<tag>.ts3d`` file (see
+``checkpoint``) with the parameters and the AdamW step and moments; the config
+alone supplies hyperparameters, so resuming needs only the saved step.
 """
 
 from __future__ import annotations
 
-import json
 import os
 
 import numpy as np
 
 from . import ops
 from .augment import augment
-from .checkpoint import load_arrays, load_model, save_arrays, save_model
+from .checkpoint import load_model, save_model
 from .config import RunConfig, config_from_text
 from .dataset import MANIFEST_NAME, load_frame, read_manifest
 from .detect import Detection3D
@@ -28,32 +29,8 @@ from .tensor import ConfigError
 LAST_CKPT = "ckpt_last"
 
 
-def checkpoint_paths(out_dir, tag):
-    base = os.path.join(out_dir, tag)
-    return base + ".ts3d", base + ".opt.ts3d", base + ".state.json"
-
-
-def save_checkpoint(out_dir, tag, model, opt, step, data_rng, queue):
-    params, opt_path, state_path = checkpoint_paths(out_dir, tag)
-    save_model(params, model)
-    save_arrays(opt_path, opt.state_arrays())
-    state = {
-        "step": step,
-        "rng_state": data_rng.bit_generator.state,
-        "queue": list(queue),
-    }
-    with open(state_path, "w", encoding="utf-8") as fh:
-        json.dump(state, fh)
-
-
-def load_checkpoint(out_dir, tag, model, opt, data_rng):
-    params, opt_path, state_path = checkpoint_paths(out_dir, tag)
-    load_model(params, model)
-    opt.load_state_arrays(load_arrays(opt_path))
-    with open(state_path, encoding="utf-8") as fh:
-        state = json.load(fh)
-    data_rng.bit_generator.state = state["rng_state"]
-    return int(state["step"]), list(state["queue"])
+def save_checkpoint(out_dir, tag, model, opt):
+    save_model(os.path.join(out_dir, tag + ".ts3d"), model, opt.state_arrays())
 
 
 def _format_record(step, lr, parts, total):
@@ -69,8 +46,8 @@ def train_run(cfg: RunConfig, data_dir, out_dir, resume: bool = False,
               stop_after: int | None = None):
     """Train on the dataset's train split; returns the trained model.
 
-    ``stop_after`` interrupts the run at that step (checkpointing as usual)
-    without shortening the learning-rate schedule, so it can be resumed."""
+    ``stop_after`` ends the run after that step count (from step 0, not
+    shortening the lr schedule); ``ckpt_last`` records the step reached."""
     os.makedirs(out_dir, exist_ok=True)
     manifest = read_manifest(os.path.join(data_dir, MANIFEST_NAME))
     train_ids = manifest.splits.get("train", [])
@@ -101,29 +78,29 @@ def train_run(cfg: RunConfig, data_dir, out_dir, resume: bool = False,
                  rng=np.random.default_rng(cfg.seed))
     opt = AdamW(list(model.parameters()), base_lr=cfg.lr,
                 weight_decay=cfg.weight_decay, total_steps=cfg.total_steps)
-    data_rng = np.random.default_rng(cfg.seed + 1)
-    start_step, queue = 0, []
     if resume:
-        start_step, queue = load_checkpoint(out_dir, LAST_CKPT, model, opt, data_rng)
+        opt.load_state_arrays(load_model(os.path.join(out_dir, LAST_CKPT + ".ts3d"), model))
 
     log_path = os.path.join(out_dir, "metrics.log")
     log = open(log_path, "a" if resume else "w", encoding="utf-8")
     frames_cache: dict = {}
+    n = len(train_ids)
     end_step = cfg.total_steps if stop_after is None else min(stop_after, cfg.total_steps)
     try:
-        for step in range(start_step, end_step):
+        for step in range(opt.step_count, end_step):
             model.zero_grad()
             acc = {"cls": 0.0, "reg": 0.0, "orient": 0.0, "disp": 0.0, "n_pos": 0}
             total_val = 0.0
-            for _ in range(cfg.batch_size):
-                if not queue:
-                    queue = [train_ids[i] for i in data_rng.permutation(len(train_ids))]
-                fid = queue.pop()
+            for b in range(cfg.batch_size):
+                k = step * cfg.batch_size + b
+                perm = np.random.default_rng((cfg.seed, 1, k // n)).permutation(n)
+                fid = train_ids[perm[k % n]]
                 if fid not in frames_cache:
                     frames_cache[fid] = load_frame(data_dir, fid, manifest)
                 frame = _clone_frame(frames_cache[fid])
                 if cfg.augment:
-                    frame = augment(frame, data_rng, cfg.flip_probability)
+                    frame = augment(frame, np.random.default_rng((cfg.seed, 2, k)),
+                                    cfg.flip_probability)
                 loss, parts = model.train_step_loss(frame)
                 ops.scale(loss, 1.0 / cfg.batch_size).backward()
                 total_val += loss.item() / cfg.batch_size
@@ -135,12 +112,10 @@ def train_run(cfg: RunConfig, data_dir, out_dir, resume: bool = False,
             log.write(record + "\n")
             if not quiet and (step % print_every == 0 or step == cfg.total_steps - 1):
                 print(record, flush=True)
-            done = step + 1
-            if cfg.checkpoint_every and done % cfg.checkpoint_every == 0:
-                save_checkpoint(out_dir, f"ckpt_{done:06d}", model, opt, done,
-                                data_rng, queue)
-                save_checkpoint(out_dir, LAST_CKPT, model, opt, done, data_rng, queue)
-        save_checkpoint(out_dir, LAST_CKPT, model, opt, cfg.total_steps, data_rng, queue)
+            if cfg.checkpoint_every and opt.step_count % cfg.checkpoint_every == 0:
+                save_checkpoint(out_dir, f"ckpt_{opt.step_count:06d}", model, opt)
+                save_checkpoint(out_dir, LAST_CKPT, model, opt)
+        save_checkpoint(out_dir, LAST_CKPT, model, opt)
     finally:
         log.close()
     return model

@@ -1,6 +1,7 @@
 """Checkpoint container format: bit-exact round trips and documented layout."""
 
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -41,12 +42,48 @@ def test_header_layout(tmp_path):
     assert extent == 2
     data = np.frombuffer(blob, dtype="<f4", count=2, offset=22 + nlen)
     assert np.allclose(data, [1.5, 2.5])
+    # CRC-32 trailer over every preceding byte
+    assert len(blob) == 22 + nlen + 8 + 4
+    assert struct.unpack_from("<I", blob, len(blob) - 4)[0] == zlib.crc32(blob[:-4])
+    assert not (tmp_path / "one.ts3d.tmp").exists()
 
 
 def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "junk.ts3d"
     path.write_bytes(b"NOPE" + b"\x00" * 16)
     with pytest.raises(ValueError, match="magic"):
+        load_arrays(path)
+
+
+def test_old_version_rejected(tmp_path):
+    # version-1 layout: same entries, no CRC trailer
+    path = tmp_path / "v1.ts3d"
+    path.write_bytes(MAGIC + struct.pack("<III", 1, 1, 1) + b"w"
+                     + struct.pack("<BBI", 0, 1, 1) + struct.pack("<f", 1.0))
+    with pytest.raises(ValueError, match="unsupported checkpoint version 1"):
+        load_arrays(path)
+
+
+def _saved(tmp_path):
+    path = tmp_path / "ckpt.ts3d"
+    save_arrays(path, {"a": np.arange(6, dtype=np.float32).reshape(2, 3),
+                       "b": np.ones(4, dtype=np.float64)})
+    return path
+
+
+def test_truncated_file_names_path(tmp_path):
+    path = _saved(tmp_path)
+    path.write_bytes(path.read_bytes()[:-1])
+    with pytest.raises(ValueError, match="ckpt.ts3d"):
+        load_arrays(path)
+
+
+def test_flipped_payload_byte_names_path(tmp_path):
+    path = _saved(tmp_path)
+    blob = bytearray(path.read_bytes())
+    blob[30] ^= 0x01  # inside the float32 data of entry "a"
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ValueError, match="ckpt.ts3d"):
         load_arrays(path)
 
 
@@ -64,8 +101,23 @@ def test_model_roundtrip(tmp_path):
     save_model(path, net)
     other = _Net(scale=9.0)
     bind_parameter_names(other)
-    load_model(path, other)
+    assert load_model(path, other) == {}
     assert np.array_equal(other.w.data, net.w.data)
+
+
+def test_optimizer_state_rides_under_reserved_prefix(tmp_path):
+    net = _Net(scale=0.25)
+    bind_parameter_names(net)
+    path = tmp_path / "net.ts3d"
+    save_model(path, net, {"step": np.array([3.0]), "m.w": np.ones((2, 3))})
+    assert sorted(load_arrays(path)) == ["adamw.m.w", "adamw.step", "b", "w"]
+    state = load_model(path, _bound(_Net()))
+    assert sorted(state) == ["m.w", "step"] and state["step"][0] == 3.0
+
+
+def _bound(net):
+    bind_parameter_names(net)
+    return net
 
 
 def test_model_mismatch_lists_keys(tmp_path):

@@ -3,15 +3,20 @@
 import os
 import subprocess
 import sys
+import types
+import zlib
 
 import numpy as np
 import pytest
 
+import ts3d.checkpoint
+from ts3d.checkpoint import load_arrays
 from ts3d.config import RunConfig, load_config
 from ts3d.dataset import generate_dataset, build_pseudo_gt
+from ts3d.optim import AdamW, cosine_lr
 from ts3d.synth import SynthParams
 from ts3d.tensor import ConfigError
-from ts3d.train import train_run
+from ts3d.train import LAST_CKPT, load_trained_model, save_checkpoint, train_run
 
 TOY_OVERRIDES = dict(total_steps=6, checkpoint_every=3, batch_size=1)
 
@@ -35,35 +40,80 @@ def _toy_cfg(**kw):
     return cfg.validate()
 
 
-def _read_totals(out_dir):
+def _read_log(out_dir, key="total"):
     totals = []
     with open(os.path.join(out_dir, "metrics.log"), encoding="utf-8") as fh:
         for line in fh:
             fields = dict(kv.split("=", 1) for kv in line.split())
-            totals.append(float(fields["total"]))
+            totals.append(float(fields[key]))
     return totals
 
 
 def test_training_trajectory_deterministic(toy_dataset, tmp_path):
     train_run(_toy_cfg(), toy_dataset, tmp_path / "a", quiet=True)
     train_run(_toy_cfg(), toy_dataset, tmp_path / "b", quiet=True)
-    assert _read_totals(tmp_path / "a") == _read_totals(tmp_path / "b")
+    assert _read_log(tmp_path / "a") == _read_log(tmp_path / "b")
 
 
-def test_resume_reproduces_loss_trajectory(toy_dataset, tmp_path):
+@pytest.mark.parametrize("stop_after", [3, 4])
+def test_resume_reproduces_loss_trajectory(toy_dataset, tmp_path, stop_after):
     train_run(_toy_cfg(), toy_dataset, tmp_path / "full", quiet=True)
-    full = _read_totals(tmp_path / "full")
+    full = _read_log(tmp_path / "full")
 
-    half_cfg = _toy_cfg(total_steps=3, checkpoint_every=3)
-    train_run(half_cfg, toy_dataset, tmp_path / "split", quiet=True)
-    resumed_cfg = _toy_cfg()  # back to 6 total steps
-    # the resolved config on disk records 3 total steps; rewrite for the longer run
-    (tmp_path / "split" / "config.txt").write_text(resumed_cfg.to_text())
-    train_run(resumed_cfg, toy_dataset, tmp_path / "split", resume=True, quiet=True)
-    split = _read_totals(tmp_path / "split")
-    assert len(split) == len(full)
-    for a, b in zip(full, split):
-        assert a == pytest.approx(b, abs=1e-6)
+    split = tmp_path / "split"
+    train_run(_toy_cfg(), toy_dataset, split, quiet=True, stop_after=stop_after)
+    assert load_arrays(split / "ckpt_last.ts3d")["adamw.step"][0] == stop_after
+    train_run(_toy_cfg(), toy_dataset, split, resume=True, quiet=True)
+    assert _read_log(split) == full
+    # one file per checkpoint tag
+    assert sorted(os.listdir(split)) == [
+        "ckpt_000003.ts3d", "ckpt_000006.ts3d", "ckpt_last.ts3d", "config.txt", "metrics.log",
+    ]
+
+
+def test_extending_a_finished_run_follows_new_schedule(toy_dataset, tmp_path):
+    run = tmp_path / "run"
+    train_run(_toy_cfg(total_steps=3), toy_dataset, run, quiet=True)
+    longer = _toy_cfg()
+    (run / "config.txt").write_text(longer.to_text())
+    train_run(longer, toy_dataset, run, resume=True, quiet=True)
+    lrs = _read_log(run, key="lr")
+    assert len(lrs) == 6
+    for k in (3, 4, 5):
+        expected = cosine_lr(k, 6, longer.lr)
+        assert expected > 0
+        assert lrs[k] == pytest.approx(expected, rel=1e-6)
+
+
+def test_failed_save_keeps_previous_checkpoint(toy_dataset, tmp_path, monkeypatch):
+    cfg = _toy_cfg(total_steps=1)
+    run = tmp_path / "run"
+    model = train_run(cfg, toy_dataset, run, quiet=True)
+    ckpt = run / (LAST_CKPT + ".ts3d")
+    before = ckpt.read_bytes()
+
+    payloads = []
+
+    def crc32_failing_on_third_entry(data, value=0):
+        if isinstance(data, np.ndarray):
+            payloads.append(data)
+            if len(payloads) == 3:
+                raise OSError("simulated write failure")
+        return zlib.crc32(data, value)
+
+    monkeypatch.setattr(ts3d.checkpoint, "zlib",
+                        types.SimpleNamespace(crc32=crc32_failing_on_third_entry))
+    for p in model.parameters():
+        p.data += 1.0
+    opt = AdamW(list(model.parameters()), base_lr=cfg.lr)
+    with pytest.raises(OSError, match="simulated"):
+        save_checkpoint(str(run), LAST_CKPT, model, opt)
+    monkeypatch.undo()
+
+    assert len(payloads) == 3
+    assert ckpt.read_bytes() == before
+    assert not (run / (LAST_CKPT + ".ts3d.tmp")).exists()
+    load_trained_model(cfg, toy_dataset, ckpt)
 
 
 def test_resume_config_mismatch_lists_keys(toy_dataset, tmp_path):
@@ -76,7 +126,6 @@ def test_resume_config_mismatch_lists_keys(toy_dataset, tmp_path):
 
 def test_checkpoint_roundtrip_same_losses(toy_dataset, tmp_path):
     from ts3d.dataset import load_frame, read_manifest
-    from ts3d.train import load_trained_model
 
     cfg = _toy_cfg()
     model = train_run(cfg, toy_dataset, tmp_path / "run", quiet=True)
@@ -124,9 +173,15 @@ def test_resolved_config_written(toy_dataset, tmp_path):
 # CLI subprocess smoke (exit codes and wiring)
 
 
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
 def _cli(*args, cwd):
+    # cwd moves to a temporary directory, so the package path must be absolute
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "ts3d", *args],
-                          capture_output=True, text=True, cwd=cwd)
+                          capture_output=True, text=True, cwd=cwd, env=env)
 
 
 def test_cli_pipeline_and_exit_codes(tmp_path):
@@ -173,3 +228,13 @@ def test_cli_gradcheck_ops_smoke(tmp_path):
     r = _cli("gradcheck", "--scope", "ops", cwd=tmp_path)
     assert r.returncode == 0, r.stdout + r.stderr
     assert "PASS" in r.stdout and "FAIL" not in r.stdout
+
+
+def test_cli_infer_truncated_checkpoint_is_exit_2(toy_dataset, tmp_path):
+    train_run(_toy_cfg(total_steps=1), toy_dataset, tmp_path / "run", quiet=True)
+    ckpt = tmp_path / "run" / "ckpt_last.ts3d"
+    ckpt.write_bytes(ckpt.read_bytes()[:-1])
+    r = _cli("infer", "--ckpt", str(ckpt), "--data", str(toy_dataset), "--split", "val",
+             "--out", "preds", "--preset", "toy", cwd=tmp_path)
+    assert r.returncode == 2
+    assert str(ckpt) in r.stderr
