@@ -60,6 +60,10 @@ def run_op_checks(seed: int = 0):
     check("bilinear_sample",
           lambda f_, p_: _weighted(ops.bilinear_sample(f_, p_), _probe((7, 3))),
           [feat, pts])
+    gpts = Tensor(rng.uniform(0.3, 4.4, size=(2, 4, 2)), dtype=np.float64, requires_grad=True)
+    check("bilinear_sample[grouped]",
+          lambda f_, p_: _weighted(ops.bilinear_sample(f_, p_), _probe((2, 4, 3))),
+          [rand_tensor(rng, (2, 5, 6, 3)), gpts])
 
     left = rand_tensor(rng, (3, 9, 4))
     right = rand_tensor(rng, (3, 9, 4))

@@ -143,15 +143,6 @@ class MHSA(Module):
         self.v_proj = Linear(rng, c_dec, c_dec, dtype=dtype)
         self.out_proj = Linear(rng, c_dec, c_dec, dtype=dtype)
 
-    def attention_weights(self, x: Tensor) -> np.ndarray:
-        """(heads, Nq, Nq) attention matrix for inspection/testing."""
-        n, c = x.shape
-        q = self._split(self.q_proj.forward(x), n)
-        k = self._split(self.k_proj.forward(x), n)
-        scores = ops.scale(ops.matmul(q, ops.transpose(k, (0, 2, 1))),
-                           1.0 / math.sqrt(self.head_dim))
-        return ops.softmax(scores, axis=-1).data
-
     def _split(self, t: Tensor, n: int) -> Tensor:
         return ops.transpose(ops.reshape(t, (n, self.heads, self.head_dim)), (1, 0, 2))
 
@@ -176,6 +167,12 @@ class MSDeformCA(Module):
     softmax weights over all levels*K sampled points. Offset and weight
     layers start at zero so training begins from plain reference-point
     lookups with uniform weights.
+
+    As in Deformable DETR's ``ms_deform_attn_core_pytorch``, all heads of a
+    level are sampled in one ``bilinear_sample`` call over its group axis.
+    The projected level map is laid out head-major, (heads, H, W, head_dim),
+    so each head's channel slice is one contiguous map of the stack, and the
+    sampling points are (level, head, query, point, uv).
     """
 
     def __init__(self, rng, c_dec, heads, points, n_levels, dtype=np.float32):
@@ -200,51 +197,36 @@ class MSDeformCA(Module):
         m, k, nl = self.heads, self.points, self.n_levels
         hd = self.head_dim
 
-        offsets = ops.reshape(self.offset.forward(q), (n, m, nl, k, 2))
+        # pixel sampling points of every level, (level, head, query, point, uv)
+        offsets = ops.transpose(ops.reshape(self.offset.forward(q), (n, m, nl, k, 2)),
+                                (2, 1, 0, 3, 4))
+        dtype = feats[0].data.dtype
+        extent = np.array([[f.shape[1], f.shape[0]] for f in feats], dtype=dtype)
+        pts_norm = ops.add(Tensor(refs[None, None, :, None, :]), offsets)
+        pts_px = ops.sub(ops.mul(pts_norm, Tensor(extent.reshape(nl, 1, 1, 1, 2))),
+                         Tensor(np.full(2, 0.5, dtype=dtype)))
         logits = ops.reshape(self.weight.forward(q), (n * m, nl * k))
-        weights = ops.reshape(ops.softmax(logits, axis=-1), (n, m, nl, k))
+        weights = ops.transpose(ops.reshape(ops.softmax(logits, axis=-1), (n, m, nl, k, 1)),
+                                (2, 1, 0, 3, 4))
 
-        # (head, level) accumulators of shape (n, hd)
-        acc = [[None] * nl for _ in range(m)]
+        total = None
         for lvl, feat in enumerate(feats):
             hl, wl, cl = feat.shape
             if cl != c:
                 raise ConfigError(
                     f"level {lvl + 1} has {cl} channels, expected decoder width {c}"
                 )
-            value = ops.reshape(
-                self.value_proj.forward(ops.reshape(feat, (hl * wl, cl))), (hl, wl, cl)
-            )
-            off = ops.reshape(ops.narrow(offsets, 2, lvl, 1), (n, m, k, 2))
-            base = Tensor(np.broadcast_to(refs[:, None, None, :], (n, m, k, 2)).copy())
-            pts_norm = ops.add(base, off)
-            extent = np.array([wl, hl], dtype=feat.data.dtype)
-            half = np.array([0.5, 0.5], dtype=feat.data.dtype)
-            pts_px = ops.sub(ops.mul(pts_norm, Tensor(extent)), Tensor(half))
-            w_lvl = ops.reshape(ops.narrow(weights, 2, lvl, 1), (n, m, k, 1))
-            for h in range(m):
-                # each head samples only its own channel slice
-                v_h = ops.narrow(value, 2, h * hd, hd)
-                pts_h = ops.reshape(ops.narrow(pts_px, 1, h, 1), (n * k, 2))
-                sampled = ops.reshape(ops.bilinear_sample(v_h, pts_h), (n, k, hd))
-                w_h = ops.reshape(ops.narrow(w_lvl, 1, h, 1), (n, k, 1))
-                term = ops.sum_(ops.mul(sampled, w_h), axis=1)  # (n, hd)
-                acc[h][lvl] = term
-
-        per_head = []
-        for h in range(m):
-            total = acc[h][0]
-            for lvl in range(1, nl):
-                total = ops.add(total, acc[h][lvl])
-            per_head.append(total)
-        merged = ops.concat(per_head, axis=1)
+            # head-major (m, hl, wl, hd); without a graph the (hl, wl, c) map is freed here
+            value = ops.transpose(ops.reshape(
+                self.value_proj.forward(ops.reshape(feat, (hl * wl, c))), (hl, wl, m, hd)),
+                (2, 0, 1, 3))
+            pts = ops.reshape(ops.narrow(pts_px, 0, lvl, 1), (m, n * k, 2))
+            sampled = ops.reshape(ops.bilinear_sample(value, pts), (m, n, k, hd))
+            w_lvl = ops.reshape(ops.narrow(weights, 0, lvl, 1), (m, n, k, 1))
+            term = ops.sum_(ops.mul(sampled, w_lvl), axis=2)  # (m, n, hd)
+            total = term if total is None else ops.add(total, term)
+        merged = ops.reshape(ops.transpose(total, (1, 0, 2)), (n, c))
         return self.out_proj.forward(merged)
-
-    def sampling_weights(self, q: Tensor) -> np.ndarray:
-        """(Nq, heads, levels*K) softmax weights for inspection/testing."""
-        n = q.shape[0]
-        logits = ops.reshape(self.weight.forward(q), (n * self.heads, self.n_levels * self.points))
-        return ops.softmax(logits, axis=-1).data.reshape(n, self.heads, -1)
 
 
 class FFN(Module):

@@ -121,12 +121,6 @@ def block_match_stereo(img_left, img_right, max_disp: int, window: int = 9,
     return disp_l, valid_l, disp_r, valid_r
 
 
-def block_match(img_left, img_right, max_disp: int, window: int = 9):
-    """Left-view disparity and validity mask (see block_match_stereo)."""
-    disp_l, valid_l, _, _ = block_match_stereo(img_left, img_right, max_disp, window)
-    return disp_l, valid_l
-
-
 # ---------------------------------------------------------------------------
 # disparity loss
 

@@ -563,62 +563,68 @@ def upsample2x(x) -> Tensor:
 
 
 def bilinear_sample(feature, points) -> Tensor:
-    """Sample (H, W, C) features at continuous (u, v) pixel coordinates.
+    """Sample (H, W, C) features at continuous (u, v) pixel coordinates (N, 2),
+    giving (N, C). With one leading group axis, (G, H, W, C) features and
+    (G, N, 2) points give (G, N, C): point (g, n) reads only map g, through a
+    row offset of g*H*W into the flattened stack (the same code, no branch).
 
-    Out-of-bounds reads contribute exactly zero. Differentiable with respect
-    to the feature map and the point coordinates.
+    Out-of-bounds corners get bilinear weight 0 and contribute exactly zero.
+    Backward keeps the corner indices, weights and validity, not the four
+    gathered (G*N, C) corner blocks: the point gradient recomputes g . value
+    per corner from the map, so the graph holds no per-corner copies.
+    Differentiable with respect to the feature map and the point coordinates.
     """
     feature, points = as_tensor(feature), as_tensor(points)
-    if feature.ndim != 3 or points.ndim != 2 or points.shape[1] != 2:
+    if (feature.ndim not in (3, 4) or points.ndim != feature.ndim - 1
+            or points.shape[:-2] != feature.shape[:-3] or points.shape[-1] != 2):
         raise DimensionError(
-            f"bilinear_sample expects (H,W,C) features and (N,2) points, got "
-            f"{feature.shape} and {points.shape}"
+            f"bilinear_sample expects (H,W,C) features with (N,2) points or "
+            f"(G,H,W,C) with (G,N,2), got {feature.shape} and {points.shape}"
         )
-    h, w, c = feature.shape
-    flat = feature.data.reshape(h * w, c)
-    u = points.data[:, 0]
-    v = points.data[:, 1]
+    h, w, c = feature.shape[-3:]
+    flat = feature.data.reshape(-1, c)
+    pts = points.data.reshape(-1, 2)
+    row0 = np.repeat(np.arange(0, flat.shape[0], h * w), points.shape[-2])
+    u, v = pts[:, 0], pts[:, 1]
     u0f = np.floor(u)
     v0f = np.floor(v)
-    fu = (u - u0f)[:, None]
-    fv = (v - v0f)[:, None]
+    fu = u - u0f
+    fv = v - v0f
     u0 = u0f.astype(np.int64)
     v0 = v0f.astype(np.int64)
 
-    def corner(vi, ui):
+    corners = []  # (row index, weight with validity folded in, validity)
+    data = None
+    for du, dv in ((0, 0), (1, 0), (0, 1), (1, 1)):
+        ui, vi = u0 + du, v0 + dv
         valid = (ui >= 0) & (ui < w) & (vi >= 0) & (vi < h)
-        idx = np.clip(vi, 0, h - 1) * w + np.clip(ui, 0, w - 1)
-        vals = flat[idx] * valid[:, None]
-        return vals, idx, valid
-
-    f00, i00, m00 = corner(v0, u0)
-    f10, i10, m10 = corner(v0, u0 + 1)
-    f01, i01, m01 = corner(v0 + 1, u0)
-    f11, i11, m11 = corner(v0 + 1, u0 + 1)
-    w00 = (1.0 - fu) * (1.0 - fv)
-    w10 = fu * (1.0 - fv)
-    w01 = (1.0 - fu) * fv
-    w11 = fu * fv
-    data = w00 * f00 + w10 * f10 + w01 * f01 + w11 * f11
+        idx = row0 + np.clip(vi, 0, h - 1) * w + np.clip(ui, 0, w - 1)
+        wt = ((fu if du else 1.0 - fu) * (fv if dv else 1.0 - fv) * valid)[:, None]
+        if data is None:
+            data = wt * flat[idx]
+        else:
+            data += wt * flat[idx]
+        corners.append((idx, wt, valid))
+    data = data.reshape(points.shape[:-1] + (c,))
 
     def build():
         def bw(g):
+            g = g.reshape(-1, c)
             if feature.requires_grad:
                 # bincount scatter over flat element indices (faster than ufunc.at)
-                idx_all = np.concatenate([i00, i10, i01, i11])
-                contrib = np.concatenate([
-                    g * w00 * m00[:, None], g * w10 * m10[:, None],
-                    g * w01 * m01[:, None], g * w11 * m11[:, None],
-                ])
+                idx_all = np.concatenate([idx for idx, _, _ in corners])
+                contrib = np.concatenate([g * wt for _, wt, _ in corners])
                 flat_idx = (idx_all[:, None] * c + np.arange(c)[None, :]).reshape(-1)
                 gf = np.bincount(flat_idx, weights=contrib.reshape(-1),
-                                 minlength=h * w * c).reshape(h, w, c)
+                                 minlength=flat.size).reshape(feature.shape)
                 feature.accumulate_grad(gf.astype(feature.dtype, copy=False),
                                         "bilinear_sample")
             if points.requires_grad:
-                du = (1.0 - fv) * (f10 - f00) + fv * (f11 - f01)
-                dv = (1.0 - fu) * (f01 - f00) + fu * (f11 - f10)
-                gp = np.stack([(g * du).sum(axis=1), (g * dv).sum(axis=1)], axis=1)
+                s00, s10, s01, s11 = ((g * flat[idx]).sum(axis=1) * valid
+                                      for idx, _, valid in corners)
+                gu = (1.0 - fv) * (s10 - s00) + fv * (s11 - s01)
+                gv = (1.0 - fu) * (s01 - s00) + fu * (s11 - s10)
+                gp = np.stack([gu, gv], axis=1).reshape(points.shape)
                 points.accumulate_grad(gp.astype(points.dtype), "bilinear_sample")
         return bw
 

@@ -82,7 +82,7 @@ class AdamW:
             for prefix, store in (("m.", self.m), ("v.", self.v)):
                 key = prefix + p.name
                 if key not in arrays:
-                    raise KeyError(f"optimizer state missing '{key}'")
+                    raise ValueError(f"optimizer state missing '{key}'")
                 if arrays[key].shape != p.data.shape:
                     raise ValueError(f"optimizer state shape mismatch for '{key}'")
                 store[p.name] = arrays[key].astype(p.data.dtype).copy()

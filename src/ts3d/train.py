@@ -6,7 +6,8 @@ The data stream is a function of (seed, position): frame
 and ``perm_e = default_rng((seed, 1, e)).permutation(n)``, augmented with draws
 from ``default_rng((seed, 2, k))``. A checkpoint is one ``<tag>.ts3d`` file (see
 ``checkpoint``) with the parameters and the AdamW step and moments; the config
-alone supplies hyperparameters, so resuming needs only the saved step.
+alone supplies hyperparameters, so resuming needs only the saved step, and
+keeps only that many lines of the log (flushed before every checkpoint).
 """
 
 from __future__ import annotations
@@ -78,11 +79,21 @@ def train_run(cfg: RunConfig, data_dir, out_dir, resume: bool = False,
                  rng=np.random.default_rng(cfg.seed))
     opt = AdamW(list(model.parameters()), base_lr=cfg.lr,
                 weight_decay=cfg.weight_decay, total_steps=cfg.total_steps)
-    if resume:
-        opt.load_state_arrays(load_model(os.path.join(out_dir, LAST_CKPT + ".ts3d"), model))
-
     log_path = os.path.join(out_dir, "metrics.log")
-    log = open(log_path, "a" if resume else "w", encoding="utf-8")
+    kept_lines = []
+    if resume:
+        ckpt = os.path.join(out_dir, LAST_CKPT + ".ts3d")
+        state = load_model(ckpt, model)
+        try:
+            opt.load_state_arrays(state)
+        except ValueError as exc:
+            raise ValueError(f"cannot resume from '{ckpt}': {exc}") from None
+        if os.path.exists(log_path):
+            with open(log_path, encoding="utf-8") as fh:
+                kept_lines = fh.readlines()[: opt.step_count]
+
+    log = open(log_path, "w", encoding="utf-8")
+    log.writelines(kept_lines)
     frames_cache: dict = {}
     n = len(train_ids)
     end_step = cfg.total_steps if stop_after is None else min(stop_after, cfg.total_steps)
@@ -113,8 +124,10 @@ def train_run(cfg: RunConfig, data_dir, out_dir, resume: bool = False,
             if not quiet and (step % print_every == 0 or step == cfg.total_steps - 1):
                 print(record, flush=True)
             if cfg.checkpoint_every and opt.step_count % cfg.checkpoint_every == 0:
+                log.flush()  # every checkpoint has its log lines on disk
                 save_checkpoint(out_dir, f"ckpt_{opt.step_count:06d}", model, opt)
                 save_checkpoint(out_dir, LAST_CKPT, model, opt)
+        log.flush()
         save_checkpoint(out_dir, LAST_CKPT, model, opt)
     finally:
         log.close()

@@ -16,7 +16,7 @@ from ts3d.dataset import (
     load_frame,
     read_manifest,
 )
-from ts3d.disphead import block_match, block_match_stereo
+from ts3d.disphead import block_match_stereo
 from ts3d.kitti_io import (
     Calibration,
     ObjectLabel,
@@ -179,7 +179,7 @@ def test_front_face_columns_shift_by_integer_disparity():
 def test_epipolar_invariant_block_match_accuracy():
     for seed in (0, 1, 2):
         frame = synth_scene(seed, SynthParams())
-        disp, valid = block_match(frame.left, frame.right, max_disp=20, window=9)
+        disp, valid, _, _ = block_match_stereo(frame.left, frame.right, max_disp=20, window=9)
         assert valid.sum() > 1000
         mae = np.abs(disp[valid] - frame.disparity[valid]).mean()
         assert mae < 1.5

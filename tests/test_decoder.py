@@ -181,13 +181,18 @@ def test_mhsa_single_token_is_value_chain():
 
 
 def test_mhsa_rows_sum_to_one():
+    """With v_proj.w = 0 every value row is v_proj.b, so each output row is
+    out_proj(v_proj.b) only if every attention row sums to one."""
     rng = np.random.default_rng(10)
     attn = MHSA(rng, c_dec=12, heads=3, dtype=np.float64)
+    attn.v_proj.w.data[:] = 0.0
+    attn.v_proj.b.data[:] = rng.normal(size=12)
     x = Tensor(rng.normal(size=(7, 12)), dtype=np.float64)
     with no_grad():
-        w = attn.attention_weights(x)
-    assert w.shape == (3, 7, 7)
-    assert np.allclose(w.sum(axis=-1), 1.0, atol=1e-6)
+        out = attn.forward(x)
+        expected = attn.out_proj.forward(Tensor(attn.v_proj.b.data[None, :]))
+    assert out.shape == (7, 12)
+    assert np.allclose(out.data, np.broadcast_to(expected.data, (7, 12)), atol=1e-12)
 
 
 def test_mhsa_rejects_indivisible_width():
@@ -258,14 +263,44 @@ def test_deformable_matches_value_projection_single_query():
 
 
 def test_deformable_weights_sum_to_one_over_levels_and_points():
+    """Constant level maps, read at in-bounds points, come back as that
+    constant only if each head's weights sum to one over levels*points."""
     rng = np.random.default_rng(15)
-    mod = MSDeformCA(rng, c_dec=16, heads=8, points=4, n_levels=3, dtype=np.float64)
+    mod = _identity_deform(rng, c_dec=16, heads=8, points=4, n_levels=3)
     mod.weight.w.data[:] = rng.normal(size=mod.weight.w.data.shape)
-    q = Tensor(rng.normal(size=(5, 16)), dtype=np.float64)
+    wq, hq = 3, 2
+    const = rng.normal(size=16)
+    feats = [Tensor(np.broadcast_to(const, (hq * s, wq * s, 16)).copy(), dtype=np.float64)
+             for s in (4, 2, 1)]
+    q = Tensor(rng.normal(size=(wq * hq, 16)), dtype=np.float64)
     with no_grad():
-        w = mod.sampling_weights(q)
-    assert w.shape == (5, 8, 12)  # 3 levels * 4 points
-    assert np.allclose(w.sum(axis=-1), 1.0, atol=1e-6)
+        out = mod.forward(q, reference_points(wq, hq, np.float64), feats)
+    assert np.allclose(out.data, np.broadcast_to(const, (wq * hq, 16)), atol=1e-12)
+
+
+def _graph_node_count(out: Tensor) -> int:
+    seen, stack = {}, [out]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen[id(t)] = t
+            stack.extend(t._parents)
+    return sum(t._backward_fn is not None for t in seen.values())
+
+
+def test_deformable_graph_size_does_not_grow_with_heads():
+    """Every head of a level is sampled in one call, so the graph one forward
+    records has the same number of nodes for 2 heads as for 8."""
+    counts = []
+    for heads in (2, 8):
+        rng = np.random.default_rng(24)
+        mod = MSDeformCA(rng, c_dec=16, heads=heads, points=2, n_levels=3, dtype=np.float64)
+        feats = [Tensor(rng.normal(size=(2 * s, 4 * s, 16)), dtype=np.float64,
+                        requires_grad=True) for s in (4, 2, 1)]
+        q = Tensor(rng.normal(size=(8, 16)), dtype=np.float64, requires_grad=True)
+        out = mod.forward(q, reference_points(4, 2, np.float64), feats)
+        counts.append(_graph_node_count(out))
+    assert counts[0] == counts[1]
 
 
 def test_deformable_rejects_wrong_level_width():

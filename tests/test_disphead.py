@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from ts3d import ops
 from ts3d.disphead import (
     DisparityHead,
-    block_match,
+    block_match_stereo,
     disparity_target,
     softargmax,
     stereo_focal_loss,
@@ -85,21 +85,21 @@ def test_block_match_constant_shift():
     right = np.empty_like(left)
     right[:, : 96 - d0] = left[:, d0:]
     right[:, 96 - d0 :] = _textured(rng, 48, d0)
-    disp, valid = block_match(left, right, max_disp=12, window=9)
+    disp, valid, _, _ = block_match_stereo(left, right, max_disp=12, window=9)
     assert valid.sum() > 0.3 * valid.size
     assert (disp[valid] == d0).mean() >= 0.90
 
 
 def test_block_match_textureless_mostly_invalid():
     img = np.full((40, 60, 3), 0.5)
-    _, valid = block_match(img, img, max_disp=10, window=9)
+    _, valid, _, _ = block_match_stereo(img, img, max_disp=10, window=9)
     assert valid.mean() < 0.1
 
 
 def test_block_match_even_window_rejected():
     img = np.zeros((16, 16, 3))
     with pytest.raises(ValueError):
-        block_match(img, img, max_disp=4, window=8)
+        block_match_stereo(img, img, max_disp=4, window=8)
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,34 @@ def test_bilinear_out_of_bounds_is_zero():
     assert np.allclose(out.data, 0.0)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_bilinear_group_axis_matches_separate_calls(dtype):
+    rng = np.random.default_rng(10)
+    feat = rng.normal(size=(3, 5, 6, 4)).astype(dtype)
+    pts = rng.uniform(-1.5, 7.0, size=(3, 9, 2)).astype(dtype)  # some out of bounds
+    probe = rng.normal(size=(3, 9, 4)).astype(dtype)
+    f_all = Tensor(feat, requires_grad=True)
+    p_all = Tensor(pts, requires_grad=True)
+    out = ops.bilinear_sample(f_all, p_all)
+    assert out.shape == (3, 9, 4)
+    ops.sum_(ops.mul(out, Tensor(probe))).backward()
+    for g in range(3):
+        f_g = Tensor(feat[g], requires_grad=True)
+        p_g = Tensor(pts[g], requires_grad=True)
+        out_g = ops.bilinear_sample(f_g, p_g)
+        ops.sum_(ops.mul(out_g, Tensor(probe[g]))).backward()
+        assert out.data[g].tobytes() == out_g.data.tobytes()
+        assert f_all.grad[g].tobytes() == f_g.grad.tobytes()
+        assert p_all.grad[g].tobytes() == p_g.grad.tobytes()
+
+
+def test_bilinear_rejects_mismatched_groups():
+    with pytest.raises(DimensionError):
+        ops.bilinear_sample(Tensor(np.zeros((2, 4, 4, 3))), Tensor(np.zeros((3, 5, 2))))
+    with pytest.raises(DimensionError):
+        ops.bilinear_sample(Tensor(np.zeros((4, 4, 3))), Tensor(np.zeros((2, 5, 2))))
+
+
 def test_bilinear_point_gradcheck():
     rng = np.random.default_rng(9)
     feat = rand_tensor(rng, (6, 8, 3))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import ts3d.checkpoint
-from ts3d.checkpoint import load_arrays
+from ts3d.checkpoint import load_arrays, save_model
 from ts3d.config import RunConfig, load_config
 from ts3d.dataset import generate_dataset, build_pseudo_gt
 from ts3d.optim import AdamW, cosine_lr
@@ -69,6 +69,28 @@ def test_resume_reproduces_loss_trajectory(toy_dataset, tmp_path, stop_after):
     assert sorted(os.listdir(split)) == [
         "ckpt_000003.ts3d", "ckpt_000006.ts3d", "ckpt_last.ts3d", "config.txt", "metrics.log",
     ]
+
+
+def test_resume_after_crash_writes_the_uninterrupted_log(toy_dataset, tmp_path, monkeypatch):
+    cfg = _toy_cfg(checkpoint_every=2)
+    train_run(cfg, toy_dataset, tmp_path / "full", quiet=True)
+
+    run = tmp_path / "run"
+    step = AdamW.step
+
+    def crashing_step(self):
+        if self.step_count == 3:
+            raise RuntimeError("simulated crash")
+        return step(self)
+
+    monkeypatch.setattr(AdamW, "step", crashing_step)
+    with pytest.raises(RuntimeError, match="simulated"):
+        train_run(cfg, toy_dataset, run, quiet=True)
+    monkeypatch.undo()
+    # step 2 was logged after the last checkpoint (step 2 reached)
+    assert len(_read_log(run)) == 3
+    train_run(cfg, toy_dataset, run, resume=True, quiet=True)
+    assert (run / "metrics.log").read_text() == (tmp_path / "full" / "metrics.log").read_text()
 
 
 def test_extending_a_finished_run_follows_new_schedule(toy_dataset, tmp_path):
@@ -238,3 +260,16 @@ def test_cli_infer_truncated_checkpoint_is_exit_2(toy_dataset, tmp_path):
              "--out", "preds", "--preset", "toy", cwd=tmp_path)
     assert r.returncode == 2
     assert str(ckpt) in r.stderr
+
+
+def test_cli_resume_from_parameters_only_checkpoint_is_exit_2(toy_dataset, tmp_path):
+    run = tmp_path / "run"
+    model = train_run(_toy_cfg(total_steps=1), toy_dataset, run, quiet=True)
+    ckpt = run / (LAST_CKPT + ".ts3d")
+    save_model(ckpt, model)  # parameters only, no optimizer state
+    r = _cli("train", "--data", str(toy_dataset), "--out", str(run), "--preset", "toy",
+             "--set", "total_steps=1", "--set", "checkpoint_every=3", "--resume", "--quiet",
+             cwd=tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert str(ckpt) in r.stderr
+    assert "optimizer state" in r.stderr
