@@ -12,6 +12,7 @@ this).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -34,7 +35,7 @@ def _hue_matrix(angle: float) -> np.ndarray:
 def photometric_jitter(frame: FrameData, rng: np.random.Generator,
                        contrast=(0.8, 1.25), brightness=0.1,
                        saturation=(0.7, 1.3), hue=0.15) -> FrameData:
-    """Identical color perturbation of both views; labels untouched."""
+    """Identical color perturbation of both views in a new frame; labels untouched."""
     con = rng.uniform(*contrast)
     bri = rng.uniform(-brightness, brightness)
     sat = rng.uniform(*saturation)
@@ -49,23 +50,17 @@ def photometric_jitter(frame: FrameData, rng: np.random.Generator,
         out = mean + con * (out - mean) + bri
         return np.clip(out, 0.0, 1.0).astype(np.float32)
 
-    frame.left = apply(frame.left)
-    frame.right = apply(frame.right)
-    return frame
+    return dataclasses.replace(frame, left=apply(frame.left), right=apply(frame.right))
 
 
 def horizontal_flip(frame: FrameData) -> FrameData:
-    """Mirror both images, swap the views, and remap geometry.
+    """Mirror both images, swap the views, and remap geometry in a new frame.
 
     New world x' = baseline - x (mirror about the stereo midline), so the old
     right camera becomes the new left origin; yaw maps to pi - ry.
     """
     w = frame.left.shape[1]
     b = frame.calib.baseline
-    new_left = frame.right[:, ::-1].copy()
-    new_right = frame.left[:, ::-1].copy()
-    frame.left, frame.right = new_left, new_right
-
     flipped = []
     for lb in frame.labels:
         x1, y1, x2, y2 = lb.box2d
@@ -78,23 +73,22 @@ def horizontal_flip(frame: FrameData) -> FrameData:
             alpha=alpha_new, box2d=box, h=lb.h, w=lb.w, l=lb.l,
             x=x_new, y=lb.y, z=lb.z, ry=ry_new, score=lb.score,
         ))
-    frame.labels = flipped
+    out = dataclasses.replace(frame, left=frame.right[:, ::-1].copy(),
+                              right=frame.left[:, ::-1].copy(), labels=flipped)
 
     # the mirrored right-view disparity map describes the new left view
     if frame.pseudo_disp is not None:
-        new_disp = frame.pseudo_disp_right[:, ::-1].copy()
-        new_valid = frame.pseudo_valid_right[:, ::-1].copy()
-        frame.pseudo_disp_right = frame.pseudo_disp[:, ::-1].copy()
-        frame.pseudo_valid_right = frame.pseudo_valid[:, ::-1].copy()
-        frame.pseudo_disp = new_disp
-        frame.pseudo_valid = new_valid
-    return frame
+        out.pseudo_disp = frame.pseudo_disp_right[:, ::-1].copy()
+        out.pseudo_valid = frame.pseudo_valid_right[:, ::-1].copy()
+        out.pseudo_disp_right = frame.pseudo_disp[:, ::-1].copy()
+        out.pseudo_valid_right = frame.pseudo_valid[:, ::-1].copy()
+    return out
 
 
 def augment(frame: FrameData, rng: np.random.Generator,
-            flip_probability: float = 0.5, jitter: bool = True) -> FrameData:
-    if jitter:
-        frame = photometric_jitter(frame, rng)
+            flip_probability: float = 0.5) -> FrameData:
+    """Jitter, then flip with ``flip_probability``; the input frame is left as is."""
+    frame = photometric_jitter(frame, rng)
     if rng.uniform() < flip_probability:
         frame = horizontal_flip(frame)
     return frame

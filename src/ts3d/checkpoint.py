@@ -119,7 +119,7 @@ def load_model(path, model) -> dict:
     extra = [n for n in arrays if n not in model_names]
     if missing or extra:
         raise ValueError(
-            "checkpoint/model mismatch; "
+            f"'{path}': checkpoint/model mismatch; "
             f"missing from checkpoint: {missing or 'none'}; "
             f"unknown in checkpoint: {extra or 'none'}"
         )
@@ -127,7 +127,8 @@ def load_model(path, model) -> dict:
         arr = arrays[name]
         if arr.shape != p.data.shape:
             raise ValueError(
-                f"shape mismatch for '{name}': checkpoint {arr.shape}, model {p.data.shape}"
+                f"'{path}': shape mismatch for '{name}': "
+                f"checkpoint {arr.shape}, model {p.data.shape}"
             )
         p.tensor.data = arr.astype(p.data.dtype).copy()
     return optimizer_state

@@ -209,20 +209,27 @@ def _cmd_heatmap(args) -> int:
     from .dataset import MANIFEST_NAME, load_frame, read_manifest
     from .kitti_io import write_pgm
     from .model import dape_similarity_heatmap
-    from .tensor import Tensor
+    from .tensor import ConfigError, Tensor, no_grad
     from .train import load_trained_model
 
     cfg = _load_cfg(args)
+    try:
+        u, v = (int(x) for x in args.probe.split(","))
+    except ValueError:
+        raise ConfigError(f"--probe expects two integers U,V, got '{args.probe}'") from None
+    hq, wq = cfg.height // 16, cfg.width // 16
+    if not (0 <= u < wq and 0 <= v < hq):
+        raise ConfigError(f"--probe {u},{v} is off the {wq}x{hq} query grid: "
+                          f"need 0 <= u < {wq} and 0 <= v < {hq}")
+    if args.bin is not None and not 0 <= args.bin < cfg.c_disp:
+        raise ConfigError(f"--bin {args.bin} is out of range: need 0 <= bin < "
+                          f"c_disp = {cfg.c_disp}")
     model = load_trained_model(cfg, args.data, args.ckpt)
     manifest = read_manifest(os.path.join(args.data, MANIFEST_NAME))
     frame = load_frame(args.data, args.frame, manifest, with_pseudo=False)
-    from .tensor import no_grad
-
     with no_grad():
         outputs = model.forward(Tensor(frame.left.astype(model.dtype)),
                                 Tensor(frame.right.astype(model.dtype)))
-    u, v = (int(x) for x in args.probe.split(","))
-    hq, wq = cfg.height // 16, cfg.width // 16
     sim = dape_similarity_heatmap(outputs, (u, v), (hq, wq))
     up = np.repeat(np.repeat(sim, 16, axis=0), 16, axis=1)
     write_pgm(args.out, up)

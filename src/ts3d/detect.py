@@ -146,9 +146,9 @@ def assign_targets(anchor_corners: np.ndarray, gt_corners: np.ndarray,
 # orientation coding
 
 
-def wrap_angle(a: float) -> float:
-    """Wrap to (-pi, pi]."""
-    return float(-((-a + math.pi) % (2.0 * math.pi) - math.pi))
+def wrap_angle(a):
+    """Wrap to (-pi, pi]; maps floats and arrays alike."""
+    return -((-a + math.pi) % (2.0 * math.pi) - math.pi)
 
 
 def canonical_alpha(alpha: float) -> float:
@@ -167,9 +167,9 @@ def encode_orientation(alpha: float):
     return math.sin(2.0 * psi), math.cos(2.0 * psi), branch
 
 
-def decode_orientation(sin2a: float, cos2a: float, c_alpha: float) -> float:
-    psi = 0.5 * math.atan2(sin2a, cos2a)
-    return psi if c_alpha > 0.5 else psi + HALF_PI
+def decode_orientation(sin2a, cos2a, c_alpha):
+    psi = 0.5 * np.arctan2(sin2a, cos2a)
+    return np.where(c_alpha > 0.5, psi, psi + HALF_PI)
 
 
 # ---------------------------------------------------------------------------
@@ -228,33 +228,37 @@ def encode_box(anchor_box, anchor_prior, gt, f, cx, cy) -> np.ndarray:
     ], dtype=np.float64)
 
 
-def decode_box(anchor_box, anchor_prior, offsets, f, cx, cy,
-               class_id: int = 0, score: float = 1.0) -> Detection3D:
-    """Invert encode_box; c_alpha arrives as a probability in [0, 1]."""
+def decode_box(anchor_boxes, priors, offsets, f, cx, cy) -> dict:
+    """Invert encode_box row by row.
+
+    (N, 4) anchor boxes, (N, 4) priors and (N, 13) offsets decode to the
+    Detection3D geometry fields: x, y, z, w, h, l, ry, alpha of shape (N,)
+    and corner boxes box2d of shape (N, 4). One row passed as 1-D arrays
+    gives scalars and a (4,) box. c_alpha arrives as a probability in [0, 1].
+    """
     if not np.isfinite(f) or f <= 0:
         raise ValueError("calibration focal length must be positive and finite")
-    ua, va, wa, ha = anchor_box
-    za, wpr, hpr, lpr = anchor_prior
-    o = np.asarray(offsets, dtype=np.float64)
+    ua, va, wa, ha = np.asarray(anchor_boxes, dtype=np.float64).T
+    za, wpr, hpr, lpr = np.asarray(priors, dtype=np.float64).T
+    o = np.asarray(offsets, dtype=np.float64).T
     u2 = ua + o[0] * wa
     v2 = va + o[1] * ha
-    w2 = wa * math.exp(o[2])
-    h2 = ha * math.exp(o[3])
+    w2 = wa * np.exp(o[2])
+    h2 = ha * np.exp(o[3])
     u3 = ua + o[4] * wa
     v3 = va + o[5] * ha
-    z = za * math.exp(o[6])
-    w = wpr * math.exp(o[7])
-    h = hpr * math.exp(o[8])
-    l = lpr * math.exp(o[9])
+    z = za * np.exp(o[6])
+    w = wpr * np.exp(o[7])
+    h = hpr * np.exp(o[8])
+    l = lpr * np.exp(o[9])
     x = (u3 - cx) * z / f
     yc = (v3 - cy) * z / f
     y = yc + h / 2.0
     alpha = decode_orientation(o[10], o[11], o[12])
-    ry = wrap_angle(alpha + math.atan2(x, z))
-    box2d = np.array([u2 - w2 / 2, v2 - h2 / 2, u2 + w2 / 2, v2 + h2 / 2])
-    return Detection3D(class_id=class_id, score=score, x=x, y=y, z=z,
-                       w=w, h=h, l=l, ry=ry, box2d=box2d,
-                       alpha=wrap_angle(alpha))
+    ry = wrap_angle(alpha + np.arctan2(x, z))
+    box2d = np.stack([u2 - w2 / 2, v2 - h2 / 2, u2 + w2 / 2, v2 + h2 / 2], axis=-1)
+    return dict(x=x, y=y, z=z, w=w, h=h, l=l, ry=ry, box2d=box2d,
+                alpha=wrap_angle(alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -441,48 +445,42 @@ def total_loss(layer_losses, disp_loss: Tensor, n_objects: int) -> Tensor:
 
 
 def nms_2d(boxes: np.ndarray, scores: np.ndarray, iou_threshold: float) -> list:
-    """Greedy descending-score suppression on (N,4) corner boxes."""
+    """Greedy descending-score suppression on (N,4) corner boxes. Equal scores
+    keep index order; an IoU equal to ``iou_threshold`` does not suppress."""
     order = np.argsort(-scores, kind="stable")
     keep = []
-    suppressed = np.zeros(len(boxes), dtype=bool)
-    for i in order:
-        if suppressed[i]:
-            continue
+    while len(order):
+        i, rest = order[0], order[1:]
         keep.append(int(i))
-        if len(boxes) - suppressed.sum() == 1:
-            break
-        rest = np.nonzero(~suppressed)[0]
         ious = iou_axis_aligned(boxes[i][None, :], boxes[rest])[0]
-        for j, v in zip(rest, ious):
-            if j != i and v > iou_threshold:
-                suppressed[j] = True
+        order = rest[~(ious > iou_threshold)]
     return keep
 
 
 def decode_detections(anchors: AnchorSet, cls_logits: Tensor, reg_out: Tensor,
                       f, cx, cy, score_threshold=0.1, iou_threshold=0.4):
-    """Scores + offsets -> thresholded, per-class NMS-filtered detections."""
+    """Scores + offsets -> thresholded, per-class NMS-filtered detections.
+
+    Each anchor takes its cell's sigmoid score for its template class, compared
+    with ``score_threshold`` in float64 (numpy would round the threshold to a
+    float32 score's dtype). A class's candidate rows go through one decode_box
+    and one nms_2d call."""
     n_classes = cls_logits.shape[1] - 1
     scores = 1.0 / (1.0 + np.exp(-cls_logits.data[:, :n_classes]))
-    reg = reg_out.data.reshape(len(anchors), 13)
+    rows = np.arange(len(anchors))
+    anchor_scores = scores[rows // anchors.per_cell, anchors.class_ids].astype(np.float64)
+    reg = reg_out.data.reshape(len(anchors), 13).copy()
+    # the branch channel is a logit; its probability is stored in reg's dtype
+    reg[:, 12] = 1.0 / (1.0 + np.exp(-reg[:, 12].astype(np.float64)))
     detections = []
-    per = anchors.per_cell
     for cls_id in range(n_classes):
-        cand = []
-        for a in range(len(anchors)):
-            if anchors.class_ids[a] != cls_id:
-                continue
-            s = float(scores[a // per, cls_id])
-            if s < score_threshold:
-                continue
-            o = reg[a].copy()
-            o[12] = 1.0 / (1.0 + math.exp(-o[12]))  # branch channel is a logit
-            cand.append(decode_box(anchors.boxes[a], anchors.priors[a], o,
-                                   f, cx, cy, class_id=cls_id, score=s))
-        if not cand:
-            continue
-        boxes = np.stack([d.box2d for d in cand])
-        kept = nms_2d(boxes, np.array([d.score for d in cand]), iou_threshold)
-        detections.extend(cand[i] for i in kept)
+        cand = rows[(anchors.class_ids == cls_id) & (anchor_scores >= score_threshold)]
+        fields = decode_box(anchors.boxes[cand], anchors.priors[cand], reg[cand], f, cx, cy)
+        cand_scores = anchor_scores[cand]
+        kept = nms_2d(fields["box2d"], cand_scores, iou_threshold)
+        detections.extend(
+            Detection3D(class_id=cls_id, score=float(cand_scores[i]),
+                        **{k: v[i] for k, v in fields.items()})
+            for i in kept)
     detections.sort(key=lambda d: -d.score)
     return detections

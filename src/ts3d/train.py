@@ -108,7 +108,7 @@ def train_run(cfg: RunConfig, data_dir, out_dir, resume: bool = False,
                 fid = train_ids[perm[k % n]]
                 if fid not in frames_cache:
                     frames_cache[fid] = load_frame(data_dir, fid, manifest)
-                frame = _clone_frame(frames_cache[fid])
+                frame = frames_cache[fid]
                 if cfg.augment:
                     frame = augment(frame, np.random.default_rng((cfg.seed, 2, k)),
                                     cfg.flip_probability)
@@ -132,18 +132,6 @@ def train_run(cfg: RunConfig, data_dir, out_dir, resume: bool = False,
     finally:
         log.close()
     return model
-
-
-def _clone_frame(frame):
-    from .dataset import FrameData
-
-    return FrameData(
-        frame_id=frame.frame_id, left=frame.left.copy(), right=frame.right.copy(),
-        calib=frame.calib, labels=list(frame.labels),
-        pseudo_disp=None if frame.pseudo_disp is None else frame.pseudo_disp,
-        pseudo_valid=frame.pseudo_valid, pseudo_disp_right=frame.pseudo_disp_right,
-        pseudo_valid_right=frame.pseudo_valid_right,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -128,3 +128,4 @@ def test_model_mismatch_lists_keys(tmp_path):
     with pytest.raises(ValueError) as exc:
         load_model(path, net)
     assert "b" in str(exc.value) and "stray" in str(exc.value)
+    assert str(path) in str(exc.value)

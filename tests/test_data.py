@@ -267,7 +267,7 @@ def _loaded_frame(tmp_path, with_pseudo=True):
 def test_photometric_jitter_preserves_labels_and_consistency(tmp_path):
     frame = _loaded_frame(tmp_path, with_pseudo=False)
     before = [lb.to_line() for lb in frame.labels]
-    photometric_jitter(frame, np.random.default_rng(0))
+    frame = photometric_jitter(frame, np.random.default_rng(0))
     assert [lb.to_line() for lb in frame.labels] == before
     assert frame.left.min() >= 0.0 and frame.left.max() <= 1.0
 
@@ -278,7 +278,7 @@ def test_flip_twice_is_identity(tmp_path):
     right0 = frame.right.copy()
     labels0 = [(lb.x, lb.z, lb.ry, tuple(lb.box2d)) for lb in frame.labels]
     disp0 = frame.pseudo_disp.copy()
-    horizontal_flip(horizontal_flip(frame))
+    frame = horizontal_flip(horizontal_flip(frame))
     assert np.array_equal(frame.left, left0)
     assert np.array_equal(frame.right, right0)
     assert np.array_equal(frame.pseudo_disp, disp0)
@@ -294,7 +294,7 @@ def test_flip_preserves_rectified_geometry(tmp_path):
     """The remapped pseudo ground truth must equal a fresh block match of the
     flipped pair: the flip is a valid rectified scene, not just mirrored pixels."""
     frame = _loaded_frame(tmp_path)
-    horizontal_flip(frame)
+    frame = horizontal_flip(frame)
     dl, vl, _, _ = block_match_stereo(frame.left, frame.right, 12, 7)
     both = vl & frame.pseudo_valid
     assert both.sum() > 50
@@ -309,7 +309,7 @@ def test_flip_mirrors_boxes_and_yaw(tmp_path):
     w = frame.left.shape[1]
     b = frame.calib.baseline
     orig = [(lb.x, lb.ry, tuple(lb.box2d)) for lb in frame.labels]
-    horizontal_flip(frame)
+    frame = horizontal_flip(frame)
     for lb, (x, ry, box) in zip(frame.labels, orig):
         assert lb.x == pytest.approx(b - x)
         assert math.cos(2 * lb.ry) == pytest.approx(math.cos(2 * (math.pi - ry)), abs=1e-9)
@@ -320,7 +320,20 @@ def test_flip_mirrors_boxes_and_yaw(tmp_path):
 def test_augment_deterministic_given_rng(tmp_path):
     frame_a = _loaded_frame(tmp_path)
     frame_b = load_frame(tmp_path, "000000", read_manifest(tmp_path / "manifest.txt"))
-    augment(frame_a, np.random.default_rng(42))
-    augment(frame_b, np.random.default_rng(42))
+    frame_a = augment(frame_a, np.random.default_rng(42))
+    frame_b = augment(frame_b, np.random.default_rng(42))
     assert np.array_equal(frame_a.left, frame_b.left)
     assert np.array_equal(frame_a.right, frame_b.right)
+
+
+def test_augment_leaves_its_input_unchanged(tmp_path):
+    frame = _loaded_frame(tmp_path)
+    arrays = ("left", "right", "pseudo_disp", "pseudo_valid",
+              "pseudo_disp_right", "pseudo_valid_right")
+    before = {k: getattr(frame, k).copy() for k in arrays}
+    lines = [lb.to_line() for lb in frame.labels]
+    out = augment(frame, np.random.default_rng(3), flip_probability=1.0)
+    assert out is not frame and not np.array_equal(out.left, frame.left)
+    for k in arrays:
+        assert np.array_equal(getattr(frame, k), before[k]), k
+    assert [lb.to_line() for lb in frame.labels] == lines

@@ -5,16 +5,19 @@ import math
 import numpy as np
 import pytest
 
+import ts3d.detect
 from ts3d import ops
 from ts3d.detect import (
     BACKGROUND,
     IGNORE,
     AnchorTemplate,
+    Detection3D,
     DetectionHead,
     assign_targets,
     build_targets,
     canonical_alpha,
     decode_box,
+    decode_detections,
     decode_orientation,
     encode_box,
     encode_orientation,
@@ -146,7 +149,7 @@ def test_zero_offsets_identity_decode():
     offsets = np.zeros(13)
     offsets[11] = 1.0  # cos 2a
     offsets[12] = 1.0  # branch prob
-    det = decode_box(anchor_box, prior, offsets, f, cx, cy)
+    det = Detection3D(0, 1.0, **decode_box(anchor_box, prior, offsets, f, cx, cy))
     assert np.allclose(det.box2d, [72 - 17, 40 - 14, 72 + 17, 40 + 14])
     assert det.z == pytest.approx(9.0)
     assert (det.w, det.h, det.l) == (pytest.approx(1.7), pytest.approx(1.5), pytest.approx(3.9))
@@ -160,7 +163,7 @@ def test_principal_point_back_projects_to_centered_ray():
     offsets = np.zeros(13)
     offsets[11] = 1.0
     offsets[12] = 1.0
-    det = decode_box(anchor_box, prior, offsets, f, cx, cy)
+    det = Detection3D(0, 1.0, **decode_box(anchor_box, prior, offsets, f, cx, cy))
     assert det.z == pytest.approx(10.0)
     assert det.x == pytest.approx(0.0, abs=1e-12)
 
@@ -184,7 +187,7 @@ def test_encode_decode_roundtrip_100_boxes():
         ])
         prior = np.array([gt["location"][2] * rng.uniform(0.7, 1.4), 1.7, 1.5, 3.9])
         off = encode_box(anchor_box, prior, gt, f, cx, cy)
-        det = decode_box(anchor_box, prior, off, f, cx, cy)
+        det = Detection3D(0, 1.0, **decode_box(anchor_box, prior, off, f, cx, cy))
         assert np.allclose(det.box2d, gt["box2d"], atol=1e-6)
         assert np.allclose((det.x, det.y, det.z), gt["location"], atol=1e-6)
         assert np.allclose((det.h, det.w, det.l), gt["dims"], atol=1e-6)
@@ -206,7 +209,7 @@ def test_offset_roundtrip_canonical_vectors():
             rng.uniform(-0.5, 0.5, 2), rng.uniform(-0.4, 0.4, 4),
             [math.sin(2 * psi), math.cos(2 * psi), branch],
         ])
-        det = decode_box(anchor_box, prior, t, f, cx, cy)
+        det = Detection3D(0, 1.0, **decode_box(anchor_box, prior, t, f, cx, cy))
         gt = {
             "class_id": 0,
             "box2d": det.box2d,
@@ -216,6 +219,25 @@ def test_offset_roundtrip_canonical_vectors():
         }
         back = encode_box(anchor_box, prior, gt, f, cx, cy)
         assert np.allclose(back, t, atol=1e-6)
+
+
+def test_decode_box_rows_equal_one_row_calls():
+    rng = np.random.default_rng(14)
+    f, cx, cy = _calib()
+    n = 200
+    boxes = np.stack([rng.uniform(0, 256, n), rng.uniform(0, 128, n),
+                      rng.uniform(10, 60, n), rng.uniform(10, 60, n)], axis=1)
+    priors = np.stack([rng.uniform(5, 30, n), rng.uniform(0.5, 2.0, n),
+                       rng.uniform(1.0, 2.0, n), rng.uniform(0.5, 4.5, n)], axis=1)
+    offsets = rng.normal(scale=0.5, size=(n, 13))
+    offsets[:, 12] = rng.uniform(size=n)  # both orientation branches
+    rows = decode_box(boxes, priors, offsets, f, cx, cy)
+    assert rows["box2d"].shape == (n, 4) and rows["ry"].shape == (n,)
+    for i in range(n):
+        one = decode_box(boxes[i], priors[i], offsets[i], f, cx, cy)
+        assert one.keys() == rows.keys()
+        for k, v in one.items():
+            assert np.array_equal(v, rows[k][i]), k
 
 
 def test_orientation_coding_cases():
@@ -438,3 +460,88 @@ def test_nms_matches_brute_force_on_200_boxes():
     boxes = np.stack([x, y, x + w, y + h], axis=1)
     scores = rng.uniform(size=200)
     assert nms_2d(boxes, scores, 0.4) == _nms_reference(boxes, scores, 0.4)
+
+
+def test_nms_equal_scores_keep_index_order():
+    a = [0.0, 0.0, 10.0, 10.0]
+    b = [40.0, 0.0, 50.0, 10.0]
+    boxes = np.array([a, b, b, a])
+    assert nms_2d(boxes, np.array([0.5, 0.9, 0.9, 0.5]), 0.4) == [1, 0]
+    assert nms_2d(boxes, np.full(4, 0.7), 0.4) == [0, 1]
+
+
+def test_nms_iou_at_threshold_is_kept():
+    boxes = np.array([[0.0, 0.0, 10.0, 10.0], [0.0, 0.0, 10.0, 5.0]])
+    assert iou_axis_aligned(boxes[:1], boxes[1:])[0, 0] == 0.5
+    assert nms_2d(boxes, np.array([0.9, 0.8]), 0.5) == [0, 1]
+    assert nms_2d(boxes, np.array([0.9, 0.8]), 0.49) == [0]
+
+
+# ---------------------------------------------------------------------------
+# decoding a head's outputs
+
+TWO_CLASS_TEMPLATES = [
+    CAR,
+    AnchorTemplate(class_id=0, w2d=48.0, h2d=20.0, z=9.0, w=1.7, h=1.5, l=3.9),
+    AnchorTemplate(class_id=1, w2d=12.0, h2d=30.0, z=8.0, w=0.6, h=1.7, l=0.8),
+]
+
+
+def _random_head_outputs(seed):
+    """Nonzero float32 head outputs over the 16x8 desk query grid."""
+    rng = np.random.default_rng(seed)
+    anchors = generate_anchors(16, 8, 16, TWO_CLASS_TEMPLATES)
+    cls = Tensor(rng.normal(-3.0, 2.5, size=(16 * 8, 3)).astype(np.float32))
+    reg = Tensor(rng.normal(scale=0.3, size=(len(anchors), 13)).astype(np.float32))
+    return anchors, cls, reg
+
+
+def _decode_reference(anchors, cls_logits, reg_out, f, cx, cy, score_threshold,
+                      iou_threshold):
+    """Per-anchor decode: one-row decode_box calls and the quadratic NMS."""
+    n_classes = cls_logits.shape[1] - 1
+    scores = 1.0 / (1.0 + np.exp(-cls_logits.data[:, :n_classes]))
+    detections = []
+    for cls_id in range(n_classes):
+        cand = []
+        for a in range(len(anchors)):
+            s = float(scores[a // anchors.per_cell, cls_id])
+            if anchors.class_ids[a] != cls_id or s < score_threshold:
+                continue
+            o = reg_out.data[a].copy()
+            o[12] = 1.0 / (1.0 + math.exp(-o[12]))
+            cand.append(Detection3D(cls_id, s, **decode_box(
+                anchors.boxes[a], anchors.priors[a], o, f, cx, cy)))
+        boxes = np.array([d.box2d for d in cand]).reshape(-1, 4)
+        kept = _nms_reference(boxes, [d.score for d in cand], iou_threshold)
+        detections.extend(cand[i] for i in kept)
+    detections.sort(key=lambda d: -d.score)
+    return detections
+
+
+def test_decode_detections_matches_per_anchor_reference():
+    anchors, cls, reg = _random_head_outputs(15)
+    f, cx, cy = _calib()
+    got = decode_detections(anchors, cls, reg, f, cx, cy,
+                            score_threshold=0.001, iou_threshold=0.4)
+    want = _decode_reference(anchors, cls, reg, f, cx, cy, 0.001, 0.4)
+    assert len(got) == len(want) > 0
+    assert {d.class_id for d in got} == {0, 1}
+    for g, w in zip(got, want):
+        assert (g.class_id, g.score) == (w.class_id, w.score)
+        for k in ("x", "y", "z", "w", "h", "l", "ry", "alpha", "box2d"):
+            assert np.array_equal(getattr(g, k), getattr(w, k)), k
+
+
+def test_decode_detections_calls_decode_box_once_per_class(monkeypatch):
+    anchors, cls, reg = _random_head_outputs(16)
+    rows_per_call = []
+
+    def spy(*args, **kwargs):
+        rows_per_call.append(len(args[0]))
+        return decode_box(*args, **kwargs)
+
+    monkeypatch.setattr(ts3d.detect, "decode_box", spy)
+    f, cx, cy = _calib()
+    decode_detections(anchors, cls, reg, f, cx, cy, score_threshold=0.001)
+    assert len(rows_per_call) == 2 and min(rows_per_call) > 1

@@ -273,3 +273,34 @@ def test_cli_resume_from_parameters_only_checkpoint_is_exit_2(toy_dataset, tmp_p
     assert r.returncode == 2, r.stderr
     assert str(ckpt) in r.stderr
     assert "optimizer state" in r.stderr
+
+
+@pytest.fixture(scope="module")
+def toy_ckpt(toy_dataset, tmp_path_factory):
+    run = tmp_path_factory.mktemp("toyrun")
+    train_run(_toy_cfg(total_steps=1), toy_dataset, run, quiet=True)
+    return run / (LAST_CKPT + ".ts3d")
+
+
+def test_cli_infer_mismatched_config_names_checkpoint(toy_ckpt, toy_dataset, tmp_path):
+    r = _cli("infer", "--ckpt", str(toy_ckpt), "--data", str(toy_dataset), "--split", "val",
+             "--out", "preds", "--preset", "toy", "--set", "c_dec=32", "--set", "heads=4",
+             cwd=tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert str(toy_ckpt) in r.stderr and "shape mismatch" in r.stderr
+
+
+# the toy query grid is 4x2 (64x32 pixels at stride 16) with c_disp = 8
+@pytest.mark.parametrize("flag, value", [
+    ("--probe", "9,0"), ("--probe", "0,2"), ("--probe", "-1,0"), ("--probe", "1"),
+    ("--bin", "-3"), ("--bin", "8"),
+])
+def test_cli_heatmap_rejects_out_of_range_probe_and_bin(toy_ckpt, toy_dataset, tmp_path,
+                                                        flag, value):
+    opts = {"--probe": "1,1", flag: value}
+    r = _cli("heatmap", "--ckpt", str(toy_ckpt), "--data", str(toy_dataset),
+             "--frame", "000000", "--out", "heat.pgm", "--preset", "toy",
+             *(f"{k}={v}" for k, v in opts.items()), cwd=tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert flag in r.stderr and "Traceback" not in r.stderr
+    assert list(tmp_path.iterdir()) == []
