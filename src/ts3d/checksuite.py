@@ -122,6 +122,12 @@ def run_op_checks(seed: int = 0):
     check("channel_norm",
           lambda x_, g_, b_: _weighted(ops.channel_norm(x_, g_, b_), _probe((4, 5, 3))),
           [rand_tensor(rng, (4, 5, 3)), g, be])
+
+    # one full row block and a partial one
+    n_att = ops.ATTENTION_ROW_BLOCK + 22
+    check("attention",
+          lambda q_, k_, v_: _weighted(ops.attention(q_, k_, v_, 2), _probe((n_att, 4))),
+          [rand_tensor(rng, (n_att, 4)) for _ in range(3)])
     return results
 
 

@@ -6,11 +6,14 @@ grid cell, no learnable query embeddings). The positional encoding is the
 concatenation of a fixed sinusoidal 2D code and the softmax-normalized
 disparity logits, so it carries both image position and scene depth; it is
 added to the queries at the input of every decoder layer.
+
+Self-attention over the grid queries is one ``ops.attention`` call, which
+works through the query rows in blocks and so never holds the full
+(heads, queries, queries) score matrix, in the forward or the backward pass.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,31 +135,23 @@ def add_positional(x_q: Tensor, pe_flat) -> Tensor:
 
 
 class MHSA(Module):
+    """Self-attention: q/k/v projections, one ``ops.attention`` call over all
+    heads, output projection."""
+
     def __init__(self, rng, c_dec, heads, dtype=np.float32):
         super().__init__()
         if c_dec % heads:
             raise ConfigError(f"decoder width {c_dec} not divisible by {heads} heads")
         self.heads = heads
-        self.head_dim = c_dec // heads
         self.q_proj = Linear(rng, c_dec, c_dec, dtype=dtype)
         self.k_proj = Linear(rng, c_dec, c_dec, dtype=dtype)
         self.v_proj = Linear(rng, c_dec, c_dec, dtype=dtype)
         self.out_proj = Linear(rng, c_dec, c_dec, dtype=dtype)
 
-    def _split(self, t: Tensor, n: int) -> Tensor:
-        return ops.transpose(ops.reshape(t, (n, self.heads, self.head_dim)), (1, 0, 2))
-
     def forward(self, x: Tensor) -> Tensor:
-        n, c = x.shape
-        q = self._split(self.q_proj.forward(x), n)
-        k = self._split(self.k_proj.forward(x), n)
-        v = self._split(self.v_proj.forward(x), n)
-        scores = ops.scale(ops.matmul(q, ops.transpose(k, (0, 2, 1))),
-                           1.0 / math.sqrt(self.head_dim))
-        attn = ops.softmax(scores, axis=-1)
-        ctx = ops.matmul(attn, v)  # (heads, n, head_dim)
-        merged = ops.reshape(ops.transpose(ctx, (1, 0, 2)), (n, c))
-        return self.out_proj.forward(merged)
+        ctx = ops.attention(self.q_proj.forward(x), self.k_proj.forward(x),
+                            self.v_proj.forward(x), self.heads)
+        return self.out_proj.forward(ctx)
 
 
 class MSDeformCA(Module):

@@ -143,11 +143,14 @@ def stereo_focal_loss(logits_sup: Tensor, gt_disp: np.ndarray, valid_mask: np.nd
     target, averaged over exactly the valid pixels.
 
     Returns (loss, n_valid); a mask with zero valid pixels yields loss 0 and
-    the caller should treat n_valid == 0 as a warning condition.
+    the caller should treat n_valid == 0 as a warning condition. That zero
+    stays connected to the logits (x - x is +0.0 with gradient 0), so every
+    disparity-head parameter still receives a gradient.
     """
     n_valid = int(valid_mask.sum())
     if n_valid == 0:
-        return Tensor(np.zeros(1, dtype=logits_sup.dtype)), 0
+        total = ops.sum_(logits_sup)
+        return ops.sub(total, total), 0
     target = disparity_target(np.asarray(gt_disp, dtype=np.float64), logits_sup.shape[-1],
                               sigma).astype(logits_sup.dtype)
     log_p = ops.log_softmax(logits_sup, axis=-1)

@@ -2,9 +2,10 @@
 
 BEV boxes are ground-plane footprints (center x/z, extents l/w, yaw). The
 intersection of two rotated rectangles is computed by Sutherland-Hodgman
-polygon clipping with shoelace areas; the 3D overlap multiplies the footprint
-intersection by the vertical overlap. AP is 40-point interpolated, matching
-greedily in descending score order with each ground truth claimable once.
+polygon clipping with shoelace areas, skipped when the boxes' bounding
+circles are disjoint; the 3D overlap multiplies the footprint intersection by
+the vertical overlap. AP is 40-point interpolated, matching greedily in
+descending score order with each ground truth claimable once.
 """
 
 from __future__ import annotations
@@ -28,10 +29,12 @@ class RotatedBox:
     y: float = 0.0
     h: float = 0.0
 
-    def corners(self) -> np.ndarray:
-        """Counter-clockwise corners in the x-z plane."""
+    def __post_init__(self):
         if self.l <= 0 or self.w <= 0:
             raise ValueError(f"degenerate box extents l={self.l}, w={self.w}")
+
+    def corners(self) -> np.ndarray:
+        """Counter-clockwise corners in the x-z plane."""
         c, s = math.cos(self.theta), math.sin(self.theta)
         dx = np.array([0.5, -0.5, -0.5, 0.5]) * self.l
         dz = np.array([0.5, 0.5, -0.5, -0.5]) * self.w
@@ -71,6 +74,11 @@ def _polygon_area(poly) -> float:
 
 
 def intersection_area(a: RotatedBox, b: RotatedBox) -> float:
+    # a box lies inside the circle of its half-diagonal: centres farther apart
+    # than the two half-diagonals cannot overlap, so skip the clipping
+    reach = 0.5 * (math.hypot(a.l, a.w) + math.hypot(b.l, b.w))
+    if math.hypot(a.x - b.x, a.z - b.z) > reach:
+        return 0.0
     poly = [tuple(p) for p in a.corners()]
     clip = [tuple(p) for p in b.corners()]
     for i in range(4):

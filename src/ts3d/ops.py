@@ -2,12 +2,15 @@
 
 Exactly the operator set the detector needs: elementwise arithmetic,
 reductions, shape ops, matmul, conv2d, bilinear sampling, normalization,
-softmax family, nearest upsampling, and the stereo correlation volume.
+softmax family, row-blocked multi-head attention, nearest upsampling, and
+the stereo correlation volume.
 Each op validates shapes up front and registers a backward closure that
 accumulates into its parents (fan-out gradients add).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -411,6 +414,85 @@ def log_softmax(a, axis: int = -1) -> Tensor:
         return bw
 
     return make_node(data, (a,), "log_softmax", build)
+
+
+# ---------------------------------------------------------------------------
+# attention
+
+# Query rows per block: one block's scores are (heads, ATTENTION_ROW_BLOCK, m).
+ATTENTION_ROW_BLOCK = 128
+
+
+def _attention_probs(qh_rows: np.ndarray, kt: np.ndarray) -> np.ndarray:
+    """Row softmax of (heads, b, d) @ (heads, d, m) scores, in place."""
+    p = qh_rows @ kt
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    return p
+
+
+def attention(q, k, v, heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention of (n, c) queries over (m, c)
+    keys and values, giving the merged (n, c) context: head h reads channels
+    [h*d, (h+1)*d) with d = c / heads and weights softmax(q_h k_h^T / sqrt(d)).
+
+    Query rows are processed in blocks of ATTENTION_ROW_BLOCK, so no
+    (heads, n, m) score array exists in either pass: backward keeps only the
+    head-major (scaled) q, k^T and v copies, recomputes each block's
+    probabilities P and uses dS = P * (dP - rowsum(g * out)), as in
+    FlashAttention (Dao et al., arXiv 2205.14135).
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    if (q.ndim != 2 or k.ndim != 2 or k.shape != v.shape or q.shape[1] != k.shape[1]
+            or heads < 1 or q.shape[1] % heads):
+        raise DimensionError(
+            f"attention expects (n,c) queries and (m,c) keys/values with c divisible "
+            f"by {heads} heads, got {q.shape}, {k.shape}, {v.shape}"
+        )
+    n, c = q.shape
+    m = k.shape[0]
+    d = c // heads
+    s = 1.0 / math.sqrt(d)
+    qh = np.ascontiguousarray((q.data * s).reshape(n, heads, d).transpose(1, 0, 2))
+    kt = np.ascontiguousarray(k.data.reshape(m, heads, d).transpose(1, 2, 0))
+    vh = np.ascontiguousarray(v.data.reshape(m, heads, d).transpose(1, 0, 2))
+    data = np.empty((n, c), dtype=q.dtype)
+    data_h = data.reshape(n, heads, d)
+    for r0 in range(0, n, ATTENTION_ROW_BLOCK):
+        r1 = min(r0 + ATTENTION_ROW_BLOCK, n)
+        p = _attention_probs(qh[:, r0:r1], kt)
+        data_h[r0:r1] = (p @ vh).transpose(1, 0, 2)
+
+    def build():
+        def merged(x):  # (heads, rows, d) -> (rows, c)
+            return x.transpose(1, 0, 2).reshape(-1, c)
+
+        def bw(g):
+            gh = np.ascontiguousarray(g.reshape(n, heads, d).transpose(1, 0, 2))
+            delta = (g * data).reshape(n, heads, d).sum(axis=-1).T[:, :, None]
+            dq = np.empty_like(qh)
+            dk = np.zeros_like(vh)
+            dv = np.zeros_like(vh)
+            for r0 in range(0, n, ATTENTION_ROW_BLOCK):
+                r1 = min(r0 + ATTENTION_ROW_BLOCK, n)
+                p = _attention_probs(qh[:, r0:r1], kt)
+                g_rows = gh[:, r0:r1]
+                dv += p.swapaxes(-1, -2) @ g_rows
+                ds = g_rows @ vh.swapaxes(-1, -2)
+                ds -= delta[:, r0:r1]
+                ds *= p
+                dq[:, r0:r1] = ds @ kt.swapaxes(-1, -2)
+                dk += ds.swapaxes(-1, -2) @ qh[:, r0:r1]
+            if q.requires_grad:
+                q.accumulate_grad(merged(dq * s), "attention")
+            if k.requires_grad:
+                k.accumulate_grad(merged(dk), "attention")
+            if v.requires_grad:
+                v.accumulate_grad(merged(dv), "attention")
+        return bw
+
+    return make_node(data, (q, k, v), "attention", build)
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,14 @@ from ``default_rng((seed, 2, k))``. A checkpoint is one ``<tag>.ts3d`` file (see
 ``checkpoint``) with the parameters and the AdamW step and moments; the config
 alone supplies hyperparameters, so resuming needs only the saved step, and
 keeps only that many lines of the log (flushed before every checkpoint).
+A frame with no valid pseudo-GT pixels at the supervision stride trains with a
+zero disparity loss and raises a ``RuntimeWarning`` naming it.
 """
 
 from __future__ import annotations
 
 import os
+import warnings
 
 import numpy as np
 
@@ -113,6 +116,9 @@ def train_run(cfg: RunConfig, data_dir, out_dir, resume: bool = False,
                     frame = augment(frame, np.random.default_rng((cfg.seed, 2, k)),
                                     cfg.flip_probability)
                 loss, parts = model.train_step_loss(frame)
+                if parts["n_valid_px"] == 0:
+                    warnings.warn(f"frame {fid}: no valid pseudo-GT disparity pixels, "
+                                  "so its disparity loss is 0", RuntimeWarning)
                 ops.scale(loss, 1.0 / cfg.batch_size).backward()
                 total_val += loss.item() / cfg.batch_size
                 for key in ("cls", "reg", "orient", "disp"):

@@ -1,5 +1,7 @@
 """Decoder contracts: positional encodings, grid queries, attention layers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -210,6 +212,25 @@ def test_mhsa_gradcheck():
         return ops.sum_(ops.mul(attn.forward(x_), probe))
 
     assert grad_check(f, [x], eps=1e-6) < 1e-5
+
+
+def test_mhsa_full_shape_never_holds_the_score_matrix():
+    """Full preset: 1440 queries, width 256, 8 heads. The traced peak of one
+    no-grad forward stays below a single (8, 1440, 1440) float32 array."""
+    n, c, heads = 1440, 256, 8
+    rng = np.random.default_rng(13)
+    attn = MHSA(rng, c_dec=c, heads=heads, dtype=np.float32)
+    x = Tensor(rng.normal(size=(n, c)).astype(np.float32))
+    score_bytes = heads * n * n * 4
+    tracemalloc.start()
+    try:
+        with no_grad():
+            out = attn.forward(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (n, c)
+    assert peak < score_bytes, f"peak {peak / 1e6:.1f} MB >= {score_bytes / 1e6:.1f} MB"
 
 
 # ---------------------------------------------------------------------------

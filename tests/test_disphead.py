@@ -173,6 +173,13 @@ def test_loss_zero_valid_pixels_flagged():
     assert loss.item() == 0.0
 
 
+def test_loss_zero_valid_pixels_gives_zero_gradient():
+    logits = Tensor(np.random.default_rng(6).normal(size=(2, 2, 4)), requires_grad=True)
+    loss, _ = stereo_focal_loss(logits, np.zeros((2, 2)), np.zeros((2, 2), dtype=bool))
+    loss.backward()
+    assert logits.grad is not None and not logits.grad.any()
+
+
 def test_loss_permutation_covariant():
     rng = np.random.default_rng(5)
     logits = rng.normal(size=(1, 1, 6))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ts3d.evalkit
 from ts3d.evalkit import (
     EvalBox,
     RotatedBox,
@@ -105,6 +106,42 @@ def test_iou_rotation_invariance(phi):
                           box.l, box.w, box.theta + phi)
 
     assert abs(bev_iou(a, b) - bev_iou(rotate(a), rotate(b))) < 1e-9
+
+
+def _clipped_area(a: RotatedBox, b: RotatedBox) -> float:
+    """Sutherland-Hodgman on every pair, with no bounding-circle reject."""
+    poly = [tuple(p) for p in a.corners()]
+    clip = [tuple(p) for p in b.corners()]
+    for i in range(4):
+        if not poly:
+            return 0.0
+        poly = ts3d.evalkit._clip_polygon(poly, clip[i], clip[(i + 1) % 4])
+    return ts3d.evalkit._polygon_area(poly)
+
+
+def test_far_apart_boxes_are_not_clipped(monkeypatch):
+    calls = []
+    clip = ts3d.evalkit._clip_polygon
+    monkeypatch.setattr(ts3d.evalkit, "_clip_polygon",
+                        lambda *args: calls.append(1) or clip(*args))
+    a = RotatedBox(0.0, 0.0, 4.0, 2.0, 0.3)
+    # half-diagonals sqrt(5) each: centres 4.5 apart cannot overlap
+    assert bev_iou(a, RotatedBox(4.5, 0.0, 4.0, 2.0, -1.1)) == 0.0
+    assert iou_3d(a, RotatedBox(0.0, -4.5, 2.0, 4.0, 0.0)) == 0.0
+    assert calls == []
+    assert bev_iou(a, RotatedBox(3.0, 0.5, 4.0, 2.0, 0.3)) > 0.0
+    assert calls
+
+
+def test_reject_leaves_iou_and_ap_unchanged(monkeypatch):
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        a, b = _random_box(rng), _random_box(rng)
+        assert intersection_area(a, b) == _clipped_area(a, b)
+    instances = [_random_instance(rng) for _ in range(20)]
+    with_reject = [average_precision(p, g, iou_threshold=0.3) for p, g in instances]
+    monkeypatch.setattr(ts3d.evalkit, "intersection_area", _clipped_area)
+    assert with_reject == [average_precision(p, g, iou_threshold=0.3) for p, g in instances]
 
 
 def test_iou_3d_cases():

@@ -198,6 +198,53 @@ def test_log_softmax_gradcheck():
 
 
 # ---------------------------------------------------------------------------
+# attention
+
+
+def _attention_reference(q, k, v, heads):
+    """The unfused composition: split heads, scaled scores, softmax, merge."""
+    n, c = q.shape
+    d = c // heads
+
+    def split(t):
+        return ops.transpose(ops.reshape(t, (n, heads, d)), (1, 0, 2))
+
+    scores = ops.scale(ops.matmul(split(q), ops.transpose(split(k), (0, 2, 1))),
+                       1.0 / np.sqrt(d))
+    ctx = ops.matmul(ops.softmax(scores, axis=-1), split(v))
+    return ops.reshape(ops.transpose(ctx, (1, 0, 2)), (n, c))
+
+
+def _attention_with_grads(fn, q, k, v, probe, dtype):
+    ts = [Tensor(a.astype(dtype), requires_grad=True) for a in (q, k, v)]
+    out = fn(*ts)
+    ops.sum_(ops.mul(out, Tensor(probe.astype(dtype)))).backward()
+    return [out.data] + [t.grad for t in ts]
+
+
+@pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-6)])
+def test_attention_matches_unfused_composition(dtype, tol):
+    rng = np.random.default_rng(21)
+    n, c, heads = 2 * ops.ATTENTION_ROW_BLOCK + 45, 32, 4  # two full blocks + a partial one
+    q, k, v, probe = (rng.normal(size=(n, c)) for _ in range(4))
+    fused = _attention_with_grads(lambda *t: ops.attention(*t, heads), q, k, v, probe, dtype)
+    ref = _attention_with_grads(lambda *t: _attention_reference(*t, heads), q, k, v, probe,
+                                dtype)
+    for name, a, b in zip(("out", "dq", "dk", "dv"), fused, ref):
+        assert a.dtype == dtype, name
+        assert np.abs(a - b).max() <= tol * np.abs(b).max(), name
+
+
+def test_attention_shape_errors():
+    with pytest.raises(DimensionError, match="divisible by 3 heads"):
+        ops.attention(Tensor(np.zeros((4, 8))), Tensor(np.zeros((4, 8))),
+                      Tensor(np.zeros((4, 8))), 3)
+    with pytest.raises(DimensionError):
+        ops.attention(Tensor(np.zeros((4, 8))), Tensor(np.zeros((5, 8))),
+                      Tensor(np.zeros((4, 8))), 2)
+
+
+# ---------------------------------------------------------------------------
 # remaining operators: identity / symmetry / finite differences
 
 

@@ -1,9 +1,11 @@
 """Training loop determinism, checkpoint resume, and CLI surfaces."""
 
 import os
+import shutil
 import subprocess
 import sys
 import types
+import warnings
 import zlib
 
 import numpy as np
@@ -12,7 +14,14 @@ import pytest
 import ts3d.checkpoint
 from ts3d.checkpoint import load_arrays, save_model
 from ts3d.config import RunConfig, load_config
-from ts3d.dataset import generate_dataset, build_pseudo_gt
+from ts3d.dataset import (
+    MANIFEST_NAME,
+    build_pseudo_gt,
+    generate_dataset,
+    pseudo_gt_paths,
+    read_manifest,
+)
+from ts3d.kitti_io import write_raster_mask
 from ts3d.optim import AdamW, cosine_lr
 from ts3d.synth import SynthParams
 from ts3d.tensor import ConfigError
@@ -105,6 +114,27 @@ def test_extending_a_finished_run_follows_new_schedule(toy_dataset, tmp_path):
         expected = cosine_lr(k, 6, longer.lr)
         assert expected > 0
         assert lrs[k] == pytest.approx(expected, rel=1e-6)
+
+
+def test_frame_without_valid_pseudo_gt_warns_and_trains_unchanged(toy_dataset, tmp_path):
+    data = tmp_path / "data"
+    shutil.copytree(toy_dataset, data)
+    manifest = read_manifest(data / MANIFEST_NAME)
+    fid = manifest.splits["train"][0]
+    paths = pseudo_gt_paths(data, fid)
+    for key in ("mask", "mask_right"):  # a flip reads the right view's mask
+        write_raster_mask(paths[key], np.zeros((manifest.height, manifest.width), bool))
+    with pytest.warns(RuntimeWarning) as record:
+        train_run(_toy_cfg(), data, tmp_path / "warned", quiet=True)
+    messages = [str(w.message) for w in record if "pseudo-GT" in str(w.message)]
+    # 6 steps of batch 1 over 3 train frames: the zeroed frame is drawn twice
+    assert len(messages) == 2 and all(fid in m for m in messages)
+    assert _read_log(tmp_path / "warned", "disp").count(0.0) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        train_run(_toy_cfg(), data, tmp_path / "unwarned", quiet=True)
+    for key in ("cls", "reg", "orient", "disp", "total"):
+        assert _read_log(tmp_path / "warned", key) == _read_log(tmp_path / "unwarned", key)
 
 
 def test_failed_save_keeps_previous_checkpoint(toy_dataset, tmp_path, monkeypatch):
