@@ -145,37 +145,24 @@ class RunConfig:
 
 _PRESETS = {"full": RunConfig.full, "desk": RunConfig.desk, "toy": RunConfig.toy}
 
-_BOOL_KEYS = {"intermediate_supervision", "ensure_matches", "augment"}
-_INT_TUPLE_KEYS = {"bins"}
-_FLOAT_TUPLE_KEYS = {"anchor_ratios"}
-_STR_TUPLE_KEYS = {"classes"}
-_STR_KEYS = {"pyramid_variant", "dape_mode", "dtype"}
-_INT_KEYS = {
-    "width", "height", "c_bb", "blocks_per_stage", "c_dec", "c_disp", "n_dec",
-    "heads", "points", "anchor_scales", "batch_size", "total_steps",
-    "checkpoint_every", "seed", "bm_max_disp", "bm_window",
-}
-
 
 def _parse_value(key: str, value: str):
+    """Parse ``value`` as the type of the key's default: bool, int, float, str,
+    or a comma-separated tuple of the type of the default's first element."""
     value = value.strip()
-    if key in _BOOL_KEYS:
+    default = RunConfig.__dataclass_fields__[key].default
+    if isinstance(default, tuple):
+        kind = type(default[0])
+        if kind is str:
+            return tuple(x.strip() for x in value.split(",") if x.strip())
+        return tuple(kind(x) for x in value.split(","))
+    if isinstance(default, bool):
         if value.lower() in ("1", "true", "yes", "on"):
             return True
         if value.lower() in ("0", "false", "no", "off"):
             return False
         raise ConfigError(f"boolean key '{key}' got non-boolean value '{value}'")
-    if key in _INT_TUPLE_KEYS:
-        return tuple(int(x) for x in value.split(","))
-    if key in _FLOAT_TUPLE_KEYS:
-        return tuple(float(x) for x in value.split(","))
-    if key in _STR_TUPLE_KEYS:
-        return tuple(x.strip() for x in value.split(",") if x.strip())
-    if key in _STR_KEYS:
-        return value
-    if key in _INT_KEYS:
-        return int(value)
-    return float(value)
+    return type(default)(value)
 
 
 def apply_overrides(cfg: RunConfig, overrides: dict) -> RunConfig:

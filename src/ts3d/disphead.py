@@ -4,7 +4,10 @@ distribution-matching disparity loss.
 The head regresses disparity logits from the lowest-resolution stereo
 feature. The stride-16 logits feed the positional encoding; two
 upsample+conv stages produce stride-4 logits for supervision against a
-classical block-matching disparity map (left-right consistency checked).
+classical block-matching disparity map: winner-take-all SAD matching that
+streams over the disparities keeping a running best cost, runner-up and best
+disparity per pixel (no cost volume), a uniqueness test between best and
+runner-up, and a left-right consistency check.
 """
 
 from __future__ import annotations
@@ -50,29 +53,28 @@ def softargmax(logits: Tensor, axis: int = -1) -> Tensor:
 
 
 def _box_sums(img: np.ndarray, window: int) -> np.ndarray:
-    """Window sums at every position where the full window fits; NaN elsewhere."""
+    """Window sums at every position where the full window fits (the valid core)."""
     h, w = img.shape
-    r = window // 2
     ii = np.zeros((h + 1, w + 1), dtype=np.float64)
     ii[1:, 1:] = img.cumsum(axis=0).cumsum(axis=1)
-    out = np.full((h, w), np.nan)
-    core = (
+    return (
         ii[window:, window:]
         - ii[:-window, window:]
         - ii[window:, :-window]
         + ii[:-window, :-window]
     )
-    out[r : h - r, r : w - r] = core
-    return out
 
 
 def block_match_stereo(img_left, img_right, max_disp: int, window: int = 9,
                        uniqueness: float = 0.001):
-    """SAD block matching in both directions with a shared cost volume.
+    """SAD block matching in both directions, winner-take-all with a
+    uniqueness test.
 
-    Returns (disp_left, valid_left, disp_right, valid_right). Validity
-    requires a full matching window, an in-frame candidate, a best cost
-    that beats the runner-up by ``uniqueness`` per window pixel (kills
+    One pass over the disparities keeps a running best cost, runner-up and
+    best disparity per pixel of each view, so memory does not grow with
+    ``max_disp``. Returns (disp_left, valid_left, disp_right, valid_right).
+    Validity requires a full matching window, an in-frame candidate, a best
+    cost that beats the runner-up by ``uniqueness`` per window pixel (kills
     textureless regions), and left-right agreement within 1 px.
     """
     if window % 2 == 0:
@@ -80,45 +82,35 @@ def block_match_stereo(img_left, img_right, max_disp: int, window: int = 9,
     gl = np.asarray(img_left, dtype=np.float64).mean(axis=-1)
     gr = np.asarray(img_right, dtype=np.float64).mean(axis=-1)
     h, w = gl.shape
-    max_disp = min(max_disp, w - window)
-    cost_l = np.full((max_disp, h, w), np.inf)
-    cost_r = np.full((max_disp, h, w), np.inf)
-    for d in range(max_disp):
-        diff = np.abs(gl[:, d:] - gr[:, : w - d])
-        sums = _box_sums(diff, window)
-        ok = ~np.isnan(sums)
-        cl = cost_l[d]
-        cl[:, d:][ok] = sums[ok]
-        cr = cost_r[d]
-        cr[:, : w - d][ok] = sums[ok]
-    disp_l = cost_l.argmin(axis=0).astype(np.float32)
-    disp_r = cost_r.argmin(axis=0).astype(np.float32)
-    margin = uniqueness * window * window
+    n_disp = min(max_disp, w - window)
+    if n_disp < 1:
+        raise ValueError(f"block matching has no disparity to test: max_disp={max_disp}, "
+                         f"window={window}, image width {w} (needs max_disp >= 1 and "
+                         f"window < width)")
+    r = window // 2
+    # axis 0: left view, right view
+    best = np.full((2, h, w), np.inf)
+    second = np.full((2, h, w), np.inf)
+    arg = np.zeros((2, h, w), dtype=np.int64)
+    for d in range(n_disp):
+        cost = _box_sums(np.abs(gl[:, d:] - gr[:, : w - d]), window)
+        for view, cols in enumerate((slice(d + r, w - r), slice(r, w - d - r))):
+            b, s, a = (x[view, r : h - r, cols] for x in (best, second, arg))
+            np.minimum(s, cost, out=s)  # a tie makes the runner-up equal the best
+            better = cost < b  # strict: a tie keeps the earlier disparity
+            np.copyto(s, b, where=better)
+            np.copyto(b, cost, where=better)
+            a[better] = d
+    disp = arg.astype(np.float32)
+    with np.errstate(invalid="ignore"):  # inf - inf -> nan, which compares False
+        conf = np.isfinite(best) & (second - best > uniqueness * window * window)
 
-    def _confident(cost):
-        part = np.partition(cost, 1, axis=0) if cost.shape[0] > 1 else None
-        best = cost.min(axis=0)
-        seen = np.isfinite(best)
-        if part is None:
-            return seen
-        with np.errstate(invalid="ignore"):
-            gap = part[1] - part[0]  # inf - inf -> nan, which compares False
-        return seen & (gap > margin)
-
-    conf_l = _confident(cost_l)
-    conf_r = _confident(cost_r)
-
-    # left-right consistency: the right-view match must map back within 1 px
-    us = np.arange(w)[None, :].repeat(h, axis=0)
-    vs = np.arange(h)[:, None].repeat(w, axis=1)
-    back = np.clip(us - disp_l.astype(np.int64), 0, w - 1)
-    agree = np.abs(disp_r[vs, back] - disp_l) <= 1.0
-    valid_l = conf_l & agree & conf_r[vs, back]
-
-    fwd = np.clip(us + disp_r.astype(np.int64), 0, w - 1)
-    agree_r = np.abs(disp_l[vs, fwd] - disp_r) <= 1.0
-    valid_r = conf_r & agree_r & conf_l[vs, fwd]
-    return disp_l, valid_l, disp_r, valid_r
+    # left-right consistency: the match in the other view must map back within 1 px
+    us = np.arange(w)
+    partner = np.clip(np.stack([us - arg[0], us + arg[1]]), 0, w - 1)
+    agree = np.abs(np.take_along_axis(disp[::-1], partner, axis=2) - disp) <= 1.0
+    valid = conf & agree & np.take_along_axis(conf[::-1], partner, axis=2)
+    return disp[0], valid[0], disp[1], valid[1]
 
 
 # ---------------------------------------------------------------------------

@@ -71,7 +71,7 @@ def _hash01(ix: np.ndarray, iz: np.ndarray, salt: int) -> np.ndarray:
     h = (
         ix.astype(np.int64) * 374761393
         + iz.astype(np.int64) * 668265263
-        + np.int64(salt) * 2246822519
+        + np.int64(int(salt) * 2246822519 % 2**32)
     ).astype(np.uint32)
     h ^= h >> np.uint32(13)
     h = (h * np.uint32(1274126177)).astype(np.uint32)

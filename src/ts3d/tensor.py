@@ -98,9 +98,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -219,9 +216,6 @@ class Module:
     def zero_grad(self):
         for p in self.parameters():
             p.tensor.grad = None
-
-    def num_parameters(self) -> int:
-        return sum(p.tensor.size for p in self.parameters())
 
 
 class ModuleList(Module):

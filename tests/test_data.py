@@ -2,6 +2,7 @@
 
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from ts3d.kitti_io import (
     read_pgm,
     write_pgm,
 )
-from ts3d.synth import SynthParams, synth_scene
+from ts3d.synth import SynthParams, _hash01, synth_scene
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +191,29 @@ def test_scene_determinism():
     b = synth_scene(7, SynthParams(width=64, height=32))
     assert a.left.tobytes() == b.left.tobytes()
     assert a.right.tobytes() == b.right.tobytes()
+
+
+def test_texture_hash_large_salts_render_without_overflow_warning():
+    # 5000016 = 1 + 5 * 1000003 is the first seed whose salts overflow an int64 product
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        synth_scene(5000016, SynthParams(width=64, height=32))
+
+
+def test_texture_hash_keeps_the_wrapped_int64_formula():
+    rng = np.random.default_rng(0)
+    ix = rng.integers(-5000, 5000, size=64)
+    iz = rng.integers(-5000, 5000, size=64)
+    for salt in rng.integers(0, 2**40, size=32):
+        with np.errstate(over="ignore"):
+            h = (ix.astype(np.int64) * 374761393 + iz.astype(np.int64) * 668265263
+                 + np.int64(salt) * 2246822519).astype(np.uint32)
+        h ^= h >> np.uint32(13)
+        h = (h * np.uint32(1274126177)).astype(np.uint32)
+        h ^= h >> np.uint32(16)
+        want = (h & np.uint32(0xFFFFFF)).astype(np.float64) / float(0xFFFFFF)
+        assert np.array_equal(_hash01(ix, iz, int(salt)), want)
+        assert np.array_equal(_hash01(ix, iz, salt), want)
 
 
 # ---------------------------------------------------------------------------

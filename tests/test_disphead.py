@@ -1,5 +1,7 @@
 """Disparity head, block matching, and the distribution-matching loss."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from ts3d.disphead import (
     stereo_focal_loss,
 )
 from ts3d.gradcheck import grad_check
+from ts3d.synth import SynthParams, synth_scene
 from ts3d.tensor import Tensor, no_grad
 
 # direct evaluation of exp(-|1 - d| / 0.5) over bins {0..3}, normalized
@@ -100,6 +103,130 @@ def test_block_match_even_window_rejected():
     img = np.zeros((16, 16, 3))
     with pytest.raises(ValueError):
         block_match_stereo(img, img, max_disp=4, window=8)
+
+
+@pytest.mark.parametrize("max_disp,window", [(0, 9), (-3, 3), (4, 17), (4, 19)])
+def test_block_match_empty_disparity_range_rejected(max_disp, window):
+    img = np.zeros((24, 16, 3))
+    with pytest.raises(ValueError) as info:
+        block_match_stereo(img, img, max_disp=max_disp, window=window)
+    msg = str(info.value)
+    assert f"max_disp={max_disp}" in msg and f"window={window}" in msg and "width 16" in msg
+
+
+def test_block_match_one_disparity_at_the_width_limit():
+    # window = width - 1 leaves exactly one disparity to test
+    img = _textured(np.random.default_rng(4), 24, 16)
+    disp, _, disp_r, _ = block_match_stereo(img, img, max_disp=4, window=15)
+    assert not disp.any() and not disp_r.any()
+
+
+# The two-volume matcher this module used before the streaming one, kept as
+# the reference: (max_disp, H, W) cost volumes, argmin, np.partition.
+
+
+def _reference_box_sums(img, window):
+    h, w = img.shape
+    r = window // 2
+    ii = np.zeros((h + 1, w + 1), dtype=np.float64)
+    ii[1:, 1:] = img.cumsum(axis=0).cumsum(axis=1)
+    out = np.full((h, w), np.nan)
+    core = (
+        ii[window:, window:]
+        - ii[:-window, window:]
+        - ii[window:, :-window]
+        + ii[:-window, :-window]
+    )
+    out[r : h - r, r : w - r] = core
+    return out
+
+
+def _reference_block_match(img_left, img_right, max_disp, window=9, uniqueness=0.001):
+    gl = np.asarray(img_left, dtype=np.float64).mean(axis=-1)
+    gr = np.asarray(img_right, dtype=np.float64).mean(axis=-1)
+    h, w = gl.shape
+    max_disp = min(max_disp, w - window)
+    cost_l = np.full((max_disp, h, w), np.inf)
+    cost_r = np.full((max_disp, h, w), np.inf)
+    for d in range(max_disp):
+        diff = np.abs(gl[:, d:] - gr[:, : w - d])
+        sums = _reference_box_sums(diff, window)
+        ok = ~np.isnan(sums)
+        cl = cost_l[d]
+        cl[:, d:][ok] = sums[ok]
+        cr = cost_r[d]
+        cr[:, : w - d][ok] = sums[ok]
+    disp_l = cost_l.argmin(axis=0).astype(np.float32)
+    disp_r = cost_r.argmin(axis=0).astype(np.float32)
+    margin = uniqueness * window * window
+
+    def _confident(cost):
+        part = np.partition(cost, 1, axis=0) if cost.shape[0] > 1 else None
+        best = cost.min(axis=0)
+        seen = np.isfinite(best)
+        if part is None:
+            return seen
+        with np.errstate(invalid="ignore"):
+            gap = part[1] - part[0]
+        return seen & (gap > margin)
+
+    conf_l = _confident(cost_l)
+    conf_r = _confident(cost_r)
+    us = np.arange(w)[None, :].repeat(h, axis=0)
+    vs = np.arange(h)[:, None].repeat(w, axis=1)
+    back = np.clip(us - disp_l.astype(np.int64), 0, w - 1)
+    agree = np.abs(disp_r[vs, back] - disp_l) <= 1.0
+    valid_l = conf_l & agree & conf_r[vs, back]
+    fwd = np.clip(us + disp_r.astype(np.int64), 0, w - 1)
+    agree_r = np.abs(disp_l[vs, fwd] - disp_r) <= 1.0
+    valid_r = conf_r & agree_r & conf_l[vs, fwd]
+    return disp_l, valid_l, disp_r, valid_r
+
+
+def _desk_pair(seed):
+    frame = synth_scene(seed, SynthParams())  # 256 x 128, the desk preset's size
+    return frame.left, frame.right
+
+
+def _binary_pair(seed=3):
+    # {0, 1} pixels: every 3x3 SAD is an integer, so costs tie exactly and often
+    bits = np.random.default_rng(seed).integers(0, 2, size=(24, 48)).astype(np.float64)
+    left = np.repeat(bits[:, :, None], 3, axis=2)
+    right = np.zeros_like(left)
+    right[:, :45] = left[:, 3:]
+    return left, right
+
+
+@pytest.mark.parametrize("pair,max_disp,window", [
+    (lambda: _desk_pair(7), 96, 9),
+    (lambda: _desk_pair(8), 96, 9),
+    (lambda: _desk_pair(9), 96, 9),
+    (lambda: _desk_pair(10), 1, 9),
+    (lambda: tuple(v[:40, :64] for v in _desk_pair(11)), 80, 7),  # max_disp > w - window
+    (lambda: (np.full((32, 60, 3), 0.5),) * 2, 10, 9),  # textureless
+    (_binary_pair, 5, 3),
+], ids=["desk7", "desk8", "desk9", "max_disp1", "beyond_width", "constant", "binary_ties"])
+def test_block_match_equals_two_volume_reference(pair, max_disp, window):
+    left, right = pair()
+    got = block_match_stereo(left, right, max_disp=max_disp, window=window)
+    want = _reference_block_match(left, right, max_disp=max_disp, window=window)
+    for g, e in zip(got, want):
+        assert g.dtype == e.dtype and g.shape == e.shape
+        assert np.array_equal(g, e)
+
+
+def test_block_match_memory_does_not_grow_with_max_disp():
+    left, right = _desk_pair(7)
+
+    def peak(max_disp):
+        tracemalloc.start()
+        try:
+            block_match_stereo(left, right, max_disp=max_disp, window=9)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(96) <= 1.25 * peak(8)
 
 
 # ---------------------------------------------------------------------------

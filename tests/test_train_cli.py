@@ -7,13 +7,14 @@ import sys
 import types
 import warnings
 import zlib
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import ts3d.checkpoint
 from ts3d.checkpoint import load_arrays, save_model
-from ts3d.config import RunConfig, load_config
+from ts3d.config import RunConfig, config_from_text, load_config
 from ts3d.dataset import (
     MANIFEST_NAME,
     build_pseudo_gt,
@@ -212,12 +213,26 @@ def test_config_validation_names_constraint():
         load_config(preset="toy", overrides={"not_a_key": "1"})
 
 
+@pytest.mark.parametrize("preset", ["full", "desk", "toy"])
+def test_config_text_roundtrip_keeps_default_types(preset):
+    cfg = load_config(preset=preset)
+    back = config_from_text(cfg.to_text())
+    assert back.diff(cfg) == []
+    for f in fields(RunConfig):
+        value = getattr(back, f.name)
+        assert type(value) is type(f.default), f.name
+        if isinstance(value, tuple):
+            assert all(type(x) is type(f.default[0]) for x in value), f.name
+    ratios = load_config(preset=preset, overrides={"anchor_ratios": "1"}).anchor_ratios
+    assert ratios == (1.0,) and type(ratios[0]) is float
+    bins = load_config(preset=preset, overrides={"bins": "3,5,7"}).bins
+    assert bins == (3, 5, 7) and all(type(b) is int for b in bins)
+
+
 def test_resolved_config_written(toy_dataset, tmp_path):
     cfg = _toy_cfg()
     train_run(cfg, toy_dataset, tmp_path / "run", quiet=True)
     text = (tmp_path / "run" / "config.txt").read_text()
-    from ts3d.config import config_from_text
-
     assert config_from_text(text).diff(cfg) == []
 
 
