@@ -78,8 +78,9 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("eval", help="score detections against ground truth")
     p.add_argument("--pred", required=True)
     p.add_argument("--gt", required=True, help="dataset root or label directory")
-    p.add_argument("--iou", type=float, default=None,
-                   help="single IoU threshold for all classes")
+    p.add_argument("--iou", type=float, default=0.7,
+                   help="IoU threshold for every class (default 0.7, the KITTI Car "
+                        "threshold)")
     p.add_argument("--mode", default="bev", choices=("bev", "3d"))
     p.add_argument("--min-height", type=float, default=0.0,
                    help="difficulty gate: minimum 2D box height in ground truth")
@@ -176,11 +177,7 @@ def _cmd_eval(args) -> int:
     label_sub = os.path.join(gt_dir, "label_2")
     if os.path.isdir(label_sub):
         gt_dir = label_sub
-    defaults = {"Car": 0.7, "Pedestrian": 0.5}
-    thresholds = {
-        name: (args.iou if args.iou is not None else defaults.get(name, 0.5))
-        for name in cfg.classes
-    }
+    thresholds = {name: args.iou for name in cfg.classes}
     metrics = evaluate_directories(args.pred, gt_dir, list(cfg.classes), thresholds,
                                    mode=args.mode, min_box_height=args.min_height)
     for k, v in metrics.items():

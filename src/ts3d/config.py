@@ -96,6 +96,9 @@ class RunConfig:
             fail("lr > 0, total_steps >= 1, batch_size >= 1 required")
         if self.bm_window % 2 == 0:
             fail(f"bm_window must be odd, got {self.bm_window}")
+        if not 1 <= self.bm_window <= self.height or self.bm_window >= self.width:
+            fail(f"bm_window must satisfy 1 <= bm_window <= height and bm_window < width, "
+                 f"got {self.bm_window} for {self.width}x{self.height}")
         if self.dtype not in ("float32", "float64"):
             fail(f"dtype must be float32 or float64, got '{self.dtype}'")
         return self

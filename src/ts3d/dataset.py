@@ -8,11 +8,15 @@ specified, right view alongside so mirrored augmentation stays geometric).
 The manifest records frame ids, split assignment, generation seed and
 parameters, and the per-class anchor priors (mean 2D box, mean distance and
 mean metric size per scale bin) estimated from the training labels.
+
+A loaded frame carries its labels as the ``kitti_io.ObjectLabel``s read from
+label_2/; target assignment consumes them as they are, with the class list
+of the run deciding which types are detected (others, e.g. DontCare, are
+left out).
 """
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, field
 
@@ -44,7 +48,7 @@ class FrameData:
     left: np.ndarray
     right: np.ndarray
     calib: Calibration
-    labels: list
+    labels: list                      # ObjectLabel per labeled object
     pseudo_disp: np.ndarray | None = None
     pseudo_valid: np.ndarray | None = None
     pseudo_disp_right: np.ndarray | None = None
@@ -239,26 +243,3 @@ def load_frame(root, frame_id: str, manifest: Manifest,
         frame.pseudo_valid_right = read_raster_mask(paths["mask_right"], h, w)
     return frame
 
-
-def class_id_of(label, classes) -> int:
-    """Index into the configured class list; -1 marks excluded (DontCare)."""
-    try:
-        return classes.index(label.type)
-    except ValueError:
-        return -1
-
-
-def labels_for_assignment(labels, classes):
-    usable = []
-    for lb in labels:
-        cid = class_id_of(lb, classes)
-        if cid < 0:
-            continue
-        usable.append({
-            "class_id": cid,
-            "box2d": np.asarray(lb.box2d, dtype=np.float64),
-            "location": (lb.x, lb.y, lb.z),
-            "dims": (lb.h, lb.w, lb.l),
-            "ry": lb.ry,
-        })
-    return usable

@@ -11,16 +11,22 @@ Positions are offsets relative to the anchor box, sizes and distance are
 log-ratios against the priors, and orientation encodes the viewing-angle
 footprint (period pi) with c_a selecting between the two quarter-turn
 branches.
+
+The KITTI ``ObjectLabel`` is the only per-object record: ``build_targets``
+reads a frame's labels and computes every target as arrays (one row per
+positive anchor), and ``decode_detections`` returns scored labels ready to
+be written as a KITTI detection file.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import ops
+from .kitti_io import ObjectLabel
 from .layers import Linear
 from .tensor import Module, Tensor
 
@@ -151,20 +157,18 @@ def wrap_angle(a):
     return -((-a + math.pi) % (2.0 * math.pi) - math.pi)
 
 
-def canonical_alpha(alpha: float) -> float:
+def canonical_alpha(alpha):
     """Footprint representative of alpha modulo pi, in [-pi/4, 3pi/4)."""
-    return float((alpha + QUARTER_PI) % math.pi - QUARTER_PI)
+    return (np.asarray(alpha, dtype=np.float64) + QUARTER_PI) % math.pi - QUARTER_PI
 
 
-def encode_orientation(alpha: float):
-    """(sin 2psi, cos 2psi, branch): branch 1 keeps psi = alpha, branch 0
-    stores psi = alpha - pi/2; psi always falls in [-pi/4, pi/4)."""
+def encode_orientation(alpha):
+    """(sin 2psi, cos 2psi, branch) per angle: branch 1 keeps psi = alpha,
+    branch 0 stores psi = alpha - pi/2; psi always falls in [-pi/4, pi/4)."""
     a = canonical_alpha(alpha)
-    if a < QUARTER_PI:
-        branch, psi = 1.0, a
-    else:
-        branch, psi = 0.0, a - HALF_PI
-    return math.sin(2.0 * psi), math.cos(2.0 * psi), branch
+    branch = (a < QUARTER_PI).astype(np.float64)
+    psi = np.where(branch > 0, a, a - HALF_PI)
+    return np.sin(2.0 * psi), np.cos(2.0 * psi), branch
 
 
 def decode_orientation(sin2a, cos2a, c_alpha):
@@ -176,63 +180,44 @@ def decode_orientation(sin2a, cos2a, c_alpha):
 # box coding
 
 
-@dataclass
-class Detection3D:
-    class_id: int
-    score: float
-    x: float
-    y: float           # bottom-center, camera coords (y down)
-    z: float
-    w: float
-    h: float
-    l: float
-    ry: float
-    box2d: np.ndarray  # (4,) corners x1, y1, x2, y2
-    alpha: float = 0.0
+def encode_box(anchor_boxes, priors, labels, f, cx, cy) -> np.ndarray:
+    """(P, 13) regression targets for P (anchor, label) pairs.
 
-
-def _project_center(x, y_bottom, z, h, f, cx, cy):
-    yc = y_bottom - h / 2.0
-    return f * x / z + cx, f * yc / z + cy
-
-
-def encode_box(anchor_box, anchor_prior, gt, f, cx, cy) -> np.ndarray:
-    """13-dim regression target for one (anchor, ground-truth) pair.
-
-    ``gt`` carries corner box2d, location (x, y, z), dims (h, w, l), ry.
+    Row i pairs anchor box ``anchor_boxes[i]`` (u, v, w2d, h2d) and prior
+    ``priors[i]`` (z, w, h, l) with the ``ObjectLabel`` ``labels[i]``.
     """
-    ua, va, wa, ha = anchor_box
-    za, wpr, hpr, lpr = anchor_prior
-    x1, y1, x2, y2 = gt["box2d"]
+    ua, va, wa, ha = np.asarray(anchor_boxes, dtype=np.float64).T
+    za, wpr, hpr, lpr = np.asarray(priors, dtype=np.float64).T
+    x1, y1, x2, y2 = np.array([lb.box2d for lb in labels], dtype=np.float64).reshape(-1, 4).T
+    x, y, z, h, w, l, ry = np.array([(lb.x, lb.y, lb.z, lb.h, lb.w, lb.l, lb.ry)
+                                     for lb in labels], dtype=np.float64).reshape(-1, 7).T
     ug, vg = (x1 + x2) / 2.0, (y1 + y2) / 2.0
-    wg, hg = max(x2 - x1, 1e-3), max(y2 - y1, 1e-3)
-    x, y, z = gt["location"]
-    hh, ww, ll = gt["dims"]
-    u3, v3 = _project_center(x, y, z, hh, f, cx, cy)
-    alpha = wrap_angle(gt["ry"] - math.atan2(x, z))
-    s2, c2, branch = encode_orientation(alpha)
-    return np.array([
+    wg, hg = np.maximum(x2 - x1, 1e-3), np.maximum(y2 - y1, 1e-3)
+    u3 = f * x / z + cx  # projected 3D center; y is the bottom of the box
+    v3 = f * (y - h / 2.0) / z + cy
+    s2, c2, branch = encode_orientation(wrap_angle(ry - np.arctan2(x, z)))
+    return np.stack([
         (ug - ua) / wa,
         (vg - va) / ha,
-        math.log(wg / wa),
-        math.log(hg / ha),
+        np.log(wg / wa),
+        np.log(hg / ha),
         (u3 - ua) / wa,
         (v3 - va) / ha,
-        math.log(z / za),
-        math.log(ww / wpr),
-        math.log(hh / hpr),
-        math.log(ll / lpr),
+        np.log(z / za),
+        np.log(w / wpr),
+        np.log(h / hpr),
+        np.log(l / lpr),
         s2,
         c2,
         branch,
-    ], dtype=np.float64)
+    ], axis=1)
 
 
 def decode_box(anchor_boxes, priors, offsets, f, cx, cy) -> dict:
     """Invert encode_box row by row.
 
     (N, 4) anchor boxes, (N, 4) priors and (N, 13) offsets decode to the
-    Detection3D geometry fields: x, y, z, w, h, l, ry, alpha of shape (N,)
+    ObjectLabel geometry fields: x, y, z, w, h, l, ry, alpha of shape (N,)
     and corner boxes box2d of shape (N, 4). One row passed as 1-D arrays
     gives scalars and a (4,) box. c_alpha arrives as a probability in [0, 1].
     """
@@ -298,8 +283,7 @@ class DetectionHead(Module):
 
 
 def focal_loss(p_hat: Tensor, targets: np.ndarray, alpha: float = 20.0,
-               gamma: float = 2.0, weights: np.ndarray | None = None,
-               reduction: str = "sum") -> Tensor:
+               gamma: float = 2.0, weights: np.ndarray | None = None) -> Tensor:
     """Piecewise focal loss on probabilities.
 
     target 1: -alpha * (1 - p)^gamma * log(p);  target 0: -p^gamma * log(1 - p).
@@ -314,11 +298,10 @@ def focal_loss(p_hat: Tensor, targets: np.ndarray, alpha: float = 20.0,
     loss = ops.where(targets > 0.5, pos, neg)
     if weights is not None:
         loss = ops.mul(loss, Tensor(np.asarray(weights, dtype=p.dtype)))
-    return ops.sum_(loss) if reduction == "sum" else loss
+    return ops.sum_(loss)
 
 
-def smooth_l1(pred: Tensor, target, beta: float = 0.04,
-              reduction: str = "sum") -> Tensor:
+def smooth_l1(pred: Tensor, target, beta: float = 0.04) -> Tensor:
     """0.5 d^2 / beta below the breakpoint, |d| - beta/2 above."""
     target = target if isinstance(target, Tensor) else Tensor(
         np.asarray(target, dtype=pred.dtype))
@@ -327,11 +310,10 @@ def smooth_l1(pred: Tensor, target, beta: float = 0.04,
     quad = ops.scale(ops.mul(d, d), 0.5 / beta)
     lin = ops.sub(a, Tensor(np.full(1, 0.5 * beta, dtype=pred.dtype)))
     loss = ops.where(a.data < beta, quad, lin)
-    return ops.sum_(loss) if reduction == "sum" else loss
+    return ops.sum_(loss)
 
 
-def orientation_bce(p_hat: Tensor, bin_labels: np.ndarray,
-                    reduction: str = "sum") -> Tensor:
+def orientation_bce(p_hat: Tensor, bin_labels: np.ndarray) -> Tensor:
     """-(1 - p) log p on the probability assigned to the labeled branch."""
     eps = 1e-7
     labels = np.asarray(bin_labels)
@@ -339,75 +321,53 @@ def orientation_bce(p_hat: Tensor, bin_labels: np.ndarray,
                        ops.sub(Tensor(np.ones(1, dtype=p_hat.dtype)), p_hat))
     p = ops.clamp(p_true, eps, 1.0 - eps)
     loss = ops.neg(ops.mul(ops.sub(Tensor(np.ones(1, dtype=p.dtype)), p), ops.log(p)))
-    return ops.sum_(loss) if reduction == "sum" else loss
+    return ops.sum_(loss)
 
 
 @dataclass
 class TargetSet:
     """Per-frame assignment products consumed by the loss."""
 
-    anchor_labels: np.ndarray          # (Na,) gt idx / BACKGROUND / IGNORE
-    cell_class: np.ndarray             # (Nq,) class id / BACKGROUND / IGNORE
-    pos_rows: np.ndarray               # (P,) anchor row indices
-    offsets: np.ndarray                # (P, 13)
+    pos_rows: np.ndarray     # (P,) anchor row indices
+    offsets: np.ndarray      # (P, 13)
+    cls_targets: np.ndarray  # (Nq, K+1) one-hot class or background per cell
+    cls_weights: np.ndarray  # (Nq, K+1) zero on ignored cells
     n_objects: int
-    cls_targets: np.ndarray = field(init=False)
-    cls_weights: np.ndarray = field(init=False)
-    n_channels: int = 0
-
-    def finalize(self, n_classes: int):
-        nq = len(self.cell_class)
-        self.n_channels = n_classes + 1
-        t = np.zeros((nq, n_classes + 1), dtype=np.float64)
-        w = np.ones((nq, n_classes + 1), dtype=np.float64)
-        for i, c in enumerate(self.cell_class):
-            if c == IGNORE:
-                w[i] = 0.0
-            elif c == BACKGROUND:
-                t[i, n_classes] = 1.0
-            else:
-                t[i, c] = 1.0
-        self.cls_targets = t
-        self.cls_weights = w
-        return self
 
 
-def build_targets(anchors: AnchorSet, frame_labels, f, cx, cy,
-                  tau_fg=0.5, tau_bg=0.4, ensure_matches=True,
-                  n_classes=1) -> TargetSet:
-    """Assign anchors to labeled objects and encode their regression targets.
+def build_targets(anchors: AnchorSet, labels, classes, f, cx, cy,
+                  tau_fg=0.5, tau_bg=0.4, ensure_matches=True) -> TargetSet:
+    """Assign anchors to a frame's ``ObjectLabel``s and encode their targets.
 
-    ``frame_labels`` is a list of dicts with keys class_id, box2d, location,
-    dims, ry (entries with class_id < 0, e.g. DontCare, are excluded).
+    Labels whose type is not in ``classes`` (e.g. DontCare) are excluded. An
+    anchor whose template class disagrees with its match is ignored. A cell
+    takes the class of its first positive anchor; without one it is ignored
+    if any of its anchors is, else background.
     """
-    usable = [lb for lb in frame_labels if lb["class_id"] >= 0]
-    gt_corners = np.array([lb["box2d"] for lb in usable], dtype=np.float64).reshape(-1, 4)
-    labels = assign_targets(anchors.corners(), gt_corners, tau_fg, tau_bg, ensure_matches)
-    # anchors whose template class disagrees with the matched gt become ignores
-    for a in np.nonzero(labels >= 0)[0]:
-        if anchors.class_ids[a] != usable[labels[a]]["class_id"]:
-            labels[a] = IGNORE
+    usable = [lb for lb in labels if lb.type in classes]
+    gt_class = np.array([classes.index(lb.type) for lb in usable], dtype=np.int64)
+    gt_corners = np.array([lb.box2d for lb in usable], dtype=np.float64).reshape(-1, 4)
+    match = assign_targets(anchors.corners(), gt_corners, tau_fg, tau_bg, ensure_matches)
+    pos_rows = np.nonzero(match >= 0)[0]
+    clash = anchors.class_ids[pos_rows] != gt_class[match[pos_rows]]
+    match[pos_rows[clash]] = IGNORE
+    pos_rows = pos_rows[~clash]
 
-    per = anchors.per_cell
-    nq = anchors.wq * anchors.hq
-    cell_class = np.full(nq, BACKGROUND, dtype=np.int64)
-    lab_cells = labels.reshape(nq, per)
-    for i in range(nq):
-        row = lab_cells[i]
-        if (row >= 0).any():
-            g = row[row >= 0][0]
-            cell_class[i] = usable[g]["class_id"]
-        elif (row == IGNORE).any():
-            cell_class[i] = IGNORE
+    cells = match.reshape(anchors.wq * anchors.hq, anchors.per_cell)
+    n_classes = len(classes)
+    cls_targets = np.zeros((len(cells), n_classes + 1))
+    cls_weights = np.ones((len(cells), n_classes + 1))
+    has_pos = (cells >= 0).any(axis=1)
+    first = cells[np.arange(len(cells)), (cells >= 0).argmax(axis=1)]
+    cls_targets[has_pos, gt_class[first[has_pos]]] = 1.0
+    ignored = ~has_pos & (cells == IGNORE).any(axis=1)
+    cls_weights[ignored] = 0.0
+    cls_targets[~has_pos & ~ignored, n_classes] = 1.0
 
-    pos_rows = np.nonzero(labels >= 0)[0]
-    offsets = np.zeros((len(pos_rows), 13), dtype=np.float64)
-    for j, a in enumerate(pos_rows):
-        offsets[j] = encode_box(anchors.boxes[a], anchors.priors[a],
-                                usable[labels[a]], f, cx, cy)
-    return TargetSet(anchor_labels=labels, cell_class=cell_class,
-                     pos_rows=pos_rows, offsets=offsets,
-                     n_objects=len(usable)).finalize(n_classes)
+    offsets = encode_box(anchors.boxes[pos_rows], anchors.priors[pos_rows],
+                         [usable[g] for g in match[pos_rows]], f, cx, cy)
+    return TargetSet(pos_rows=pos_rows, offsets=offsets, cls_targets=cls_targets,
+                     cls_weights=cls_weights, n_objects=len(usable))
 
 
 def layer_detection_loss(cls_logits: Tensor, reg_out: Tensor, targets: TargetSet,
@@ -458,28 +418,28 @@ def nms_2d(boxes: np.ndarray, scores: np.ndarray, iou_threshold: float) -> list:
 
 
 def decode_detections(anchors: AnchorSet, cls_logits: Tensor, reg_out: Tensor,
-                      f, cx, cy, score_threshold=0.1, iou_threshold=0.4):
-    """Scores + offsets -> thresholded, per-class NMS-filtered detections.
+                      classes, f, cx, cy, score_threshold=0.1, iou_threshold=0.4):
+    """Scores + offsets -> thresholded, per-class NMS-filtered ``ObjectLabel``s
+    with scores, in descending score order.
 
     Each anchor takes its cell's sigmoid score for its template class, compared
     with ``score_threshold`` in float64 (numpy would round the threshold to a
     float32 score's dtype). A class's candidate rows go through one decode_box
     and one nms_2d call."""
-    n_classes = cls_logits.shape[1] - 1
-    scores = 1.0 / (1.0 + np.exp(-cls_logits.data[:, :n_classes]))
+    scores = 1.0 / (1.0 + np.exp(-cls_logits.data[:, :len(classes)]))
     rows = np.arange(len(anchors))
     anchor_scores = scores[rows // anchors.per_cell, anchors.class_ids].astype(np.float64)
     reg = reg_out.data.reshape(len(anchors), 13).copy()
     # the branch channel is a logit; its probability is stored in reg's dtype
     reg[:, 12] = 1.0 / (1.0 + np.exp(-reg[:, 12].astype(np.float64)))
     detections = []
-    for cls_id in range(n_classes):
+    for cls_id, name in enumerate(classes):
         cand = rows[(anchors.class_ids == cls_id) & (anchor_scores >= score_threshold)]
         fields = decode_box(anchors.boxes[cand], anchors.priors[cand], reg[cand], f, cx, cy)
         cand_scores = anchor_scores[cand]
         kept = nms_2d(fields["box2d"], cand_scores, iou_threshold)
         detections.extend(
-            Detection3D(class_id=cls_id, score=float(cand_scores[i]),
+            ObjectLabel(type=name, truncated=0.0, occluded=0, score=float(cand_scores[i]),
                         **{k: v[i] for k, v in fields.items()})
             for i in kept)
     detections.sort(key=lambda d: -d.score)

@@ -75,13 +75,18 @@ def block_match_stereo(img_left, img_right, max_disp: int, window: int = 9,
     ``max_disp``. Returns (disp_left, valid_left, disp_right, valid_right).
     Validity requires a full matching window, an in-frame candidate, a best
     cost that beats the runner-up by ``uniqueness`` per window pixel (kills
-    textureless regions), and left-right agreement within 1 px.
+    textureless regions), and left-right agreement within 1 px. An even
+    window, a window outside [1, image height] or an empty disparity range
+    raises ``ValueError``.
     """
     if window % 2 == 0:
         raise ValueError("block matching window must be odd")
     gl = np.asarray(img_left, dtype=np.float64).mean(axis=-1)
     gr = np.asarray(img_right, dtype=np.float64).mean(axis=-1)
     h, w = gl.shape
+    if not 1 <= window <= h:
+        raise ValueError(f"block matching window={window} does not fit the image height "
+                         f"{h} (needs 1 <= window <= height)")
     n_disp = min(max_disp, w - window)
     if n_disp < 1:
         raise ValueError(f"block matching has no disparity to test: max_disp={max_disp}, "

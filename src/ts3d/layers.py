@@ -19,20 +19,13 @@ def xavier_init(rng: np.random.Generator, shape, fan_in: int, fan_out: int, dtyp
 
 class Conv2d(Module):
     def __init__(self, rng, c_in, c_out, k=3, stride=1, padding=None, bias=True,
-                 dtype=np.float32, init="he"):
+                 dtype=np.float32):
         super().__init__()
         if padding is None:
             padding = k // 2
         self.stride = stride
         self.padding = padding
-        fan_in = k * k * c_in
-        if init == "he":
-            w = he_init(rng, (k, k, c_in, c_out), fan_in, dtype)
-        elif init == "zero":
-            w = np.zeros((k, k, c_in, c_out), dtype=dtype)
-        else:
-            w = xavier_init(rng, (k, k, c_in, c_out), fan_in, c_out, dtype)
-        self.w = Parameter(w, dtype=dtype)
+        self.w = Parameter(he_init(rng, (k, k, c_in, c_out), k * k * c_in, dtype), dtype=dtype)
         self.b = Parameter(np.zeros(c_out, dtype=dtype), dtype=dtype) if bias else None
 
     def forward(self, x):
@@ -42,17 +35,14 @@ class Conv2d(Module):
 
 
 class Linear(Module):
-    def __init__(self, rng, c_in, c_out, bias=True, dtype=np.float32, init="xavier",
-                 bias_fill=0.0):
+    def __init__(self, rng, c_in, c_out, bias=True, dtype=np.float32, init="xavier"):
         super().__init__()
         if init == "zero":
             w = np.zeros((c_in, c_out), dtype=dtype)
-        elif init == "he":
-            w = he_init(rng, (c_in, c_out), c_in, dtype)
         else:
             w = xavier_init(rng, (c_in, c_out), c_in, c_out, dtype)
         self.w = Parameter(w, dtype=dtype)
-        self.b = Parameter(np.full(c_out, bias_fill, dtype=dtype), dtype=dtype) if bias else None
+        self.b = Parameter(np.zeros(c_out, dtype=dtype), dtype=dtype) if bias else None
 
     def forward(self, x):
         return ops.linear(x, self.w.tensor, self.b.tensor if self.b is not None else None)

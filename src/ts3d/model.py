@@ -11,7 +11,7 @@ import numpy as np
 from . import ops
 from .backbone import Backbone
 from .config import RunConfig
-from .dataset import FrameData, Manifest, labels_for_assignment
+from .dataset import FrameData, Manifest
 from .decoder import DecoderStack, GridQuery, dape, one_hot_disparity_pe, sine_pe_2d
 from .detect import (
     AnchorTemplate,
@@ -140,10 +140,9 @@ class TS3D(Module):
     def compute_loss(self, outputs: ModelOutputs, frame: FrameData):
         cfg = self.cfg
         targets = build_targets(
-            self.anchors, labels_for_assignment(frame.labels, list(cfg.classes)),
+            self.anchors, frame.labels, cfg.classes,
             frame.calib.f, frame.calib.cx, frame.calib.cy,
-            tau_fg=cfg.tau_fg, tau_bg=cfg.tau_bg,
-            ensure_matches=cfg.ensure_matches, n_classes=len(cfg.classes))
+            tau_fg=cfg.tau_fg, tau_bg=cfg.tau_bg, ensure_matches=cfg.ensure_matches)
         gt_disp, valid = self.supervision_pseudo_gt(frame)
         disp_loss, n_valid = stereo_focal_loss(outputs.logits_sup, gt_disp, valid,
                                                sigma=cfg.sigma)
@@ -182,7 +181,7 @@ class TS3D(Module):
             right = Tensor(frame.right.astype(self.dtype, copy=False))
             outputs = self.forward(left, right)
         return decode_detections(
-            self.anchors, outputs.cls_layers[-1], outputs.reg_layers[-1],
+            self.anchors, outputs.cls_layers[-1], outputs.reg_layers[-1], cfg.classes,
             frame.calib.f, frame.calib.cx, frame.calib.cy,
             score_threshold=cfg.score_threshold, iou_threshold=cfg.nms_iou,
         ), outputs

@@ -102,19 +102,6 @@ def scale(a, s: float) -> Tensor:
     return make_node(a.data * s, (a,), "scale", build)
 
 
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    data = np.exp(a.data)
-
-    def build():
-        def bw(g):
-            if a.requires_grad:
-                a.accumulate_grad(g * data, "exp")
-        return bw
-
-    return make_node(data, (a,), "exp", build)
-
-
 def log(a) -> Tensor:
     a = as_tensor(a)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -241,18 +228,6 @@ def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
     return make_node(data, (a,), "sum", build)
 
 
-def mean(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
-    if axis is None:
-        n = a.size
-    else:
-        axes = (axis,) if isinstance(axis, int) else tuple(axis)
-        n = 1
-        for ax in axes:
-            n *= a.shape[ax]
-    return scale(sum_(a, axis=axis, keepdims=keepdims), 1.0 / n)
-
-
 # ---------------------------------------------------------------------------
 # shape ops
 
@@ -343,28 +318,22 @@ def take_rows(a, indices) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product of 2-D operands or stacked 3-D operands."""
+    """Matrix product of 2-D operands."""
     a, b = as_tensor(a), as_tensor(b)
-    if a.ndim not in (2, 3) or b.ndim not in (2, 3) or a.ndim != b.ndim:
-        raise DimensionError(
-            f"matmul expects matching 2-D or 3-D operands, got {a.shape} @ {b.shape}"
-        )
-    if a.shape[-1] != b.shape[-2]:
+    if a.ndim != 2 or b.ndim != 2:
+        raise DimensionError(f"matmul expects 2-D operands, got {a.shape} @ {b.shape}")
+    if a.shape[1] != b.shape[0]:
         raise DimensionError(
             f"matmul inner axes differ: {a.shape}[-1] != {b.shape}[-2]"
-        )
-    if a.ndim == 3 and a.shape[0] != b.shape[0]:
-        raise DimensionError(
-            f"matmul batch axes differ: {a.shape[0]} != {b.shape[0]}"
         )
     data = a.data @ b.data
 
     def build():
         def bw(g):
             if a.requires_grad:
-                a.accumulate_grad(g @ b.data.swapaxes(-1, -2), "matmul")
+                a.accumulate_grad(g @ b.data.T, "matmul")
             if b.requires_grad:
-                b.accumulate_grad(a.data.swapaxes(-1, -2) @ g, "matmul")
+                b.accumulate_grad(a.data.T @ g, "matmul")
         return bw
 
     return make_node(data, (a, b), "matmul", build)

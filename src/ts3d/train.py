@@ -24,8 +24,7 @@ from .augment import augment
 from .checkpoint import load_model, save_model
 from .config import RunConfig, config_from_text
 from .dataset import MANIFEST_NAME, load_frame, read_manifest
-from .detect import Detection3D
-from .kitti_io import ObjectLabel, write_kitti_label
+from .kitti_io import write_kitti_label
 from .model import TS3D, build_anchor_templates
 from .optim import AdamW
 from .tensor import ConfigError
@@ -144,14 +143,6 @@ def train_run(cfg: RunConfig, data_dir, out_dir, resume: bool = False,
 # inference over a split
 
 
-def detection_to_label(det: Detection3D, classes) -> ObjectLabel:
-    return ObjectLabel(
-        type=classes[det.class_id], truncated=0.0, occluded=0, alpha=det.alpha,
-        box2d=det.box2d, h=det.h, w=det.w, l=det.l, x=det.x, y=det.y, z=det.z,
-        ry=det.ry, score=det.score,
-    )
-
-
 def run_inference(model: TS3D, data_dir, split, out_dir, quiet: bool = True):
     """Write one KITTI-format detection file (with scores) per split frame."""
     manifest = read_manifest(os.path.join(data_dir, MANIFEST_NAME))
@@ -159,14 +150,12 @@ def run_inference(model: TS3D, data_dir, split, out_dir, quiet: bool = True):
     if not ids:
         raise ConfigError(f"dataset has no '{split}' split")
     os.makedirs(out_dir, exist_ok=True)
-    classes = list(model.cfg.classes)
     for fid in ids:
         frame = load_frame(data_dir, fid, manifest, with_pseudo=False)
         detections, _ = model.infer(frame)
-        labels = [detection_to_label(d, classes) for d in detections]
-        write_kitti_label(os.path.join(out_dir, fid + ".txt"), labels)
+        write_kitti_label(os.path.join(out_dir, fid + ".txt"), detections)
         if not quiet:
-            print(f"{fid}: {len(labels)} detections", flush=True)
+            print(f"{fid}: {len(detections)} detections", flush=True)
     return len(ids)
 
 

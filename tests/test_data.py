@@ -13,10 +13,10 @@ from ts3d.dataset import (
     build_pseudo_gt,
     estimate_priors,
     generate_dataset,
-    labels_for_assignment,
     load_frame,
     read_manifest,
 )
+from ts3d.detect import AnchorTemplate, build_targets, generate_anchors
 from ts3d.disphead import block_match_stereo
 from ts3d.kitti_io import (
     Calibration,
@@ -81,8 +81,11 @@ def test_dontcare_excluded_from_assignment():
         ObjectLabel("Car", 0, 0, 0, np.array([1.0, 1.0, 9.0, 9.0]),
                     1.5, 1.7, 4.0, 0.0, 1.5, 10.0, 0.0),
     ]
-    usable = labels_for_assignment(labels, ["Car"])
-    assert len(usable) == 1 and usable[0]["class_id"] == 0
+    # one 8x8 anchor at (8, 8): the Car box claims it, the DontCare box is left out
+    anchors = generate_anchors(1, 1, 16, [AnchorTemplate(0, 8.0, 8.0, 10.0, 1.7, 1.5, 4.0)])
+    targets = build_targets(anchors, labels, ["Car"], 200.0, 8.0, 8.0)
+    assert targets.n_objects == 1
+    assert targets.pos_rows.tolist() == [0] and targets.cls_targets.tolist() == [[1.0, 0.0]]
 
 
 def test_malformed_line_reports_number(tmp_path):

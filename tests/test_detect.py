@@ -1,6 +1,7 @@
 """Detection machinery: anchors, assignment, box coding, losses, NMS."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from ts3d.detect import (
     BACKGROUND,
     IGNORE,
     AnchorTemplate,
-    Detection3D,
     DetectionHead,
     assign_targets,
     build_targets,
@@ -32,6 +32,8 @@ from ts3d.detect import (
     wrap_angle,
 )
 from ts3d.gradcheck import grad_check
+from ts3d.kitti_io import ObjectLabel
+from ts3d.synth import SynthParams, synth_scene
 from ts3d.tensor import Tensor, no_grad
 
 CAR = AnchorTemplate(class_id=0, w2d=34.0, h2d=28.0, z=9.0, w=1.7, h=1.5, l=3.9)
@@ -133,13 +135,15 @@ def _random_gt(rng, f, cx, cy):
     v = f * (y - h / 2) / z + cy
     w2 = f * w / z
     h2 = f * h / z
-    return {
-        "class_id": 0,
-        "box2d": np.array([u - w2 / 2, v - h2 / 2, u + w2 / 2, v + h2 / 2]),
-        "location": (x, y, z),
-        "dims": (h, w, l),
-        "ry": ry,
-    }
+    return ObjectLabel("Car", 0.0, 0, 0.0,
+                       np.array([u - w2 / 2, v - h2 / 2, u + w2 / 2, v + h2 / 2]),
+                       h, w, l, x, y, z, ry)
+
+
+def _decoded(anchor_box, prior, offsets, f, cx, cy) -> ObjectLabel:
+    """One decode_box row as a scored label."""
+    return ObjectLabel(type="Car", truncated=0.0, occluded=0, score=1.0,
+                       **decode_box(anchor_box, prior, offsets, f, cx, cy))
 
 
 def test_zero_offsets_identity_decode():
@@ -149,7 +153,7 @@ def test_zero_offsets_identity_decode():
     offsets = np.zeros(13)
     offsets[11] = 1.0  # cos 2a
     offsets[12] = 1.0  # branch prob
-    det = Detection3D(0, 1.0, **decode_box(anchor_box, prior, offsets, f, cx, cy))
+    det = _decoded(anchor_box, prior, offsets, f, cx, cy)
     assert np.allclose(det.box2d, [72 - 17, 40 - 14, 72 + 17, 40 + 14])
     assert det.z == pytest.approx(9.0)
     assert (det.w, det.h, det.l) == (pytest.approx(1.7), pytest.approx(1.5), pytest.approx(3.9))
@@ -163,7 +167,7 @@ def test_principal_point_back_projects_to_centered_ray():
     offsets = np.zeros(13)
     offsets[11] = 1.0
     offsets[12] = 1.0
-    det = Detection3D(0, 1.0, **decode_box(anchor_box, prior, offsets, f, cx, cy))
+    det = _decoded(anchor_box, prior, offsets, f, cx, cy)
     assert det.z == pytest.approx(10.0)
     assert det.x == pytest.approx(0.0, abs=1e-12)
 
@@ -178,22 +182,23 @@ def test_encode_decode_roundtrip_100_boxes():
     f, cx, cy = _calib()
     for _ in range(100):
         gt = _random_gt(rng, f, cx, cy)
-        x1, y1, x2, y2 = gt["box2d"]
+        x1, y1, x2, y2 = gt.box2d
         anchor_box = np.array([
             (x1 + x2) / 2 + rng.uniform(-4, 4),
             (y1 + y2) / 2 + rng.uniform(-4, 4),
             (x2 - x1) * rng.uniform(0.8, 1.25),
             (y2 - y1) * rng.uniform(0.8, 1.25),
         ])
-        prior = np.array([gt["location"][2] * rng.uniform(0.7, 1.4), 1.7, 1.5, 3.9])
-        off = encode_box(anchor_box, prior, gt, f, cx, cy)
-        det = Detection3D(0, 1.0, **decode_box(anchor_box, prior, off, f, cx, cy))
-        assert np.allclose(det.box2d, gt["box2d"], atol=1e-6)
-        assert np.allclose((det.x, det.y, det.z), gt["location"], atol=1e-6)
-        assert np.allclose((det.h, det.w, det.l), gt["dims"], atol=1e-6)
+        prior = np.array([gt.z * rng.uniform(0.7, 1.4), 1.7, 1.5, 3.9])
+        off = encode_box(anchor_box[None], prior[None], [gt], f, cx, cy)
+        assert off.shape == (1, 13)
+        det = _decoded(anchor_box, prior, off[0], f, cx, cy)
+        assert np.allclose(det.box2d, gt.box2d, atol=1e-6)
+        assert np.allclose((det.x, det.y, det.z), (gt.x, gt.y, gt.z), atol=1e-6)
+        assert np.allclose((det.h, det.w, det.l), (gt.h, gt.w, gt.l), atol=1e-6)
         # orientation is coded modulo pi (footprint identity)
-        assert math.sin(2 * det.ry) == pytest.approx(math.sin(2 * gt["ry"]), abs=1e-6)
-        assert math.cos(2 * det.ry) == pytest.approx(math.cos(2 * gt["ry"]), abs=1e-6)
+        assert math.sin(2 * det.ry) == pytest.approx(math.sin(2 * gt.ry), abs=1e-6)
+        assert math.cos(2 * det.ry) == pytest.approx(math.cos(2 * gt.ry), abs=1e-6)
 
 
 def test_offset_roundtrip_canonical_vectors():
@@ -209,15 +214,8 @@ def test_offset_roundtrip_canonical_vectors():
             rng.uniform(-0.5, 0.5, 2), rng.uniform(-0.4, 0.4, 4),
             [math.sin(2 * psi), math.cos(2 * psi), branch],
         ])
-        det = Detection3D(0, 1.0, **decode_box(anchor_box, prior, t, f, cx, cy))
-        gt = {
-            "class_id": 0,
-            "box2d": det.box2d,
-            "location": (det.x, det.y, det.z),
-            "dims": (det.h, det.w, det.l),
-            "ry": det.ry,
-        }
-        back = encode_box(anchor_box, prior, gt, f, cx, cy)
+        det = _decoded(anchor_box, prior, t, f, cx, cy)
+        back = encode_box(anchor_box[None], prior[None], [det], f, cx, cy)[0]
         assert np.allclose(back, t, atol=1e-6)
 
 
@@ -241,10 +239,11 @@ def test_decode_box_rows_equal_one_row_calls():
 
 
 def test_orientation_coding_cases():
-    for alpha in (-0.7, 0.0, 0.4, 1.2, 2.9, -2.2):
-        s, c, b = encode_orientation(alpha)
-        rec = decode_orientation(s, c, b)
-        assert canonical_alpha(rec) == pytest.approx(canonical_alpha(alpha), abs=1e-12)
+    alpha = np.array([-0.7, 0.0, 0.4, 1.2, 2.9, -2.2])
+    s, c, b = encode_orientation(alpha)
+    rec = decode_orientation(s, c, b)
+    for got, want in zip(canonical_alpha(rec), canonical_alpha(alpha)):
+        assert got == pytest.approx(want, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -361,14 +360,9 @@ def test_orientation_bce_finite_at_clamp():
 def _toy_targets():
     anchors = generate_anchors(4, 2, 16, [CAR])
     f, cx, cy = _calib()
-    gt = {
-        "class_id": 0,
-        "box2d": np.array([30.0, 10.0, 70.0, 40.0]),
-        "location": (0.5, 1.5, 9.0),
-        "dims": (1.5, 1.7, 3.9),
-        "ry": 0.3,
-    }
-    return anchors, build_targets(anchors, [gt], f, cx, cy, n_classes=1)
+    gt = ObjectLabel("Car", 0.0, 0, 0.0, np.array([30.0, 10.0, 70.0, 40.0]),
+                     1.5, 1.7, 3.9, 0.5, 1.5, 9.0, 0.3)
+    return anchors, build_targets(anchors, [gt], ("Car",), f, cx, cy)
 
 
 def test_build_targets_produces_positive():
@@ -396,7 +390,7 @@ def test_total_loss_doubles_with_layer_count():
 def test_empty_frame_contributes_classification_only():
     anchors = generate_anchors(4, 2, 16, [CAR])
     f, cx, cy = _calib()
-    targets = build_targets(anchors, [], f, cx, cy, n_classes=1)
+    targets = build_targets(anchors, [], ("Car",), f, cx, cy)
     assert targets.n_objects == 0
     rng = np.random.default_rng(11)
     cls = Tensor(rng.normal(size=(8, 2)), dtype=np.float64)
@@ -480,6 +474,7 @@ def test_nms_iou_at_threshold_is_kept():
 # ---------------------------------------------------------------------------
 # decoding a head's outputs
 
+CLASSES = ("Car", "Pedestrian")
 TWO_CLASS_TEMPLATES = [
     CAR,
     AnchorTemplate(class_id=0, w2d=48.0, h2d=20.0, z=9.0, w=1.7, h=1.5, l=3.9),
@@ -496,7 +491,7 @@ def _random_head_outputs(seed):
     return anchors, cls, reg
 
 
-def _decode_reference(anchors, cls_logits, reg_out, f, cx, cy, score_threshold,
+def _decode_reference(anchors, cls_logits, reg_out, classes, f, cx, cy, score_threshold,
                       iou_threshold):
     """Per-anchor decode: one-row decode_box calls and the quadratic NMS."""
     n_classes = cls_logits.shape[1] - 1
@@ -510,8 +505,9 @@ def _decode_reference(anchors, cls_logits, reg_out, f, cx, cy, score_threshold,
                 continue
             o = reg_out.data[a].copy()
             o[12] = 1.0 / (1.0 + math.exp(-o[12]))
-            cand.append(Detection3D(cls_id, s, **decode_box(
-                anchors.boxes[a], anchors.priors[a], o, f, cx, cy)))
+            cand.append(ObjectLabel(type=classes[cls_id], truncated=0.0, occluded=0, score=s,
+                                    **decode_box(anchors.boxes[a], anchors.priors[a], o,
+                                                 f, cx, cy)))
         boxes = np.array([d.box2d for d in cand]).reshape(-1, 4)
         kept = _nms_reference(boxes, [d.score for d in cand], iou_threshold)
         detections.extend(cand[i] for i in kept)
@@ -522,15 +518,16 @@ def _decode_reference(anchors, cls_logits, reg_out, f, cx, cy, score_threshold,
 def test_decode_detections_matches_per_anchor_reference():
     anchors, cls, reg = _random_head_outputs(15)
     f, cx, cy = _calib()
-    got = decode_detections(anchors, cls, reg, f, cx, cy,
+    got = decode_detections(anchors, cls, reg, CLASSES, f, cx, cy,
                             score_threshold=0.001, iou_threshold=0.4)
-    want = _decode_reference(anchors, cls, reg, f, cx, cy, 0.001, 0.4)
+    want = _decode_reference(anchors, cls, reg, CLASSES, f, cx, cy, 0.001, 0.4)
     assert len(got) == len(want) > 0
-    assert {d.class_id for d in got} == {0, 1}
+    assert {d.type for d in got} == set(CLASSES)
     for g, w in zip(got, want):
-        assert (g.class_id, g.score) == (w.class_id, w.score)
+        assert (g.type, g.score) == (w.type, w.score)
         for k in ("x", "y", "z", "w", "h", "l", "ry", "alpha", "box2d"):
             assert np.array_equal(getattr(g, k), getattr(w, k)), k
+        assert g.to_line() == w.to_line()
 
 
 def test_decode_detections_calls_decode_box_once_per_class(monkeypatch):
@@ -543,5 +540,128 @@ def test_decode_detections_calls_decode_box_once_per_class(monkeypatch):
 
     monkeypatch.setattr(ts3d.detect, "decode_box", spy)
     f, cx, cy = _calib()
-    decode_detections(anchors, cls, reg, f, cx, cy, score_threshold=0.001)
+    decode_detections(anchors, cls, reg, CLASSES, f, cx, cy, score_threshold=0.001)
     assert len(rows_per_call) == 2 and min(rows_per_call) > 1
+
+
+# ---------------------------------------------------------------------------
+# target assignment against the loop-based reference
+
+
+def _encode_box_reference(anchor_box, anchor_prior, gt, f, cx, cy):
+    """One (anchor, dict label) pair encoded with scalar math."""
+    ua, va, wa, ha = anchor_box
+    za, wpr, hpr, lpr = anchor_prior
+    x1, y1, x2, y2 = gt["box2d"]
+    ug, vg = (x1 + x2) / 2.0, (y1 + y2) / 2.0
+    wg, hg = max(x2 - x1, 1e-3), max(y2 - y1, 1e-3)
+    x, y, z = gt["location"]
+    hh, ww, ll = gt["dims"]
+    u3, v3 = f * x / z + cx, f * (y - hh / 2.0) / z + cy
+    alpha = wrap_angle(gt["ry"] - math.atan2(x, z))
+    a = float((alpha + math.pi / 4.0) % math.pi - math.pi / 4.0)
+    branch, psi = (1.0, a) if a < math.pi / 4.0 else (0.0, a - math.pi / 2.0)
+    return np.array([
+        (ug - ua) / wa, (vg - va) / ha, math.log(wg / wa), math.log(hg / ha),
+        (u3 - ua) / wa, (v3 - va) / ha, math.log(z / za), math.log(ww / wpr),
+        math.log(hh / hpr), math.log(ll / lpr),
+        math.sin(2.0 * psi), math.cos(2.0 * psi), branch,
+    ], dtype=np.float64)
+
+
+def _build_targets_reference(anchors, labels, classes, f, cx, cy, tau_fg, tau_bg,
+                             ensure_matches):
+    """Dict labels, per-anchor class check, per-cell and per-positive loops.
+
+    Returns the target fields and the number of anchors ignored for matching
+    a label of another class."""
+    usable = [
+        {"class_id": classes.index(lb.type), "box2d": np.asarray(lb.box2d, dtype=np.float64),
+         "location": (lb.x, lb.y, lb.z), "dims": (lb.h, lb.w, lb.l), "ry": lb.ry}
+        for lb in labels if lb.type in classes
+    ]
+    gt_corners = np.array([lb["box2d"] for lb in usable], dtype=np.float64).reshape(-1, 4)
+    match = assign_targets(anchors.corners(), gt_corners, tau_fg, tau_bg, ensure_matches)
+    n_clash = 0
+    for a in np.nonzero(match >= 0)[0]:
+        if anchors.class_ids[a] != usable[match[a]]["class_id"]:
+            match[a] = IGNORE
+            n_clash += 1
+    nq = anchors.wq * anchors.hq
+    cell_class = np.full(nq, BACKGROUND, dtype=np.int64)
+    lab_cells = match.reshape(nq, anchors.per_cell)
+    for i in range(nq):
+        row = lab_cells[i]
+        if (row >= 0).any():
+            cell_class[i] = usable[row[row >= 0][0]]["class_id"]
+        elif (row == IGNORE).any():
+            cell_class[i] = IGNORE
+    pos_rows = np.nonzero(match >= 0)[0]
+    offsets = np.zeros((len(pos_rows), 13), dtype=np.float64)
+    for j, a in enumerate(pos_rows):
+        offsets[j] = _encode_box_reference(anchors.boxes[a], anchors.priors[a],
+                                           usable[match[a]], f, cx, cy)
+    n_classes = len(classes)
+    t = np.zeros((nq, n_classes + 1), dtype=np.float64)
+    w = np.ones((nq, n_classes + 1), dtype=np.float64)
+    for i, c in enumerate(cell_class):
+        if c == IGNORE:
+            w[i] = 0.0
+        elif c == BACKGROUND:
+            t[i, n_classes] = 1.0
+        else:
+            t[i, c] = 1.0
+    return dict(pos_rows=pos_rows, offsets=offsets, cls_targets=t, cls_weights=w,
+                n_objects=len(usable)), n_clash
+
+
+REF_TEMPLATES = [
+    AnchorTemplate(class_id=0, w2d=18.0, h2d=14.0, z=12.0, w=1.7, h=1.5, l=3.9),
+    AnchorTemplate(class_id=0, w2d=36.0, h2d=26.0, z=6.0, w=1.8, h=1.6, l=4.0),
+    AnchorTemplate(class_id=1, w2d=10.0, h2d=18.0, z=9.0, w=0.6, h=1.7, l=0.8),
+]
+
+
+def _reference_frames(n):
+    """Rendered 128x64 label sets: every other object relabeled Pedestrian, a
+    DontCare box on every third frame, and some empty or DontCare-only frames."""
+    params = SynthParams(width=128, height=64, focal=100.0, n_objects=(1, 4))
+    for seed in range(n):
+        frame = synth_scene(seed, params)
+        labels = [replace(lb, type=CLASSES[i % 2]) for i, lb in enumerate(frame.labels)]
+        if seed % 3 == 0:
+            x1, y1, x2, y2 = labels[0].box2d
+            labels.insert(1, ObjectLabel("DontCare", -1.0, -1, -10.0,
+                                         np.array([x1 + 4.0, y1 - 2.0, x2 + 12.0, y2 + 3.0]),
+                                         -1.0, -1.0, -1.0, -1000.0, -1000.0, -1000.0, -10.0))
+        if seed % 10 == 4:
+            labels = []
+        elif seed % 10 == 7:
+            labels = [lb for lb in labels if lb.type == "DontCare"]
+        yield frame.calib, labels
+
+
+def test_build_targets_equals_loop_reference_on_rendered_frames():
+    anchors = generate_anchors(8, 4, 16, REF_TEMPLATES)
+    seen = {"dontcare": 0, "empty": 0, "clash": 0, "positives": 0}
+    for calib, labels in _reference_frames(100):
+        seen["dontcare"] += any(lb.type == "DontCare" for lb in labels)
+        seen["empty"] += not any(lb.type in CLASSES for lb in labels)
+        for ensure_matches in (True, False):
+            for classes in (CLASSES, CLASSES[:1]):
+                got = build_targets(anchors, labels, classes, calib.f, calib.cx, calib.cy,
+                                    tau_fg=0.5, tau_bg=0.4, ensure_matches=ensure_matches)
+                want, n_clash = _build_targets_reference(
+                    anchors, labels, classes, calib.f, calib.cx, calib.cy, 0.5, 0.4,
+                    ensure_matches)
+                seen["clash"] += n_clash
+                seen["positives"] += len(want["pos_rows"])
+                for k in ("pos_rows", "cls_targets", "cls_weights"):
+                    g = getattr(got, k)
+                    assert g.dtype == want[k].dtype and np.array_equal(g, want[k]), k
+                assert type(got.n_objects) is int and got.n_objects == want["n_objects"]
+                assert got.offsets.dtype == want["offsets"].dtype
+                assert got.offsets.shape == want["offsets"].shape
+                assert np.abs(got.offsets - want["offsets"]).max(initial=0.0) <= 1e-12
+    assert min(seen.values()) > 0, seen
+

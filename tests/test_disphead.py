@@ -114,6 +114,22 @@ def test_block_match_empty_disparity_range_rejected(max_disp, window):
     assert f"max_disp={max_disp}" in msg and f"window={window}" in msg and "width 16" in msg
 
 
+@pytest.mark.parametrize("window", [-1, 25, 33])
+def test_block_match_window_outside_the_image_height_rejected(window):
+    img = np.zeros((24, 48, 3))
+    with pytest.raises(ValueError) as info:
+        block_match_stereo(img, img, max_disp=4, window=window)
+    msg = str(info.value)
+    assert f"window={window}" in msg and "height 24" in msg
+
+
+def test_block_match_window_of_the_image_height_matches_the_middle_row():
+    img = _textured(np.random.default_rng(5), 23, 48)
+    disp, valid, _, _ = block_match_stereo(img, img, max_disp=4, window=23)
+    assert disp.shape == (23, 48)
+    assert valid[11].any() and not valid[:11].any() and not valid[12:].any()
+
+
 def test_block_match_one_disparity_at_the_width_limit():
     # window = width - 1 leaves exactly one disparity to test
     img = _textured(np.random.default_rng(4), 24, 16)

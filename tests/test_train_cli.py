@@ -7,7 +7,7 @@ import sys
 import types
 import warnings
 import zlib
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -22,7 +22,7 @@ from ts3d.dataset import (
     pseudo_gt_paths,
     read_manifest,
 )
-from ts3d.kitti_io import write_raster_mask
+from ts3d.kitti_io import read_kitti_label, write_kitti_label, write_raster_mask
 from ts3d.optim import AdamW, cosine_lr
 from ts3d.synth import SynthParams
 from ts3d.tensor import ConfigError
@@ -213,6 +213,14 @@ def test_config_validation_names_constraint():
         load_config(preset="toy", overrides={"not_a_key": "1"})
 
 
+# toy is 64x32: the block-matching window must fit the height and leave a disparity
+@pytest.mark.parametrize("window", ["-1", "33", "65"])
+def test_config_rejects_a_block_matching_window_that_cannot_fit(window):
+    with pytest.raises(ConfigError, match="bm_window"):
+        load_config(preset="toy", overrides={"bm_window": window})
+    assert load_config(preset="toy", overrides={"bm_window": "31"}).bm_window == 31
+
+
 @pytest.mark.parametrize("preset", ["full", "desk", "toy"])
 def test_config_text_roundtrip_keeps_default_types(preset):
     cfg = load_config(preset=preset)
@@ -292,9 +300,36 @@ def test_cli_validation_error_is_exit_2(tmp_path):
 
 
 def test_cli_gradcheck_ops_smoke(tmp_path):
-    r = _cli("gradcheck", "--scope", "ops", cwd=tmp_path)
+    r = _cli("gradcheck", "--scope", "all", cwd=tmp_path)
     assert r.returncode == 0, r.stdout + r.stderr
     assert "PASS" in r.stdout and "FAIL" not in r.stdout
+    n_checks = r.stdout.count("PASS ")
+    assert f"{n_checks}/{n_checks} checks passed" in r.stdout
+    assert "PASS end2end_toy_scene" in r.stdout
+
+
+@pytest.mark.parametrize("window", ["33", "-1"])
+def test_cli_pseudogt_rejects_a_window_taller_than_the_image(toy_dataset, tmp_path, window):
+    before = {p: p.read_bytes() for p in (toy_dataset / "disp").iterdir()}
+    r = _cli("pseudogt", "--data", str(toy_dataset), "--preset", "toy",
+             "--set", f"bm_window={window}", cwd=tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert "bm_window" in r.stderr and "Traceback" not in r.stderr
+    assert {p: p.read_bytes() for p in (toy_dataset / "disp").iterdir()} == before
+
+
+def test_cli_eval_default_iou_is_documented_and_used(toy_dataset, tmp_path):
+    preds = tmp_path / "preds"
+    preds.mkdir()
+    for fid in read_manifest(toy_dataset / MANIFEST_NAME).splits["val"]:
+        labels = read_kitti_label(toy_dataset / "label_2" / (fid + ".txt"))
+        write_kitti_label(preds / (fid + ".txt"), [replace(lb, score=0.9) for lb in labels])
+    r = _cli("eval", "--pred", str(preds), "--gt", str(toy_dataset), "--preset", "toy",
+             cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert "ap_bev_Car_iou0.7=100.0" in r.stdout.splitlines()
+    help_text = _cli("eval", "--help", cwd=tmp_path).stdout
+    assert "default 0.7" in " ".join(help_text.split())
 
 
 def test_cli_infer_truncated_checkpoint_is_exit_2(toy_dataset, tmp_path):
