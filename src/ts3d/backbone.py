@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
 
 from . import ops
 from .layers import Conv2d, ConvNorm
@@ -28,20 +27,20 @@ class UnaryPyramids:
 
 
 class ResidualBlock(Module):
-    def __init__(self, rng, channels, dtype=np.float32):
+    def __init__(self, rng, channels):
         super().__init__()
-        self.c1 = ConvNorm(rng, channels, channels, act=True, dtype=dtype)
-        self.c2 = ConvNorm(rng, channels, channels, act=False, dtype=dtype)
+        self.c1 = ConvNorm(rng, channels, channels, act=True)
+        self.c2 = ConvNorm(rng, channels, channels, act=False)
 
     def forward(self, x):
         return ops.relu(ops.add(x, self.c2.forward(self.c1.forward(x))))
 
 
 class Stage(Module):
-    def __init__(self, rng, c_in, c_out, n_blocks, dtype=np.float32):
+    def __init__(self, rng, c_in, c_out, n_blocks):
         super().__init__()
-        self.down = ConvNorm(rng, c_in, c_out, stride=2, dtype=dtype)
-        self.blocks = ModuleList([ResidualBlock(rng, c_out, dtype) for _ in range(n_blocks)])
+        self.down = ConvNorm(rng, c_in, c_out, stride=2)
+        self.blocks = ModuleList([ResidualBlock(rng, c_out) for _ in range(n_blocks)])
 
     def forward(self, x):
         x = self.down.forward(x)
@@ -53,18 +52,18 @@ class Stage(Module):
 class Backbone(Module):
     """Residual encoder + top-down pyramid, applied identically to both views."""
 
-    def __init__(self, rng, width=32, blocks_per_stage=2, dtype=np.float32):
+    def __init__(self, rng, width=32, blocks_per_stage=2):
         super().__init__()
         self.width = width
-        self.stem = ConvNorm(rng, 3, width, stride=2, dtype=dtype)
-        self.stage1 = Stage(rng, width, width, blocks_per_stage, dtype)
-        self.stage2 = Stage(rng, width, width, blocks_per_stage, dtype)
-        self.stage3 = Stage(rng, width, width, blocks_per_stage, dtype)
+        self.stem = ConvNorm(rng, 3, width, stride=2)
+        self.stage1 = Stage(rng, width, width, blocks_per_stage)
+        self.stage2 = Stage(rng, width, width, blocks_per_stage)
+        self.stage3 = Stage(rng, width, width, blocks_per_stage)
         self.lateral = ModuleList(
-            [Conv2d(rng, width, width, k=1, dtype=dtype) for _ in range(3)]
+            [Conv2d(rng, width, width, k=1) for _ in range(3)]
         )
         self.smooth = ModuleList(
-            [Conv2d(rng, width, width, k=3, dtype=dtype) for _ in range(3)]
+            [Conv2d(rng, width, width, k=3) for _ in range(3)]
         )
 
     def forward_view(self, img: Tensor):

@@ -133,7 +133,7 @@ def run_module_checks(seed: int = 0):
         results.append((name, grad_check(f, inputs, eps=eps), tol))
 
     # cost-volume pyramid (correlate, fuse, aggregate, project)
-    net = SPFPN(rng, bins=(3, 4), c_dec=5, dtype=np.float64)
+    net = SPFPN(rng, bins=(3, 4), c_dec=5)
     l1 = rand_tensor(rng, (4, 6, 3))
     r1 = rand_tensor(rng, (4, 6, 3))
     c2_const = Tensor(rng.normal(size=(2, 3, 4)), dtype=np.float64)
@@ -154,13 +154,12 @@ def run_module_checks(seed: int = 0):
           [logits], tol=1e-4)
 
     # self-attention
-    attn = MHSA(rng, c_dec=6, heads=2, dtype=np.float64)
+    attn = MHSA(rng, c_dec=6, heads=2)
     xq = rand_tensor(rng, (4, 6))
     check("mhsa", lambda x_: _weighted(attn.forward(x_), _probe((4, 6), 34)), [xq], tol=1e-5)
 
     # one full decoder layer
-    layer = DecoderLayer(rng, c_dec=4, heads=2, points=2, n_levels=1, ffn_hidden=8,
-                         dtype=np.float64)
+    layer = DecoderLayer(rng, c_dec=4, heads=2, points=2, n_levels=1, ffn_hidden=8)
     layer.cross.offset.w.data[:] = 0.1 * rng.normal(size=layer.cross.offset.w.data.shape)
     layer.cross.weight.w.data[:] = rng.normal(size=layer.cross.weight.w.data.shape)
     refs = reference_points(2, 2, np.float64)
@@ -171,7 +170,7 @@ def run_module_checks(seed: int = 0):
           [q0, f0], tol=1e-4)
 
     # detection heads
-    head = DetectionHead(rng, c_dec=6, n_classes=1, anchors_per_cell=1, dtype=np.float64)
+    head = DetectionHead(rng, c_dec=6, n_classes=1, anchors_per_cell=1)
     head.reg_out.w.data[:] = 0.1 * rng.normal(size=head.reg_out.w.data.shape)
     qh = rand_tensor(rng, (4, 6))
 
@@ -238,7 +237,7 @@ def run_end2end_check(seed: int = 0):
         loss, _parts = model.train_step_loss(frame)
         return loss
 
-    err = grad_check(f, [p.tensor for _, p in selected], eps=1e-6)
+    err = grad_check(f, [p for _, p in selected], eps=1e-6)
     return [("end2end_toy_scene", err, 1e-4)]
 
 

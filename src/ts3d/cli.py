@@ -52,8 +52,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--objects", default="1,4", help="min,max objects per frame")
     p.add_argument("--z-range", default="4,30", help="min,max object distance (m)")
-    p.add_argument("--anchor-scales", type=int, default=1,
-                   help="depth bins for the anchor priors stored in the manifest")
     add_config_args(p)
 
     p = sub.add_parser("pseudogt", help="cache block-matching disparity for a dataset")
@@ -121,18 +119,39 @@ def _load_cfg(args):
                        overrides=_parse_overrides(args.overrides))
 
 
+def _range_flag(flag, text, cast, valid, need):
+    """LO,HI from a synth flag; ConfigError naming the flag unless valid(LO, HI)."""
+    from .tensor import ConfigError
+
+    try:
+        lo, hi = (cast(x) for x in text.split(","))
+    except ValueError:
+        lo = hi = None
+    if lo is None or not valid(lo, hi):
+        raise ConfigError(f"{flag} {text} is invalid: need LO,HI with {need}")
+    return lo, hi
+
+
 def _cmd_synth(args) -> int:
+    import math
+
     from .dataset import generate_dataset
     from .synth import SynthParams
+    from .tensor import ConfigError
 
     cfg = _load_cfg(args)
-    o_lo, o_hi = (int(x) for x in args.objects.split(","))
-    z_lo, z_hi = (float(x) for x in args.z_range.split(","))
-    params = SynthParams(width=cfg.width, height=cfg.height,
-                         n_objects=(o_lo, o_hi), z_range=(z_lo, z_hi))
+    for flag, n in (("--frames", args.frames), ("--val-frames", args.val_frames)):
+        if n < 0:
+            raise ConfigError(f"{flag} {n} is invalid: need {flag} >= 0")
+    objects = _range_flag("--objects", args.objects, int, lambda lo, hi: 0 <= lo <= hi,
+                          "integers 0 <= LO <= HI")
+    z_range = _range_flag("--z-range", args.z_range, float,
+                          lambda lo, hi: 0 < lo <= hi < math.inf, "finite 0 < LO <= HI")
+    params = SynthParams(width=cfg.width, height=cfg.height, n_objects=objects,
+                         z_range=z_range)
     manifest = generate_dataset(args.out, seed=args.seed, n_train=args.frames,
                                 n_val=args.val_frames, params=params,
-                                n_scales=args.anchor_scales)
+                                n_scales=cfg.anchor_scales)
     n = sum(len(v) for v in manifest.splits.values())
     print(f"wrote {n} frames to {args.out} "
           f"(train={len(manifest.splits['train'])}, val={len(manifest.splits['val'])})")

@@ -110,9 +110,9 @@ class GridQuery(Module):
     """1x1-conv the lowest-resolution feature to decoder width and flatten it
     into one query per grid cell."""
 
-    def __init__(self, rng, in_channels, c_dec, dtype=np.float32):
+    def __init__(self, rng, in_channels, c_dec):
         super().__init__()
-        self.proj = Linear(rng, in_channels, c_dec, dtype=dtype)
+        self.proj = Linear(rng, in_channels, c_dec)
         self.c_dec = c_dec
 
     def forward(self, feat: Tensor):
@@ -138,15 +138,15 @@ class MHSA(Module):
     """Self-attention: q/k/v projections, one ``ops.attention`` call over all
     heads, output projection."""
 
-    def __init__(self, rng, c_dec, heads, dtype=np.float32):
+    def __init__(self, rng, c_dec, heads):
         super().__init__()
         if c_dec % heads:
             raise ConfigError(f"decoder width {c_dec} not divisible by {heads} heads")
         self.heads = heads
-        self.q_proj = Linear(rng, c_dec, c_dec, dtype=dtype)
-        self.k_proj = Linear(rng, c_dec, c_dec, dtype=dtype)
-        self.v_proj = Linear(rng, c_dec, c_dec, dtype=dtype)
-        self.out_proj = Linear(rng, c_dec, c_dec, dtype=dtype)
+        self.q_proj = Linear(rng, c_dec, c_dec)
+        self.k_proj = Linear(rng, c_dec, c_dec)
+        self.v_proj = Linear(rng, c_dec, c_dec)
+        self.out_proj = Linear(rng, c_dec, c_dec)
 
     def forward(self, x: Tensor) -> Tensor:
         ctx = ops.attention(self.q_proj.forward(x), self.k_proj.forward(x),
@@ -170,7 +170,7 @@ class MSDeformCA(Module):
     sampling points are (level, head, query, point, uv).
     """
 
-    def __init__(self, rng, c_dec, heads, points, n_levels, dtype=np.float32):
+    def __init__(self, rng, c_dec, heads, points, n_levels):
         super().__init__()
         if c_dec % heads:
             raise ConfigError(f"decoder width {c_dec} not divisible by {heads} heads")
@@ -178,12 +178,10 @@ class MSDeformCA(Module):
         self.points = points
         self.n_levels = n_levels
         self.head_dim = c_dec // heads
-        self.value_proj = Linear(rng, c_dec, c_dec, dtype=dtype)
-        self.offset = Linear(rng, c_dec, heads * n_levels * points * 2, dtype=dtype,
-                             init="zero")
-        self.weight = Linear(rng, c_dec, heads * n_levels * points, dtype=dtype,
-                             init="zero")
-        self.out_proj = Linear(rng, c_dec, c_dec, dtype=dtype)
+        self.value_proj = Linear(rng, c_dec, c_dec)
+        self.offset = Linear(rng, c_dec, heads * n_levels * points * 2, init="zero")
+        self.weight = Linear(rng, c_dec, heads * n_levels * points, init="zero")
+        self.out_proj = Linear(rng, c_dec, c_dec)
 
     def forward(self, q: Tensor, refs: np.ndarray, feats) -> Tensor:
         if len(feats) != self.n_levels:
@@ -225,10 +223,10 @@ class MSDeformCA(Module):
 
 
 class FFN(Module):
-    def __init__(self, rng, c_dec, hidden, dtype=np.float32):
+    def __init__(self, rng, c_dec, hidden):
         super().__init__()
-        self.fc1 = Linear(rng, c_dec, hidden, dtype=dtype)
-        self.fc2 = Linear(rng, hidden, c_dec, dtype=dtype)
+        self.fc1 = Linear(rng, c_dec, hidden)
+        self.fc2 = Linear(rng, hidden, c_dec)
 
     def forward(self, x: Tensor) -> Tensor:
         return self.fc2.forward(ops.relu(self.fc1.forward(x)))
@@ -238,14 +236,14 @@ class DecoderLayer(Module):
     """positional add -> self-attention -> deformable cross-attention -> FFN,
     residual + channel_norm around each attention/FFN sublayer."""
 
-    def __init__(self, rng, c_dec, heads, points, n_levels, ffn_hidden, dtype=np.float32):
+    def __init__(self, rng, c_dec, heads, points, n_levels, ffn_hidden):
         super().__init__()
-        self.mhsa = MHSA(rng, c_dec, heads, dtype=dtype)
-        self.cross = MSDeformCA(rng, c_dec, heads, points, n_levels, dtype=dtype)
-        self.ffn = FFN(rng, c_dec, ffn_hidden, dtype=dtype)
-        self.norm1 = ChannelNorm(c_dec, dtype=dtype)
-        self.norm2 = ChannelNorm(c_dec, dtype=dtype)
-        self.norm3 = ChannelNorm(c_dec, dtype=dtype)
+        self.mhsa = MHSA(rng, c_dec, heads)
+        self.cross = MSDeformCA(rng, c_dec, heads, points, n_levels)
+        self.ffn = FFN(rng, c_dec, ffn_hidden)
+        self.norm1 = ChannelNorm(c_dec)
+        self.norm2 = ChannelNorm(c_dec)
+        self.norm3 = ChannelNorm(c_dec)
 
     def forward(self, q: Tensor, pe_flat, refs, feats) -> Tensor:
         h = add_positional(q, pe_flat)
@@ -260,12 +258,12 @@ class DecoderStack(Module):
     heads can supervise each one (inference reads only the last)."""
 
     def __init__(self, rng, n_layers, c_dec, heads, points, n_levels,
-                 ffn_hidden=None, dtype=np.float32):
+                 ffn_hidden=None):
         super().__init__()
         if ffn_hidden is None:
             ffn_hidden = 4 * c_dec
         self.layers = ModuleList([
-            DecoderLayer(rng, c_dec, heads, points, n_levels, ffn_hidden, dtype=dtype)
+            DecoderLayer(rng, c_dec, heads, points, n_levels, ffn_hidden)
             for _ in range(n_layers)
         ])
 

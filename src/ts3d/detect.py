@@ -259,17 +259,17 @@ class DetectionHead(Module):
     focal losses stay tame.
     """
 
-    def __init__(self, rng, c_dec, n_classes, anchors_per_cell, dtype=np.float32):
+    def __init__(self, rng, c_dec, n_classes, anchors_per_cell):
         super().__init__()
         self.n_classes = n_classes
         self.anchors_per_cell = anchors_per_cell
         prior_bias = -math.log((1.0 - 0.01) / 0.01)
-        self.cls_fc = Linear(rng, c_dec, c_dec, dtype=dtype)
-        self.cls_out = Linear(rng, c_dec, n_classes + 1, dtype=dtype)
+        self.cls_fc = Linear(rng, c_dec, c_dec)
+        self.cls_out = Linear(rng, c_dec, n_classes + 1)
         self.cls_out.b.data[:n_classes] = prior_bias
         self.cls_out.b.data[n_classes] = -prior_bias  # background starts likely
-        self.reg_fc = Linear(rng, c_dec, c_dec, dtype=dtype)
-        self.reg_out = Linear(rng, c_dec, anchors_per_cell * 13, dtype=dtype, init="zero")
+        self.reg_fc = Linear(rng, c_dec, c_dec)
+        self.reg_out = Linear(rng, c_dec, anchors_per_cell * 13, init="zero")
 
     def forward(self, queries: Tensor):
         nq = queries.shape[0]

@@ -22,12 +22,12 @@ from .tensor import Module, Tensor
 class DisparityHead(Module):
     """Convolutional trunk at stride 16 plus an upsampling supervision branch."""
 
-    def __init__(self, rng, in_channels, c_disp, dtype=np.float32):
+    def __init__(self, rng, in_channels, c_disp):
         super().__init__()
-        self.trunk1 = Conv2d(rng, in_channels, c_disp, k=3, dtype=dtype)
-        self.trunk2 = Conv2d(rng, c_disp, c_disp, k=3, dtype=dtype)
-        self.up1 = Conv2d(rng, c_disp, c_disp, k=3, dtype=dtype)
-        self.up2 = Conv2d(rng, c_disp, c_disp, k=3, dtype=dtype)
+        self.trunk1 = Conv2d(rng, in_channels, c_disp, k=3)
+        self.trunk2 = Conv2d(rng, c_disp, c_disp, k=3)
+        self.up1 = Conv2d(rng, c_disp, c_disp, k=3)
+        self.up2 = Conv2d(rng, c_disp, c_disp, k=3)
 
     def forward(self, c3: Tensor):
         """Returns (stride-16 logits for the encoder, stride-4 logits for the loss)."""

@@ -1,4 +1,7 @@
-"""Reusable parameterized layers: conv, linear, channel normalization."""
+"""Reusable parameterized layers: conv, linear, channel normalization.
+
+Parameters are drawn in float64; the model casts them once (``Module.astype``).
+"""
 
 from __future__ import annotations
 
@@ -8,66 +11,62 @@ from . import ops
 from .tensor import Module, Parameter
 
 
-def he_init(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.ndarray:
-    return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape).astype(dtype)
+def he_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
+    return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
 
 
-def xavier_init(rng: np.random.Generator, shape, fan_in: int, fan_out: int, dtype) -> np.ndarray:
+def xavier_init(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape).astype(dtype)
+    return rng.uniform(-limit, limit, size=shape)
 
 
 class Conv2d(Module):
-    def __init__(self, rng, c_in, c_out, k=3, stride=1, padding=None, bias=True,
-                 dtype=np.float32):
+    """k x k convolution with 'same' padding (k // 2) and an optional bias."""
+
+    def __init__(self, rng, c_in, c_out, k=3, stride=1, bias=True):
         super().__init__()
-        if padding is None:
-            padding = k // 2
         self.stride = stride
-        self.padding = padding
-        self.w = Parameter(he_init(rng, (k, k, c_in, c_out), k * k * c_in, dtype), dtype=dtype)
-        self.b = Parameter(np.zeros(c_out, dtype=dtype), dtype=dtype) if bias else None
+        self.padding = k // 2
+        self.w = Parameter(he_init(rng, (k, k, c_in, c_out), k * k * c_in))
+        self.b = Parameter(np.zeros(c_out)) if bias else None
 
     def forward(self, x):
-        return ops.conv2d(x, self.w.tensor,
-                          self.b.tensor if self.b is not None else None,
-                          stride=self.stride, padding=self.padding)
+        return ops.conv2d(x, self.w, self.b, stride=self.stride, padding=self.padding)
 
 
 class Linear(Module):
-    def __init__(self, rng, c_in, c_out, bias=True, dtype=np.float32, init="xavier"):
+    def __init__(self, rng, c_in, c_out, init="xavier"):
         super().__init__()
         if init == "zero":
-            w = np.zeros((c_in, c_out), dtype=dtype)
+            w = np.zeros((c_in, c_out))
         else:
-            w = xavier_init(rng, (c_in, c_out), c_in, c_out, dtype)
-        self.w = Parameter(w, dtype=dtype)
-        self.b = Parameter(np.zeros(c_out, dtype=dtype), dtype=dtype) if bias else None
+            w = xavier_init(rng, (c_in, c_out), c_in, c_out)
+        self.w = Parameter(w)
+        self.b = Parameter(np.zeros(c_out))
 
     def forward(self, x):
-        return ops.linear(x, self.w.tensor, self.b.tensor if self.b is not None else None)
+        return ops.linear(x, self.w, self.b)
 
 
 class ChannelNorm(Module):
     """Per-channel affine normalization over the leading axes of one sample."""
 
-    def __init__(self, channels, dtype=np.float32, eps=1e-5):
+    def __init__(self, channels):
         super().__init__()
-        self.eps = eps
-        self.gamma = Parameter(np.ones(channels, dtype=dtype), dtype=dtype)
-        self.beta = Parameter(np.zeros(channels, dtype=dtype), dtype=dtype)
+        self.gamma = Parameter(np.ones(channels))
+        self.beta = Parameter(np.zeros(channels))
 
     def forward(self, x):
-        return ops.channel_norm(x, self.gamma.tensor, self.beta.tensor, eps=self.eps)
+        return ops.channel_norm(x, self.gamma, self.beta)
 
 
 class ConvNorm(Module):
-    """conv -> channel_norm -> optional relu."""
+    """3x3 conv -> channel_norm -> optional relu."""
 
-    def __init__(self, rng, c_in, c_out, k=3, stride=1, act=True, dtype=np.float32):
+    def __init__(self, rng, c_in, c_out, stride=1, act=True):
         super().__init__()
-        self.conv = Conv2d(rng, c_in, c_out, k=k, stride=stride, bias=False, dtype=dtype)
-        self.norm = ChannelNorm(c_out, dtype=dtype)
+        self.conv = Conv2d(rng, c_in, c_out, stride=stride, bias=False)
+        self.norm = ChannelNorm(c_out)
         self.act = act
 
     def forward(self, x):

@@ -68,24 +68,22 @@ class TS3D(Module):
         super().__init__()
         self.cfg = cfg
         rng = rng if rng is not None else np.random.default_rng(cfg.seed)
-        dtype = np.float32 if cfg.dtype == "float32" else np.float64
-        self.dtype = dtype
         templates = templates if templates is not None else default_templates(cfg)
-        self.backbone = Backbone(rng, width=cfg.c_bb,
-                                 blocks_per_stage=cfg.blocks_per_stage, dtype=dtype)
-        self.spfpn = SPFPN(rng, bins=cfg.bins, c_dec=cfg.c_dec,
-                           variant=cfg.pyramid_variant, dtype=dtype)
+        self.backbone = Backbone(rng, width=cfg.c_bb, blocks_per_stage=cfg.blocks_per_stage)
+        self.spfpn = SPFPN(rng, bins=cfg.bins, c_dec=cfg.c_dec, variant=cfg.pyramid_variant)
         c3_channels = self.spfpn.agg_channels[-1]
-        self.disp_head = DisparityHead(rng, c3_channels, cfg.c_disp, dtype=dtype)
-        self.query = GridQuery(rng, c3_channels, cfg.c_dec, dtype=dtype)
+        self.disp_head = DisparityHead(rng, c3_channels, cfg.c_disp)
+        self.query = GridQuery(rng, c3_channels, cfg.c_dec)
         self.decoder = DecoderStack(rng, cfg.n_dec, cfg.c_dec, cfg.heads, cfg.points,
-                                    n_levels=3, dtype=dtype)
+                                    n_levels=3)
         self.head = DetectionHead(rng, cfg.c_dec, len(cfg.classes),
-                                  anchors_per_cell=len(templates), dtype=dtype)
+                                  anchors_per_cell=len(templates))
         self.anchors = generate_anchors(cfg.width // QUERY_STRIDE,
                                         cfg.height // QUERY_STRIDE,
                                         QUERY_STRIDE, templates)
         bind_parameter_names(self)
+        self.dtype = np.dtype(cfg.dtype)
+        self.astype(self.dtype)
 
     # -- forward ---------------------------------------------------------
 

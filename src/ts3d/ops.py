@@ -339,12 +339,9 @@ def matmul(a, b) -> Tensor:
     return make_node(data, (a, b), "matmul", build)
 
 
-def linear(x, w, b=None) -> Tensor:
-    """x @ w (+ b), the last axis being features."""
-    out = matmul(x, w)
-    if b is not None:
-        out = add(out, b)
-    return out
+def linear(x, w, b) -> Tensor:
+    """x @ w + b, the last axis being features."""
+    return add(matmul(x, w), b)
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,7 @@ class AdamW:
         bc1 = 1.0 - b1 ** t
         bc2 = 1.0 - b2 ** t
         for p in self.params:
-            g = p.tensor.grad
+            g = p.grad
             if g is None:
                 raise ValueError(f"parameter '{p.name}' has no gradient")
             m = self.m[p.name]
@@ -61,10 +61,6 @@ class AdamW:
             p.data -= (lr * update).astype(p.data.dtype, copy=False)
         self.step_count = t
         return lr
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.tensor.grad = None
 
     # -- (de)serialization as a flat named-array dict -------------------
 

@@ -10,7 +10,6 @@ aggregated level is finally projected to the decoder width by a 1x1 conv.
 
 from __future__ import annotations
 
-import numpy as np
 
 from . import ops
 from .backbone import UnaryPyramids
@@ -38,8 +37,7 @@ class SPFPN(Module):
     the bin-preservation property that "spfpn" maintains.
     """
 
-    def __init__(self, rng, bins=(24, 48, 96), c_dec=256, variant="spfpn",
-                 dtype=np.float32):
+    def __init__(self, rng, bins=(24, 48, 96), c_dec=256, variant="spfpn"):
         super().__init__()
         if variant not in PYRAMID_VARIANTS:
             raise ConfigError(f"unknown pyramid variant '{variant}'")
@@ -48,27 +46,26 @@ class SPFPN(Module):
         self.agg_channels = self._aggregated_channels()
         if variant == "spfpn":
             self.cross = ModuleList([
-                Conv2d(rng, self.agg_channels[i], self.agg_channels[i], k=3, stride=2,
-                       dtype=dtype)
+                Conv2d(rng, self.agg_channels[i], self.agg_channels[i], k=3, stride=2)
                 for i in range(len(self.bins) - 1)
             ])
         elif variant == "topdown_fpn":
             # coarse-to-fine: 1x1 to match bins, then upsample + sum
             self.lat = ModuleList([
-                Conv2d(rng, self.bins[i + 1], self.bins[i], k=1, dtype=dtype)
+                Conv2d(rng, self.bins[i + 1], self.bins[i], k=1)
                 for i in range(len(self.bins) - 1)
             ])
         else:  # bifpn_like: top-down pass plus a bottom-up strided pass
             self.lat = ModuleList([
-                Conv2d(rng, self.bins[i + 1], self.bins[i], k=1, dtype=dtype)
+                Conv2d(rng, self.bins[i + 1], self.bins[i], k=1)
                 for i in range(len(self.bins) - 1)
             ])
             self.up_path = ModuleList([
-                Conv2d(rng, self.bins[i], self.bins[i + 1], k=3, stride=2, dtype=dtype)
+                Conv2d(rng, self.bins[i], self.bins[i + 1], k=3, stride=2)
                 for i in range(len(self.bins) - 1)
             ])
         self.project = ModuleList([
-            Conv2d(rng, c, c_dec, k=1, dtype=dtype) for c in self.agg_channels
+            Conv2d(rng, c, c_dec, k=1) for c in self.agg_channels
         ])
 
     def _aggregated_channels(self):

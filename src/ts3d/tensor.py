@@ -4,6 +4,8 @@ A Tensor wraps a contiguous numpy array plus an optional gradient buffer.
 Operators (see ops.py) build a small backward graph; calling backward() on a
 scalar walks it in reverse topological order. Gradients of a value that is
 used several times add up, so callers must zero gradients between steps.
+A Parameter is a trainable leaf Tensor with a name, its checkpoint identity;
+Module.astype casts all of a module's parameters at once.
 
 Any NaN or Inf appearing in a forward result or an accumulated gradient is a
 hard error that names the producing operator: silent non-finite propagation
@@ -98,9 +100,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, op={self.op})"
 
@@ -159,33 +158,23 @@ def make_node(data, parents, op: str, backward_builder) -> Tensor:
     return out
 
 
-def as_tensor(x, dtype=None) -> Tensor:
+def as_tensor(x) -> Tensor:
     if isinstance(x, Tensor):
         return x
-    return Tensor(x, dtype=dtype)
+    return Tensor(x)
 
 
-class Parameter:
-    """A named trainable tensor; the name is its checkpoint identity."""
+class Parameter(Tensor):
+    """A named trainable leaf tensor; the name is its checkpoint identity."""
 
-    def __init__(self, data, name: str = "", dtype=np.float32):
-        self.tensor = Tensor(data, dtype=dtype, requires_grad=True)
+    __slots__ = ("name",)
+
+    def __init__(self, data, name: str = ""):
+        super().__init__(data, requires_grad=True)
         self.name = name
 
-    @property
-    def data(self) -> np.ndarray:
-        return self.tensor.data
-
-    @data.setter
-    def data(self, value: np.ndarray) -> None:
-        self.tensor.data = value
-
-    @property
-    def grad(self):
-        return self.tensor.grad
-
     def __repr__(self):
-        return f"Parameter({self.name or '<unnamed>'}, shape={self.tensor.shape})"
+        return f"Parameter({self.name or '<unnamed>'}, shape={self.shape}, dtype={self.dtype})"
 
 
 class Module:
@@ -215,7 +204,13 @@ class Module:
 
     def zero_grad(self):
         for p in self.parameters():
-            p.tensor.grad = None
+            p.grad = None
+
+    def astype(self, dtype) -> "Module":
+        """Cast every parameter to ``dtype`` in place; returns the module."""
+        for p in self.parameters():
+            p.data = p.data.astype(dtype, copy=False)
+        return self
 
 
 class ModuleList(Module):

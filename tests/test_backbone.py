@@ -13,7 +13,7 @@ def _img(rng, w, h):
 
 def test_full_scale_stride_arithmetic():
     rng = np.random.default_rng(0)
-    bb = Backbone(rng, width=4, blocks_per_stage=1)
+    bb = Backbone(rng, width=4, blocks_per_stage=1).astype(np.float32)
     with no_grad():
         primary, enhanced = bb.forward_view(_img(rng, 1280, 288))
     widths = [f.shape[1] for f in primary]
@@ -25,7 +25,7 @@ def test_full_scale_stride_arithmetic():
 
 def test_toy_shapes():
     rng = np.random.default_rng(1)
-    bb = Backbone(rng, width=8, blocks_per_stage=2)
+    bb = Backbone(rng, width=8, blocks_per_stage=2).astype(np.float32)
     with no_grad():
         primary, _ = bb.forward_view(_img(rng, 64, 32))
     assert [f.shape for f in primary] == [(8, 16, 8), (4, 8, 8), (2, 4, 8)]
@@ -33,7 +33,7 @@ def test_toy_shapes():
 
 def test_weight_sharing_identical_views():
     rng = np.random.default_rng(2)
-    bb = Backbone(rng, width=8, blocks_per_stage=1)
+    bb = Backbone(rng, width=8, blocks_per_stage=1).astype(np.float32)
     img = _img(rng, 64, 32)
     with no_grad():
         pyr = bb.forward(img, img)
@@ -45,7 +45,7 @@ def test_weight_sharing_identical_views():
 
 def test_swapping_inputs_swaps_outputs_exactly():
     rng = np.random.default_rng(3)
-    bb = Backbone(rng, width=8, blocks_per_stage=1)
+    bb = Backbone(rng, width=8, blocks_per_stage=1).astype(np.float32)
     a, b = _img(rng, 64, 32), _img(rng, 64, 32)
     with no_grad():
         p1 = bb.forward(a, b)
@@ -58,14 +58,14 @@ def test_swapping_inputs_swaps_outputs_exactly():
 
 def test_indivisible_extent_rejected():
     rng = np.random.default_rng(4)
-    bb = Backbone(rng, width=8, blocks_per_stage=1)
+    bb = Backbone(rng, width=8, blocks_per_stage=1).astype(np.float32)
     with pytest.raises(ConfigError, match="divisible"):
         bb.forward_view(Tensor(np.zeros((30, 64, 3), dtype=np.float32)))
 
 
 def test_receptive_fields_nest_across_levels():
     rng = np.random.default_rng(5)
-    bb = Backbone(rng, width=8, blocks_per_stage=1)
+    bb = Backbone(rng, width=8, blocks_per_stage=1).astype(np.float32)
     base = _img(rng, 64, 32)
     bumped = Tensor(base.data.copy())
     bumped.data[16, 40, 1] += 1.0

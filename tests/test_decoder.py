@@ -128,7 +128,7 @@ def test_one_hot_pe_block_and_zeros():
 
 def test_query_count_full_scale():
     rng = np.random.default_rng(5)
-    gq = GridQuery(rng, in_channels=4, c_dec=8)
+    gq = GridQuery(rng, in_channels=4, c_dec=8).astype(np.float32)
     feat = Tensor(rng.normal(size=(18, 80, 4)).astype(np.float32))
     with no_grad():
         x_q, refs = gq.forward(feat)
@@ -138,7 +138,7 @@ def test_query_count_full_scale():
 
 def test_query_count_toy():
     rng = np.random.default_rng(6)
-    gq = GridQuery(rng, in_channels=3, c_dec=4)
+    gq = GridQuery(rng, in_channels=3, c_dec=4).astype(np.float32)
     feat = Tensor(rng.normal(size=(2, 4, 3)).astype(np.float32))
     with no_grad():
         x_q, refs = gq.forward(feat)
@@ -173,7 +173,7 @@ def test_add_positional_identity_shapes_and_gradient_split():
 
 def test_mhsa_single_token_is_value_chain():
     rng = np.random.default_rng(9)
-    attn = MHSA(rng, c_dec=8, heads=2, dtype=np.float64)
+    attn = MHSA(rng, c_dec=8, heads=2)
     x = Tensor(rng.normal(size=(1, 8)), dtype=np.float64)
     with no_grad():
         out = attn.forward(x)
@@ -186,7 +186,7 @@ def test_mhsa_rows_sum_to_one():
     """With v_proj.w = 0 every value row is v_proj.b, so each output row is
     out_proj(v_proj.b) only if every attention row sums to one."""
     rng = np.random.default_rng(10)
-    attn = MHSA(rng, c_dec=12, heads=3, dtype=np.float64)
+    attn = MHSA(rng, c_dec=12, heads=3)
     attn.v_proj.w.data[:] = 0.0
     attn.v_proj.b.data[:] = rng.normal(size=12)
     x = Tensor(rng.normal(size=(7, 12)), dtype=np.float64)
@@ -204,7 +204,7 @@ def test_mhsa_rejects_indivisible_width():
 
 def test_mhsa_gradcheck():
     rng = np.random.default_rng(11)
-    attn = MHSA(rng, c_dec=6, heads=2, dtype=np.float64)
+    attn = MHSA(rng, c_dec=6, heads=2)
     x = Tensor(rng.normal(size=(4, 6)), dtype=np.float64, requires_grad=True)
     probe = Tensor(np.random.default_rng(12).normal(size=(4, 6)), dtype=np.float64)
 
@@ -219,7 +219,7 @@ def test_mhsa_full_shape_never_holds_the_score_matrix():
     no-grad forward stays below a single (8, 1440, 1440) float32 array."""
     n, c, heads = 1440, 256, 8
     rng = np.random.default_rng(13)
-    attn = MHSA(rng, c_dec=c, heads=heads, dtype=np.float32)
+    attn = MHSA(rng, c_dec=c, heads=heads).astype(np.float32)
     x = Tensor(rng.normal(size=(n, c)).astype(np.float32))
     score_bytes = heads * n * n * 4
     tracemalloc.start()
@@ -238,7 +238,7 @@ def test_mhsa_full_shape_never_holds_the_score_matrix():
 
 
 def _identity_deform(rng, c_dec, heads, points, n_levels):
-    mod = MSDeformCA(rng, c_dec, heads, points, n_levels, dtype=np.float64)
+    mod = MSDeformCA(rng, c_dec, heads, points, n_levels)
     eye = np.eye(c_dec)
     mod.value_proj.w.data[:] = eye
     mod.value_proj.b.data[:] = 0.0
@@ -269,7 +269,7 @@ def test_deformable_identity_sampling_bit_exact():
 def test_deformable_matches_value_projection_single_query():
     rng = np.random.default_rng(14)
     c = 6
-    mod = MSDeformCA(rng, c_dec=c, heads=1, points=1, n_levels=1, dtype=np.float64)
+    mod = MSDeformCA(rng, c_dec=c, heads=1, points=1, n_levels=1)
     mod.value_proj.w.data[:] = rng.normal(size=(c, c))
     mod.out_proj.w.data[:] = rng.normal(size=(c, c))
     feat = Tensor(rng.normal(size=(4, 4, c)), dtype=np.float64)
@@ -315,7 +315,7 @@ def test_deformable_graph_size_does_not_grow_with_heads():
     counts = []
     for heads in (2, 8):
         rng = np.random.default_rng(24)
-        mod = MSDeformCA(rng, c_dec=16, heads=heads, points=2, n_levels=3, dtype=np.float64)
+        mod = MSDeformCA(rng, c_dec=16, heads=heads, points=2, n_levels=3)
         feats = [Tensor(rng.normal(size=(2 * s, 4 * s, 16)), dtype=np.float64,
                         requires_grad=True) for s in (4, 2, 1)]
         q = Tensor(rng.normal(size=(8, 16)), dtype=np.float64, requires_grad=True)
@@ -326,7 +326,7 @@ def test_deformable_graph_size_does_not_grow_with_heads():
 
 def test_deformable_rejects_wrong_level_width():
     rng = np.random.default_rng(16)
-    mod = MSDeformCA(rng, c_dec=8, heads=2, points=2, n_levels=1)
+    mod = MSDeformCA(rng, c_dec=8, heads=2, points=2, n_levels=1).astype(np.float32)
     q = Tensor(np.zeros((4, 8), dtype=np.float32))
     bad = Tensor(np.zeros((2, 2, 6), dtype=np.float32))
     with pytest.raises(ConfigError, match="channels"):
@@ -335,7 +335,7 @@ def test_deformable_rejects_wrong_level_width():
 
 def test_deformable_gradcheck():
     rng = np.random.default_rng(17)
-    mod = MSDeformCA(rng, c_dec=4, heads=2, points=2, n_levels=2, dtype=np.float64)
+    mod = MSDeformCA(rng, c_dec=4, heads=2, points=2, n_levels=2)
     # non-degenerate offsets/weights
     mod.offset.w.data[:] = 0.1 * rng.normal(size=mod.offset.w.data.shape)
     mod.weight.w.data[:] = rng.normal(size=mod.weight.w.data.shape)
@@ -357,7 +357,7 @@ def test_deformable_gradcheck():
 
 def _toy_stack(rng, n_layers, c=8):
     return DecoderStack(rng, n_layers, c_dec=c, heads=2, points=2, n_levels=2,
-                        ffn_hidden=2 * c, dtype=np.float64)
+                        ffn_hidden=2 * c)
 
 
 def _toy_feats(rng, c=8):
@@ -390,8 +390,7 @@ def test_positional_encoding_is_sole_depth_channel():
     """With the encoding disabled, scenes differing only in disparity logits
     produce identical decoder outputs; with it enabled they differ."""
     rng = np.random.default_rng(21)
-    layer = DecoderLayer(rng, c_dec=8, heads=2, points=2, n_levels=1, ffn_hidden=16,
-                         dtype=np.float64)
+    layer = DecoderLayer(rng, c_dec=8, heads=2, points=2, n_levels=1, ffn_hidden=16)
     feats = [Tensor(rng.normal(size=(2, 4, 8)), dtype=np.float64)]
     refs = reference_points(4, 2, np.float64)
     x_q = Tensor(rng.normal(size=(8, 8)), dtype=np.float64)
@@ -410,8 +409,7 @@ def test_positional_encoding_is_sole_depth_channel():
 
 def test_decoder_layer_gradcheck():
     rng = np.random.default_rng(22)
-    layer = DecoderLayer(rng, c_dec=4, heads=2, points=2, n_levels=1, ffn_hidden=8,
-                         dtype=np.float64)
+    layer = DecoderLayer(rng, c_dec=4, heads=2, points=2, n_levels=1, ffn_hidden=8)
     layer.cross.offset.w.data[:] = 0.1 * rng.normal(size=layer.cross.offset.w.data.shape)
     layer.cross.weight.w.data[:] = rng.normal(size=layer.cross.weight.w.data.shape)
     refs = reference_points(2, 2, np.float64)

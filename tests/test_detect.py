@@ -252,7 +252,7 @@ def test_orientation_coding_cases():
 
 def test_head_output_shapes_two_classes():
     rng = np.random.default_rng(3)
-    head = DetectionHead(rng, c_dec=16, n_classes=2, anchors_per_cell=1)
+    head = DetectionHead(rng, c_dec=16, n_classes=2, anchors_per_cell=1).astype(np.float32)
     q = Tensor(rng.normal(size=(1440, 16)).astype(np.float32))
     with no_grad():
         cls, reg = head.forward(q)
@@ -262,7 +262,7 @@ def test_head_output_shapes_two_classes():
 
 def test_head_anchor_multiplicity():
     rng = np.random.default_rng(4)
-    head = DetectionHead(rng, c_dec=8, n_classes=1, anchors_per_cell=3)
+    head = DetectionHead(rng, c_dec=8, n_classes=1, anchors_per_cell=3).astype(np.float32)
     q = Tensor(rng.normal(size=(10, 8)).astype(np.float32))
     with no_grad():
         cls, reg = head.forward(q)
@@ -272,7 +272,7 @@ def test_head_anchor_multiplicity():
 
 def test_head_gradcheck():
     rng = np.random.default_rng(5)
-    head = DetectionHead(rng, c_dec=6, n_classes=1, anchors_per_cell=1, dtype=np.float64)
+    head = DetectionHead(rng, c_dec=6, n_classes=1, anchors_per_cell=1)
     head.reg_out.w.data[:] = 0.1 * rng.normal(size=head.reg_out.w.data.shape)
     q = Tensor(rng.normal(size=(4, 6)), dtype=np.float64, requires_grad=True)
     p1 = Tensor(np.random.default_rng(6).normal(size=(4, 2)), dtype=np.float64)
@@ -403,7 +403,7 @@ def test_empty_frame_contributes_classification_only():
 def test_layer_loss_gradients_reach_queries():
     rng = np.random.default_rng(12)
     anchors, targets = _toy_targets()
-    head = DetectionHead(rng, c_dec=8, n_classes=1, anchors_per_cell=1, dtype=np.float64)
+    head = DetectionHead(rng, c_dec=8, n_classes=1, anchors_per_cell=1)
     q = Tensor(rng.normal(size=(8, 8)), dtype=np.float64, requires_grad=True)
     cls, reg = head.forward(q)
     losses = layer_detection_loss(cls, reg, targets)

@@ -356,7 +356,7 @@ def test_loss_gradcheck():
 
 def test_head_resolutions():
     rng = np.random.default_rng(7)
-    head = DisparityHead(rng, in_channels=10, c_disp=6)
+    head = DisparityHead(rng, in_channels=10, c_disp=6).astype(np.float32)
     c3 = Tensor(rng.normal(size=(4, 8, 10)).astype(np.float32))
     with no_grad():
         logits_q, logits_sup = head.forward(c3)
@@ -367,7 +367,7 @@ def test_head_resolutions():
 def test_full_scale_supervision_extents():
     # 1280x288 input -> stride-16 logits 80x18 -> stride-4 supervision 320x72
     rng = np.random.default_rng(8)
-    head = DisparityHead(rng, in_channels=4, c_disp=4)
+    head = DisparityHead(rng, in_channels=4, c_disp=4).astype(np.float32)
     c3 = Tensor(rng.normal(size=(18, 80, 4)).astype(np.float32))
     with no_grad():
         logits_q, logits_sup = head.forward(c3)
@@ -377,7 +377,7 @@ def test_full_scale_supervision_extents():
 
 def test_gradient_flows_back_to_stereo_feature():
     rng = np.random.default_rng(9)
-    head = DisparityHead(rng, in_channels=5, c_disp=4, dtype=np.float64)
+    head = DisparityHead(rng, in_channels=5, c_disp=4)
     c3 = Tensor(rng.normal(size=(2, 4, 5)), dtype=np.float64, requires_grad=True)
     logits_q, logits_sup = head.forward(c3)
     gt = rng.uniform(0, 3, size=logits_sup.shape[:2])

@@ -79,6 +79,21 @@ def test_seeded_construction_reproducible():
         assert pa.data.tobytes() == pb.data.tobytes()
 
 
+@pytest.mark.parametrize("preset", ["toy", "desk"])
+def test_float32_model_is_the_float64_model_cast_once(preset):
+    models = {}
+    for dtype in ("float32", "float64"):
+        cfg = getattr(RunConfig, preset)()
+        cfg.dtype = dtype
+        models[dtype] = TS3D(cfg.validate(), rng=np.random.default_rng(0))
+        assert all(p.data.dtype == np.dtype(dtype) for p in models[dtype].parameters())
+    cast = models["float64"].astype(np.float32)
+    pairs = zip(models["float32"].named_parameters(), cast.named_parameters())
+    for (n32, p32), (n64, p64) in pairs:
+        assert n32 == n64
+        assert p32.data.tobytes() == p64.data.tobytes()
+
+
 def test_zero_decoder_layers_supervises_raw_queries():
     cfg = _toy_cfg(n_dec=0)
     model = TS3D(cfg, rng=np.random.default_rng(4))

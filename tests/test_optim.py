@@ -26,7 +26,7 @@ def test_zero_gradient_zero_decay_is_fixed_point():
     p = Parameter(np.array([1.0, -2.0, 3.0]), name="w")
     before = p.data.copy()
     opt = AdamW([p], base_lr=1e-2, weight_decay=0.0, total_steps=10)
-    p.tensor.grad = np.zeros_like(p.data)
+    p.grad = np.zeros_like(p.data)
     opt.step()
     assert np.array_equal(p.data, before)
 
@@ -42,17 +42,17 @@ def test_weight_decay_is_decoupled():
     # with zero gradient, the update is exactly -lr * wd * p
     p = Parameter(np.array([2.0]), name="w")
     opt = AdamW([p], base_lr=0.1, weight_decay=0.5, total_steps=0)
-    p.tensor.grad = np.zeros_like(p.data)
+    p.grad = np.zeros_like(p.data)
     opt.step()
     assert np.allclose(p.data, 2.0 - 0.1 * 0.5 * 2.0)
 
 
 def test_adamw_descends_quadratic():
-    p = Parameter(np.array([4.0, -3.0]), name="w", dtype=np.float64)
+    p = Parameter(np.array([4.0, -3.0]), name="w")
     opt = AdamW([p], base_lr=0.05, weight_decay=0.0, total_steps=0)
     for _ in range(400):
-        opt.zero_grad()
-        loss = ops.sum_(ops.mul(p.tensor, p.tensor))
+        p.grad = None
+        loss = ops.sum_(ops.mul(p, p))
         loss.backward()
         opt.step()
     assert np.abs(p.data).max() < 1e-2
@@ -62,7 +62,7 @@ def test_step_counter_strictly_increases():
     p = Parameter(np.zeros(2), name="w")
     opt = AdamW([p], base_lr=1e-3, total_steps=5)
     for expected in (1, 2, 3):
-        p.tensor.grad = np.ones_like(p.data)
+        p.grad = np.ones_like(p.data)
         opt.step()
         assert opt.step_count == expected
 
@@ -70,7 +70,7 @@ def test_step_counter_strictly_increases():
 def test_state_roundtrip():
     p = Parameter(np.array([1.0, 2.0]), name="w")
     opt = AdamW([p], base_lr=1e-3, weight_decay=1e-4, total_steps=100)
-    p.tensor.grad = np.array([0.5, -0.5], dtype=np.float32)
+    p.grad = np.array([0.5, -0.5], dtype=np.float32)
     opt.step()
     state = {k: v.copy() for k, v in opt.state_arrays().items()}
     assert sorted(state) == ["m.w", "step", "v.w"]

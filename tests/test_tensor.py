@@ -110,7 +110,7 @@ def test_zero_grad_clears():
     root = _Root()
     bind_parameter_names(root)
     p = root.stem.w
-    ops.sum_(ops.mul(p.tensor, p.tensor)).backward()
+    ops.sum_(ops.mul(p, p)).backward()
     assert p.grad is not None
     root.zero_grad()
     assert p.grad is None

@@ -22,11 +22,18 @@ from ts3d.dataset import (
     pseudo_gt_paths,
     read_manifest,
 )
+from ts3d.evalkit import evaluate_directories
 from ts3d.kitti_io import read_kitti_label, write_kitti_label, write_raster_mask
 from ts3d.optim import AdamW, cosine_lr
 from ts3d.synth import SynthParams
 from ts3d.tensor import ConfigError
-from ts3d.train import LAST_CKPT, load_trained_model, save_checkpoint, train_run
+from ts3d.train import (
+    LAST_CKPT,
+    load_trained_model,
+    run_inference,
+    save_checkpoint,
+    train_run,
+)
 
 TOY_OVERRIDES = dict(total_steps=6, checkpoint_every=3, batch_size=1)
 
@@ -384,3 +391,50 @@ def test_cli_heatmap_rejects_out_of_range_probe_and_bin(toy_ckpt, toy_dataset, t
     assert r.returncode == 2, r.stderr
     assert flag in r.stderr and "Traceback" not in r.stderr
     assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_synth_takes_anchor_scales_from_the_config(tmp_path):
+    scales = ("--preset", "toy", "--set", "anchor_scales=2")
+    r = _cli("synth", "--out", "data", "--frames", "2", "--seed", "3", "--objects", "1,2",
+             "--z-range", "4,9", *scales, cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    r = _cli("pseudogt", "--data", "data", *scales, cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    r = _cli("train", "--data", "data", "--out", "run", *scales, "--set", "total_steps=1",
+             "--set", "checkpoint_every=1", "--quiet", cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    manifest = (tmp_path / "data" / MANIFEST_NAME).read_text()
+    assert "prior.Car.1.z=" in manifest
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--objects", "3"), ("--objects", "4,1"), ("--objects", "-1,2"), ("--objects", "a,b"),
+    ("--z-range", "30,4"), ("--z-range", "0,9"), ("--z-range", "4"),
+    ("--frames", "-2"), ("--val-frames", "-1"),
+])
+def test_cli_synth_rejects_bad_flags_before_writing(tmp_path, flag, value):
+    r = _cli("synth", "--out", "data", "--preset", "toy", f"{flag}={value}", cwd=tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert flag in r.stderr and "Traceback" not in r.stderr
+    assert not (tmp_path / "data").exists()
+
+
+def test_toy_training_fits_the_frame_it_is_shown(tmp_path):
+    """Learning gate: 100 steps on one toy frame cut the loss 20x, halve the
+    disparity loss, and detect both of the frame's objects at bev IoU 0.5."""
+    data = tmp_path / "data"
+    params = SynthParams(width=64, height=32, focal=40.0, baseline=0.5,
+                         n_objects=(1, 2), z_range=(4.5, 9.0))
+    generate_dataset(data, seed=13, n_train=1, n_val=0, params=params)
+    cfg = _toy_cfg(total_steps=100, lr=3e-3, augment=False, checkpoint_every=0,
+                   score_threshold=0.05)
+    build_pseudo_gt(data, max_disp=cfg.resolved_bm_max_disp(), window=7)
+    model = train_run(cfg, data, tmp_path / "run", quiet=True)
+    total = _read_log(tmp_path / "run")
+    disp = _read_log(tmp_path / "run", key="disp")
+    assert len(total) == 100
+    assert total[-1] * 20 <= total[0]
+    assert disp[-1] * 2 <= disp[0]
+    run_inference(model, data, "train", tmp_path / "pred")
+    metrics = evaluate_directories(tmp_path / "pred", data / "label_2", ["Car"], {"Car": 0.5})
+    assert metrics["ap_bev_Car_iou0.5"] == 100
