@@ -15,7 +15,7 @@ from . import ops
 from .config import RunConfig
 from .dataset import FrameData
 from .decoder import MHSA, DecoderLayer, dape, reference_points
-from .detect import DetectionHead, focal_loss, orientation_bce, smooth_l1
+from .detect import DetectionHead
 from .disphead import softargmax, stereo_focal_loss, block_match_stereo
 from .gradcheck import grad_check, rand_tensor
 from .model import TS3D
@@ -73,7 +73,6 @@ def run_op_checks(seed: int = 0):
 
     x2 = rand_tensor(rng, (4, 6))
     check("softmax", lambda a: _weighted(ops.softmax(a, axis=1), _probe((4, 6))), [x2])
-    check("log_softmax", lambda a: _weighted(ops.log_softmax(a, axis=1), _probe((4, 6))), [x2])
     check("softargmax", lambda a: _weighted(softargmax(a, axis=-1), _probe((4,))), [x2])
 
     a = rand_tensor(rng, (3, 4))
@@ -85,18 +84,12 @@ def run_op_checks(seed: int = 0):
 
     v = Tensor(np.where(np.abs(z := rng.normal(size=10)) < 0.1, 0.4, z),
                dtype=np.float64, requires_grad=True)
-    vpos = rand_tensor(rng, (10,), lo=0.2, hi=1.8)
     check("relu", lambda x_: _weighted(ops.relu(x_), _probe((10,))), [v])
     check("sigmoid", lambda x_: _weighted(ops.sigmoid(x_), _probe((10,))), [v])
-    check("log", lambda x_: _weighted(ops.log(x_), _probe((10,))), [vpos])
-    check("pow", lambda x_: _weighted(ops.pow_const(x_, 2.0), _probe((10,))), [v])
-    check("abs", lambda x_: _weighted(ops.abs_(x_), _probe((10,))), [v])
     w2 = rand_tensor(rng, (10,))
     check("add", lambda x_, y_: _weighted(ops.add(x_, y_), _probe((10,))), [v, w2])
     check("sub", lambda x_, y_: _weighted(ops.sub(x_, y_), _probe((10,))), [v, w2])
     check("mul", lambda x_, y_: _weighted(ops.mul(x_, y_), _probe((10,))), [v, w2])
-    mask = rng.uniform(size=10) > 0.5
-    check("where", lambda x_, y_: _weighted(ops.where(mask, x_, y_), _probe((10,))), [v, w2])
 
     x3 = rand_tensor(rng, (3, 4, 2))
     check("concat", lambda x_, y_: _weighted(ops.concat([x_, y_], axis=1), _probe((3, 8, 2))),
@@ -122,6 +115,7 @@ def run_op_checks(seed: int = 0):
     check("attention",
           lambda q_, k_, v_: _weighted(ops.attention(q_, k_, v_, 2), _probe((n_att, 4))),
           [rand_tensor(rng, (n_att, 4)) for _ in range(3)])
+    check("scale", lambda x_: _weighted(ops.scale(x_, -2.5), _probe((10,))), [v])
     return results
 
 
@@ -183,14 +177,15 @@ def run_module_checks(seed: int = 0):
     # losses
     probs = Tensor(rng.uniform(0.1, 0.9, size=(8,)), dtype=np.float64, requires_grad=True)
     tgt = (rng.uniform(size=8) > 0.6).astype(np.float64)
-    check("focal_loss", lambda p: focal_loss(p, tgt), [probs], tol=1e-6)
+    check("focal_loss", lambda p: ops.focal_loss(p, tgt), [probs], tol=1e-6)
     reg_in = rand_tensor(rng, (6,))
     reg_target = rng.normal(size=6)
-    check("smooth_l1", lambda p: smooth_l1(p, reg_target), [reg_in], tol=1e-5, eps=1e-7)
+    check("smooth_l1", lambda p: ops.smooth_l1(p, reg_target), [reg_in], tol=1e-5, eps=1e-7)
     orient_in = Tensor(rng.uniform(0.15, 0.85, size=(5,)), dtype=np.float64,
                        requires_grad=True)
     blab = (rng.uniform(size=5) > 0.5).astype(np.float64)
-    check("orientation_bce", lambda p: orientation_bce(p, blab), [orient_in], tol=1e-6)
+    check("focal_loss[orientation]", lambda p: ops.focal_loss(p, blab, alpha=1.0, gamma=1.0),
+          [orient_in], tol=1e-6)
     dl = Tensor(rng.normal(size=(2, 3, 4)), dtype=np.float64, requires_grad=True)
     gt = rng.uniform(0, 3, size=(2, 3))
     msk = np.ones((2, 3), dtype=bool)

@@ -169,9 +169,12 @@ def _cmd_pseudogt(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    from .tensor import ConfigError
     from .train import train_run
 
     cfg = _load_cfg(args)
+    if args.print_every < 1:
+        raise ConfigError(f"--print-every {args.print_every} is invalid: need --print-every >= 1")
     train_run(cfg, args.data, args.out, resume=args.resume,
               print_every=args.print_every, quiet=args.quiet)
     print(f"training complete; checkpoints in {args.out}")
@@ -190,8 +193,11 @@ def _cmd_infer(args) -> int:
 
 def _cmd_eval(args) -> int:
     from .evalkit import evaluate_directories, write_report
+    from .tensor import ConfigError
 
     cfg = _load_cfg(args)
+    if not 0.0 < args.iou <= 1.0:
+        raise ConfigError(f"--iou {args.iou} is invalid: need 0 < --iou <= 1")
     gt_dir = args.gt
     label_sub = os.path.join(gt_dir, "label_2")
     if os.path.isdir(label_sub):

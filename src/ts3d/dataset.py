@@ -87,12 +87,14 @@ def _frame_id(i: int) -> str:
 
 def estimate_priors(all_labels, classes, n_scales: int = 1) -> dict:
     """Mean 2D box / distance / size per class, binned into ``n_scales``
-    groups by 2D height (depth bins: apparent size tracks 1/z)."""
+    groups by 2D height (depth bins: apparent size tracks 1/z). A class with
+    no training labels gets ``n_scales`` copies of a default prior."""
     priors = {}
     for name in classes:
         rows = [lb for labs in all_labels for lb in labs if lb.type == name]
         if not rows:
-            priors[name] = [dict(w2d=32.0, h2d=24.0, z=10.0, w=1.7, h=1.5, l=3.9)]
+            priors[name] = [dict(w2d=32.0, h2d=24.0, z=10.0, w=1.7, h=1.5, l=3.9)
+                            for _ in range(n_scales)]
             continue
         heights = np.array([lb.box2d[3] - lb.box2d[1] for lb in rows])
         order = np.argsort(heights)

@@ -16,6 +16,9 @@ The KITTI ``ObjectLabel`` is the only per-object record: ``build_targets``
 reads a frame's labels and computes every target as arrays (one row per
 positive anchor), and ``decode_detections`` returns scored labels ready to
 be written as a KITTI detection file.
+
+Per layer the loss is ``ops.focal_loss`` on class scores, ``ops.smooth_l1`` on
+the offsets and ``ops.focal_loss`` (alpha = gamma = 1) on the branch c_a.
 """
 
 from __future__ import annotations
@@ -279,49 +282,7 @@ class DetectionHead(Module):
 
 
 # ---------------------------------------------------------------------------
-# losses
-
-
-def focal_loss(p_hat: Tensor, targets: np.ndarray, alpha: float = 20.0,
-               gamma: float = 2.0, weights: np.ndarray | None = None) -> Tensor:
-    """Piecewise focal loss on probabilities.
-
-    target 1: -alpha * (1 - p)^gamma * log(p);  target 0: -p^gamma * log(1 - p).
-    ``weights`` zeroes out ignored entries.
-    """
-    eps = 1e-7
-    targets = np.asarray(targets)
-    p = ops.clamp(p_hat, eps, 1.0 - eps)
-    one_minus = ops.sub(Tensor(np.ones(1, dtype=p.dtype)), p)
-    pos = ops.scale(ops.mul(ops.pow_const(one_minus, gamma), ops.log(p)), -alpha)
-    neg = ops.neg(ops.mul(ops.pow_const(p, gamma), ops.log(one_minus)))
-    loss = ops.where(targets > 0.5, pos, neg)
-    if weights is not None:
-        loss = ops.mul(loss, Tensor(np.asarray(weights, dtype=p.dtype)))
-    return ops.sum_(loss)
-
-
-def smooth_l1(pred: Tensor, target, beta: float = 0.04) -> Tensor:
-    """0.5 d^2 / beta below the breakpoint, |d| - beta/2 above."""
-    target = target if isinstance(target, Tensor) else Tensor(
-        np.asarray(target, dtype=pred.dtype))
-    d = ops.sub(pred, target)
-    a = ops.abs_(d)
-    quad = ops.scale(ops.mul(d, d), 0.5 / beta)
-    lin = ops.sub(a, Tensor(np.full(1, 0.5 * beta, dtype=pred.dtype)))
-    loss = ops.where(a.data < beta, quad, lin)
-    return ops.sum_(loss)
-
-
-def orientation_bce(p_hat: Tensor, bin_labels: np.ndarray) -> Tensor:
-    """-(1 - p) log p on the probability assigned to the labeled branch."""
-    eps = 1e-7
-    labels = np.asarray(bin_labels)
-    p_true = ops.where(labels > 0.5, p_hat,
-                       ops.sub(Tensor(np.ones(1, dtype=p_hat.dtype)), p_hat))
-    p = ops.clamp(p_true, eps, 1.0 - eps)
-    loss = ops.neg(ops.mul(ops.sub(Tensor(np.ones(1, dtype=p.dtype)), p), ops.log(p)))
-    return ops.sum_(loss)
+# targets and losses
 
 
 @dataclass
@@ -372,19 +333,15 @@ def build_targets(anchors: AnchorSet, labels, classes, f, cx, cy,
 
 def layer_detection_loss(cls_logits: Tensor, reg_out: Tensor, targets: TargetSet,
                          alpha=20.0, gamma=2.0, beta=0.04):
-    """(classification, regression, orientation) sums for one decoder layer."""
+    """(classification, regression, orientation) sums for one decoder layer;
+    without positives the last two sum no rows (+0.0, zero gradient)."""
     probs = ops.sigmoid(cls_logits)
-    cls_loss = focal_loss(probs, targets.cls_targets, alpha=alpha, gamma=gamma,
-                          weights=targets.cls_weights)
-    if len(targets.pos_rows):
-        pred = ops.take_rows(reg_out, targets.pos_rows)
-        reg_loss = smooth_l1(ops.narrow(pred, 1, 0, 12), targets.offsets[:, :12], beta=beta)
-        branch_prob = ops.sigmoid(ops.reshape(ops.narrow(pred, 1, 12, 1),
-                                              (len(targets.pos_rows),)))
-        orient_loss = orientation_bce(branch_prob, targets.offsets[:, 12])
-    else:
-        zero = Tensor(np.zeros(1, dtype=cls_logits.dtype))
-        reg_loss, orient_loss = zero, zero
+    cls_loss = ops.focal_loss(probs, targets.cls_targets, alpha=alpha, gamma=gamma,
+                              weights=targets.cls_weights)
+    pred = ops.take_rows(reg_out, targets.pos_rows)
+    reg_loss = ops.smooth_l1(ops.narrow(pred, 1, 0, 12), targets.offsets[:, :12], beta=beta)
+    branch_prob = ops.sigmoid(ops.narrow(pred, 1, 12, 1))
+    orient_loss = ops.focal_loss(branch_prob, targets.offsets[:, 12:], alpha=1.0, gamma=1.0)
     return cls_loss, reg_loss, orient_loss
 
 

@@ -137,21 +137,15 @@ def disparity_target(gt_disp: np.ndarray, n_bins: int, sigma: float) -> np.ndarr
 def stereo_focal_loss(logits_sup: Tensor, gt_disp: np.ndarray, valid_mask: np.ndarray,
                       sigma: float = 0.5):
     """Cross-entropy between the predicted bin distribution and the unimodal
-    target, averaged over exactly the valid pixels.
+    target, averaged over exactly the valid pixels: one ``soft_cross_entropy``
+    node weighted by mask / n_valid.
 
-    Returns (loss, n_valid); a mask with zero valid pixels yields loss 0 and
-    the caller should treat n_valid == 0 as a warning condition. That zero
-    stays connected to the logits (x - x is +0.0 with gradient 0), so every
-    disparity-head parameter still receives a gradient.
+    Returns (loss, n_valid); the caller should treat n_valid == 0 as a warning
+    condition. Then every weight is zero, so the loss is +0.0 and every logit
+    still receives a (zero) gradient.
     """
     n_valid = int(valid_mask.sum())
-    if n_valid == 0:
-        total = ops.sum_(logits_sup)
-        return ops.sub(total, total), 0
     target = disparity_target(np.asarray(gt_disp, dtype=np.float64), logits_sup.shape[-1],
-                              sigma).astype(logits_sup.dtype)
-    log_p = ops.log_softmax(logits_sup, axis=-1)
-    per_pixel = ops.neg(ops.sum_(ops.mul(log_p, Tensor(target)), axis=-1))
-    masked = ops.mul(per_pixel, Tensor(valid_mask.astype(logits_sup.dtype)))
-    loss = ops.scale(ops.sum_(masked), 1.0 / n_valid)
-    return loss, n_valid
+                              sigma)
+    weights = valid_mask / max(n_valid, 1)
+    return ops.soft_cross_entropy(logits_sup, target, weights), n_valid

@@ -1,9 +1,11 @@
 """Differentiable operators over Tensor.
 
-Exactly the operator set the detector needs: elementwise arithmetic,
-reductions, shape ops, matmul, conv2d, bilinear sampling, normalization,
-softmax family, row-blocked multi-head attention, nearest upsampling, and
-the stereo correlation volume.
+Exactly the operator set the detector needs: elementwise arithmetic (add,
+sub, mul, scale, relu, sigmoid), reductions, shape ops, matmul, conv2d,
+bilinear sampling, normalization, softmax, row-blocked multi-head attention,
+nearest upsampling, the stereo correlation volume, and the training losses
+(focal_loss, smooth_l1, soft_cross_entropy), each one node with a closed-form
+backward.
 Each op validates shapes up front and registers a backward closure that
 accumulates into its parents (fan-out gradients add).
 """
@@ -76,18 +78,6 @@ def mul(a, b) -> Tensor:
     return make_node(data, (a, b), "mul", build)
 
 
-def neg(a) -> Tensor:
-    a = as_tensor(a)
-
-    def build():
-        def bw(g):
-            if a.requires_grad:
-                a.accumulate_grad(-g, "neg")
-        return bw
-
-    return make_node(-a.data, (a,), "neg", build)
-
-
 def scale(a, s: float) -> Tensor:
     """Multiply by a python scalar (no dtype promotion)."""
     a = as_tensor(a)
@@ -100,79 +90,6 @@ def scale(a, s: float) -> Tensor:
         return bw
 
     return make_node(a.data * s, (a,), "scale", build)
-
-
-def log(a) -> Tensor:
-    a = as_tensor(a)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        data = np.log(a.data)
-
-    def build():
-        def bw(g):
-            if a.requires_grad:
-                a.accumulate_grad(g / a.data, "log")
-        return bw
-
-    return make_node(data, (a,), "log", build)
-
-
-def pow_const(a, p: float) -> Tensor:
-    a = as_tensor(a)
-    p = float(p)
-    data = a.data ** p
-
-    def build():
-        def bw(g):
-            if a.requires_grad:
-                a.accumulate_grad(g * p * a.data ** (p - 1.0), "pow")
-        return bw
-
-    return make_node(data, (a,), "pow", build)
-
-
-def abs_(a) -> Tensor:
-    a = as_tensor(a)
-
-    def build():
-        def bw(g):
-            if a.requires_grad:
-                a.accumulate_grad(g * np.sign(a.data), "abs")
-        return bw
-
-    return make_node(np.abs(a.data), (a,), "abs", build)
-
-
-def clamp(a, lo: float, hi: float) -> Tensor:
-    """Clip values; gradient passes only strictly inside the interval."""
-    a = as_tensor(a)
-    data = np.clip(a.data, lo, hi)
-
-    def build():
-        inside = (a.data > lo) & (a.data < hi)
-
-        def bw(g):
-            if a.requires_grad:
-                a.accumulate_grad(g * inside, "clamp")
-        return bw
-
-    return make_node(data, (a,), "clamp", build)
-
-
-def where(mask: np.ndarray, a, b) -> Tensor:
-    """Select per element from a (mask true) or b; mask is a constant."""
-    a, b = as_tensor(a), as_tensor(b)
-    mask = np.asarray(mask, dtype=bool)
-    data = np.where(mask, a.data, b.data)
-
-    def build():
-        def bw(g):
-            if a.requires_grad:
-                a.accumulate_grad(_unbroadcast(g * mask, a.shape), "where")
-            if b.requires_grad:
-                b.accumulate_grad(_unbroadcast(g * ~mask, b.shape), "where")
-        return bw
-
-    return make_node(data, (a, b), "where", build)
 
 
 def relu(a) -> Tensor:
@@ -345,7 +262,7 @@ def linear(x, w, b) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# softmax family
+# softmax
 
 
 def softmax(a, axis: int = -1) -> Tensor:
@@ -362,24 +279,6 @@ def softmax(a, axis: int = -1) -> Tensor:
         return bw
 
     return make_node(data, (a,), "softmax", build)
-
-
-def log_softmax(a, axis: int = -1) -> Tensor:
-    a = as_tensor(a)
-    m = a.data.max(axis=axis, keepdims=True)
-    shifted = a.data - m
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    data = shifted - lse
-
-    def build():
-        sm = np.exp(data)
-
-        def bw(g):
-            if a.requires_grad:
-                a.accumulate_grad(g - sm * g.sum(axis=axis, keepdims=True), "log_softmax")
-        return bw
-
-    return make_node(data, (a,), "log_softmax", build)
 
 
 # ---------------------------------------------------------------------------
@@ -720,3 +619,86 @@ def correlation_volume(x_left, x_right, n_disparities: int) -> Tensor:
         return bw
 
     return make_node(out, (x_left, x_right), "correlation_volume", build)
+
+
+# ---------------------------------------------------------------------------
+# losses: each sums over one input tensor against constant targets
+
+
+def focal_loss(p_hat, targets, alpha: float = 20.0, gamma: float = 2.0,
+               weights=None) -> Tensor:
+    """Summed focal loss on probabilities (Lin et al., ICCV 2017).
+
+    Target 1 costs -alpha (1 - p)^gamma log p, target 0 costs -p^gamma log(1 - p),
+    and ``weights`` scales each entry. p is clipped to [1e-7, 1 - 1e-7]; a
+    clipped entry gets no gradient. alpha = gamma = 1 gives -(1 - p_t) log p_t.
+    """
+    p_hat = as_tensor(p_hat)
+    eps = 1e-7
+    pos = np.asarray(targets) > 0.5
+    w = 1.0 if weights is None else np.asarray(weights, dtype=p_hat.dtype)
+    p = np.clip(p_hat.data, eps, 1.0 - eps)
+    q = 1.0 - p
+    p_t = np.where(pos, p, q)  # probability of the labelled outcome
+    rest = np.where(pos, q, p)  # 1 - p_t, not rounded through 1 - (1 - p)
+    log_pt = np.log(p_t)
+    loss = rest ** gamma * log_pt * np.where(pos, -alpha, -1.0).astype(p.dtype) * w
+
+    def build():
+        # d/dp of c rest^gamma log p_t, c = -alpha or -1; dp_t/dp = -drest/dp = +1 or -1
+        slope = np.where(pos, -alpha, 1.0).astype(p.dtype)
+        dp = slope * (rest ** gamma / p_t - gamma * rest ** (gamma - 1.0) * log_pt) * w
+        dp *= (p_hat.data > eps) & (p_hat.data < 1.0 - eps)
+
+        def bw(g):
+            if p_hat.requires_grad:
+                p_hat.accumulate_grad(g * dp, "focal_loss")
+        return bw
+
+    return make_node(loss.sum(), (p_hat,), "focal_loss", build)
+
+
+def smooth_l1(pred, target, beta: float = 0.04) -> Tensor:
+    """Summed smooth L1 of d = pred - target: 0.5 d^2 / beta where |d| < beta,
+    |d| - beta / 2 elsewhere."""
+    pred = as_tensor(pred)
+    d = pred.data - np.asarray(target, dtype=pred.dtype)
+    a = np.abs(d)
+    quad = a < beta
+    loss = np.where(quad, d * d * (0.5 / beta), a - 0.5 * beta)
+
+    def build():
+        dd = np.where(quad, d / beta, np.sign(d))
+
+        def bw(g):
+            if pred.requires_grad:
+                pred.accumulate_grad(g * dd, "smooth_l1")
+        return bw
+
+    return make_node(loss.sum(), (pred,), "smooth_l1", build)
+
+
+def soft_cross_entropy(logits, target, weights) -> Tensor:
+    """sum_i w_i (-sum_d t_id log softmax(x_i)_d) over the last axis, for
+    targets of the logits' shape and weights of their leading shape.
+
+    The gradient is w_i (softmax(x_i) sum_d t_id - t_i): w_i (softmax - t) for
+    distribution targets. All-zero weights give +0.0 and zero gradients.
+    """
+    logits = as_tensor(logits)
+    target = np.asarray(target, dtype=logits.dtype)
+    weights = np.asarray(weights, dtype=logits.dtype)
+    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
+    log_p = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    per_row = -(log_p * target).sum(axis=-1)
+
+    def build():
+        dx = np.exp(log_p) * target.sum(axis=-1, keepdims=True) - target
+        dx *= weights[..., None]
+
+        def bw(g):
+            if logits.requires_grad:
+                logits.accumulate_grad(g * dx, "soft_cross_entropy")
+        return bw
+
+    return make_node((per_row * weights).sum(), (logits,), "soft_cross_entropy", build)

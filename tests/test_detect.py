@@ -21,18 +21,16 @@ from ts3d.detect import (
     decode_orientation,
     encode_box,
     encode_orientation,
-    focal_loss,
     generate_anchors,
     iou_axis_aligned,
     layer_detection_loss,
     nms_2d,
-    orientation_bce,
-    smooth_l1,
     total_loss,
     wrap_angle,
 )
 from ts3d.gradcheck import grad_check
 from ts3d.kitti_io import ObjectLabel
+from ts3d.ops import focal_loss, smooth_l1
 from ts3d.synth import SynthParams, synth_scene
 from ts3d.tensor import Tensor, no_grad
 
@@ -337,19 +335,23 @@ def test_smooth_l1_gradcheck():
 
 
 def test_orientation_bce_golden_values():
-    assert orientation_bce(Tensor(np.array([1.0 - 1e-9])), np.array([1.0])).item() == pytest.approx(0.0, abs=1e-6)
-    val = orientation_bce(Tensor(np.array([0.5]), dtype=np.float64), np.array([1.0])).item()
+    assert focal_loss(Tensor(np.array([1.0 - 1e-9])), np.array([1.0]),
+                      alpha=1.0, gamma=1.0).item() == pytest.approx(0.0, abs=1e-6)
+    val = focal_loss(Tensor(np.array([0.5]), dtype=np.float64), np.array([1.0]),
+                     alpha=1.0, gamma=1.0).item()
     assert val == pytest.approx(-(1 - 0.5) * math.log(0.5), abs=1e-9)
     assert val == pytest.approx(0.3466, abs=1e-4)
     # symmetric treatment of the zero branch
-    val0 = orientation_bce(Tensor(np.array([0.5]), dtype=np.float64), np.array([0.0])).item()
+    val0 = focal_loss(Tensor(np.array([0.5]), dtype=np.float64), np.array([0.0]),
+                      alpha=1.0, gamma=1.0).item()
     assert val0 == pytest.approx(val, abs=1e-12)
 
 
 def test_orientation_bce_finite_at_clamp():
     for p in (0.0, 1.0):
         for t in (0.0, 1.0):
-            v = orientation_bce(Tensor(np.array([p]), dtype=np.float64), np.array([t])).item()
+            v = focal_loss(Tensor(np.array([p]), dtype=np.float64), np.array([t]),
+                           alpha=1.0, gamma=1.0).item()
             assert np.isfinite(v)
 
 

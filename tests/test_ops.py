@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ts3d import ops
+from ts3d.disphead import stereo_focal_loss
 from ts3d.gradcheck import grad_check, rand_tensor
 from ts3d.tensor import DimensionError, Tensor
 
@@ -180,23 +181,6 @@ def test_sum_of_softmax_has_zero_gradient():
     assert err < 1e-9
 
 
-def test_log_softmax_matches_log_of_softmax():
-    x = Tensor(RNG.normal(size=(3, 7)), dtype=np.float64)
-    a = ops.log_softmax(x, axis=1).data
-    b = np.log(ops.softmax(x, axis=1).data)
-    assert np.allclose(a, b, atol=1e-12)
-
-
-def test_log_softmax_gradcheck():
-    rng = np.random.default_rng(12)
-    x = rand_tensor(rng, (3, 5))
-
-    def f(x_):
-        return ops.sum_(ops.mul(ops.log_softmax(x_, axis=1), _probe((3, 5))))
-
-    assert grad_check(f, [x], eps=1e-6) < 1e-6
-
-
 # ---------------------------------------------------------------------------
 # attention
 
@@ -339,10 +323,7 @@ def test_elementwise_gradchecks():
         (lambda a, b: ops.sum_(ops.mul(ops.add(a, b), _probe((7,)))), [x, y]),
         (lambda a, b: ops.sum_(ops.mul(ops.sub(a, b), _probe((7,)))), [x, y]),
         (lambda a, b: ops.sum_(ops.mul(ops.mul(a, b), _probe((7,)))), [x, y]),
-        (lambda a: ops.sum_(ops.mul(ops.log(a), _probe((7,)))), [x]),
         (lambda a: ops.sum_(ops.mul(ops.sigmoid(a), _probe((7,)))), [x]),
-        (lambda a: ops.sum_(ops.mul(ops.pow_const(a, 2.0), _probe((7,)))), [x]),
-        (lambda a: ops.sum_(ops.mul(ops.abs_(a), _probe((7,)))), [x]),
     ]
     for f, args in checks:
         assert grad_check(f, args, eps=1e-6) < 1e-6
@@ -361,22 +342,69 @@ def test_shape_op_gradchecks():
         assert grad_check(f, [x]) < 1e-6
 
 
-def test_where_and_clamp():
-    mask = np.array([True, False, True])
-    a = Tensor([1.0, 1.0, 1.0])
-    b = Tensor([5.0, 5.0, 5.0])
-    assert np.allclose(ops.where(mask, a, b).data, [1.0, 5.0, 1.0])
-    c = ops.clamp(Tensor([-2.0, 0.5, 9.0]), 0.0, 1.0)
-    assert np.allclose(c.data, [0.0, 0.5, 1.0])
-    rng = np.random.default_rng(21)
-    x = rand_tensor(rng, (6,))
-    y = rand_tensor(rng, (6,))
-    m = rng.uniform(size=6) > 0.5
+# ---------------------------------------------------------------------------
+# losses
 
-    def f(a_, b_):
-        return ops.sum_(ops.mul(ops.where(m, a_, b_), _probe((6,))))
 
-    assert grad_check(f, [x, y]) < 1e-6
+def _focal_reference(p, t, alpha, gamma, w):
+    """Per-entry focal loss written out in numpy, on probabilities clipped as the op does."""
+    p = np.clip(p, 1e-7, 1.0 - 1e-7)
+    pos = -alpha * (1.0 - p) ** gamma * np.log(p)
+    neg = -(p ** gamma) * np.log(1.0 - p)
+    return w * np.where(t > 0.5, pos, neg)
+
+
+@pytest.mark.parametrize("alpha, gamma", [(20.0, 2.0), (1.0, 1.0), (0.25, 0.5)])
+def test_focal_loss_matches_its_formula_and_clipped_entries_get_no_gradient(alpha, gamma):
+    p = np.array([0.0, 1e-9, 1e-7, 0.03, 0.3, 0.5, 0.7, 0.97, 1.0 - 1e-7, 1.0 - 1e-9, 1.0,
+                  0.0, 1e-9, 0.2, 0.6, 0.9, 1.0 - 1e-9, 1.0])
+    t = np.array([1.0] * 11 + [0.0] * 7)
+    w = np.random.default_rng(22).uniform(0.5, 2.0, size=p.shape)
+    w[4] = 0.0
+    x = Tensor(p, dtype=np.float64, requires_grad=True)
+    loss = ops.focal_loss(x, t, alpha=alpha, gamma=gamma, weights=w)
+    assert loss.item() == pytest.approx(_focal_reference(p, t, alpha, gamma, w).sum(), rel=1e-12)
+    loss.backward()
+    clipped = (p <= 1e-7) | (p >= 1.0 - 1e-7)
+    assert not x.grad[clipped].any()
+    h = 1e-8
+    fd = (_focal_reference(p + h, t, alpha, gamma, w)
+          - _focal_reference(p - h, t, alpha, gamma, w)) / (2 * h)
+    assert np.allclose(x.grad[~clipped], fd[~clipped], rtol=1e-6, atol=1e-9)
+
+
+def test_soft_cross_entropy_matches_its_formula():
+    rng = np.random.default_rng(23)
+    x = Tensor(rng.normal(size=(2, 3, 5)), dtype=np.float64, requires_grad=True)
+    t = rng.uniform(size=(2, 3, 5))
+    t[0] /= t[0].sum(axis=-1, keepdims=True)  # distributions in row 0, not in row 1
+    w = rng.uniform(size=(2, 3))
+    loss = ops.soft_cross_entropy(x, t, w)
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
+    log_p = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    assert loss.item() == pytest.approx((w * -(t * log_p).sum(axis=-1)).sum(), rel=1e-12)
+    assert grad_check(lambda x_: ops.soft_cross_entropy(x_, t, w), [x], eps=1e-6) < 1e-6
+
+
+def test_soft_cross_entropy_with_zero_weights_is_positive_zero_with_zero_gradient():
+    x = Tensor(np.random.default_rng(24).normal(size=(3, 4)), requires_grad=True)
+    loss = ops.soft_cross_entropy(x, np.full((3, 4), 0.25), np.zeros(3))
+    assert loss.item() == 0.0 and not np.signbit(loss.item())
+    loss.backward()
+    assert x.grad is not None and not x.grad.any()
+
+
+@pytest.mark.parametrize("loss_of, shape", [
+    (lambda x: ops.focal_loss(x, np.eye(4, 3), weights=np.ones((4, 3))), (4, 3)),
+    (lambda x: ops.smooth_l1(x, np.zeros((4, 3))), (4, 3)),
+    (lambda x: stereo_focal_loss(x, np.ones((4, 3)), np.eye(4, 3, dtype=bool))[0], (4, 3, 5)),
+], ids=["focal_loss", "smooth_l1", "stereo_focal_loss"])
+def test_each_loss_is_one_graph_node_on_its_input(loss_of, shape):
+    rng = np.random.default_rng(25)
+    x = Tensor(rng.uniform(0.1, 0.9, size=shape).astype(np.float32), requires_grad=True)
+    loss = loss_of(x)
+    assert loss.size == 1 and loss.dtype == np.float32
+    assert loss._parents == (x,)
 
 
 # ---------------------------------------------------------------------------

@@ -407,6 +407,36 @@ def test_cli_synth_takes_anchor_scales_from_the_config(tmp_path):
     assert "prior.Car.1.z=" in manifest
 
 
+def test_cli_class_without_training_labels_gets_a_prior_per_anchor_scale(tmp_path):
+    scales = ("--preset", "toy", "--set", "anchor_scales=2")
+    r = _cli("synth", "--out", "data", "--frames", "1", "--objects", "0,0", *scales,
+             cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    r = _cli("pseudogt", "--data", "data", *scales, cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    r = _cli("train", "--data", "data", "--out", "run", *scales, "--set", "total_steps=1",
+             "--set", "checkpoint_every=1", "--quiet", cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    manifest = (tmp_path / "data" / MANIFEST_NAME).read_text()
+    assert "prior.Car.1.z=" in manifest
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("train", "--print-every", "0"), ("train", "--print-every", "-3"),
+    ("eval", "--iou", "0"), ("eval", "--iou", "-0.2"), ("eval", "--iou", "1.5"),
+    ("eval", "--iou", "nan"),
+])
+def test_cli_rejects_bad_print_every_and_iou_before_any_work(toy_dataset, tmp_path, command,
+                                                             flag, value):
+    inputs = {"train": ("--data", str(toy_dataset), "--out", "run",
+                        "--set", "total_steps=1", "--set", "checkpoint_every=1"),
+              "eval": ("--pred", str(toy_dataset / "label_2"), "--gt", str(toy_dataset))}
+    r = _cli(command, *inputs[command], "--preset", "toy", f"{flag}={value}", cwd=tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert flag in r.stderr and "Traceback" not in r.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--objects", "3"), ("--objects", "4,1"), ("--objects", "-1,2"), ("--objects", "a,b"),
     ("--z-range", "30,4"), ("--z-range", "0,9"), ("--z-range", "4"),
