@@ -116,6 +116,17 @@ def run_op_checks(seed: int = 0):
           lambda q_, k_, v_: _weighted(ops.attention(q_, k_, v_, 2), _probe((n_att, 4))),
           [rand_tensor(rng, (n_att, 4)) for _ in range(3)])
     check("scale", lambda x_: _weighted(ops.scale(x_, -2.5), _probe((10,))), [v])
+
+    for tag, (h, w, stride, relu) in (("s1-relu", (5, 6, 1, True)),
+                                       ("s2-linear", (7, 6, 2, False))):
+        ho, wo = (h - 1) // stride + 1, (w - 1) // stride + 1
+        check(
+            f"conv_norm_act[{tag}]",
+            lambda x_, k_, g_, b_, s=stride, r=relu, p=_probe((ho, wo, 4)): _weighted(
+                ops.conv_norm_act(x_, k_, g_, b_, r, s, 1), p),
+            [rand_tensor(rng, (h, w, 3)), rand_tensor(rng, (3, 3, 3, 4)),
+             rand_tensor(rng, (4,), lo=0.5, hi=1.5), rand_tensor(rng, (4,))],
+        )
     return results
 
 

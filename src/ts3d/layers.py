@@ -61,7 +61,9 @@ class ChannelNorm(Module):
 
 
 class ConvNorm(Module):
-    """3x3 conv -> channel_norm -> optional relu."""
+    """3x3 conv -> channel_norm -> optional relu, run as one fused
+    ``ops.conv_norm_act`` node; the ``conv`` and ``norm`` children only hold
+    its parameters (``conv.w``, ``norm.gamma``, ``norm.beta``)."""
 
     def __init__(self, rng, c_in, c_out, stride=1, act=True):
         super().__init__()
@@ -70,5 +72,5 @@ class ConvNorm(Module):
         self.act = act
 
     def forward(self, x):
-        y = self.norm.forward(self.conv.forward(x))
-        return ops.relu(y) if self.act else y
+        return ops.conv_norm_act(x, self.conv.w, self.norm.gamma, self.norm.beta,
+                                 self.act, self.conv.stride, self.conv.padding)

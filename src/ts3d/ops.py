@@ -1,11 +1,12 @@
 """Differentiable operators over Tensor.
 
 Exactly the operator set the detector needs: elementwise arithmetic (add,
-sub, mul, scale, relu, sigmoid), reductions, shape ops, matmul, conv2d,
-bilinear sampling, normalization, softmax, row-blocked multi-head attention,
-nearest upsampling, the stereo correlation volume, and the training losses
-(focal_loss, smooth_l1, soft_cross_entropy), each one node with a closed-form
-backward.
+sub, mul, scale, relu, sigmoid), reductions, shape ops, matmul, conv2d (a
+row-blocked im2col GEMM), bilinear sampling, normalization, the backbone's
+fused conv -> channel_norm -> relu (conv_norm_act), softmax, row-blocked
+multi-head attention, nearest upsampling, the stereo correlation volume, and
+the training losses (focal_loss, smooth_l1, soft_cross_entropy); each fused op
+is one node with a closed-form backward.
 Each op validates shapes up front and registers a backward closure that
 accumulates into its parents (fan-out gradients add).
 """
@@ -15,8 +16,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .tensor import DimensionError, Tensor, as_tensor, make_node
+from .tensor import DimensionError, Tensor, as_tensor, grad_enabled, make_node
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -363,8 +365,10 @@ def attention(q, k, v, heads: int) -> Tensor:
 # ---------------------------------------------------------------------------
 # normalization
 
+NORM_EPS = 1e-5
 
-def channel_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
+
+def channel_norm(x, gamma, beta, eps: float = NORM_EPS) -> Tensor:
     """Per-channel affine normalization over all leading (spatial) axes.
 
     Statistics come from the single sample itself, so the result is
@@ -406,25 +410,34 @@ def channel_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
 # ---------------------------------------------------------------------------
 # convolution
 
+# Upper bound on the elements of one im2col column block: output rows are
+# taken max(1, CONV_COLUMN_ELEMENTS // (wo * kh * kw * cin)) at a time.
+CONV_COLUMN_ELEMENTS = 1 << 20
+
 
 def conv_output_extent(n: int, k: int, stride: int, padding: int) -> int:
     return (n + 2 * padding - k) // stride + 1
 
 
-def _shifted(xp: np.ndarray, i: int, j: int, stride: int, ho: int, wo: int):
-    view = xp[i : i + (ho - 1) * stride + 1 : stride,
-              j : j + (wo - 1) * stride + 1 : stride, :]
-    return view.reshape(ho * wo, xp.shape[2])
+def _im2col_blocks(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int):
+    """Yield (r0, r1, columns) over blocks of output rows; ``columns`` is the
+    ((r1 - r0) * wo, kh * kw * cin) im2col matrix of output rows [r0, r1),
+    its columns ordered (tap row, tap column, input channel)."""
+    cin = xp.shape[2]
+    windows = sliding_window_view(xp, (kh, kw), axis=(0, 1))[::stride, ::stride]
+    windows = windows.transpose(0, 1, 3, 4, 2)
+    rows = max(1, CONV_COLUMN_ELEMENTS // (wo * kh * kw * cin))
+    for r0 in range(0, ho, rows):
+        r1 = min(r0 + rows, ho)
+        yield r0, r1, windows[r0:r1].reshape(-1, kh * kw * cin)
 
 
-def conv2d(x, kernel, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
-    """2-D convolution over an (H, W, Cin) input with an (kh, kw, Cin, Cout)
-    kernel. Differentiable w.r.t. input, kernel, bias.
+def _conv_forward(x: Tensor, kernel: Tensor, stride: int, padding: int):
+    """Check the shapes of a conv and compute it without bias.
 
-    Computed as one GEMM per kernel tap over shifted input views, which keeps
-    both directions of the backward pass on the GEMM path as well.
+    Returns the padded input, which the backward pass needs, and the
+    (ho, wo, cout) output.
     """
-    x, kernel = as_tensor(x), as_tensor(kernel)
     if x.ndim != 3 or kernel.ndim != 4:
         raise DimensionError(
             f"conv2d expects (H,W,Cin) input and (kh,kw,Cin,Cout) kernel, got "
@@ -450,44 +463,117 @@ def conv2d(x, kernel, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
     xp = x.data
     if padding:
         xp = np.pad(xp, ((padding, padding), (padding, padding), (0, 0)))
-    kmat = kernel.data
-    out = np.zeros((ho * wo, cout), dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            out += _shifted(xp, i, j, stride, ho, wo) @ kmat[i, j]
+    kmat = kernel.data.reshape(kh * kw * cin, cout)
+    out = np.empty((ho * wo, cout), dtype=x.dtype)
+    for r0, r1, cols in _im2col_blocks(xp, kh, kw, stride, ho, wo):
+        np.matmul(cols, kmat, out=out[r0 * wo : r1 * wo])
+    return xp, out.reshape(ho, wo, cout)
+
+
+def _conv_backward(x: Tensor, kernel: Tensor, xp: np.ndarray, g: np.ndarray,
+                   stride: int, padding: int, op: str) -> None:
+    """Accumulate the input and kernel gradients of a bias-free conv from its
+    (ho, wo, cout) output gradient ``g``: the kernel gradient as im2col GEMMs,
+    the input gradient as a GEMM and a strided scatter-add for each tap."""
+    kh, kw, cin, cout = kernel.shape
+    ho, wo, _ = g.shape
+    gmat = g.reshape(ho * wo, cout)
+    if kernel.requires_grad:
+        gk = np.zeros((kh * kw * cin, cout), dtype=kernel.dtype)
+        for r0, r1, cols in _im2col_blocks(xp, kh, kw, stride, ho, wo):
+            gk += cols.T @ gmat[r0 * wo : r1 * wo]
+        kernel.accumulate_grad(gk.reshape(kernel.shape), op)
+    if x.requires_grad:
+        gxp = np.zeros_like(xp)
+        for i in range(kh):
+            for j in range(kw):
+                gxp[i : i + (ho - 1) * stride + 1 : stride,
+                    j : j + (wo - 1) * stride + 1 : stride, :] += (
+                    gmat @ kernel.data[i, j].T
+                ).reshape(ho, wo, cin)
+        if padding:
+            h, w, _ = x.shape
+            gxp = np.ascontiguousarray(gxp[padding : padding + h, padding : padding + w])
+        x.accumulate_grad(gxp, op)
+
+
+def conv2d(x, kernel, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
+    """2-D convolution over an (H, W, Cin) input with an (kh, kw, Cin, Cout)
+    kernel. Differentiable w.r.t. input, kernel, bias.
+
+    The forward pass and the kernel gradient are im2col GEMMs over blocks of
+    output rows (Chellapilla et al., 2006), each block's column matrix capped
+    at CONV_COLUMN_ELEMENTS; the input gradient is scattered tap by tap.
+    """
+    x, kernel = as_tensor(x), as_tensor(kernel)
+    xp, out = _conv_forward(x, kernel, stride, padding)
     if bias is not None:
         out += bias.data
-    out = out.reshape(ho, wo, cout)
 
     parents = (x, kernel) if bias is None else (x, kernel, bias)
 
     def build():
         def bw(g):
-            gmat = g.reshape(ho * wo, cout)
             if bias is not None and bias.requires_grad:
-                bias.accumulate_grad(gmat.sum(axis=0), "conv2d")
-            if kernel.requires_grad:
-                gk = np.empty_like(kernel.data)
-                for i in range(kh):
-                    for j in range(kw):
-                        gk[i, j] = _shifted(xp, i, j, stride, ho, wo).T @ gmat
-                kernel.accumulate_grad(gk, "conv2d")
-            if x.requires_grad:
-                gxp = np.zeros_like(xp)
-                for i in range(kh):
-                    for j in range(kw):
-                        gxp[i : i + (ho - 1) * stride + 1 : stride,
-                            j : j + (wo - 1) * stride + 1 : stride, :] += (
-                            gmat @ kmat[i, j].T
-                        ).reshape(ho, wo, cin)
-                if padding:
-                    gxp = np.ascontiguousarray(
-                        gxp[padding : padding + h, padding : padding + w]
-                    )
-                x.accumulate_grad(gxp, "conv2d")
+                bias.accumulate_grad(g.sum(axis=(0, 1)), "conv2d")
+            _conv_backward(x, kernel, xp, g, stride, padding, "conv2d")
         return bw
 
     return make_node(out, parents, "conv2d", build)
+
+
+def conv_norm_act(x, kernel, gamma, beta, relu: bool, stride: int, padding: int) -> Tensor:
+    """``relu(channel_norm(conv2d(x, kernel), gamma, beta))`` as one node; the
+    relu is applied only when ``relu`` is true.
+
+    The conv is conv2d's bias-free path. Its output is centred in place, the
+    variance comes from one pass (``einsum('nc,nc->c')``), and the affine and
+    relu are applied in place; with a graph the normalized values are kept
+    for the hand-written backward, otherwise the conv output buffer becomes
+    the result.
+    """
+    x, kernel = as_tensor(x), as_tensor(kernel)
+    gamma, beta = as_tensor(gamma), as_tensor(beta)
+    xp, y = _conv_forward(x, kernel, stride, padding)
+    ho, wo, cout = y.shape
+    if gamma.shape != (cout,) or beta.shape != (cout,):
+        raise DimensionError(
+            f"conv_norm_act affine shapes {gamma.shape}/{beta.shape} do not match "
+            f"channel count {cout}"
+        )
+    parents = (x, kernel, gamma, beta)
+    keep_xhat = grad_enabled() and any(p.requires_grad for p in parents)
+    n = ho * wo
+    xhat = y.reshape(n, cout)
+    xhat -= xhat.mean(axis=0)
+    inv = 1.0 / np.sqrt(np.einsum("nc,nc->c", xhat, xhat) / n + NORM_EPS)
+    xhat *= inv
+    out = np.multiply(xhat, gamma.data, out=None if keep_xhat else xhat)
+    out += beta.data
+    if relu:
+        np.maximum(out, 0.0, out=out)
+
+    def build():
+        def bw(g):
+            ga = g.reshape(n, cout)
+            if relu:
+                ga = ga * (out > 0)
+            g_beta = ga.sum(axis=0)
+            g_gamma = np.einsum("nc,nc->c", ga, xhat)
+            if gamma.requires_grad:
+                gamma.accumulate_grad(g_gamma, "conv_norm_act")
+            if beta.requires_grad:
+                beta.accumulate_grad(g_beta, "conv_norm_act")
+            if x.requires_grad or kernel.requires_grad:
+                gy = xhat * (g_gamma / n)
+                np.subtract(ga, gy, out=gy)
+                gy -= g_beta / n
+                gy *= inv * gamma.data
+                _conv_backward(x, kernel, xp, gy.reshape(ho, wo, cout), stride, padding,
+                               "conv_norm_act")
+        return bw
+
+    return make_node(out.reshape(ho, wo, cout), parents, "conv_norm_act", build)
 
 
 def upsample2x(x) -> Tensor:

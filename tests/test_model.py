@@ -1,11 +1,16 @@
 """Full-model integration: wiring, shapes, determinism, encoding modes."""
 
+import hashlib
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from ts3d import ops
 from ts3d.config import RunConfig
 from ts3d.dataset import FrameData
 from ts3d.disphead import block_match_stereo
+from ts3d.layers import ConvNorm
 from ts3d.model import TS3D, dape_similarity_heatmap
 from ts3d.synth import SynthParams, synth_scene
 from ts3d.tensor import ConfigError, Tensor, no_grad
@@ -18,12 +23,12 @@ def _toy_cfg(**kw):
     return cfg.validate()
 
 
-def _toy_frame(seed=5):
-    params = SynthParams(width=64, height=32, focal=40.0, baseline=0.5,
-                         n_objects=(2, 2), z_range=(4.5, 9.0),
-                         w_range=(1.8, 2.2), l_range=(2.5, 3.5))
+def _toy_frame(seed=5, params=None, max_disp=16, window=7):
+    params = params or SynthParams(width=64, height=32, focal=40.0, baseline=0.5,
+                                   n_objects=(2, 2), z_range=(4.5, 9.0),
+                                   w_range=(1.8, 2.2), l_range=(2.5, 3.5))
     f = synth_scene(seed, params)
-    dl, vl, dr, vr = block_match_stereo(f.left, f.right, 16, 7)
+    dl, vl, dr, vr = block_match_stereo(f.left, f.right, max_disp, window)
     return FrameData(frame_id="t", left=f.left, right=f.right, calib=f.calib,
                      labels=f.labels, pseudo_disp=dl, pseudo_valid=vl,
                      pseudo_disp_right=dr, pseudo_valid_right=vr)
@@ -197,3 +202,66 @@ def test_heatmap_probe_self_similarity_is_max():
     sim = dape_similarity_heatmap(out, (1, 1), (2, 4))
     assert sim.shape == (2, 4)
     assert sim.min() >= 0 and sim.max() <= 1.0
+
+
+def _modules(root):
+    yield root
+    for child in root._children.values():
+        yield from _modules(child)
+
+
+def _graph_ops(root):
+    """Op names of the recorded nodes (those with a backward) reachable from root."""
+    ops_seen, seen, stack = Counter(), set(), [root]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            if t._backward_fn is not None:
+                ops_seen[t.op] += 1
+            stack.extend(t._parents)
+    return ops_seen
+
+
+def _unfused_conv_norm_forward(self, x):
+    y = self.norm.forward(self.conv.forward(x))
+    return ops.relu(y) if self.act else y
+
+
+def test_each_backbone_conv_norm_is_one_graph_node(monkeypatch):
+    """The desk training graph holds one conv_norm_act node per ConvNorm and
+    view, 26 nodes per view fewer than the conv2d -> channel_norm -> relu chain."""
+    cfg = RunConfig.desk()
+    model = TS3D(cfg, rng=np.random.default_rng(0))
+    frame = _toy_frame(seed=3, params=SynthParams(width=cfg.width, height=cfg.height),
+                       max_disp=cfg.resolved_bm_max_disp(), window=cfg.bm_window)
+    conv_norms = [m for m in _modules(model) if isinstance(m, ConvNorm)]
+    saved_per_view = sum(1 + m.act for m in conv_norms)
+    assert (len(conv_norms), saved_per_view) == (16, 26)
+
+    fused_loss, _ = model.train_step_loss(frame)
+    fused = _graph_ops(fused_loss)
+    monkeypatch.setattr(ConvNorm, "forward", _unfused_conv_norm_forward)
+    chain_loss, _ = model.train_step_loss(frame)
+    chain = _graph_ops(chain_loss)
+
+    assert fused["conv_norm_act"] == 2 * len(conv_norms)
+    assert chain["conv_norm_act"] == 0
+    assert sum(chain.values()) - sum(fused.values()) == 2 * saved_per_view
+    assert fused_loss.item() == pytest.approx(chain_loss.item(), rel=1e-5)
+
+
+# SHA-256 of the desk model's "<name> <shape>" lines, one per parameter in
+# named_parameters() order, as the unfused backbone defined them.
+DESK_PARAMETER_DIGEST = "c39de2cb09124c11c5e305e068a6c9c1fd8d377eb838052a6dad077ab8e474d9"
+
+
+def test_desk_parameter_names_and_shapes_are_unchanged():
+    model = TS3D(RunConfig.desk(), rng=np.random.default_rng(0))
+    params = list(model.named_parameters())
+    lines = "\n".join(f"{name} {p.shape}" for name, p in params)
+    assert len(params) == 140
+    assert [(n, p.shape) for n, p in params[:3]] == [
+        ("backbone.stem.conv.w", (3, 3, 3, 32)), ("backbone.stem.norm.gamma", (32,)),
+        ("backbone.stem.norm.beta", (32,))]
+    assert hashlib.sha256(lines.encode()).hexdigest() == DESK_PARAMETER_DIGEST

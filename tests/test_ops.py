@@ -74,6 +74,101 @@ def _probe(shape):
     return Tensor(np.random.default_rng(99).normal(size=shape), dtype=np.float64)
 
 
+def _conv_per_tap(x, k, b, g, stride, padding):
+    """Per-tap reference: output and (x, kernel, bias) gradients for output
+    gradient g, one GEMM per kernel tap over strided views."""
+    kh, kw, cin, cout = k.shape
+    xp = np.pad(x, ((padding, padding), (padding, padding), (0, 0)))
+    ho, wo = g.shape[:2]
+    out = np.zeros((ho, wo, cout))
+    gxp = np.zeros_like(xp)
+    gk = np.zeros_like(k)
+    for i in range(kh):
+        for j in range(kw):
+            rows = slice(i, i + (ho - 1) * stride + 1, stride)
+            cols = slice(j, j + (wo - 1) * stride + 1, stride)
+            out += xp[rows, cols] @ k[i, j]
+            gk[i, j] = xp[rows, cols].reshape(-1, cin).T @ g.reshape(-1, cout)
+            gxp[rows, cols] += g @ k[i, j].T
+    gx = gxp[padding : padding + x.shape[0], padding : padding + x.shape[1]]
+    return out + b, gx, gk, g.sum(axis=(0, 1))
+
+
+@pytest.mark.parametrize("row_block", [False, True], ids=["one-block", "row-blocks"])
+@pytest.mark.parametrize("k,stride", [(1, 1), (1, 2), (3, 1), (3, 2)])
+def test_conv2d_matches_per_tap_reference(k, stride, row_block, monkeypatch):
+    if row_block:
+        monkeypatch.setattr(ops, "CONV_COLUMN_ELEMENTS", 1)  # one output row per block
+    rng = np.random.default_rng(30 + k + stride)
+    x, kern, b = rng.normal(size=(9, 11, 5)), rng.normal(size=(k, k, 5, 4)), rng.normal(size=4)
+    pad = k // 2
+    ho, wo = (9 + 2 * pad - k) // stride + 1, (11 + 2 * pad - k) // stride + 1
+    g = rng.normal(size=(ho, wo, 4))
+    ts = [Tensor(a, requires_grad=True) for a in (x, kern, b)]
+    out = ops.conv2d(*ts, stride=stride, padding=pad)
+    ops.sum_(ops.mul(out, Tensor(g))).backward()
+    ref = _conv_per_tap(x, kern, b, g, stride, pad)
+    for name, a, r in zip(("out", "dx", "dk", "db"), [out.data] + [t.grad for t in ts], ref):
+        assert np.abs(a - r).max() <= 1e-12 * np.abs(r).max(), name
+
+
+# ---------------------------------------------------------------------------
+# conv_norm_act
+
+
+def _conv_norm_act_reference(x, k, gamma, beta, relu, stride):
+    """The unfused chain conv2d -> channel_norm -> relu as three graph nodes."""
+    y = ops.channel_norm(ops.conv2d(x, k, stride=stride, padding=1), gamma, beta)
+    return ops.relu(y) if relu else y
+
+
+def _with_grads(fn, arrays, probe, dtype):
+    """Output of fn on dtype copies of arrays, then each input's gradient of
+    sum(output * probe)."""
+    ts = [Tensor(a.astype(dtype), requires_grad=True) for a in arrays]
+    out = fn(*ts)
+    ops.sum_(ops.mul(out, Tensor(probe.astype(dtype)))).backward()
+    return [out.data] + [t.grad for t in ts]
+
+
+@pytest.mark.parametrize("row_block", [False, True], ids=["one-block", "row-blocks"])
+@pytest.mark.parametrize("cin", [3, 32])
+@pytest.mark.parametrize("relu", [True, False], ids=["relu", "linear"])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)],
+                         ids=["float64", "float32"])
+def test_conv_norm_act_matches_unfused_chain(dtype, tol, stride, relu, cin, row_block,
+                                             monkeypatch):
+    rng = np.random.default_rng(40 + cin + stride)
+    h, w, cout = 13, 10, 6
+    arrays = [rng.normal(size=(h, w, cin)), rng.normal(size=(3, 3, cin, cout)),
+              rng.uniform(0.5, 1.5, size=cout), rng.normal(size=cout)]
+    probe = rng.normal(size=((h - 1) // stride + 1, (w - 1) // stride + 1, cout))
+    ref = _with_grads(lambda *t: _conv_norm_act_reference(*t, relu, stride), arrays, probe,
+                      dtype)
+    if row_block:
+        monkeypatch.setattr(ops, "CONV_COLUMN_ELEMENTS", 1)  # one output row per block
+    fused = _with_grads(lambda *t: ops.conv_norm_act(*t, relu, stride, 1), arrays, probe,
+                        dtype)
+    for name, a, b in zip(("out", "dx", "dkernel", "dgamma", "dbeta"), fused, ref):
+        assert a.dtype == dtype, name
+        assert np.abs(a - b).max() <= tol * np.abs(b).max(), name
+
+
+@pytest.mark.parametrize("x_shape,k_shape", [
+    ((5, 5, 3), (2, 3, 3, 4)),
+    ((5, 5, 3), (3, 3, 4, 4)),
+    ((1, 1, 3), (5, 5, 3, 4)),
+], ids=["even-kernel", "channel-mismatch", "empty-output"])
+def test_conv_norm_act_shape_errors_match_conv2d(x_shape, k_shape):
+    x, k = Tensor(np.zeros(x_shape)), Tensor(np.zeros(k_shape))
+    with pytest.raises(DimensionError) as conv_err:
+        ops.conv2d(x, k, stride=1, padding=1)
+    with pytest.raises(DimensionError) as fused_err:
+        ops.conv_norm_act(x, k, Tensor(np.ones(4)), Tensor(np.zeros(4)), True, 1, 1)
+    assert str(fused_err.value) == str(conv_err.value)
+
+
 # ---------------------------------------------------------------------------
 # bilinear sampling
 
@@ -196,21 +291,13 @@ def _attention_reference(q, k, v, heads):
     return ops.concat(ctx, axis=1)
 
 
-def _attention_with_grads(fn, q, k, v, probe, dtype):
-    ts = [Tensor(a.astype(dtype), requires_grad=True) for a in (q, k, v)]
-    out = fn(*ts)
-    ops.sum_(ops.mul(out, Tensor(probe.astype(dtype)))).backward()
-    return [out.data] + [t.grad for t in ts]
-
-
 @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-6)])
 def test_attention_matches_unfused_composition(dtype, tol):
     rng = np.random.default_rng(21)
     n, c, heads = 2 * ops.ATTENTION_ROW_BLOCK + 45, 32, 4  # two full blocks + a partial one
     q, k, v, probe = (rng.normal(size=(n, c)) for _ in range(4))
-    fused = _attention_with_grads(lambda *t: ops.attention(*t, heads), q, k, v, probe, dtype)
-    ref = _attention_with_grads(lambda *t: _attention_reference(*t, heads), q, k, v, probe,
-                                dtype)
+    fused = _with_grads(lambda *t: ops.attention(*t, heads), (q, k, v), probe, dtype)
+    ref = _with_grads(lambda *t: _attention_reference(*t, heads), (q, k, v), probe, dtype)
     for name, a, b in zip(("out", "dq", "dk", "dv"), fused, ref):
         assert a.dtype == dtype, name
         assert np.abs(a - b).max() <= tol * np.abs(b).max(), name
