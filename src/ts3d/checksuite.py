@@ -19,7 +19,7 @@ from .detect import DetectionHead
 from .disphead import softargmax, stereo_focal_loss, block_match_stereo
 from .gradcheck import grad_check, rand_tensor
 from .model import TS3D
-from .spfpn import SPFPN, intra_scale_fuse
+from .spfpn import SPFPN, LevelProjection, intra_scale_fuse
 from .synth import SynthParams, synth_scene
 from .tensor import Tensor
 
@@ -127,6 +127,16 @@ def run_op_checks(seed: int = 0):
             [rand_tensor(rng, (h, w, 3)), rand_tensor(rng, (3, 3, 3, 4)),
              rand_tensor(rng, (4,), lo=0.5, hi=1.5), rand_tensor(rng, (4,))],
         )
+    check("linear_heads",
+          lambda x_, w_, b_: _weighted(ops.linear_heads(x_, w_, b_, 3), _probe((3, 2, 3, 2))),
+          [rand_tensor(rng, (2, 3, 4)), rand_tensor(rng, (4, 6)), rand_tensor(rng, (6,))])
+    # two levels, two heads, three queries, two points per level
+    check("ms_deform_attn",
+          lambda v1, v2, loc, aw: _weighted(ops.ms_deform_attn([v1, v2], loc, aw),
+                                            _probe((3, 6))),
+          [rand_tensor(rng, (2, 3, 4, 3)), rand_tensor(rng, (2, 2, 3, 3)),
+           rand_tensor(rng, (3, 2, 2, 2, 2), lo=-0.1, hi=1.1),
+           rand_tensor(rng, (3, 2, 2, 2), lo=0.1, hi=1.0)])
     return results
 
 
@@ -147,7 +157,8 @@ def run_module_checks(seed: int = 0):
     def pyramid(l, r):
         c1 = intra_scale_fuse(ops.correlation_volume(l, r, 3),
                               ops.correlation_volume(l, r, 3))
-        keys = net.project_scales(net.cross_scale_aggregate([c1, c2_const]))
+        keys = [lv.projected() for lv in net.project_scales(
+            net.cross_scale_aggregate([c1, c2_const]))]
         return ops.add(_weighted(keys[0], probes[0]), _weighted(keys[1], probes[1]))
 
     check("spfpn", pyramid, [l1, r1], tol=1e-4)
@@ -170,8 +181,13 @@ def run_module_checks(seed: int = 0):
     refs = reference_points(2, 2, np.float64)
     q0 = rand_tensor(rng, (4, 4))
     f0 = rand_tensor(rng, (2, 2, 4))
+    proj_rng = np.random.default_rng(38)
+    kernel0 = Tensor(proj_rng.normal(size=(4, 4)), dtype=np.float64)
+    bias0 = Tensor(proj_rng.normal(size=(1, 4)), dtype=np.float64)
     check("decoder_layer",
-          lambda q_, f_: _weighted(layer.forward(q_, None, refs, [f_]), _probe((4, 4), 35)),
+          lambda q_, f_: _weighted(layer.forward(q_, None, refs,
+                                                 [LevelProjection(f_, kernel0, bias0)]),
+                                   _probe((4, 4), 35)),
           [q0, f0], tol=1e-4)
 
     # detection heads

@@ -163,11 +163,14 @@ class MSDeformCA(Module):
     layers start at zero so training begins from plain reference-point
     lookups with uniform weights.
 
-    As in Deformable DETR's ``ms_deform_attn_core_pytorch``, all heads of a
-    level are sampled in one ``bilinear_sample`` call over its group axis.
-    The projected level map is laid out head-major, (heads, H, W, head_dim),
-    so each head's channel slice is one contiguous map of the stack, and the
-    sampling points are (level, head, query, point, uv).
+    The levels arrive as factored projections (``spfpn.LevelProjection``):
+    level l's map is ``agg_l @ P_l + p_l``, and ``value_proj`` (V, v) maps it
+    on, so its values are ``agg_l @ (P_l V) + (p_l V + v)``. The folded
+    (c_l, c_dec) kernel and bias are computed through autodiff, so P, p, V
+    and v all get gradients, and one ``linear_heads`` GEMM writes each level
+    head-major, (heads, H, W, head_dim). One ``ms_deform_attn`` node then
+    samples every level and head, as Deformable DETR's
+    ``ms_deform_attn_core_pytorch`` does.
     """
 
     def __init__(self, rng, c_dec, heads, points, n_levels):
@@ -177,49 +180,36 @@ class MSDeformCA(Module):
         self.heads = heads
         self.points = points
         self.n_levels = n_levels
-        self.head_dim = c_dec // heads
         self.value_proj = Linear(rng, c_dec, c_dec)
         self.offset = Linear(rng, c_dec, heads * n_levels * points * 2, init="zero")
         self.weight = Linear(rng, c_dec, heads * n_levels * points, init="zero")
         self.out_proj = Linear(rng, c_dec, c_dec)
 
-    def forward(self, q: Tensor, refs: np.ndarray, feats) -> Tensor:
-        if len(feats) != self.n_levels:
-            raise ConfigError(f"expected {self.n_levels} feature levels, got {len(feats)}")
+    def value_maps(self, levels, c: int):
+        """Head-major value maps of the factored level projections."""
+        maps = []
+        for lvl, (agg, kernel, bias) in enumerate(levels):
+            if kernel.shape[1] != c:
+                raise ConfigError(
+                    f"level {lvl + 1} projects to {kernel.shape[1]} channels, expected "
+                    f"decoder width {c}"
+                )
+            w = ops.matmul(kernel, self.value_proj.w)
+            b = ops.linear(bias, self.value_proj.w, self.value_proj.b)
+            maps.append(ops.linear_heads(agg, w, b, self.heads))
+        return maps
+
+    def forward(self, q: Tensor, refs: np.ndarray, levels) -> Tensor:
+        if len(levels) != self.n_levels:
+            raise ConfigError(f"expected {self.n_levels} feature levels, got {len(levels)}")
         n, c = q.shape
         m, k, nl = self.heads, self.points, self.n_levels
-        hd = self.head_dim
-
-        # pixel sampling points of every level, (level, head, query, point, uv)
-        offsets = ops.transpose(ops.reshape(self.offset.forward(q), (n, m, nl, k, 2)),
-                                (2, 1, 0, 3, 4))
-        dtype = feats[0].data.dtype
-        extent = np.array([[f.shape[1], f.shape[0]] for f in feats], dtype=dtype)
-        pts_norm = ops.add(Tensor(refs[None, None, :, None, :]), offsets)
-        pts_px = ops.sub(ops.mul(pts_norm, Tensor(extent.reshape(nl, 1, 1, 1, 2))),
-                         Tensor(np.full(2, 0.5, dtype=dtype)))
-        logits = ops.reshape(self.weight.forward(q), (n * m, nl * k))
-        weights = ops.transpose(ops.reshape(ops.softmax(logits, axis=-1), (n, m, nl, k, 1)),
-                                (2, 1, 0, 3, 4))
-
-        total = None
-        for lvl, feat in enumerate(feats):
-            hl, wl, cl = feat.shape
-            if cl != c:
-                raise ConfigError(
-                    f"level {lvl + 1} has {cl} channels, expected decoder width {c}"
-                )
-            # head-major (m, hl, wl, hd); without a graph the (hl, wl, c) map is freed here
-            value = ops.transpose(ops.reshape(
-                self.value_proj.forward(ops.reshape(feat, (hl * wl, c))), (hl, wl, m, hd)),
-                (2, 0, 1, 3))
-            pts = ops.reshape(ops.narrow(pts_px, 0, lvl, 1), (m, n * k, 2))
-            sampled = ops.reshape(ops.bilinear_sample(value, pts), (m, n, k, hd))
-            w_lvl = ops.reshape(ops.narrow(weights, 0, lvl, 1), (m, n, k, 1))
-            term = ops.sum_(ops.mul(sampled, w_lvl), axis=2)  # (m, n, hd)
-            total = term if total is None else ops.add(total, term)
-        merged = ops.reshape(ops.transpose(total, (1, 0, 2)), (n, c))
-        return self.out_proj.forward(merged)
+        locations = ops.add(ops.reshape(self.offset.forward(q), (n, m, nl, k, 2)),
+                            Tensor(refs[:, None, None, None, :]))
+        logits = ops.reshape(self.weight.forward(q), (n, m, nl * k))
+        weights = ops.reshape(ops.softmax(logits, axis=-1), (n, m, nl, k))
+        ctx = ops.ms_deform_attn(self.value_maps(levels, c), locations, weights)
+        return self.out_proj.forward(ctx)
 
 
 class FFN(Module):
@@ -245,10 +235,10 @@ class DecoderLayer(Module):
         self.norm2 = ChannelNorm(c_dec)
         self.norm3 = ChannelNorm(c_dec)
 
-    def forward(self, q: Tensor, pe_flat, refs, feats) -> Tensor:
+    def forward(self, q: Tensor, pe_flat, refs, levels) -> Tensor:
         h = add_positional(q, pe_flat)
         h = self.norm1.forward(ops.add(h, self.mhsa.forward(h)))
-        h = self.norm2.forward(ops.add(h, self.cross.forward(h, refs, feats)))
+        h = self.norm2.forward(ops.add(h, self.cross.forward(h, refs, levels)))
         h = self.norm3.forward(ops.add(h, self.ffn.forward(h)))
         return h
 
@@ -267,10 +257,10 @@ class DecoderStack(Module):
             for _ in range(n_layers)
         ])
 
-    def forward(self, x_q: Tensor, pe_flat, refs, feats):
+    def forward(self, x_q: Tensor, pe_flat, refs, levels):
         out = []
         q = x_q
         for layer in self.layers:
-            q = layer.forward(q, pe_flat, refs, feats)
+            q = layer.forward(q, pe_flat, refs, levels)
             out.append(q)
         return out

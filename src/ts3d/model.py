@@ -50,8 +50,12 @@ def default_templates(cfg: RunConfig) -> list:
 
 @dataclass
 class ModelOutputs:
-    keys: list                 # projected multi-scale stereo features
-    aggregated: list           # pre-projection stereo volumes
+    """What one forward pass produced. The decoder reads ``aggregated``
+    through each level's factored 1x1 projection (``SPFPN.project_scales``),
+    folded into every layer's value projection, so no projected c_dec-wide
+    level map exists to be returned."""
+
+    aggregated: list           # aggregated stereo volumes, one per level
     logits_q: Tensor           # stride-16 disparity logits
     logits_sup: Tensor         # stride-4 disparity logits
     disparity_map: Tensor      # stride-4 regressed disparity (bin units)
@@ -106,21 +110,21 @@ class TS3D(Module):
                 f"configured {cfg.height}x{cfg.width}x3"
             )
         pyramids = self.backbone.forward(left, right)
-        _, aggregated, keys = self.spfpn.forward(pyramids)
+        _, aggregated, levels = self.spfpn.forward(pyramids)
         c3 = aggregated[-1]
         logits_q, logits_sup = self.disp_head.forward(c3)
         disparity_map = softargmax(logits_sup, axis=-1)
         x_q, refs = self.query.forward(c3)
         pe = self.positional_encoding(logits_q)
         pe_flat = ops.reshape(pe, (x_q.shape[0], cfg.c_dec)) if pe is not None else None
-        layer_queries = self.decoder.forward(x_q, pe_flat, refs, keys)
+        layer_queries = self.decoder.forward(x_q, pe_flat, refs, levels)
         supervised = layer_queries if layer_queries else [x_q]
         cls_layers, reg_layers = [], []
         for q in supervised:
             cls, reg = self.head.forward(q)
             cls_layers.append(cls)
             reg_layers.append(reg)
-        return ModelOutputs(keys=keys, aggregated=aggregated, logits_q=logits_q,
+        return ModelOutputs(aggregated=aggregated, logits_q=logits_q,
                             logits_sup=logits_sup, disparity_map=disparity_map,
                             pe_flat=pe_flat, x_q=x_q, refs=refs,
                             layer_queries=layer_queries, cls_layers=cls_layers,

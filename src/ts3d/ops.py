@@ -1,12 +1,14 @@
 """Differentiable operators over Tensor.
 
 Exactly the operator set the detector needs: elementwise arithmetic (add,
-sub, mul, scale, relu, sigmoid), reductions, shape ops, matmul, conv2d (a
-row-blocked im2col GEMM), bilinear sampling, normalization, the backbone's
-fused conv -> channel_norm -> relu (conv_norm_act), softmax, row-blocked
-multi-head attention, nearest upsampling, the stereo correlation volume, and
-the training losses (focal_loss, smooth_l1, soft_cross_entropy); each fused op
-is one node with a closed-form backward.
+sub, mul, scale, relu, sigmoid), reductions, shape ops, matmul, a head-major
+linear map (linear_heads), conv2d (a row-blocked im2col GEMM), bilinear
+sampling, row-blocked multi-scale deformable attention (ms_deform_attn),
+normalization, the backbone's fused conv -> channel_norm -> relu
+(conv_norm_act), softmax, row-blocked multi-head attention, nearest
+upsampling, the stereo correlation volume, and the training losses
+(focal_loss, smooth_l1, soft_cross_entropy); each fused op is one node with a
+closed-form backward.
 Each op validates shapes up front and registers a backward closure that
 accumulates into its parents (fan-out gradients add).
 """
@@ -261,6 +263,39 @@ def matmul(a, b) -> Tensor:
 def linear(x, w, b) -> Tensor:
     """x @ w + b, the last axis being features."""
     return add(matmul(x, w), b)
+
+
+def linear_heads(x, w, b, heads: int) -> Tensor:
+    """``x @ w + b`` for (..., cin) x, (cin, c) w and c biases, written
+    head-major: (heads, ..., c / heads), head h holding output channels
+    [h d, (h+1) d). One batched GEMM produces it, so the (..., c) product is
+    never built or transposed."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    if (w.ndim != 2 or x.shape[-1] != w.shape[0] or b.size != w.shape[1]
+            or b.shape[-1] != w.shape[1] or heads < 1 or w.shape[1] % heads):
+        raise DimensionError(
+            f"linear_heads expects (...,cin) inputs, a (cin,c) kernel and c biases with "
+            f"c divisible by {heads} heads, got {x.shape}, {w.shape} and {b.shape}"
+        )
+    cin, c = w.shape
+    d = c // heads
+    xm = x.data.reshape(-1, cin)
+    data = np.matmul(xm, np.ascontiguousarray(w.data.reshape(cin, heads, d).transpose(1, 0, 2)))
+    data += b.data.reshape(heads, 1, d)
+
+    def build():
+        def bw(g):
+            gm = g.reshape(heads, -1, d).transpose(1, 0, 2).reshape(-1, c)
+            if x.requires_grad:
+                x.accumulate_grad((gm @ w.data.T).reshape(x.shape), "linear_heads")
+            if w.requires_grad:
+                w.accumulate_grad(xm.T @ gm, "linear_heads")
+            if b.requires_grad:
+                b.accumulate_grad(gm.sum(axis=0).reshape(b.shape), "linear_heads")
+        return bw
+
+    return make_node(data.reshape((heads,) + x.shape[:-1] + (d,)), (x, w, b),
+                     "linear_heads", build)
 
 
 # ---------------------------------------------------------------------------
@@ -594,6 +629,71 @@ def upsample2x(x) -> Tensor:
 # ---------------------------------------------------------------------------
 # sampling
 
+# Rows per block of the sampling gathers and scatters (ms_deform_attn's
+# (query, head) rows, bilinear_sample's points): one block gathers at most
+# SAMPLING_ROW_BLOCK * corners rows of the map at once.
+SAMPLING_ROW_BLOCK = 1024
+
+# corners 00, 10, 01, 11 as (du, dv) steps from the floor of a point
+_CORNER_DU = np.array([0, 1, 0, 1])
+_CORNER_DV = np.array([0, 0, 1, 1])
+
+
+def _bilinear_corners(u, v, h: int, w: int):
+    """Bilinear corners of pixel coordinates (u, v) (arrays of one shape S)
+    in an h x w map: the flat corner rows y*w + x, clipped into the map, and
+    the corner weights and their u and v derivatives, each (S, 4) over the
+    corners 00, 10, 01, 11 with an off-map corner's weight 0."""
+    u0f, v0f = np.floor(u), np.floor(v)
+    fu, fv = u - u0f, v - v0f
+    ui = u0f.astype(np.int64)[..., None] + _CORNER_DU
+    vi = v0f.astype(np.int64)[..., None] + _CORNER_DV
+    valid = (ui >= 0) & (ui < w) & (vi >= 0) & (vi < h)
+    rows = np.clip(vi, 0, h - 1) * w + np.clip(ui, 0, w - 1)
+    gu, gv = 1.0 - fu, 1.0 - fv
+    wt = np.stack([gu * gv, fu * gv, gu * fv, fu * fv], axis=-1) * valid
+    dwu = np.stack([-gv, gv, -fv, fv], axis=-1) * valid
+    dwv = np.stack([-gu, -fu, gu, fu], axis=-1) * valid
+    return rows, wt, dwu, dwv
+
+
+def _row_blocks(n: int):
+    for r0 in range(0, n, SAMPLING_ROW_BLOCK):
+        yield r0, min(r0 + SAMPLING_ROW_BLOCK, n)
+
+
+def _gather_weighted(flat: np.ndarray, rows: np.ndarray, wt: np.ndarray) -> np.ndarray:
+    """(R, C) sums over j of wt[r, j] * flat[rows[r, j]] for (R, J) rows and wt."""
+    out = np.empty((rows.shape[0], 1, flat.shape[1]), dtype=np.result_type(flat, wt))
+    for r0, r1 in _row_blocks(rows.shape[0]):
+        np.matmul(wt[r0:r1, None, :], np.take(flat, rows[r0:r1], axis=0), out=out[r0:r1])
+    return out[:, 0]
+
+
+def _gather_dots(flat: np.ndarray, rows: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """(R, J) dot products g[r] . flat[rows[r, j]] for (R, C) g."""
+    out = np.empty(rows.shape + (1,), dtype=np.result_type(flat, g))
+    for r0, r1 in _row_blocks(rows.shape[0]):
+        np.matmul(np.take(flat, rows[r0:r1], axis=0), g[r0:r1, :, None], out=out[r0:r1])
+    return out[..., 0]
+
+
+def _scatter_rows(grad_flat: np.ndarray, rows: np.ndarray, wt: np.ndarray,
+                  g: np.ndarray) -> None:
+    """grad_flat[rows[r, j]] += wt[r, j] * g[r] in place, in (r, j) order.
+
+    One unbuffered ``np.add.at`` per block of rows, over the block's element
+    offsets into the flattened gradient: numpy's fast 1-D path, so repeated
+    rows add up and no element index spans more than one block."""
+    c = grad_flat.shape[1]
+    out = grad_flat.reshape(-1)
+    first = rows * c
+    lanes = np.arange(c)
+    for r0, r1 in _row_blocks(rows.shape[0]):
+        contrib = wt[r0:r1, :, None] * g[r0:r1, None, :]
+        np.add.at(out, (first[r0:r1, :, None] + lanes).reshape(-1),
+                  contrib.astype(grad_flat.dtype, copy=False).reshape(-1))
+
 
 def bilinear_sample(feature, points) -> Tensor:
     """Sample (H, W, C) features at continuous (u, v) pixel coordinates (N, 2),
@@ -602,9 +702,9 @@ def bilinear_sample(feature, points) -> Tensor:
     row offset of g*H*W into the flattened stack (the same code, no branch).
 
     Out-of-bounds corners get bilinear weight 0 and contribute exactly zero.
-    Backward keeps the corner indices, weights and validity, not the four
-    gathered (G*N, C) corner blocks: the point gradient recomputes g . value
-    per corner from the map, so the graph holds no per-corner copies.
+    Backward keeps the corner rows and weights, not the gathered corner
+    values: the point gradient gathers them again from the map. It runs on
+    the corner, gather and scatter helpers that ``ms_deform_attn`` uses.
     Differentiable with respect to the feature map and the point coordinates.
     """
     feature, points = as_tensor(feature), as_tensor(points)
@@ -617,51 +717,108 @@ def bilinear_sample(feature, points) -> Tensor:
     h, w, c = feature.shape[-3:]
     flat = feature.data.reshape(-1, c)
     pts = points.data.reshape(-1, 2)
-    row0 = np.repeat(np.arange(0, flat.shape[0], h * w), points.shape[-2])
-    u, v = pts[:, 0], pts[:, 1]
-    u0f = np.floor(u)
-    v0f = np.floor(v)
-    fu = u - u0f
-    fv = v - v0f
-    u0 = u0f.astype(np.int64)
-    v0 = v0f.astype(np.int64)
-
-    corners = []  # (row index, weight with validity folded in, validity)
-    data = None
-    for du, dv in ((0, 0), (1, 0), (0, 1), (1, 1)):
-        ui, vi = u0 + du, v0 + dv
-        valid = (ui >= 0) & (ui < w) & (vi >= 0) & (vi < h)
-        idx = row0 + np.clip(vi, 0, h - 1) * w + np.clip(ui, 0, w - 1)
-        wt = ((fu if du else 1.0 - fu) * (fv if dv else 1.0 - fv) * valid)[:, None]
-        if data is None:
-            data = wt * flat[idx]
-        else:
-            data += wt * flat[idx]
-        corners.append((idx, wt, valid))
-    data = data.reshape(points.shape[:-1] + (c,))
+    rows, wt, dwu, dwv = _bilinear_corners(pts[:, 0], pts[:, 1], h, w)
+    rows += np.repeat(np.arange(0, flat.shape[0], h * w), points.shape[-2])[:, None]
+    data = _gather_weighted(flat, rows, wt).reshape(points.shape[:-1] + (c,))
 
     def build():
         def bw(g):
             g = g.reshape(-1, c)
             if feature.requires_grad:
-                # bincount scatter over flat element indices (faster than ufunc.at)
-                idx_all = np.concatenate([idx for idx, _, _ in corners])
-                contrib = np.concatenate([g * wt for _, wt, _ in corners])
-                flat_idx = (idx_all[:, None] * c + np.arange(c)[None, :]).reshape(-1)
-                gf = np.bincount(flat_idx, weights=contrib.reshape(-1),
-                                 minlength=flat.size).reshape(feature.shape)
-                feature.accumulate_grad(gf.astype(feature.dtype, copy=False),
-                                        "bilinear_sample")
+                gf = np.zeros_like(flat)
+                _scatter_rows(gf, rows, wt, g)
+                feature.accumulate_grad(gf.reshape(feature.shape), "bilinear_sample")
             if points.requires_grad:
-                s00, s10, s01, s11 = ((g * flat[idx]).sum(axis=1) * valid
-                                      for idx, _, valid in corners)
-                gu = (1.0 - fv) * (s10 - s00) + fv * (s11 - s01)
-                gv = (1.0 - fu) * (s01 - s00) + fu * (s11 - s10)
-                gp = np.stack([gu, gv], axis=1).reshape(points.shape)
-                points.accumulate_grad(gp.astype(points.dtype), "bilinear_sample")
+                dots = _gather_dots(flat, rows, g)
+                gp = np.stack([(dots * dwu).sum(axis=1), (dots * dwv).sum(axis=1)], axis=1)
+                points.accumulate_grad(gp.reshape(points.shape).astype(points.dtype),
+                                       "bilinear_sample")
         return bw
 
     return make_node(data, (feature, points), "bilinear_sample", build)
+
+
+def ms_deform_attn(values, locations, weights) -> Tensor:
+    """Multi-scale deformable attention as in Deformable DETR's
+    ``ms_deform_attn_core_pytorch`` (Zhu et al., arXiv 2010.04159).
+
+    ``values`` holds one head-major (heads, H_l, W_l, d) map per level,
+    ``locations`` the normalised (u, v) sampling points (n, heads, levels,
+    points, 2), read at pixel (u W_l - 0.5, v H_l - 0.5), and ``weights``
+    their attention weights (n, heads, levels, points). Returns the merged
+    (n, heads * d) context: head h of query q writes channels [h d, (h+1) d)
+    with the weighted sum of its bilinear samples of values[l][h].
+
+    The attention weights are folded into the bilinear corner weights, and
+    the corner rows of (query, head) rows are gathered and reduced
+    SAMPLING_ROW_BLOCK rows at a time. Backward recomputes the corners from
+    the locations and scatters the value gradient over the corner rows, so
+    the graph keeps nothing per sample.
+    """
+    values = [as_tensor(v) for v in values]
+    locations, weights = as_tensor(locations), as_tensor(weights)
+    if (locations.ndim != 5 or locations.shape[-1] != 2
+            or weights.shape != locations.shape[:-1] or locations.shape[2] != len(values)
+            or any(v.ndim != 4 or v.shape[0] != locations.shape[1]
+                   or v.shape[3] != values[0].shape[3] for v in values)):
+        raise DimensionError(
+            f"ms_deform_attn expects per-level (heads,H,W,d) values, (n,heads,levels,"
+            f"points,2) locations and (n,heads,levels,points) weights, got "
+            f"{[v.shape for v in values]}, {locations.shape} and {weights.shape}"
+        )
+    n, m, nl, k, _ = locations.shape
+    d = values[0].shape[3]
+    n_rows = n * m  # row r is (query r // m, head r % m)
+    loc = locations.data.reshape(n_rows, nl, k, 2)
+    aw = weights.data.reshape(n_rows, nl, k)
+    flats = [v.data.reshape(-1, d) for v in values]
+
+    def corners(lvl):
+        """Rows into the flattened level map, the bilinear weights and their
+        u and v derivatives, each (n_rows, points * 4), and the attention
+        weight of each corner."""
+        h, w = values[lvl].shape[1:3]
+        rows, wt, dwu, dwv = _bilinear_corners(loc[:, lvl, :, 0] * w - 0.5,
+                                               loc[:, lvl, :, 1] * h - 0.5, h, w)
+        rows += (np.arange(n_rows) % m * (h * w))[:, None, None]
+        a = np.repeat(aw[:, lvl], 4, axis=1)
+        return [x.reshape(n_rows, k * 4) for x in (rows, wt, dwu, dwv)] + [a]
+
+    data = None
+    for lvl, flat in enumerate(flats):
+        rows, wt, _, _, a = corners(lvl)
+        term = _gather_weighted(flat, rows, wt * a)
+        data = term if data is None else data + term
+
+    def build():
+        def bw(g):
+            g = g.reshape(n_rows, d)
+            g_loc = np.empty_like(loc) if locations.requires_grad else None
+            g_aw = np.empty_like(aw) if weights.requires_grad else None
+            for lvl, (value, flat) in enumerate(zip(values, flats)):
+                rows, wt, dwu, dwv, a = corners(lvl)
+                if g_loc is not None or g_aw is not None:
+                    dots = _gather_dots(flat, rows, g)
+                    if g_aw is not None:
+                        g_aw[:, lvl] = (dots * wt).reshape(-1, k, 4).sum(axis=2)
+                    if g_loc is not None:
+                        dots *= a
+                        h, w = value.shape[1:3]
+                        for axis, dw, extent in ((0, dwu, w), (1, dwv, h)):
+                            g_loc[:, lvl, :, axis] = (
+                                (dots * dw).reshape(-1, k, 4).sum(axis=2) * extent)
+                if value.requires_grad:
+                    gv = np.zeros_like(flat)
+                    _scatter_rows(gv, rows, wt * a, g)
+                    value.accumulate_grad(gv.reshape(value.shape), "ms_deform_attn")
+            if g_loc is not None:
+                locations.accumulate_grad(g_loc.reshape(locations.shape), "ms_deform_attn")
+            if g_aw is not None:
+                weights.accumulate_grad(g_aw.reshape(weights.shape), "ms_deform_attn")
+        return bw
+
+    return make_node(data.reshape(n, m * d), (*values, locations, weights),
+                     "ms_deform_attn", build)
 
 
 # ---------------------------------------------------------------------------

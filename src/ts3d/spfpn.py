@@ -5,17 +5,35 @@ intra-scale by summation, which is legal because identically shaped volumes
 share the same per-channel disparity definition. Cross-scale aggregation is
 bottom-up: finer volumes are downsampled by a strided conv and concatenated,
 never summed, so no disparity channel is ever mixed with another. Each
-aggregated level is finally projected to the decoder width by a 1x1 conv.
+aggregated level finally has a 1x1 conv projection to the decoder width,
+handed on in factored form (``LevelProjection``): every decoder layer folds it
+into its own value projection, so the projected maps are never built.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
 
 from . import ops
 from .backbone import UnaryPyramids
 from .config import PYRAMID_VARIANTS
 from .layers import Conv2d
 from .tensor import ConfigError, DimensionError, Module, ModuleList, Tensor
+
+
+class LevelProjection(NamedTuple):
+    """One level's 1x1 projection in factored form: the projected map is
+    ``agg @ kernel + bias`` over the level's pixels, and is never built."""
+
+    agg: Tensor     # (H, W, c_l) aggregated cost volume
+    kernel: Tensor  # (c_l, c_dec) 1x1 conv kernel
+    bias: Tensor    # (1, c_dec)
+
+    def projected(self) -> Tensor:
+        """The (H, W, c_dec) projected map itself, for checks against it."""
+        h, w, _ = self.agg.shape
+        return ops.reshape(ops.linear_heads(self.agg, self.kernel, self.bias, 1),
+                           (h, w, self.kernel.shape[1]))
 
 
 def intra_scale_fuse(c_primary: Tensor, c_enhanced: Tensor) -> Tensor:
@@ -120,11 +138,17 @@ class SPFPN(Module):
         return out
 
     def project_scales(self, aggregated):
-        return [proj.forward(c) for proj, c in zip(self.project, aggregated)]
+        """Each level's ``project`` conv as a LevelProjection: the aggregated
+        volume, the conv's (c_l, c_dec) kernel and its bias as a (1, c_dec)
+        row. Decoder layers compose kernel and bias with their value
+        projection, so no c_dec-wide map is computed here."""
+        return [LevelProjection(c, ops.reshape(proj.w, proj.w.shape[2:]),
+                                ops.reshape(proj.b, (1, proj.b.shape[0])))
+                for proj, c in zip(self.project, aggregated)]
 
     def forward(self, pyr: UnaryPyramids):
-        """Returns (fused per-scale volumes, aggregated volumes, projected keys)."""
+        """Returns (fused per-scale volumes, aggregated volumes, their
+        factored projections)."""
         c_init = self.build_cost_volumes(pyr)
         aggregated = self.aggregate(c_init)
-        keys = self.project_scales(aggregated)
-        return c_init, aggregated, keys
+        return c_init, aggregated, self.project_scales(aggregated)

@@ -61,7 +61,8 @@ def check_finite(arr: np.ndarray, op: str) -> None:
 class Tensor:
     """N-dimensional float array with an optional gradient slot."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "op")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "op",
+                 "__weakref__")
 
     def __init__(self, data, dtype=None, requires_grad: bool = False, check: bool = True):
         arr = np.asarray(data, dtype=dtype)
@@ -113,8 +114,10 @@ class Tensor:
                 f"{self.data.shape} in '{op}'"
             )
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += arr
+            # a copy: ops such as add hand one array to several parents
+            self.grad = arr.astype(self.data.dtype, order="C")
+        else:
+            self.grad += arr
 
     def backward(self) -> None:
         """Reverse-mode pass from a scalar output."""

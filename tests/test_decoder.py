@@ -19,6 +19,7 @@ from ts3d.decoder import (
     sine_pe_2d,
 )
 from ts3d.gradcheck import grad_check
+from ts3d.spfpn import LevelProjection
 from ts3d.tensor import ConfigError, Tensor, no_grad
 
 
@@ -237,6 +238,13 @@ def test_mhsa_full_shape_never_holds_the_score_matrix():
 # deformable cross-attention
 
 
+def _identity_levels(*maps):
+    """Each (H, W, c) map as a level whose 1x1 projection is the identity."""
+    return [LevelProjection(f, Tensor(np.eye(f.shape[-1], dtype=f.dtype)),
+                            Tensor(np.zeros((1, f.shape[-1]), dtype=f.dtype)))
+            for f in maps]
+
+
 def _identity_deform(rng, c_dec, heads, points, n_levels):
     mod = MSDeformCA(rng, c_dec, heads, points, n_levels)
     eye = np.eye(c_dec)
@@ -261,7 +269,7 @@ def test_deformable_identity_sampling_bit_exact():
     refs = reference_points(wq, hq, dtype=np.float64)
     q = Tensor(np.zeros((wq * hq, c)), dtype=np.float64)
     with no_grad():
-        out = mod.forward(q, refs, [feat])
+        out = mod.forward(q, refs, _identity_levels(feat))
     expected = feat.data.reshape(-1, c)
     assert out.data.tobytes() == expected.tobytes()
 
@@ -276,7 +284,7 @@ def test_deformable_matches_value_projection_single_query():
     refs = np.array([[(1 + 0.5) / 4, (2 + 0.5) / 4]])  # integer pixel (1, 2)
     q = Tensor(np.zeros((1, c)), dtype=np.float64)
     with no_grad():
-        out = mod.forward(q, refs, [feat])
+        out = mod.forward(q, refs, _identity_levels(feat))
         value_map = mod.value_proj.forward(ops.reshape(feat, (16, c)))
         expected = mod.out_proj.forward(ops.reshape(
             Tensor(value_map.data.reshape(4, 4, c)[2, 1][None, :]), (1, c)))
@@ -295,7 +303,7 @@ def test_deformable_weights_sum_to_one_over_levels_and_points():
              for s in (4, 2, 1)]
     q = Tensor(rng.normal(size=(wq * hq, 16)), dtype=np.float64)
     with no_grad():
-        out = mod.forward(q, reference_points(wq, hq, np.float64), feats)
+        out = mod.forward(q, reference_points(wq, hq, np.float64), _identity_levels(*feats))
     assert np.allclose(out.data, np.broadcast_to(const, (wq * hq, 16)), atol=1e-12)
 
 
@@ -319,7 +327,7 @@ def test_deformable_graph_size_does_not_grow_with_heads():
         feats = [Tensor(rng.normal(size=(2 * s, 4 * s, 16)), dtype=np.float64,
                         requires_grad=True) for s in (4, 2, 1)]
         q = Tensor(rng.normal(size=(8, 16)), dtype=np.float64, requires_grad=True)
-        out = mod.forward(q, reference_points(4, 2, np.float64), feats)
+        out = mod.forward(q, reference_points(4, 2, np.float64), _identity_levels(*feats))
         counts.append(_graph_node_count(out))
     assert counts[0] == counts[1]
 
@@ -330,7 +338,7 @@ def test_deformable_rejects_wrong_level_width():
     q = Tensor(np.zeros((4, 8), dtype=np.float32))
     bad = Tensor(np.zeros((2, 2, 6), dtype=np.float32))
     with pytest.raises(ConfigError, match="channels"):
-        mod.forward(q, reference_points(2, 2), [bad])
+        mod.forward(q, reference_points(2, 2), _identity_levels(bad))
 
 
 def test_deformable_gradcheck():
@@ -346,7 +354,7 @@ def test_deformable_gradcheck():
     probe = Tensor(np.random.default_rng(18).normal(size=(4, 4)), dtype=np.float64)
 
     def f(q_, f1_, f2_):
-        return ops.sum_(ops.mul(mod.forward(q_, refs, [f1_, f2_]), probe))
+        return ops.sum_(ops.mul(mod.forward(q_, refs, _identity_levels(f1_, f2_)), probe))
 
     assert grad_check(f, [q, f1, f2], eps=1e-6) < 1e-5
 
@@ -361,10 +369,10 @@ def _toy_stack(rng, n_layers, c=8):
 
 
 def _toy_feats(rng, c=8):
-    return [
+    return _identity_levels(
         Tensor(rng.normal(size=(4, 8, c)), dtype=np.float64),
         Tensor(rng.normal(size=(2, 4, c)), dtype=np.float64),
-    ]
+    )
 
 
 def test_stack_returns_one_output_per_layer():
@@ -391,7 +399,7 @@ def test_positional_encoding_is_sole_depth_channel():
     produce identical decoder outputs; with it enabled they differ."""
     rng = np.random.default_rng(21)
     layer = DecoderLayer(rng, c_dec=8, heads=2, points=2, n_levels=1, ffn_hidden=16)
-    feats = [Tensor(rng.normal(size=(2, 4, 8)), dtype=np.float64)]
+    feats = _identity_levels(Tensor(rng.normal(size=(2, 4, 8)), dtype=np.float64))
     refs = reference_points(4, 2, np.float64)
     x_q = Tensor(rng.normal(size=(8, 8)), dtype=np.float64)
     logits_a = Tensor(rng.normal(size=(2, 4, 4)), dtype=np.float64)
@@ -419,6 +427,6 @@ def test_decoder_layer_gradcheck():
     probe = Tensor(np.random.default_rng(23).normal(size=(4, 4)), dtype=np.float64)
 
     def f(x_, feat_, pe_):
-        return ops.sum_(ops.mul(layer.forward(x_, pe_, refs, [feat_]), probe))
+        return ops.sum_(ops.mul(layer.forward(x_, pe_, refs, _identity_levels(feat_)), probe))
 
     assert grad_check(f, [x_q, feat, pe], eps=1e-6) < 1e-4

@@ -9,6 +9,7 @@ import pytest
 from ts3d import ops
 from ts3d.config import RunConfig
 from ts3d.dataset import FrameData
+from ts3d.decoder import MSDeformCA
 from ts3d.disphead import block_match_stereo
 from ts3d.layers import ConvNorm
 from ts3d.model import TS3D, dape_similarity_heatmap
@@ -49,8 +50,8 @@ def test_toy_forward_shapes():
     assert out.x_q.shape == (nq, cfg.c_dec)
     assert out.logits_q.shape == (2, 4, cfg.c_disp)
     assert out.logits_sup.shape == (8, 16, cfg.c_disp)
-    assert len(out.keys) == 3
-    assert all(k.shape[-1] == cfg.c_dec for k in out.keys)
+    assert len(out.aggregated) == 3
+    assert [a.shape[-1] for a in out.aggregated] == model.spfpn.agg_channels
     assert len(out.cls_layers) == cfg.n_dec
     assert out.cls_layers[-1].shape == (nq, len(cfg.classes) + 1)
     assert out.reg_layers[-1].shape == (nq, 13)
@@ -141,7 +142,7 @@ def test_pyramid_variants_run_and_differ():
     for variant in ("spfpn", "topdown_fpn", "bifpn_like"):
         cfg = _toy_cfg(pyramid_variant=variant)
         model = TS3D(cfg, rng=np.random.default_rng(7))
-        outs[variant] = _forward(model, frame).keys[2].data
+        outs[variant] = _forward(model, frame).cls_layers[-1].data
     assert not np.allclose(outs["spfpn"], outs["topdown_fpn"])
 
 
@@ -265,3 +266,47 @@ def test_desk_parameter_names_and_shapes_are_unchanged():
         ("backbone.stem.conv.w", (3, 3, 3, 32)), ("backbone.stem.norm.gamma", (32,)),
         ("backbone.stem.norm.beta", (32,))]
     assert hashlib.sha256(lines.encode()).hexdigest() == DESK_PARAMETER_DIGEST
+
+
+# The same for the full preset.
+FULL_PARAMETER_DIGEST = "b32216a5d2cbea5eb010a872fe1ac9a97acb756115f9959e67c384d53345759a"
+
+
+def test_deformable_cross_attention_records_24_nodes_per_layer(monkeypatch):
+    """On the desk training graph each MSDeformCA forward records 24 nodes
+    (58 with the per-level narrow/bilinear_sample/mul/sum chain): 4 for the
+    sampling locations, 5 for the attention weights, 4 per level (the folded
+    kernel, the folded bias's matmul and add, the head-major value map), one
+    ms_deform_attn and 2 for the output projection. The parameters keep
+    their names and shapes."""
+    cfg = RunConfig.desk()
+    model = TS3D(cfg, rng=np.random.default_rng(0))
+    frame = _toy_frame(seed=3, params=SynthParams(width=cfg.width, height=cfg.height),
+                       max_disp=cfg.resolved_bm_max_disp(), window=cfg.bm_window)
+    counts, inside = [], []
+    forward, make_node = MSDeformCA.forward, ops.make_node
+
+    def counted_forward(self, *args):
+        counts.append(0)
+        inside.append(True)
+        try:
+            return forward(self, *args)
+        finally:
+            inside.pop()
+
+    def counted_make_node(*args):
+        out = make_node(*args)
+        if inside and out._backward_fn is not None:
+            counts[-1] += 1
+        return out
+
+    monkeypatch.setattr(MSDeformCA, "forward", counted_forward)
+    monkeypatch.setattr(ops, "make_node", counted_make_node)
+    loss, _ = model.train_step_loss(frame)
+    assert counts == [24] * cfg.n_dec
+    assert _graph_ops(loss)["ms_deform_attn"] == cfg.n_dec
+
+    for preset, digest in (("desk", DESK_PARAMETER_DIGEST), ("full", FULL_PARAMETER_DIGEST)):
+        params = TS3D(getattr(RunConfig, preset)(), rng=np.random.default_rng(0))
+        lines = "\n".join(f"{name} {p.shape}" for name, p in params.named_parameters())
+        assert hashlib.sha256(lines.encode()).hexdigest() == digest, preset

@@ -236,6 +236,73 @@ def test_bilinear_point_gradcheck():
 
 
 # ---------------------------------------------------------------------------
+# multi-scale deformable attention
+
+
+def _ms_deform_attn_reference(v1, v2, loc, aw):
+    """The per-level chain MSDeformCA ran before the fused op: pixel points
+    from the normalised locations, then per level a narrow, one
+    bilinear_sample over the head axis, the weights, a sum over points and an
+    add over levels, and finally the heads merged."""
+    values = (v1, v2)
+    n, m, nl, k, _ = loc.shape
+    hd = v1.shape[-1]
+    extent = np.array([[v.shape[2], v.shape[1]] for v in values], dtype=loc.dtype)
+    pts_px = ops.sub(ops.mul(ops.transpose(loc, (2, 1, 0, 3, 4)),
+                             Tensor(extent.reshape(nl, 1, 1, 1, 2))),
+                     Tensor(np.full(2, 0.5, dtype=loc.dtype)))
+    weights = ops.transpose(ops.reshape(aw, (n, m, nl, k, 1)), (2, 1, 0, 3, 4))
+    total = None
+    for lvl, value in enumerate(values):
+        pts = ops.reshape(ops.narrow(pts_px, 0, lvl, 1), (m, n * k, 2))
+        sampled = ops.reshape(ops.bilinear_sample(value, pts), (m, n, k, hd))
+        w_lvl = ops.reshape(ops.narrow(weights, 0, lvl, 1), (m, n, k, 1))
+        term = ops.sum_(ops.mul(sampled, w_lvl), axis=2)
+        total = term if total is None else ops.add(total, term)
+    return ops.reshape(ops.transpose(total, (1, 0, 2)), (n, m * hd))
+
+
+@pytest.mark.parametrize("row_block", [None, 5], ids=["one-block", "row-blocks"])
+@pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)],
+                         ids=["float64", "float32"])
+def test_ms_deform_attn_matches_the_per_level_chain(dtype, tol, row_block, monkeypatch):
+    rng = np.random.default_rng(31)
+    n, m, k, d = 9, 3, 2, 4
+    arrays = [rng.normal(size=(m, 6, 7, d)), rng.normal(size=(m, 3, 4, d)),
+              rng.uniform(-0.2, 1.2, size=(n, m, 2, k, 2)),  # some corners off the map
+              rng.uniform(0.0, 1.0, size=(n, m, 2, k))]
+    probe = rng.normal(size=(n, m * d))
+    ref = _with_grads(_ms_deform_attn_reference, arrays, probe, dtype)
+    if row_block:
+        monkeypatch.setattr(ops, "SAMPLING_ROW_BLOCK", row_block)  # 27 rows in 6 blocks
+    fused = _with_grads(lambda v1, v2, loc, aw: ops.ms_deform_attn([v1, v2], loc, aw),
+                        arrays, probe, dtype)
+    for name, a, b in zip(("out", "dvalues1", "dvalues2", "dlocations", "dweights"),
+                          fused, ref):
+        assert a.dtype == dtype, name
+        assert np.abs(a - b).max() <= tol * np.abs(b).max(), name
+
+
+def test_ms_deform_attn_shape_errors():
+    values = [Tensor(np.zeros((2, 4, 5, 3)))]
+    with pytest.raises(DimensionError, match="ms_deform_attn"):  # heads differ
+        ops.ms_deform_attn(values, Tensor(np.zeros((6, 3, 1, 2, 2))),
+                           Tensor(np.zeros((6, 3, 1, 2))))
+    with pytest.raises(DimensionError):  # one level given, two located
+        ops.ms_deform_attn(values, Tensor(np.zeros((6, 2, 2, 2, 2))),
+                           Tensor(np.zeros((6, 2, 2, 2))))
+
+
+def test_linear_heads_is_the_linear_map_split_head_major():
+    rng = np.random.default_rng(32)
+    x, w, b = (Tensor(rng.normal(size=s)) for s in ((5, 7, 3), (3, 8), (8,)))
+    out = ops.linear_heads(x, w, b, 4)
+    expected = (x.data @ w.data + b.data).reshape(5, 7, 4, 2).transpose(2, 0, 1, 3)
+    assert out.shape == (4, 5, 7, 2)
+    assert np.allclose(out.data, expected, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
 # softmax family
 
 

@@ -54,6 +54,20 @@ def test_fanout_gradients_add():
     assert np.allclose(x.grad, [5.0])
 
 
+@pytest.mark.parametrize("reused", ["a", "b"])
+def test_first_gradient_write_never_aliases_the_incoming_array(reused):
+    """add hands one gradient array to both parents; a later accumulation
+    into one parent's gradient must leave the other's unchanged."""
+    a = Tensor([1.0, 2.0], dtype=np.float64, requires_grad=True)
+    b = Tensor([3.0, 4.0], dtype=np.float64, requires_grad=True)
+    y = ops.add(a, b)
+    again = ops.scale(a if reused == "a" else b, 5.0)
+    ops.sum_(ops.add(y, again)).backward()
+    assert not np.shares_memory(a.grad, b.grad)
+    assert np.array_equal(a.grad, [6.0, 6.0] if reused == "a" else [1.0, 1.0])
+    assert np.array_equal(b.grad, [1.0, 1.0] if reused == "a" else [6.0, 6.0])
+
+
 def test_backward_requires_scalar():
     x = Tensor([1.0, 2.0], requires_grad=True)
     with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import types
 import warnings
+import weakref
 import zlib
 from dataclasses import fields, replace
 
@@ -24,6 +25,7 @@ from ts3d.dataset import (
 )
 from ts3d.evalkit import evaluate_directories
 from ts3d.kitti_io import read_kitti_label, write_kitti_label, write_raster_mask
+from ts3d.model import TS3D
 from ts3d.optim import AdamW, cosine_lr
 from ts3d.synth import SynthParams
 from ts3d.tensor import ConfigError
@@ -108,6 +110,24 @@ def test_resume_after_crash_writes_the_uninterrupted_log(toy_dataset, tmp_path, 
     assert len(_read_log(run)) == 3
     train_run(cfg, toy_dataset, run, resume=True, quiet=True)
     assert (run / "metrics.log").read_text() == (tmp_path / "full" / "metrics.log").read_text()
+
+
+@pytest.mark.parametrize("batch_size", [1, 2])
+def test_each_frame_graph_is_freed_before_the_next_forward(toy_dataset, tmp_path,
+                                                           monkeypatch, batch_size):
+    step_loss = TS3D.train_step_loss
+    losses = []
+
+    def checked_step_loss(self, frame):
+        assert not losses or losses[-1]() is None, "previous frame's loss is still alive"
+        loss, parts = step_loss(self, frame)
+        losses.append(weakref.ref(loss))
+        return loss, parts
+
+    monkeypatch.setattr(TS3D, "train_step_loss", checked_step_loss)
+    train_run(_toy_cfg(total_steps=3, batch_size=batch_size), toy_dataset, tmp_path / "run",
+              quiet=True)
+    assert len(losses) == 3 * batch_size
 
 
 def test_extending_a_finished_run_follows_new_schedule(toy_dataset, tmp_path):
