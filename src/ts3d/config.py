@@ -92,6 +92,18 @@ class RunConfig:
             fail("n_dec must be >= 0 and heads/points >= 1")
         if self.anchor_scales < 1 or not self.anchor_ratios:
             fail("anchor_scales >= 1 and at least one aspect ratio required")
+        if not all(r > 0 for r in self.anchor_ratios):
+            fail(f"anchor_ratios entries must be > 0, got {self.anchor_ratios}")
+        if not self.sigma > 0:
+            fail(f"sigma must be > 0, got {self.sigma}")
+        if self.checkpoint_every < 0:
+            fail(f"checkpoint_every must be >= 0 (0 saves no periodic checkpoint), "
+                 f"got {self.checkpoint_every}")
+        if not 0 < self.nms_iou <= 1:
+            fail(f"nms_iou must satisfy 0 < nms_iou <= 1, got {self.nms_iou}")
+        for key in ("score_threshold", "flip_probability"):
+            if not 0 <= getattr(self, key) <= 1:
+                fail(f"{key} must lie in [0, 1], got {getattr(self, key)}")
         if self.lr <= 0 or self.total_steps < 1 or self.batch_size < 1:
             fail("lr > 0, total_steps >= 1, batch_size >= 1 required")
         if self.bm_window % 2 == 0:

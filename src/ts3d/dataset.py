@@ -172,6 +172,9 @@ def read_manifest(path) -> Manifest:
                 continue
             k, v = line.split("=", 1)
             raw[k] = v
+    for key in ("seed", "width", "height"):
+        if key not in raw:
+            raise ValueError(f"manifest {path} lacks '{key}='")
     classes = raw["classes"].split(",") if raw.get("classes") else []
     params = {k[len("param."):]: v for k, v in raw.items() if k.startswith("param.")}
     priors: dict = {name: {} for name in classes}
@@ -179,6 +182,9 @@ def read_manifest(path) -> Manifest:
         if not k.startswith("prior."):
             continue
         _, name, s_idx, key = k.split(".", 3)
+        if name not in priors:
+            raise ValueError(f"manifest {path} has '{k}' for class '{name}', which "
+                             f"'classes={raw.get('classes', '')}' does not list")
         priors[name].setdefault(int(s_idx), {})[key] = float(v)
     priors_out = {
         name: [scales[i] for i in sorted(scales)] for name, scales in priors.items()

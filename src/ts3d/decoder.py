@@ -167,10 +167,11 @@ class MSDeformCA(Module):
     level l's map is ``agg_l @ P_l + p_l``, and ``value_proj`` (V, v) maps it
     on, so its values are ``agg_l @ (P_l V) + (p_l V + v)``. The folded
     (c_l, c_dec) kernel and bias are computed through autodiff, so P, p, V
-    and v all get gradients, and one ``linear_heads`` GEMM writes each level
-    head-major, (heads, H, W, head_dim). One ``ms_deform_attn`` node then
-    samples every level and head, as Deformable DETR's
-    ``ms_deform_attn_core_pytorch`` does.
+    and v all get gradients, and one ``linear`` GEMM writes each level's
+    (H, W, c_dec) map, head h in channels [h head_dim, (h+1) head_dim). One
+    ``ms_deform_attn`` node then samples every level and head from these
+    channel-merged maps, as Deformable DETR's ``ms_deform_attn_core_pytorch``
+    does.
     """
 
     def __init__(self, rng, c_dec, heads, points, n_levels):
@@ -186,7 +187,7 @@ class MSDeformCA(Module):
         self.out_proj = Linear(rng, c_dec, c_dec)
 
     def value_maps(self, levels, c: int):
-        """Head-major value maps of the factored level projections."""
+        """The (H, W, c) value maps of the factored level projections."""
         maps = []
         for lvl, (agg, kernel, bias) in enumerate(levels):
             if kernel.shape[1] != c:
@@ -196,7 +197,7 @@ class MSDeformCA(Module):
                 )
             w = ops.matmul(kernel, self.value_proj.w)
             b = ops.linear(bias, self.value_proj.w, self.value_proj.b)
-            maps.append(ops.linear_heads(agg, w, b, self.heads))
+            maps.append(ops.linear(agg, w, b))
         return maps
 
     def forward(self, q: Tensor, refs: np.ndarray, levels) -> Tensor:

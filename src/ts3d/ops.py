@@ -1,14 +1,14 @@
 """Differentiable operators over Tensor.
 
 Exactly the operator set the detector needs: elementwise arithmetic (add,
-sub, mul, scale, relu, sigmoid), reductions, shape ops, matmul, a head-major
-linear map (linear_heads), conv2d (a row-blocked im2col GEMM), bilinear
-sampling, row-blocked multi-scale deformable attention (ms_deform_attn),
-normalization, the backbone's fused conv -> channel_norm -> relu
-(conv_norm_act), softmax, row-blocked multi-head attention, nearest
-upsampling, the stereo correlation volume, and the training losses
-(focal_loss, smooth_l1, soft_cross_entropy); each fused op is one node with a
-closed-form backward.
+mul, scale, relu, sigmoid), reductions, shape ops, matmul, the affine map
+over any leading shape (linear), conv2d (a row-blocked im2col GEMM), bilinear
+sampling, row-blocked multi-scale deformable attention over channel-merged
+value maps (ms_deform_attn), normalization, the backbone's fused conv ->
+channel_norm -> relu (conv_norm_act), softmax, row-blocked multi-head
+attention, nearest upsampling, the stereo correlation volume, and the
+training losses (focal_loss, smooth_l1, soft_cross_entropy); each fused op is
+one node with a closed-form backward.
 Each op validates shapes up front and registers a backward closure that
 accumulates into its parents (fan-out gradients add).
 """
@@ -50,21 +50,6 @@ def add(a, b) -> Tensor:
         return bw
 
     return make_node(data, (a, b), "add", build)
-
-
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    data = a.data - b.data
-
-    def build():
-        def bw(g):
-            if a.requires_grad:
-                a.accumulate_grad(_unbroadcast(g, a.shape), "sub")
-            if b.requires_grad:
-                b.accumulate_grad(_unbroadcast(-g, b.shape), "sub")
-        return bw
-
-    return make_node(data, (a, b), "sub", build)
 
 
 def mul(a, b) -> Tensor:
@@ -261,41 +246,33 @@ def matmul(a, b) -> Tensor:
 
 
 def linear(x, w, b) -> Tensor:
-    """x @ w + b, the last axis being features."""
-    return add(matmul(x, w), b)
-
-
-def linear_heads(x, w, b, heads: int) -> Tensor:
-    """``x @ w + b`` for (..., cin) x, (cin, c) w and c biases, written
-    head-major: (heads, ..., c / heads), head h holding output channels
-    [h d, (h+1) d). One batched GEMM produces it, so the (..., c) product is
-    never built or transposed."""
+    """``x @ w + b`` for (..., cin) inputs x, a (cin, c) kernel w and a (c,)
+    or (1, c) bias b, as one node over the flattened (N, cin) rows; the bias
+    gradient comes back in the bias's own shape."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    if (w.ndim != 2 or x.shape[-1] != w.shape[0] or b.size != w.shape[1]
-            or b.shape[-1] != w.shape[1] or heads < 1 or w.shape[1] % heads):
+    if (w.ndim != 2 or x.shape[-1:] != w.shape[:1]
+            or b.shape not in ((w.shape[1],), (1, w.shape[1]))):
         raise DimensionError(
-            f"linear_heads expects (...,cin) inputs, a (cin,c) kernel and c biases with "
-            f"c divisible by {heads} heads, got {x.shape}, {w.shape} and {b.shape}"
+            f"linear expects (...,cin) inputs, a (cin,c) kernel and a (c,) or (1,c) "
+            f"bias, got {x.shape}, {w.shape} and {b.shape}"
         )
     cin, c = w.shape
-    d = c // heads
     xm = x.data.reshape(-1, cin)
-    data = np.matmul(xm, np.ascontiguousarray(w.data.reshape(cin, heads, d).transpose(1, 0, 2)))
-    data += b.data.reshape(heads, 1, d)
+    data = xm @ w.data
+    data += b.data
 
     def build():
         def bw(g):
-            gm = g.reshape(heads, -1, d).transpose(1, 0, 2).reshape(-1, c)
+            gm = g.reshape(-1, c)
             if x.requires_grad:
-                x.accumulate_grad((gm @ w.data.T).reshape(x.shape), "linear_heads")
+                x.accumulate_grad((gm @ w.data.T).reshape(x.shape), "linear")
             if w.requires_grad:
-                w.accumulate_grad(xm.T @ gm, "linear_heads")
+                w.accumulate_grad(xm.T @ gm, "linear")
             if b.requires_grad:
-                b.accumulate_grad(gm.sum(axis=0).reshape(b.shape), "linear_heads")
+                b.accumulate_grad(gm.sum(axis=0).reshape(b.shape), "linear")
         return bw
 
-    return make_node(data.reshape((heads,) + x.shape[:-1] + (d,)), (x, w, b),
-                     "linear_heads", build)
+    return make_node(data.reshape(x.shape[:-1] + (c,)), (x, w, b), "linear", build)
 
 
 # ---------------------------------------------------------------------------
@@ -742,32 +719,35 @@ def ms_deform_attn(values, locations, weights) -> Tensor:
     """Multi-scale deformable attention as in Deformable DETR's
     ``ms_deform_attn_core_pytorch`` (Zhu et al., arXiv 2010.04159).
 
-    ``values`` holds one head-major (heads, H_l, W_l, d) map per level,
-    ``locations`` the normalised (u, v) sampling points (n, heads, levels,
-    points, 2), read at pixel (u W_l - 0.5, v H_l - 0.5), and ``weights``
-    their attention weights (n, heads, levels, points). Returns the merged
-    (n, heads * d) context: head h of query q writes channels [h d, (h+1) d)
-    with the weighted sum of its bilinear samples of values[l][h].
+    ``values`` holds one (H_l, W_l, heads * d) map per level, head h in
+    channels [h d, (h+1) d), ``locations`` the normalised (u, v) sampling
+    points (n, heads, levels, points, 2), read at pixel (u W_l - 0.5,
+    v H_l - 0.5), and ``weights`` their attention weights (n, heads, levels,
+    points). Returns the merged (n, heads * d) context: head h of query q
+    writes channels [h d, (h+1) d) with the weighted sum of its bilinear
+    samples of head h's channels of values[l].
 
-    The attention weights are folded into the bilinear corner weights, and
-    the corner rows of (query, head) rows are gathered and reduced
-    SAMPLING_ROW_BLOCK rows at a time. Backward recomputes the corners from
-    the locations and scatters the value gradient over the corner rows, so
-    the graph keeps nothing per sample.
+    The attention weights are folded into the bilinear corner weights. Each
+    map is read as (H_l W_l heads, d) rows, so corner (pixel, head) is row
+    pixel * heads + head, and the corner rows of (query, head) rows are
+    gathered and reduced SAMPLING_ROW_BLOCK rows at a time. Backward
+    recomputes the corners from the locations and scatters the value
+    gradient over the corner rows, so the graph keeps nothing per sample.
     """
     values = [as_tensor(v) for v in values]
     locations, weights = as_tensor(locations), as_tensor(weights)
     if (locations.ndim != 5 or locations.shape[-1] != 2
             or weights.shape != locations.shape[:-1] or locations.shape[2] != len(values)
-            or any(v.ndim != 4 or v.shape[0] != locations.shape[1]
-                   or v.shape[3] != values[0].shape[3] for v in values)):
+            or locations.shape[1] < 1
+            or any(v.ndim != 3 or v.shape[2] != values[0].shape[2]
+                   or v.shape[2] % locations.shape[1] for v in values)):
         raise DimensionError(
-            f"ms_deform_attn expects per-level (heads,H,W,d) values, (n,heads,levels,"
+            f"ms_deform_attn expects per-level (H,W,heads*d) values, (n,heads,levels,"
             f"points,2) locations and (n,heads,levels,points) weights, got "
             f"{[v.shape for v in values]}, {locations.shape} and {weights.shape}"
         )
     n, m, nl, k, _ = locations.shape
-    d = values[0].shape[3]
+    d = values[0].shape[2] // m
     n_rows = n * m  # row r is (query r // m, head r % m)
     loc = locations.data.reshape(n_rows, nl, k, 2)
     aw = weights.data.reshape(n_rows, nl, k)
@@ -777,10 +757,11 @@ def ms_deform_attn(values, locations, weights) -> Tensor:
         """Rows into the flattened level map, the bilinear weights and their
         u and v derivatives, each (n_rows, points * 4), and the attention
         weight of each corner."""
-        h, w = values[lvl].shape[1:3]
+        h, w = values[lvl].shape[:2]
         rows, wt, dwu, dwv = _bilinear_corners(loc[:, lvl, :, 0] * w - 0.5,
                                                loc[:, lvl, :, 1] * h - 0.5, h, w)
-        rows += (np.arange(n_rows) % m * (h * w))[:, None, None]
+        rows *= m
+        rows += (np.arange(n_rows) % m)[:, None, None]
         a = np.repeat(aw[:, lvl], 4, axis=1)
         return [x.reshape(n_rows, k * 4) for x in (rows, wt, dwu, dwv)] + [a]
 
@@ -803,7 +784,7 @@ def ms_deform_attn(values, locations, weights) -> Tensor:
                         g_aw[:, lvl] = (dots * wt).reshape(-1, k, 4).sum(axis=2)
                     if g_loc is not None:
                         dots *= a
-                        h, w = value.shape[1:3]
+                        h, w = value.shape[:2]
                         for axis, dw, extent in ((0, dwu, w), (1, dwv, h)):
                             g_loc[:, lvl, :, axis] = (
                                 (dots * dw).reshape(-1, k, 4).sum(axis=2) * extent)

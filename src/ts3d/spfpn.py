@@ -23,7 +23,8 @@ from .tensor import ConfigError, DimensionError, Module, ModuleList, Tensor
 
 class LevelProjection(NamedTuple):
     """One level's 1x1 projection in factored form: the projected map is
-    ``agg @ kernel + bias`` over the level's pixels, and is never built."""
+    ``ops.linear(agg, kernel, bias)`` over the level's pixels, and the model
+    never builds it; only checks call ``projected()``."""
 
     agg: Tensor     # (H, W, c_l) aggregated cost volume
     kernel: Tensor  # (c_l, c_dec) 1x1 conv kernel
@@ -31,9 +32,7 @@ class LevelProjection(NamedTuple):
 
     def projected(self) -> Tensor:
         """The (H, W, c_dec) projected map itself, for checks against it."""
-        h, w, _ = self.agg.shape
-        return ops.reshape(ops.linear_heads(self.agg, self.kernel, self.bias, 1),
-                           (h, w, self.kernel.shape[1]))
+        return ops.linear(self.agg, self.kernel, self.bias)
 
 
 def intra_scale_fuse(c_primary: Tensor, c_enhanced: Tensor) -> Tensor:

@@ -238,6 +238,21 @@ def test_dataset_generation_and_manifest(tmp_path):
     assert len(tpl) == 1 and tpl[0].z > 0
 
 
+@pytest.mark.parametrize("drop, add, named", [
+    ("seed=", "", "'seed='"), ("width=", "", "'width='"), ("height=", "", "'height='"),
+    ("", "prior.Van.0.z=9.0\n", "prior.Van.0.z"),
+])
+def test_read_manifest_names_the_file_and_the_key(tmp_path, drop, add, named):
+    generate_dataset(tmp_path, seed=5, n_train=1, n_val=0,
+                     params=SynthParams(width=64, height=32))
+    path = tmp_path / "manifest.txt"
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(ln for ln in lines if not (drop and ln.startswith(drop))) + add)
+    with pytest.raises(ValueError, match=named) as err:
+        read_manifest(path)
+    assert str(path) in str(err.value)
+
+
 def test_dataset_regeneration_is_byte_identical(tmp_path):
     params = SynthParams(width=64, height=32)
     a_dir, b_dir = tmp_path / "a", tmp_path / "b"

@@ -272,12 +272,12 @@ def test_desk_parameter_names_and_shapes_are_unchanged():
 FULL_PARAMETER_DIGEST = "b32216a5d2cbea5eb010a872fe1ac9a97acb756115f9959e67c384d53345759a"
 
 
-def test_deformable_cross_attention_records_24_nodes_per_layer(monkeypatch):
-    """On the desk training graph each MSDeformCA forward records 24 nodes
-    (58 with the per-level narrow/bilinear_sample/mul/sum chain): 4 for the
-    sampling locations, 5 for the attention weights, 4 per level (the folded
-    kernel, the folded bias's matmul and add, the head-major value map), one
-    ms_deform_attn and 2 for the output projection. The parameters keep
+def test_deformable_cross_attention_records_18_nodes_per_layer(monkeypatch):
+    """On the desk training graph each MSDeformCA forward records 18 nodes:
+    3 for the sampling locations, 4 for the attention weights, 3 per level
+    (the folded kernel's matmul, the folded bias's linear, the value map's
+    linear), one ms_deform_attn and one linear for the output projection.
+    The whole desk training graph records 215 nodes. The parameters keep
     their names and shapes."""
     cfg = RunConfig.desk()
     model = TS3D(cfg, rng=np.random.default_rng(0))
@@ -303,8 +303,10 @@ def test_deformable_cross_attention_records_24_nodes_per_layer(monkeypatch):
     monkeypatch.setattr(MSDeformCA, "forward", counted_forward)
     monkeypatch.setattr(ops, "make_node", counted_make_node)
     loss, _ = model.train_step_loss(frame)
-    assert counts == [24] * cfg.n_dec
-    assert _graph_ops(loss)["ms_deform_attn"] == cfg.n_dec
+    assert counts == [18] * cfg.n_dec
+    graph = _graph_ops(loss)
+    assert graph["ms_deform_attn"] == cfg.n_dec
+    assert sum(graph.values()) == 215
 
     for preset, digest in (("desk", DESK_PARAMETER_DIGEST), ("full", FULL_PARAMETER_DIGEST)):
         params = TS3D(getattr(RunConfig, preset)(), rng=np.random.default_rng(0))

@@ -240,17 +240,19 @@ def test_bilinear_point_gradcheck():
 
 
 def _ms_deform_attn_reference(v1, v2, loc, aw):
-    """The per-level chain MSDeformCA ran before the fused op: pixel points
-    from the normalised locations, then per level a narrow, one
-    bilinear_sample over the head axis, the weights, a sum over points and an
-    add over levels, and finally the heads merged."""
-    values = (v1, v2)
+    """The per-level chain MSDeformCA ran before the fused op: each
+    channel-merged (H, W, heads * d) map split into (heads, H, W, d) with a
+    reshape and a transpose, pixel points from the normalised locations, then
+    per level a narrow, one bilinear_sample over the head axis, the weights,
+    a sum over points and an add over levels, and finally the heads merged."""
     n, m, nl, k, _ = loc.shape
-    hd = v1.shape[-1]
+    hd = v1.shape[-1] // m
+    values = [ops.transpose(ops.reshape(v, v.shape[:2] + (m, hd)), (2, 0, 1, 3))
+              for v in (v1, v2)]
     extent = np.array([[v.shape[2], v.shape[1]] for v in values], dtype=loc.dtype)
-    pts_px = ops.sub(ops.mul(ops.transpose(loc, (2, 1, 0, 3, 4)),
+    pts_px = ops.add(ops.mul(ops.transpose(loc, (2, 1, 0, 3, 4)),
                              Tensor(extent.reshape(nl, 1, 1, 1, 2))),
-                     Tensor(np.full(2, 0.5, dtype=loc.dtype)))
+                     Tensor(np.full(2, -0.5, dtype=loc.dtype)))
     weights = ops.transpose(ops.reshape(aw, (n, m, nl, k, 1)), (2, 1, 0, 3, 4))
     total = None
     for lvl, value in enumerate(values):
@@ -268,7 +270,7 @@ def _ms_deform_attn_reference(v1, v2, loc, aw):
 def test_ms_deform_attn_matches_the_per_level_chain(dtype, tol, row_block, monkeypatch):
     rng = np.random.default_rng(31)
     n, m, k, d = 9, 3, 2, 4
-    arrays = [rng.normal(size=(m, 6, 7, d)), rng.normal(size=(m, 3, 4, d)),
+    arrays = [rng.normal(size=(6, 7, m * d)), rng.normal(size=(3, 4, m * d)),
               rng.uniform(-0.2, 1.2, size=(n, m, 2, k, 2)),  # some corners off the map
               rng.uniform(0.0, 1.0, size=(n, m, 2, k))]
     probe = rng.normal(size=(n, m * d))
@@ -284,22 +286,55 @@ def test_ms_deform_attn_matches_the_per_level_chain(dtype, tol, row_block, monke
 
 
 def test_ms_deform_attn_shape_errors():
-    values = [Tensor(np.zeros((2, 4, 5, 3)))]
-    with pytest.raises(DimensionError, match="ms_deform_attn"):  # heads differ
+    values = [Tensor(np.zeros((4, 5, 4)))]
+    with pytest.raises(DimensionError, match="ms_deform_attn"):  # 4 channels, 3 heads
         ops.ms_deform_attn(values, Tensor(np.zeros((6, 3, 1, 2, 2))),
                            Tensor(np.zeros((6, 3, 1, 2))))
+    with pytest.raises(DimensionError):  # head-major (heads, H, W, d) values
+        ops.ms_deform_attn([Tensor(np.zeros((2, 4, 5, 2)))],
+                           Tensor(np.zeros((6, 2, 1, 2, 2))), Tensor(np.zeros((6, 2, 1, 2))))
     with pytest.raises(DimensionError):  # one level given, two located
         ops.ms_deform_attn(values, Tensor(np.zeros((6, 2, 2, 2, 2))),
                            Tensor(np.zeros((6, 2, 2, 2))))
 
 
-def test_linear_heads_is_the_linear_map_split_head_major():
+# ---------------------------------------------------------------------------
+# linear
+
+
+def _linear_reference(x, w, b):
+    """x @ w + b as a 2-D matmul over x's rows and a broadcast add of the
+    bias, two graph nodes."""
+    rows = ops.reshape(x, (-1, x.shape[-1]))
+    return ops.reshape(ops.add(ops.matmul(rows, w), b), x.shape[:-1] + (w.shape[1],))
+
+
+@pytest.mark.parametrize("x_shape,b_shape", [((6, 5), (3,)), ((4, 6, 5), (1, 3))],
+                         ids=["2d-vector-bias", "3d-row-bias"])
+def test_linear_is_one_node_matching_matmul_plus_add(x_shape, b_shape):
     rng = np.random.default_rng(32)
-    x, w, b = (Tensor(rng.normal(size=s)) for s in ((5, 7, 3), (3, 8), (8,)))
-    out = ops.linear_heads(x, w, b, 4)
-    expected = (x.data @ w.data + b.data).reshape(5, 7, 4, 2).transpose(2, 0, 1, 3)
-    assert out.shape == (4, 5, 7, 2)
-    assert np.allclose(out.data, expected, atol=1e-12)
+    arrays = [rng.normal(size=x_shape), rng.normal(size=(5, 3)), rng.normal(size=b_shape)]
+    probe = rng.normal(size=x_shape[:-1] + (3,))
+    for dtype in (np.float32, np.float64):
+        x, w, b = (Tensor(a.astype(dtype)) for a in arrays)
+        assert ops.linear(x, w, b).data.tobytes() == _linear_reference(x, w, b).data.tobytes()
+    fused = _with_grads(ops.linear, arrays, probe, np.float64)
+    ref = _with_grads(_linear_reference, arrays, probe, np.float64)
+    for name, a, r in zip(("out", "dx", "dw", "db"), fused, ref):
+        assert a.shape == r.shape, name
+        assert np.abs(a - r).max() <= 1e-12 * np.abs(r).max(), name
+    x, w, b = (Tensor(a, requires_grad=True) for a in arrays)
+    out = ops.linear(x, w, b)
+    assert out.op == "linear" and out._parents == (x, w, b)
+
+
+def test_linear_shape_errors():
+    x, w = Tensor(np.zeros((2, 5))), Tensor(np.zeros((5, 3)))
+    for bad in (Tensor(np.zeros(4)), Tensor(np.zeros((2, 3)))):
+        with pytest.raises(DimensionError, match="linear"):
+            ops.linear(x, w, bad)
+    with pytest.raises(DimensionError, match="linear"):
+        ops.linear(Tensor(np.zeros((2, 4))), w, Tensor(np.zeros(3)))
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +510,6 @@ def test_elementwise_gradchecks():
     y = rand_tensor(rng, (7,), lo=0.2, hi=2.0)
     checks = [
         (lambda a, b: ops.sum_(ops.mul(ops.add(a, b), _probe((7,)))), [x, y]),
-        (lambda a, b: ops.sum_(ops.mul(ops.sub(a, b), _probe((7,)))), [x, y]),
         (lambda a, b: ops.sum_(ops.mul(ops.mul(a, b), _probe((7,)))), [x, y]),
         (lambda a: ops.sum_(ops.mul(ops.sigmoid(a), _probe((7,)))), [x]),
     ]

@@ -240,6 +240,20 @@ def test_config_validation_names_constraint():
         load_config(preset="toy", overrides={"not_a_key": "1"})
 
 
+@pytest.mark.parametrize("key, bad, edge", [
+    ("anchor_ratios", "0", "0.5,2"), ("anchor_ratios", "1.0,-2", "1e-3"),
+    ("checkpoint_every", "-1", "0"),
+    ("nms_iou", "0", "1"), ("nms_iou", "1.5", "1e-3"), ("nms_iou", "nan", "0.4"),
+    ("score_threshold", "-0.1", "0"), ("score_threshold", "1.01", "1"),
+    ("flip_probability", "-0.5", "0"), ("flip_probability", "2", "1"),
+    ("sigma", "0", "1e-3"), ("sigma", "-1", "2"),
+])
+def test_config_rejects_out_of_range_values_naming_the_key(key, bad, edge):
+    with pytest.raises(ConfigError, match=key):
+        load_config(preset="toy", overrides={key: bad})
+    load_config(preset="toy", overrides={key: edge})  # an accepted value next to it
+
+
 # toy is 64x32: the block-matching window must fit the height and leave a disparity
 @pytest.mark.parametrize("window", ["-1", "33", "65"])
 def test_config_rejects_a_block_matching_window_that_cannot_fit(window):
@@ -324,6 +338,19 @@ def test_cli_validation_error_is_exit_2(tmp_path):
              "--set", "width=60", cwd=tmp_path)
     assert r.returncode == 2
     assert "divisible" in r.stderr
+
+
+def test_cli_train_on_a_manifest_without_seed_is_exit_2(toy_dataset, tmp_path):
+    data = tmp_path / "data"
+    shutil.copytree(toy_dataset, data)
+    manifest = data / MANIFEST_NAME
+    lines = manifest.read_text().splitlines(keepends=True)
+    manifest.write_text("".join(ln for ln in lines if not ln.startswith("seed=")))
+    r = _cli("train", "--data", str(data), "--out", "run", "--preset", "toy",
+             "--set", "total_steps=1", "--set", "checkpoint_every=1", "--quiet", cwd=tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert str(manifest) in r.stderr and "'seed='" in r.stderr
+    assert "Traceback" not in r.stderr
 
 
 def test_cli_gradcheck_ops_smoke(tmp_path):
