@@ -101,11 +101,18 @@ class RunConfig:
                  f"got {self.checkpoint_every}")
         if not 0 < self.nms_iou <= 1:
             fail(f"nms_iou must satisfy 0 < nms_iou <= 1, got {self.nms_iou}")
-        for key in ("score_threshold", "flip_probability"):
+        for key in ("score_threshold", "flip_probability", "tau_fg", "tau_bg"):
             if not 0 <= getattr(self, key) <= 1:
                 fail(f"{key} must lie in [0, 1], got {getattr(self, key)}")
-        if self.lr <= 0 or self.total_steps < 1 or self.batch_size < 1:
-            fail("lr > 0, total_steps >= 1, batch_size >= 1 required")
+        if self.total_steps < 1 or self.batch_size < 1:
+            fail("total_steps >= 1, batch_size >= 1 required")
+        # each bound is written so that NaN fails it
+        for key in ("lr", "smooth_l1_beta", "focal_alpha"):
+            if not getattr(self, key) > 0:
+                fail(f"{key} must be > 0, got {getattr(self, key)}")
+        for key in ("weight_decay", "focal_gamma"):
+            if not getattr(self, key) >= 0:
+                fail(f"{key} must be >= 0, got {getattr(self, key)}")
         if self.bm_window % 2 == 0:
             fail(f"bm_window must be odd, got {self.bm_window}")
         if not 1 <= self.bm_window <= self.height or self.bm_window >= self.width:

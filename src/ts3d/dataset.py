@@ -181,11 +181,18 @@ def read_manifest(path) -> Manifest:
     for k, v in raw.items():
         if not k.startswith("prior."):
             continue
-        _, name, s_idx, key = k.split(".", 3)
+        parts = k.split(".", 3)
+        if len(parts) != 4 or not parts[2].isdigit():
+            raise ValueError(f"manifest {path} has malformed key '{k}': expected "
+                             f"prior.<class>.<scale index>.<field>")
+        _, name, s_idx, key = parts
         if name not in priors:
             raise ValueError(f"manifest {path} has '{k}' for class '{name}', which "
                              f"'classes={raw.get('classes', '')}' does not list")
-        priors[name].setdefault(int(s_idx), {})[key] = float(v)
+        try:
+            priors[name].setdefault(int(s_idx), {})[key] = float(v)
+        except ValueError:
+            raise ValueError(f"manifest {path} has non-numeric '{k}={v}'") from None
     priors_out = {
         name: [scales[i] for i in sorted(scales)] for name, scales in priors.items()
     }

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .tensor import DimensionError, Tensor, as_tensor, grad_enabled, make_node
 
@@ -300,15 +300,28 @@ def softmax(a, axis: int = -1) -> Tensor:
 
 # Query rows per block: one block's scores are (heads, ATTENTION_ROW_BLOCK, m).
 ATTENTION_ROW_BLOCK = 128
+# Floor on the max-shifted scores: exp(-64) ~ 1.6e-28 is a normal float32, so
+# no exponential is subnormal (x86 computes with those many times slower).
+# A floored entry's probability is at most 1.6e-28, so each row's probability
+# mass moves by less than m * 1.6e-28.
+ATTENTION_SCORE_FLOOR = -64.0
 
 
-def _attention_probs(qh_rows: np.ndarray, kt: np.ndarray) -> np.ndarray:
-    """Row softmax of (heads, b, d) @ (heads, d, m) scores, in place."""
+def _attention_probs(qh_rows: np.ndarray, kt: np.ndarray):
+    """Unnormalised row softmax of (heads, b, d) @ (heads, d, m) scores.
+
+    Returns the exponentials e of the max-shifted scores, floored at
+    ATTENTION_SCORE_FLOOR, in place of the scores, and their (heads, b, 1)
+    row sums; the probabilities are e / rowsum. The floor is there because
+    untrained models spread scores so widely that exp of the unfloored
+    shifted scores is subnormal, and arithmetic on those is several times
+    slower on x86.
+    """
     p = qh_rows @ kt
     p -= p.max(axis=-1, keepdims=True)
+    np.maximum(p, ATTENTION_SCORE_FLOOR, out=p)
     np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
-    return p
+    return p, p.sum(axis=-1, keepdims=True)
 
 
 def attention(q, k, v, heads: int) -> Tensor:
@@ -320,7 +333,13 @@ def attention(q, k, v, heads: int) -> Tensor:
     (heads, n, m) score array exists in either pass: backward keeps only the
     head-major (scaled) q, k^T and v copies, recomputes each block's
     probabilities P and uses dS = P * (dP - rowsum(g * out)), as in
-    FlashAttention (Dao et al., arXiv 2205.14135).
+    FlashAttention (Dao et al., arXiv 2205.14135). As there, the forward
+    pass defers the softmax normalisation: it computes (e @ v) / rowsum(e),
+    dividing the (heads, b, d) output rather than the (heads, b, m)
+    exponentials, d divisions per row instead of m. Backward needs P itself
+    and divides e once. Shifted scores below ATTENTION_SCORE_FLOOR are
+    raised to it (see _attention_probs), which keeps every exponential
+    normal.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if (q.ndim != 2 or k.ndim != 2 or k.shape != v.shape or q.shape[1] != k.shape[1]
@@ -340,8 +359,8 @@ def attention(q, k, v, heads: int) -> Tensor:
     data_h = data.reshape(n, heads, d)
     for r0 in range(0, n, ATTENTION_ROW_BLOCK):
         r1 = min(r0 + ATTENTION_ROW_BLOCK, n)
-        p = _attention_probs(qh[:, r0:r1], kt)
-        data_h[r0:r1] = (p @ vh).transpose(1, 0, 2)
+        e, rowsum = _attention_probs(qh[:, r0:r1], kt)
+        data_h[r0:r1] = ((e @ vh) / rowsum).transpose(1, 0, 2)
 
     def build():
         def merged(x):  # (heads, rows, d) -> (rows, c)
@@ -355,7 +374,8 @@ def attention(q, k, v, heads: int) -> Tensor:
             dv = np.zeros_like(vh)
             for r0 in range(0, n, ATTENTION_ROW_BLOCK):
                 r1 = min(r0 + ATTENTION_ROW_BLOCK, n)
-                p = _attention_probs(qh[:, r0:r1], kt)
+                p, rowsum = _attention_probs(qh[:, r0:r1], kt)
+                p /= rowsum
                 g_rows = gh[:, r0:r1]
                 dv += p.swapaxes(-1, -2) @ g_rows
                 ds = g_rows @ vh.swapaxes(-1, -2)
@@ -806,11 +826,32 @@ def ms_deform_attn(values, locations, weights) -> Tensor:
 # stereo correlation
 
 
+# Columns per tile: one tile's per-row scores are (h, t, t + n_disparities - 1).
+CORRELATION_COLUMN_BLOCK = 32
+
+
+def _correlation_band(s: np.ndarray, n_disparities: int) -> np.ndarray:
+    """(h, t, n_disparities) view of s[v, i, n_disparities - 1 + i - d]: the
+    correlation of tile column i with the right column d pixels left of it."""
+    sh, su, sc = s.strides
+    return as_strided(s[:, :, n_disparities - 1:], shape=(s.shape[0], s.shape[1], n_disparities),
+                      strides=(sh, su + sc, -sc))
+
+
 def correlation_volume(x_left, x_right, n_disparities: int) -> Tensor:
     """Channel-mean correlation cost volume over horizontal shifts.
 
     out[v, u, d] = mean_c left[v, u, c] * right[v, u - d, c]; positions with
     u - d < 0 contribute exactly zero (no evidence off the frame edge).
+
+    Computed as RAFT-Stereo's 1-D all-pairs correlation (CorrBlock1D, Lipson
+    et al., 3DV 2021): with right left-padded by n_disparities - 1 zero
+    columns (rpad), each tile of CORRELATION_COLUMN_BLOCK columns takes one
+    batched per-row GEMM S = left_t @ rpad_t^T, and the tile's volume is the
+    band S[v, i, n_disparities - 1 + i - d], read through a strided view.
+    The padding makes off-frame entries exact zeros. Backward writes g into
+    a zeroed S through the same view and takes two GEMMs, S_g @ rpad_t and
+    S_g^T @ left_t. Tiling keeps S small; untiled it is (h, w, w + n_disparities - 1).
     """
     x_left, x_right = as_tensor(x_left), as_tensor(x_right)
     if x_left.shape != x_right.shape:
@@ -818,28 +859,37 @@ def correlation_volume(x_left, x_right, n_disparities: int) -> Tensor:
             f"correlation_volume inputs differ: {x_left.shape} vs {x_right.shape}"
         )
     h, w, c = x_left.shape
-    if n_disparities < 1:
-        raise DimensionError(f"correlation_volume needs >= 1 disparity, got {n_disparities}")
-    # shifts at or beyond the frame width leave all-zero slices (no evidence)
-    out = np.zeros((h, w, n_disparities), dtype=x_left.dtype)
+    nd = n_disparities
+    if nd < 1:
+        raise DimensionError(f"correlation_volume needs >= 1 disparity, got {nd}")
+    left = x_left.data
+    pad = ((0, 0), (nd - 1, 0), (0, 0))
+    rpad = np.pad(x_right.data, pad)
     inv_c = 1.0 / c
-    for d in range(min(n_disparities, w)):
-        out[:, d:, d] = (x_left.data[:, d:, :] * x_right.data[:, : w - d, :]).sum(axis=2) * inv_c
+    out = np.empty((h, w, nd), dtype=x_left.dtype)
+    for u0 in range(0, w, CORRELATION_COLUMN_BLOCK):
+        u1 = min(u0 + CORRELATION_COLUMN_BLOCK, w)
+        s = left[:, u0:u1] @ rpad[:, u0:u1 + nd - 1].swapaxes(1, 2)
+        np.multiply(_correlation_band(s, nd), inv_c, out=out[:, u0:u1])
 
     def build():
         def bw(g):
-            gl = np.zeros_like(x_left.data) if x_left.requires_grad else None
-            gr = np.zeros_like(x_right.data) if x_right.requires_grad else None
-            for d in range(min(n_disparities, w)):
-                seg = g[:, d:, d, None] * inv_c
+            # rebuilt, not captured: the graph then holds no padded copy until backward
+            gl = np.empty_like(left) if x_left.requires_grad else None
+            rp = np.pad(x_right.data, pad) if gl is not None else None
+            grpad = np.zeros((h, w + nd - 1, c), dtype=g.dtype) if x_right.requires_grad else None
+            for u0 in range(0, w, CORRELATION_COLUMN_BLOCK):
+                u1 = min(u0 + CORRELATION_COLUMN_BLOCK, w)
+                sg = np.zeros((h, u1 - u0, u1 - u0 + nd - 1), dtype=g.dtype)
+                np.multiply(g[:, u0:u1], inv_c, out=_correlation_band(sg, nd))
                 if gl is not None:
-                    gl[:, d:, :] += seg * x_right.data[:, : w - d, :]
-                if gr is not None:
-                    gr[:, : w - d, :] += seg * x_left.data[:, d:, :]
+                    gl[:, u0:u1] = sg @ rp[:, u0:u1 + nd - 1]
+                if grpad is not None:
+                    grpad[:, u0:u1 + nd - 1] += sg.swapaxes(1, 2) @ left[:, u0:u1]
             if gl is not None:
                 x_left.accumulate_grad(gl, "correlation_volume")
-            if gr is not None:
-                x_right.accumulate_grad(gr, "correlation_volume")
+            if grpad is not None:
+                x_right.accumulate_grad(grpad[:, nd - 1:], "correlation_volume")
         return bw
 
     return make_node(out, (x_left, x_right), "correlation_volume", build)

@@ -414,6 +414,68 @@ def test_attention_shape_errors():
                       Tensor(np.zeros((4, 8))), 2)
 
 
+def test_attention_floors_shifted_scores_so_no_probability_is_subnormal():
+    rng = np.random.default_rng(22)
+    n, m, c, heads = ops.ATTENTION_ROW_BLOCK, 64, 8, 2
+    d = c // heads
+    # float32-representable inputs, so both sides start from the same values;
+    # q's scale takes shifted scores to about -200, whose exp is subnormal or
+    # 0 in float32
+    q, k, v, probe = (rng.normal(size=(r, c)).astype(np.float32).astype(np.float64)
+                      for r in (n, m, m, n))
+    q *= 32.0
+    qh = (q / np.sqrt(d)).reshape(n, heads, d).transpose(1, 0, 2)
+    kt = k.reshape(m, heads, d).transpose(1, 2, 0)
+    scores = qh @ kt
+    shifted = scores - scores.max(axis=-1, keepdims=True)
+    assert shifted.min() < np.log(np.finfo(np.float32).tiny) < ops.ATTENTION_SCORE_FLOOR
+    e, rowsum = ops._attention_probs(qh.astype(np.float32), kt.astype(np.float32))
+    p = e / rowsum
+    assert p.dtype == np.float32
+    assert p[p != 0].min() >= np.finfo(np.float32).tiny
+    # the float32 op and its gradients against the unfused, unfloored float64
+    # softmax(q k^T / sqrt(d)) v
+    fused = _with_grads(lambda *t: ops.attention(*t, heads), (q, k, v), probe, np.float32)
+    unfused = _with_grads(lambda *t: _attention_reference(*t, heads), (q, k, v), probe,
+                          np.float64)
+    for name, a, b in zip(("out", "dq", "dk", "dv"), fused, unfused):
+        assert np.abs(a - b).max() <= 1e-5 * np.abs(b).max(), name
+
+
+# ---------------------------------------------------------------------------
+# stereo correlation
+
+
+def _correlation_loop(left, right, n_disparities, g):
+    """Per-disparity loop reference: the volume and the (left, right)
+    gradients for output gradient g."""
+    h, w, c = left.shape
+    out = np.zeros((h, w, n_disparities), dtype=left.dtype)
+    gl, gr = np.zeros_like(left), np.zeros_like(right)
+    inv_c = 1.0 / c
+    for d in range(min(n_disparities, w)):
+        out[:, d:, d] = (left[:, d:, :] * right[:, : w - d, :]).sum(axis=2) * inv_c
+        seg = g[:, d:, d, None] * inv_c
+        gl[:, d:, :] += seg * right[:, : w - d, :]
+        gr[:, : w - d, :] += seg * left[:, d:, :]
+    return out, gl, gr
+
+
+@pytest.mark.parametrize("h,w,c,nd", [(3, 70, 5, 12), (2, 4, 3, 8), (3, 9, 4, 1)],
+                         ids=["partial-tile", "more-disparities-than-columns", "one-disparity"])
+@pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-6)],
+                         ids=["float64", "float32"])
+def test_correlation_volume_matches_per_disparity_loop(dtype, tol, h, w, c, nd):
+    rng = np.random.default_rng(31)
+    left, right = (rng.normal(size=(h, w, c)).astype(dtype) for _ in range(2))
+    g = rng.normal(size=(h, w, nd)).astype(dtype)
+    banded = _with_grads(lambda l, r: ops.correlation_volume(l, r, nd), (left, right), g, dtype)
+    ref = _correlation_loop(left, right, nd, g)
+    for name, a, b in zip(("out", "dleft", "dright"), banded, ref):
+        assert a.dtype == dtype, name
+        assert np.abs(a - b).max() <= tol * np.abs(b).max(), name
+
+
 # ---------------------------------------------------------------------------
 # remaining operators: identity / symmetry / finite differences
 

@@ -254,6 +254,18 @@ def test_config_rejects_out_of_range_values_naming_the_key(key, bad, edge):
     load_config(preset="toy", overrides={key: edge})  # an accepted value next to it
 
 
+@pytest.mark.parametrize("key, bad, edge", [
+    ("lr", "0", "1e-9"), ("smooth_l1_beta", "0", "1e-3"), ("smooth_l1_beta", "-1", "2"),
+    ("weight_decay", "-1e-4", "0"), ("focal_gamma", "-1", "0"), ("focal_alpha", "0", "1e-3"),
+    ("tau_fg", "1.5", "1"), ("tau_bg", "-0.1", "0"),
+])
+def test_config_rejects_out_of_range_loss_and_optimizer_values_and_nan(key, bad, edge):
+    for value in (bad, "nan"):
+        with pytest.raises(ConfigError, match=key):
+            load_config(preset="toy", overrides={key: value})
+    load_config(preset="toy", overrides={key: edge})  # an accepted value next to it
+
+
 # toy is 64x32: the block-matching window must fit the height and leave a disparity
 @pytest.mark.parametrize("window", ["-1", "33", "65"])
 def test_config_rejects_a_block_matching_window_that_cannot_fit(window):
@@ -338,6 +350,11 @@ def test_cli_validation_error_is_exit_2(tmp_path):
              "--set", "width=60", cwd=tmp_path)
     assert r.returncode == 2
     assert "divisible" in r.stderr
+    # caught before the first loss divides by it
+    r = _cli("train", "--data", "missing", "--out", "run", "--preset", "toy",
+             "--set", "smooth_l1_beta=0", cwd=tmp_path)
+    assert r.returncode == 2
+    assert "smooth_l1_beta" in r.stderr and "Traceback" not in r.stderr
 
 
 def test_cli_train_on_a_manifest_without_seed_is_exit_2(toy_dataset, tmp_path):
