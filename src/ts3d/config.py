@@ -7,6 +7,7 @@ run writes its resolved config next to its outputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 from .tensor import ConfigError
@@ -74,6 +75,9 @@ class RunConfig:
             fail(f"width/height must be divisible by 16, got {self.width}x{self.height}")
         if len(self.bins) != 3 or any(b < 1 for b in self.bins):
             fail(f"bins needs three positive entries, got {self.bins}")
+        for key, low in (("c_bb", 1), ("c_disp", 1), ("blocks_per_stage", 0)):
+            if getattr(self, key) < low:
+                fail(f"{key} must be >= {low}, got {getattr(self, key)}")
         if self.c_disp >= self.c_dec:
             fail(f"c_disp must stay below c_dec, got {self.c_disp} >= {self.c_dec}")
         if self.dape_mode not in DAPE_MODES:
@@ -92,10 +96,8 @@ class RunConfig:
             fail("n_dec must be >= 0 and heads/points >= 1")
         if self.anchor_scales < 1 or not self.anchor_ratios:
             fail("anchor_scales >= 1 and at least one aspect ratio required")
-        if not all(r > 0 for r in self.anchor_ratios):
-            fail(f"anchor_ratios entries must be > 0, got {self.anchor_ratios}")
-        if not self.sigma > 0:
-            fail(f"sigma must be > 0, got {self.sigma}")
+        if not all(0 < r < math.inf for r in self.anchor_ratios):
+            fail(f"anchor_ratios entries must be finite and > 0, got {self.anchor_ratios}")
         if self.checkpoint_every < 0:
             fail(f"checkpoint_every must be >= 0 (0 saves no periodic checkpoint), "
                  f"got {self.checkpoint_every}")
@@ -106,13 +108,13 @@ class RunConfig:
                 fail(f"{key} must lie in [0, 1], got {getattr(self, key)}")
         if self.total_steps < 1 or self.batch_size < 1:
             fail("total_steps >= 1, batch_size >= 1 required")
-        # each bound is written so that NaN fails it
-        for key in ("lr", "smooth_l1_beta", "focal_alpha"):
-            if not getattr(self, key) > 0:
-                fail(f"{key} must be > 0, got {getattr(self, key)}")
+        # each bound is written so that NaN and +inf fail it
+        for key in ("lr", "smooth_l1_beta", "focal_alpha", "sigma"):
+            if not 0 < getattr(self, key) < math.inf:
+                fail(f"{key} must be finite and > 0, got {getattr(self, key)}")
         for key in ("weight_decay", "focal_gamma"):
-            if not getattr(self, key) >= 0:
-                fail(f"{key} must be >= 0, got {getattr(self, key)}")
+            if not 0 <= getattr(self, key) < math.inf:
+                fail(f"{key} must be finite and >= 0, got {getattr(self, key)}")
         if self.bm_window % 2 == 0:
             fail(f"bm_window must be odd, got {self.bm_window}")
         if not 1 <= self.bm_window <= self.height or self.bm_window >= self.width:

@@ -172,9 +172,14 @@ def read_manifest(path) -> Manifest:
                 continue
             k, v = line.split("=", 1)
             raw[k] = v
+    ints = {}
     for key in ("seed", "width", "height"):
         if key not in raw:
             raise ValueError(f"manifest {path} lacks '{key}='")
+        try:
+            ints[key] = int(raw[key])
+        except ValueError:
+            raise ValueError(f"manifest {path} has non-integer '{key}={raw[key]}'") from None
     classes = raw["classes"].split(",") if raw.get("classes") else []
     params = {k[len("param."):]: v for k, v in raw.items() if k.startswith("param.")}
     priors: dict = {name: {} for name in classes}
@@ -200,9 +205,8 @@ def read_manifest(path) -> Manifest:
     for k, v in raw.items():
         if k.startswith("split."):
             splits[k[len("split."):]] = v.split(",") if v else []
-    return Manifest(seed=int(raw["seed"]), width=int(raw["width"]),
-                    height=int(raw["height"]), params=params, classes=classes,
-                    priors=priors_out, splits=splits)
+    return Manifest(**ints, params=params, classes=classes, priors=priors_out,
+                    splits=splits)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,10 @@
 distribution-matching disparity loss.
 
 The head regresses disparity logits from the lowest-resolution stereo
-feature. The stride-16 logits feed the positional encoding; two
-upsample+conv stages produce stride-4 logits for supervision against a
-classical block-matching disparity map: winner-take-all SAD matching that
+feature. The stride-16 logits feed the positional encoding on every forward
+pass. Only the training loss builds the two upsample+conv stages that turn
+them into stride-4 logits, supervised against a classical block-matching
+disparity map: winner-take-all SAD matching that
 streams over the disparities keeping a running best cost, runner-up and best
 disparity per pixel (no cost volume), a uniqueness test between best and
 runner-up, and a left-right consistency check.
@@ -29,13 +30,14 @@ class DisparityHead(Module):
         self.up1 = Conv2d(rng, c_disp, c_disp, k=3)
         self.up2 = Conv2d(rng, c_disp, c_disp, k=3)
 
-    def forward(self, c3: Tensor):
-        """Returns (stride-16 logits for the encoder, stride-4 logits for the loss)."""
-        h = ops.relu(self.trunk1.forward(c3))
-        logits_q = self.trunk2.forward(h)
+    def forward(self, c3: Tensor) -> Tensor:
+        """Stride-16 logits for the positional encoding."""
+        return self.trunk2.forward(ops.relu(self.trunk1.forward(c3)))
+
+    def supervision_logits(self, logits_q: Tensor) -> Tensor:
+        """Stride-4 logits for the disparity loss, from the stride-16 logits."""
         h = ops.relu(self.up1.forward(ops.upsample2x(logits_q)))
-        logits_sup = self.up2.forward(ops.upsample2x(h))
-        return logits_q, logits_sup
+        return self.up2.forward(ops.upsample2x(h))
 
 
 def softargmax(logits: Tensor, axis: int = -1) -> Tensor:

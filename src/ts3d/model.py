@@ -1,5 +1,10 @@
 """Full detector assembly: backbone -> cost-volume pyramid -> disparity head
--> grid queries with positional encoding -> decoder -> detection heads."""
+-> grid queries with positional encoding -> decoder -> detection heads.
+
+``TS3D.forward`` stops at the decoder. The rest is built by whoever reads it:
+``compute_loss`` builds the stride-4 disparity logits and one detection head
+per supervised decoder layer (auxiliary supervision, as in DETR), and
+``infer`` runs the detection head once, on the last layer's queries."""
 
 from __future__ import annotations
 
@@ -22,7 +27,8 @@ from .detect import (
     layer_detection_loss,
     total_loss,
 )
-from .disphead import DisparityHead, softargmax, stereo_focal_loss
+# softargmax is unused here; the benchmark tracer hooks ts3d.model.softargmax.
+from .disphead import DisparityHead, softargmax, stereo_focal_loss  # noqa: F401
 from .spfpn import SPFPN
 from .tensor import ConfigError, Module, Tensor, bind_parameter_names, no_grad
 
@@ -50,21 +56,14 @@ def default_templates(cfg: RunConfig) -> list:
 
 @dataclass
 class ModelOutputs:
-    """What one forward pass produced. The decoder reads ``aggregated``
-    through each level's factored 1x1 projection (``SPFPN.project_scales``),
-    folded into every layer's value projection, so no projected c_dec-wide
-    level map exists to be returned."""
+    """What one forward pass produced, and only what its callers read. The
+    stride-4 disparity logits (``DisparityHead.supervision_logits``) and the
+    detection heads (``DetectionHead.forward``) are built from these by
+    ``TS3D.compute_loss`` and ``TS3D.infer``."""
 
-    aggregated: list           # aggregated stereo volumes, one per level
     logits_q: Tensor           # stride-16 disparity logits
-    logits_sup: Tensor         # stride-4 disparity logits
-    disparity_map: Tensor      # stride-4 regressed disparity (bin units)
     pe_flat: Tensor | None     # (Nq, c_dec) positional encoding
-    x_q: Tensor                # raw grid queries
-    refs: np.ndarray
-    layer_queries: list        # decoder outputs, one per layer
-    cls_layers: list           # per supervised layer
-    reg_layers: list
+    queries: list              # decoder outputs, one per layer; [x_q] if n_dec = 0
 
 
 class TS3D(Module):
@@ -110,25 +109,14 @@ class TS3D(Module):
                 f"configured {cfg.height}x{cfg.width}x3"
             )
         pyramids = self.backbone.forward(left, right)
-        _, aggregated, levels = self.spfpn.forward(pyramids)
+        aggregated, levels = self.spfpn.forward(pyramids)
         c3 = aggregated[-1]
-        logits_q, logits_sup = self.disp_head.forward(c3)
-        disparity_map = softargmax(logits_sup, axis=-1)
+        logits_q = self.disp_head.forward(c3)
         x_q, refs = self.query.forward(c3)
         pe = self.positional_encoding(logits_q)
         pe_flat = ops.reshape(pe, (x_q.shape[0], cfg.c_dec)) if pe is not None else None
-        layer_queries = self.decoder.forward(x_q, pe_flat, refs, levels)
-        supervised = layer_queries if layer_queries else [x_q]
-        cls_layers, reg_layers = [], []
-        for q in supervised:
-            cls, reg = self.head.forward(q)
-            cls_layers.append(cls)
-            reg_layers.append(reg)
-        return ModelOutputs(aggregated=aggregated, logits_q=logits_q,
-                            logits_sup=logits_sup, disparity_map=disparity_map,
-                            pe_flat=pe_flat, x_q=x_q, refs=refs,
-                            layer_queries=layer_queries, cls_layers=cls_layers,
-                            reg_layers=reg_layers)
+        queries = self.decoder.forward(x_q, pe_flat, refs, levels) or [x_q]
+        return ModelOutputs(logits_q=logits_q, pe_flat=pe_flat, queries=queries)
 
     # -- training --------------------------------------------------------
 
@@ -146,15 +134,13 @@ class TS3D(Module):
             frame.calib.f, frame.calib.cx, frame.calib.cy,
             tau_fg=cfg.tau_fg, tau_bg=cfg.tau_bg, ensure_matches=cfg.ensure_matches)
         gt_disp, valid = self.supervision_pseudo_gt(frame)
-        disp_loss, n_valid = stereo_focal_loss(outputs.logits_sup, gt_disp, valid,
-                                               sigma=cfg.sigma)
-        pairs = list(zip(outputs.cls_layers, outputs.reg_layers))
-        if not cfg.intermediate_supervision:
-            pairs = pairs[-1:]
+        logits_sup = self.disp_head.supervision_logits(outputs.logits_q)
+        disp_loss, n_valid = stereo_focal_loss(logits_sup, gt_disp, valid, sigma=cfg.sigma)
+        supervised = outputs.queries if cfg.intermediate_supervision else outputs.queries[-1:]
         layer_losses = [
-            layer_detection_loss(cls, reg, targets, alpha=cfg.focal_alpha,
+            layer_detection_loss(*self.head.forward(q), targets, alpha=cfg.focal_alpha,
                                  gamma=cfg.focal_gamma, beta=cfg.smooth_l1_beta)
-            for cls, reg in pairs
+            for q in supervised
         ]
         total = total_loss(layer_losses, disp_loss, targets.n_objects)
         norm = 1.0 / max(targets.n_objects, 1)
@@ -181,12 +167,12 @@ class TS3D(Module):
         with no_grad():
             left = Tensor(frame.left.astype(self.dtype, copy=False))
             right = Tensor(frame.right.astype(self.dtype, copy=False))
-            outputs = self.forward(left, right)
+            cls, reg = self.head.forward(self.forward(left, right).queries[-1])
         return decode_detections(
-            self.anchors, outputs.cls_layers[-1], outputs.reg_layers[-1], cfg.classes,
+            self.anchors, cls, reg, cfg.classes,
             frame.calib.f, frame.calib.cx, frame.calib.cy,
             score_threshold=cfg.score_threshold, iou_threshold=cfg.nms_iou,
-        ), outputs
+        )
 
 
 def dape_similarity_heatmap(outputs: ModelOutputs, probe_uv, shape_hw) -> np.ndarray:

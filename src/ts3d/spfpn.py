@@ -146,8 +146,6 @@ class SPFPN(Module):
                 for proj, c in zip(self.project, aggregated)]
 
     def forward(self, pyr: UnaryPyramids):
-        """Returns (fused per-scale volumes, aggregated volumes, their
-        factored projections)."""
-        c_init = self.build_cost_volumes(pyr)
-        aggregated = self.aggregate(c_init)
-        return c_init, aggregated, self.project_scales(aggregated)
+        """Returns (aggregated volumes, their factored projections)."""
+        aggregated = self.aggregate(self.build_cost_volumes(pyr))
+        return aggregated, self.project_scales(aggregated)

@@ -153,7 +153,7 @@ def run_inference(model: TS3D, data_dir, split, out_dir, quiet: bool = True):
     os.makedirs(out_dir, exist_ok=True)
     for fid in ids:
         frame = load_frame(data_dir, fid, manifest, with_pseudo=False)
-        detections, _ = model.infer(frame)
+        detections = model.infer(frame)
         write_kitti_label(os.path.join(out_dir, fid + ".txt"), detections)
         if not quiet:
             print(f"{fid}: {len(detections)} detections", flush=True)

@@ -242,7 +242,8 @@ def test_dataset_generation_and_manifest(tmp_path):
     ("seed=", "", "'seed='"), ("width=", "", "'width='"), ("height=", "", "'height='"),
     ("", "prior.Van.0.z=9.0\n", "prior.Van.0.z"),
     ("", "prior.Car.x.z=1\n", "prior.Car.x.z"), ("", "prior.Car=1\n", "prior.Car"),
-    ("", "prior.Car.0.z=far\n", "prior.Car.0.z"),
+    ("", "prior.Car.0.z=far\n", "prior.Car.0.z"), ("seed=", "seed=abc\n", "'seed=abc'"),
+    ("width=", "width=6.4e1\n", "'width=6.4e1'"), ("height=", "height=\n", "'height='"),
 ])
 def test_read_manifest_names_the_file_and_the_key(tmp_path, drop, add, named):
     generate_dataset(tmp_path, seed=5, n_train=1, n_val=0,

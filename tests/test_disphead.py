@@ -364,7 +364,8 @@ def test_head_resolutions():
     head = DisparityHead(rng, in_channels=10, c_disp=6).astype(np.float32)
     c3 = Tensor(rng.normal(size=(4, 8, 10)).astype(np.float32))
     with no_grad():
-        logits_q, logits_sup = head.forward(c3)
+        logits_q = head.forward(c3)
+        logits_sup = head.supervision_logits(logits_q)
     assert logits_q.shape == (4, 8, 6)
     assert logits_sup.shape == (16, 32, 6)
 
@@ -375,7 +376,8 @@ def test_full_scale_supervision_extents():
     head = DisparityHead(rng, in_channels=4, c_disp=4).astype(np.float32)
     c3 = Tensor(rng.normal(size=(18, 80, 4)).astype(np.float32))
     with no_grad():
-        logits_q, logits_sup = head.forward(c3)
+        logits_q = head.forward(c3)
+        logits_sup = head.supervision_logits(logits_q)
     assert logits_q.shape[:2] == (18, 80)
     assert logits_sup.shape[:2] == (72, 320)
 
@@ -384,7 +386,7 @@ def test_gradient_flows_back_to_stereo_feature():
     rng = np.random.default_rng(9)
     head = DisparityHead(rng, in_channels=5, c_disp=4)
     c3 = Tensor(rng.normal(size=(2, 4, 5)), dtype=np.float64, requires_grad=True)
-    logits_q, logits_sup = head.forward(c3)
+    logits_sup = head.supervision_logits(head.forward(c3))
     gt = rng.uniform(0, 3, size=logits_sup.shape[:2])
     mask = np.ones(logits_sup.shape[:2], dtype=bool)
     loss, _ = stereo_focal_loss(logits_sup, gt, mask)

@@ -10,8 +10,9 @@ from ts3d import ops
 from ts3d.config import RunConfig
 from ts3d.dataset import FrameData
 from ts3d.decoder import MSDeformCA
+from ts3d.detect import DetectionHead
 from ts3d.disphead import block_match_stereo
-from ts3d.layers import ConvNorm
+from ts3d.layers import Conv2d, ConvNorm
 from ts3d.model import TS3D, dape_similarity_heatmap
 from ts3d.synth import SynthParams, synth_scene
 from ts3d.tensor import ConfigError, Tensor, no_grad
@@ -41,24 +42,31 @@ def _forward(model, frame):
                              Tensor(frame.right.astype(model.dtype)))
 
 
+def _last_heads(model, out):
+    """The detection heads on the last decoder layer, as ``TS3D.infer`` runs them."""
+    with no_grad():
+        return model.head.forward(out.queries[-1])
+
+
 def test_toy_forward_shapes():
     cfg = _toy_cfg()
     model = TS3D(cfg, rng=np.random.default_rng(0))
     frame = _toy_frame()
     out = _forward(model, frame)
     nq = (64 // 16) * (32 // 16)
-    assert out.x_q.shape == (nq, cfg.c_dec)
+    assert [q.shape for q in out.queries] == [(nq, cfg.c_dec)] * cfg.n_dec
     assert out.logits_q.shape == (2, 4, cfg.c_disp)
-    assert out.logits_sup.shape == (8, 16, cfg.c_disp)
-    assert len(out.aggregated) == 3
-    assert [a.shape[-1] for a in out.aggregated] == model.spfpn.agg_channels
-    assert len(out.cls_layers) == cfg.n_dec
-    assert out.cls_layers[-1].shape == (nq, len(cfg.classes) + 1)
-    assert out.reg_layers[-1].shape == (nq, 13)
+    with no_grad():
+        assert model.disp_head.supervision_logits(out.logits_q).shape == (8, 16, cfg.c_disp)
+        aggregated, _ = model.spfpn.forward(
+            model.backbone.forward(Tensor(frame.left.astype(model.dtype)),
+                                   Tensor(frame.right.astype(model.dtype))))
+    assert len(aggregated) == 3
+    assert [a.shape[-1] for a in aggregated] == model.spfpn.agg_channels
+    cls, reg = _last_heads(model, out)
+    assert cls.shape == (nq, len(cfg.classes) + 1)
+    assert reg.shape == (nq, 13)
     assert out.pe_flat.shape == (nq, cfg.c_dec)
-    # regressed disparity is a convex combination of bin indices
-    assert out.disparity_map.data.min() >= 0.0
-    assert out.disparity_map.data.max() <= cfg.c_disp - 1
 
 
 def test_full_scale_query_count_arithmetic():
@@ -70,10 +78,10 @@ def test_forward_deterministic_bitwise():
     cfg = _toy_cfg()
     model = TS3D(cfg, rng=np.random.default_rng(1))
     frame = _toy_frame()
-    a = _forward(model, frame)
-    b = _forward(model, frame)
-    assert a.cls_layers[-1].data.tobytes() == b.cls_layers[-1].data.tobytes()
-    assert a.reg_layers[-1].data.tobytes() == b.reg_layers[-1].data.tobytes()
+    (cls_a, reg_a), (cls_b, reg_b) = (_last_heads(model, _forward(model, frame))
+                                      for _ in range(2))
+    assert cls_a.data.tobytes() == cls_b.data.tobytes()
+    assert reg_a.data.tobytes() == reg_b.data.tobytes()
 
 
 def test_seeded_construction_reproducible():
@@ -104,8 +112,8 @@ def test_zero_decoder_layers_supervises_raw_queries():
     cfg = _toy_cfg(n_dec=0)
     model = TS3D(cfg, rng=np.random.default_rng(4))
     out = _forward(model, _toy_frame())
-    assert out.layer_queries == []
-    assert len(out.cls_layers) == 1  # heads attach directly to the grid queries
+    # heads attach directly to the grid queries
+    assert [q.shape for q in out.queries] == [(8, cfg.c_dec)]
 
 
 def test_dape_is_the_depth_channel_into_queries():
@@ -117,7 +125,8 @@ def test_dape_is_the_depth_channel_into_queries():
     out_a = _forward(model, frame)
     out_b = _forward(model, frame)
     assert out_a.pe_flat is None
-    assert np.array_equal(out_a.cls_layers[-1].data, out_b.cls_layers[-1].data)
+    assert np.array_equal(_last_heads(model, out_a)[0].data,
+                          _last_heads(model, out_b)[0].data)
 
     cfg_dape = _toy_cfg(dape_mode="dape")
     model_d = TS3D(cfg_dape, rng=np.random.default_rng(5))
@@ -133,7 +142,7 @@ def test_all_encoding_modes_run():
         cfg = _toy_cfg(dape_mode=mode)
         model = TS3D(cfg, rng=np.random.default_rng(6))
         out = _forward(model, frame)
-        assert out.cls_layers[-1].shape[0] == 8
+        assert _last_heads(model, out)[0].shape[0] == 8
 
 
 def test_pyramid_variants_run_and_differ():
@@ -142,7 +151,7 @@ def test_pyramid_variants_run_and_differ():
     for variant in ("spfpn", "topdown_fpn", "bifpn_like"):
         cfg = _toy_cfg(pyramid_variant=variant)
         model = TS3D(cfg, rng=np.random.default_rng(7))
-        outs[variant] = _forward(model, frame).cls_layers[-1].data
+        outs[variant] = _last_heads(model, _forward(model, frame))[0].data
     assert not np.allclose(outs["spfpn"], outs["topdown_fpn"])
 
 
@@ -172,19 +181,50 @@ def test_intermediate_supervision_structural():
         model.zero_grad()
         out = model.forward(left, right)
         loss, _ = model.compute_loss(out, frame)
-        for q in out.layer_queries:
+        for q in out.queries:
             q.grad = None
         loss.backward()
         return out
 
     out = layer_grads(True)
     assert all(q.grad is not None and np.abs(q.grad).max() > 0
-               for q in out.layer_queries)
+               for q in out.queries)
     out = layer_grads(False)
     # the first layer still feeds the second, but no head loss attaches to it:
     # its gradient flows only through the next layer, while the last layer's
     # head gradient must be nonzero
-    assert out.layer_queries[-1].grad is not None
+    assert out.queries[-1].grad is not None
+
+
+def test_only_the_loss_builds_auxiliary_heads_and_the_supervision_branch(monkeypatch):
+    """``infer`` runs the detection head once and never the stride-4 branch;
+    ``compute_loss`` runs one head per supervised decoder layer."""
+    frame = _toy_frame()
+    model = TS3D(_toy_cfg(n_dec=2), rng=np.random.default_rng(12))
+    head_calls, up2_calls = [], []
+    head_forward, conv_forward = DetectionHead.forward, Conv2d.forward
+
+    def counted_head_forward(self, q):
+        head_calls.append(q)
+        return head_forward(self, q)
+
+    def counted_conv_forward(self, x):
+        if self is model.disp_head.up2:
+            up2_calls.append(x)
+        return conv_forward(self, x)
+
+    monkeypatch.setattr(DetectionHead, "forward", counted_head_forward)
+    monkeypatch.setattr(Conv2d, "forward", counted_conv_forward)
+
+    model.infer(frame)
+    assert (len(head_calls), len(up2_calls)) == (1, 0)
+
+    for intermediate, heads in ((False, 1), (True, 2)):
+        head_calls.clear()
+        model.cfg.intermediate_supervision = intermediate
+        model.train_step_loss(frame)
+        assert (len(head_calls), len(up2_calls)) == (heads, 1)
+        up2_calls.clear()
 
 
 def test_mismatched_resolution_rejected():

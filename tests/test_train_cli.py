@@ -242,11 +242,13 @@ def test_config_validation_names_constraint():
 
 @pytest.mark.parametrize("key, bad, edge", [
     ("anchor_ratios", "0", "0.5,2"), ("anchor_ratios", "1.0,-2", "1e-3"),
+    ("anchor_ratios", "1,inf", "1e3"),
     ("checkpoint_every", "-1", "0"),
     ("nms_iou", "0", "1"), ("nms_iou", "1.5", "1e-3"), ("nms_iou", "nan", "0.4"),
     ("score_threshold", "-0.1", "0"), ("score_threshold", "1.01", "1"),
     ("flip_probability", "-0.5", "0"), ("flip_probability", "2", "1"),
-    ("sigma", "0", "1e-3"), ("sigma", "-1", "2"),
+    ("sigma", "0", "1e-3"), ("sigma", "-1", "2"), ("sigma", "inf", "1e3"),
+    ("c_bb", "0", "1"), ("c_disp", "0", "4"), ("blocks_per_stage", "-1", "0"),
 ])
 def test_config_rejects_out_of_range_values_naming_the_key(key, bad, edge):
     with pytest.raises(ConfigError, match=key):
@@ -258,6 +260,8 @@ def test_config_rejects_out_of_range_values_naming_the_key(key, bad, edge):
     ("lr", "0", "1e-9"), ("smooth_l1_beta", "0", "1e-3"), ("smooth_l1_beta", "-1", "2"),
     ("weight_decay", "-1e-4", "0"), ("focal_gamma", "-1", "0"), ("focal_alpha", "0", "1e-3"),
     ("tau_fg", "1.5", "1"), ("tau_bg", "-0.1", "0"),
+    ("lr", "inf", "1e3"), ("weight_decay", "inf", "1e3"), ("smooth_l1_beta", "inf", "1e3"),
+    ("focal_alpha", "inf", "1e3"), ("focal_gamma", "inf", "1e3"),
 ])
 def test_config_rejects_out_of_range_loss_and_optimizer_values_and_nan(key, bad, edge):
     for value in (bad, "nan"):
