@@ -119,34 +119,33 @@ def _load_cfg(args):
                        overrides=_parse_overrides(args.overrides))
 
 
-def _range_flag(flag, text, cast, valid, need):
-    """LO,HI from a synth flag; ConfigError naming the flag unless valid(LO, HI)."""
+def _range_flag(flag, text, cast, interval):
+    """LO,HI from a synth flag, both in ``interval``; ConfigError naming the flag."""
+    from .config import check_interval
     from .tensor import ConfigError
 
     try:
         lo, hi = (cast(x) for x in text.split(","))
     except ValueError:
         lo = hi = None
-    if lo is None or not valid(lo, hi):
-        raise ConfigError(f"{flag} {text} is invalid: need LO,HI with {need}")
+    if lo is None or lo > hi:
+        raise ConfigError(f"{flag} {text} is invalid: need LO,HI with LO <= HI")
+    for x in (lo, hi):
+        check_interval(flag, x, interval)
     return lo, hi
 
 
 def _cmd_synth(args) -> int:
-    import math
-
+    from .config import check_interval
     from .dataset import generate_dataset
     from .synth import SynthParams
-    from .tensor import ConfigError
 
     cfg = _load_cfg(args)
-    for flag, n in (("--frames", args.frames), ("--val-frames", args.val_frames)):
-        if n < 0:
-            raise ConfigError(f"{flag} {n} is invalid: need {flag} >= 0")
-    objects = _range_flag("--objects", args.objects, int, lambda lo, hi: 0 <= lo <= hi,
-                          "integers 0 <= LO <= HI")
-    z_range = _range_flag("--z-range", args.z_range, float,
-                          lambda lo, hi: 0 < lo <= hi < math.inf, "finite 0 < LO <= HI")
+    for flag, n in (("--frames", args.frames), ("--val-frames", args.val_frames),
+                    ("--seed", args.seed)):
+        check_interval(flag, n, "[0, inf)")
+    objects = _range_flag("--objects", args.objects, int, "[0, inf)")
+    z_range = _range_flag("--z-range", args.z_range, float, "(0, inf)")
     params = SynthParams(width=cfg.width, height=cfg.height, n_objects=objects,
                          z_range=z_range)
     manifest = generate_dataset(args.out, seed=args.seed, n_train=args.frames,
@@ -169,12 +168,11 @@ def _cmd_pseudogt(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    from .tensor import ConfigError
+    from .config import check_interval
     from .train import train_run
 
     cfg = _load_cfg(args)
-    if args.print_every < 1:
-        raise ConfigError(f"--print-every {args.print_every} is invalid: need --print-every >= 1")
+    check_interval("--print-every", args.print_every, "[1, inf)")
     train_run(cfg, args.data, args.out, resume=args.resume,
               print_every=args.print_every, quiet=args.quiet)
     print(f"training complete; checkpoints in {args.out}")
@@ -192,12 +190,11 @@ def _cmd_infer(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    from .config import check_interval
     from .evalkit import evaluate_directories, write_report
-    from .tensor import ConfigError
 
     cfg = _load_cfg(args)
-    if not 0.0 < args.iou <= 1.0:
-        raise ConfigError(f"--iou {args.iou} is invalid: need 0 < --iou <= 1")
+    check_interval("--iou", args.iou, "(0, 1]")
     gt_dir = args.gt
     label_sub = os.path.join(gt_dir, "label_2")
     if os.path.isdir(label_sub):
@@ -214,7 +211,9 @@ def _cmd_eval(args) -> int:
 
 def _cmd_gradcheck(args) -> int:
     from .checksuite import run_scope
+    from .config import check_interval
 
+    check_interval("--seed", args.seed, "[0, inf)")
     results = run_scope(args.scope, seed=args.seed)
     failed = 0
     for name, err, tol in results:
@@ -228,6 +227,7 @@ def _cmd_gradcheck(args) -> int:
 def _cmd_heatmap(args) -> int:
     import numpy as np
 
+    from .config import check_interval
     from .dataset import MANIFEST_NAME, load_frame, read_manifest
     from .kitti_io import write_pgm
     from .model import dape_similarity_heatmap
@@ -240,12 +240,10 @@ def _cmd_heatmap(args) -> int:
     except ValueError:
         raise ConfigError(f"--probe expects two integers U,V, got '{args.probe}'") from None
     hq, wq = cfg.height // 16, cfg.width // 16
-    if not (0 <= u < wq and 0 <= v < hq):
-        raise ConfigError(f"--probe {u},{v} is off the {wq}x{hq} query grid: "
-                          f"need 0 <= u < {wq} and 0 <= v < {hq}")
-    if args.bin is not None and not 0 <= args.bin < cfg.c_disp:
-        raise ConfigError(f"--bin {args.bin} is out of range: need 0 <= bin < "
-                          f"c_disp = {cfg.c_disp}")
+    check_interval("--probe U", u, f"[0, {wq})")
+    check_interval("--probe V", v, f"[0, {hq})")
+    if args.bin is not None:
+        check_interval("--bin", args.bin, f"[0, {cfg.c_disp})")
     model = load_trained_model(cfg, args.data, args.ckpt)
     manifest = read_manifest(os.path.join(args.data, MANIFEST_NAME))
     frame = load_frame(args.data, args.frame, manifest, with_pseudo=False)

@@ -7,17 +7,41 @@ run writes its resolved config next to its outputs.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from .tensor import ConfigError
 
 DAPE_MODES = ("dape", "sine2d", "onehot", "none")
 PYRAMID_VARIANTS = ("spfpn", "topdown_fpn", "bifpn_like")
 
+# The interval each numeric key must lie in; a tuple key's every entry must.
+BOUNDS = {
+    "[1, inf)": ("width", "height", "bins", "c_bb", "c_dec", "c_disp", "heads", "points",
+                 "anchor_scales", "batch_size", "total_steps", "bm_window"),
+    "[0, inf)": ("blocks_per_stage", "n_dec", "checkpoint_every", "seed", "bm_max_disp",
+                 "weight_decay", "focal_gamma"),
+    "(0, inf)": ("anchor_ratios", "focal_alpha", "smooth_l1_beta", "sigma", "lr"),
+    "[0, 1]": ("tau_fg", "tau_bg", "flip_probability", "score_threshold"),
+    "(0, 1]": ("nms_iou",),
+}
+CHOICES = {"dape_mode": DAPE_MODES, "pyramid_variant": PYRAMID_VARIANTS,
+           "dtype": ("float32", "float64")}
+
+
+def check_interval(name: str, value, interval: str) -> None:
+    """ConfigError naming ``name`` unless ``value`` lies in ``interval``, such as
+    "(0, 1]" or "[1, inf)". Each end is tested as lo < x or lo <= x, so NaN fails."""
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    above = lo < value if interval[0] == "(" else lo <= value
+    below = value < hi if interval[-1] == ")" else value <= hi
+    if not (above and below):
+        raise ConfigError(f"{name} must lie in {interval}, got {value}")
+
 
 @dataclass
 class RunConfig:
+    """Every hyperparameter of a run; its bounds live in ``BOUNDS`` and ``CHOICES``."""
+
     # input geometry
     width: int = 1280
     height: int = 288
@@ -71,57 +95,32 @@ class RunConfig:
         def fail(msg):
             raise ConfigError(msg)
 
+        for interval, keys in BOUNDS.items():
+            for key in keys:
+                value = getattr(self, key)
+                for x in value if isinstance(value, tuple) else (value,):
+                    check_interval(key, x, interval)
+        for key, options in CHOICES.items():
+            if getattr(self, key) not in options:
+                fail(f"{key} must be one of {options}, got '{getattr(self, key)}'")
+        if len(self.bins) != 3 or not self.anchor_ratios or not self.classes:
+            fail(f"bins needs three entries and anchor_ratios and classes at least one, "
+                 f"got {self.bins}, {self.anchor_ratios}, {self.classes}")
         if self.width % 16 or self.height % 16:
             fail(f"width/height must be divisible by 16, got {self.width}x{self.height}")
-        if len(self.bins) != 3 or any(b < 1 for b in self.bins):
-            fail(f"bins needs three positive entries, got {self.bins}")
-        for key, low in (("c_bb", 1), ("c_disp", 1), ("blocks_per_stage", 0)):
-            if getattr(self, key) < low:
-                fail(f"{key} must be >= {low}, got {getattr(self, key)}")
         if self.c_disp >= self.c_dec:
             fail(f"c_disp must stay below c_dec, got {self.c_disp} >= {self.c_dec}")
-        if self.dape_mode not in DAPE_MODES:
-            fail(f"dape_mode must be one of {DAPE_MODES}, got '{self.dape_mode}'")
         if self.dape_mode == "dape" and (self.c_dec - self.c_disp) % 4:
             fail(f"dape needs (c_dec - c_disp) divisible by 4, got {self.c_dec - self.c_disp}")
         if self.dape_mode == "sine2d" and self.c_dec % 4:
             fail(f"sine2d needs c_dec divisible by 4, got {self.c_dec}")
         if self.c_dec % self.heads:
             fail(f"c_dec must divide into heads, got {self.c_dec} % {self.heads}")
-        if self.pyramid_variant not in PYRAMID_VARIANTS:
-            fail(f"pyramid_variant must be one of {PYRAMID_VARIANTS}")
-        if not self.tau_bg <= self.tau_fg:
+        if self.tau_bg > self.tau_fg:
             fail(f"tau_bg must not exceed tau_fg, got {self.tau_bg} > {self.tau_fg}")
-        if self.n_dec < 0 or self.points < 1 or self.heads < 1:
-            fail("n_dec must be >= 0 and heads/points >= 1")
-        if self.anchor_scales < 1 or not self.anchor_ratios:
-            fail("anchor_scales >= 1 and at least one aspect ratio required")
-        if not all(0 < r < math.inf for r in self.anchor_ratios):
-            fail(f"anchor_ratios entries must be finite and > 0, got {self.anchor_ratios}")
-        if self.checkpoint_every < 0:
-            fail(f"checkpoint_every must be >= 0 (0 saves no periodic checkpoint), "
-                 f"got {self.checkpoint_every}")
-        if not 0 < self.nms_iou <= 1:
-            fail(f"nms_iou must satisfy 0 < nms_iou <= 1, got {self.nms_iou}")
-        for key in ("score_threshold", "flip_probability", "tau_fg", "tau_bg"):
-            if not 0 <= getattr(self, key) <= 1:
-                fail(f"{key} must lie in [0, 1], got {getattr(self, key)}")
-        if self.total_steps < 1 or self.batch_size < 1:
-            fail("total_steps >= 1, batch_size >= 1 required")
-        # each bound is written so that NaN and +inf fail it
-        for key in ("lr", "smooth_l1_beta", "focal_alpha", "sigma"):
-            if not 0 < getattr(self, key) < math.inf:
-                fail(f"{key} must be finite and > 0, got {getattr(self, key)}")
-        for key in ("weight_decay", "focal_gamma"):
-            if not 0 <= getattr(self, key) < math.inf:
-                fail(f"{key} must be finite and >= 0, got {getattr(self, key)}")
-        if self.bm_window % 2 == 0:
-            fail(f"bm_window must be odd, got {self.bm_window}")
-        if not 1 <= self.bm_window <= self.height or self.bm_window >= self.width:
-            fail(f"bm_window must satisfy 1 <= bm_window <= height and bm_window < width, "
+        if self.bm_window % 2 == 0 or self.bm_window > self.height or self.bm_window >= self.width:
+            fail(f"bm_window must be odd with bm_window <= height and bm_window < width, "
                  f"got {self.bm_window} for {self.width}x{self.height}")
-        if self.dtype not in ("float32", "float64"):
-            fail(f"dtype must be float32 or float64, got '{self.dtype}'")
         return self
 
     # -- presets ---------------------------------------------------------
@@ -175,18 +174,21 @@ def _parse_value(key: str, value: str):
     or a comma-separated tuple of the type of the default's first element."""
     value = value.strip()
     default = RunConfig.__dataclass_fields__[key].default
-    if isinstance(default, tuple):
-        kind = type(default[0])
-        if kind is str:
-            return tuple(x.strip() for x in value.split(",") if x.strip())
-        return tuple(kind(x) for x in value.split(","))
     if isinstance(default, bool):
         if value.lower() in ("1", "true", "yes", "on"):
             return True
         if value.lower() in ("0", "false", "no", "off"):
             return False
         raise ConfigError(f"boolean key '{key}' got non-boolean value '{value}'")
-    return type(default)(value)
+    kind = type(default[0]) if isinstance(default, tuple) else type(default)
+    try:
+        if not isinstance(default, tuple):
+            return kind(value)
+        if kind is str:
+            return tuple(x.strip() for x in value.split(",") if x.strip())
+        return tuple(kind(x) for x in value.split(","))
+    except ValueError:
+        raise ConfigError(f"{kind.__name__} key '{key}' got unparsable value '{value}'") from None
 
 
 def apply_overrides(cfg: RunConfig, overrides: dict) -> RunConfig:

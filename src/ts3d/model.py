@@ -38,6 +38,9 @@ QUERY_STRIDE = 16
 
 def build_anchor_templates(manifest: Manifest, cfg: RunConfig) -> list:
     """Class x depth-scale x aspect-ratio anchor templates from dataset priors."""
+    if list(cfg.classes) != manifest.classes:
+        raise ConfigError(f"classes {list(cfg.classes)} differ from the dataset manifest's "
+                          f"{manifest.classes}")
     base = manifest.anchor_templates(cfg.anchor_scales)
     out = []
     for t in base:

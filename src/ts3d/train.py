@@ -51,7 +51,6 @@ def train_run(cfg: RunConfig, data_dir, out_dir, resume: bool = False,
 
     ``stop_after`` ends the run after that step count (from step 0, not
     shortening the lr schedule); ``ckpt_last`` records the step reached."""
-    os.makedirs(out_dir, exist_ok=True)
     manifest = read_manifest(os.path.join(data_dir, MANIFEST_NAME))
     train_ids = manifest.splits.get("train", [])
     if not train_ids:
@@ -61,7 +60,9 @@ def train_run(cfg: RunConfig, data_dir, out_dir, resume: bool = False,
             f"dataset resolution {manifest.width}x{manifest.height} does not match "
             f"configured {cfg.width}x{cfg.height}"
         )
+    templates = build_anchor_templates(manifest, cfg)
 
+    os.makedirs(out_dir, exist_ok=True)
     config_path = os.path.join(out_dir, "config.txt")
     if resume:
         if not os.path.exists(config_path):
@@ -77,8 +78,7 @@ def train_run(cfg: RunConfig, data_dir, out_dir, resume: bool = False,
         with open(config_path, "w", encoding="utf-8") as fh:
             fh.write(cfg.to_text())
 
-    model = TS3D(cfg, templates=build_anchor_templates(manifest, cfg),
-                 rng=np.random.default_rng(cfg.seed))
+    model = TS3D(cfg, templates=templates, rng=np.random.default_rng(cfg.seed))
     opt = AdamW(list(model.parameters()), base_lr=cfg.lr,
                 weight_decay=cfg.weight_decay, total_steps=cfg.total_steps)
     log_path = os.path.join(out_dir, "metrics.log")

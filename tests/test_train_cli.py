@@ -15,7 +15,7 @@ import pytest
 
 import ts3d.checkpoint
 from ts3d.checkpoint import load_arrays, save_model
-from ts3d.config import RunConfig, config_from_text, load_config
+from ts3d.config import BOUNDS, CHOICES, RunConfig, config_from_text, load_config
 from ts3d.dataset import (
     MANIFEST_NAME,
     build_pseudo_gt,
@@ -249,11 +249,30 @@ def test_config_validation_names_constraint():
     ("flip_probability", "-0.5", "0"), ("flip_probability", "2", "1"),
     ("sigma", "0", "1e-3"), ("sigma", "-1", "2"), ("sigma", "inf", "1e3"),
     ("c_bb", "0", "1"), ("c_disp", "0", "4"), ("blocks_per_stage", "-1", "0"),
+    ("heads", "0", "1"), ("points", "0", "1"), ("seed", "-1", "0"),
+    ("bm_max_disp", "-1", "0"), ("classes", "", "Car"),
 ])
 def test_config_rejects_out_of_range_values_naming_the_key(key, bad, edge):
     with pytest.raises(ConfigError, match=key):
         load_config(preset="toy", overrides={key: bad})
     load_config(preset="toy", overrides={key: edge})  # an accepted value next to it
+
+
+@pytest.mark.parametrize("key, value", [
+    ("lr", "abc"), ("bins", "a,b,c"), ("batch_size", "nan"), ("total_steps", "1.5"),
+])
+def test_config_value_that_does_not_parse_names_the_key(key, value):
+    with pytest.raises(ConfigError, match=f"'{key}'"):
+        load_config(preset="toy", overrides={key: value})
+
+
+# a new key must come with a bound, or be listed here as having none
+UNBOUNDED_KEYS = ("intermediate_supervision", "ensure_matches", "augment", "classes")
+
+
+def test_every_config_key_is_bounded_or_listed_as_unbounded_exactly_once():
+    named = [k for keys in BOUNDS.values() for k in keys] + list(CHOICES) + list(UNBOUNDED_KEYS)
+    assert sorted(named) == sorted(f.name for f in fields(RunConfig))
 
 
 @pytest.mark.parametrize("key, bad, edge", [
@@ -374,6 +393,13 @@ def test_cli_train_on_a_manifest_without_seed_is_exit_2(toy_dataset, tmp_path):
     assert "Traceback" not in r.stderr
 
 
+def test_cli_gradcheck_rejects_a_negative_seed(tmp_path):
+    r = _cli("gradcheck", "--scope", "ops", "--seed=-1", cwd=tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert "--seed" in r.stderr and "Traceback" not in r.stderr
+    assert "PASS" not in r.stdout
+
+
 def test_cli_gradcheck_ops_smoke(tmp_path):
     r = _cli("gradcheck", "--scope", "all", cwd=tmp_path)
     assert r.returncode == 0, r.stdout + r.stderr
@@ -445,6 +471,18 @@ def test_cli_infer_mismatched_config_names_checkpoint(toy_ckpt, toy_dataset, tmp
     assert str(toy_ckpt) in r.stderr and "shape mismatch" in r.stderr
 
 
+@pytest.mark.parametrize("command", ["train", "infer"])
+def test_cli_classes_must_match_the_manifest(toy_ckpt, toy_dataset, tmp_path, command):
+    inputs = {"train": ("--out", "run", "--set", "total_steps=1", "--quiet"),
+              "infer": ("--ckpt", str(toy_ckpt), "--out", "preds")}
+    r = _cli(command, "--data", str(toy_dataset), *inputs[command], "--preset", "toy",
+             "--set", "classes=Pedestrian", cwd=tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert "['Pedestrian']" in r.stderr and "['Car']" in r.stderr
+    assert "Traceback" not in r.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 # the toy query grid is 4x2 (64x32 pixels at stride 16) with c_disp = 8
 @pytest.mark.parametrize("flag, value", [
     ("--probe", "9,0"), ("--probe", "0,2"), ("--probe", "-1,0"), ("--probe", "1"),
@@ -508,7 +546,7 @@ def test_cli_rejects_bad_print_every_and_iou_before_any_work(toy_dataset, tmp_pa
 @pytest.mark.parametrize("flag, value", [
     ("--objects", "3"), ("--objects", "4,1"), ("--objects", "-1,2"), ("--objects", "a,b"),
     ("--z-range", "30,4"), ("--z-range", "0,9"), ("--z-range", "4"),
-    ("--frames", "-2"), ("--val-frames", "-1"),
+    ("--frames", "-2"), ("--val-frames", "-1"), ("--seed", "-1"),
 ])
 def test_cli_synth_rejects_bad_flags_before_writing(tmp_path, flag, value):
     r = _cli("synth", "--out", "data", "--preset", "toy", f"{flag}={value}", cwd=tmp_path)
