@@ -465,11 +465,8 @@ def _im2col_blocks(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: i
 
 
 def _conv_forward(x: Tensor, kernel: Tensor, stride: int, padding: int):
-    """Check the shapes of a conv and compute it without bias.
-
-    Returns the padded input, which the backward pass needs, and the
-    (ho, wo, cout) output.
-    """
+    """Check the shapes of a conv and return its (ho, wo, cout) output
+    without bias."""
     if x.ndim != 3 or kernel.ndim != 4:
         raise DimensionError(
             f"conv2d expects (H,W,Cin) input and (kh,kw,Cin,Cout) kernel, got "
@@ -499,24 +496,30 @@ def _conv_forward(x: Tensor, kernel: Tensor, stride: int, padding: int):
     out = np.empty((ho * wo, cout), dtype=x.dtype)
     for r0, r1, cols in _im2col_blocks(xp, kh, kw, stride, ho, wo):
         np.matmul(cols, kmat, out=out[r0 * wo : r1 * wo])
-    return xp, out.reshape(ho, wo, cout)
+    return out.reshape(ho, wo, cout)
 
 
-def _conv_backward(x: Tensor, kernel: Tensor, xp: np.ndarray, g: np.ndarray,
+def _conv_backward(x: Tensor, kernel: Tensor, g: np.ndarray,
                    stride: int, padding: int, op: str) -> None:
     """Accumulate the input and kernel gradients of a bias-free conv from its
-    (ho, wo, cout) output gradient ``g``: the kernel gradient as im2col GEMMs,
-    the input gradient as a GEMM and a strided scatter-add for each tap."""
+    (ho, wo, cout) output gradient ``g``: the kernel gradient as im2col GEMMs
+    over ``x.data`` padded again here, so the graph holds no padded copy until
+    backward; the input gradient as a GEMM and a strided scatter-add for each
+    tap into a padded buffer, then cropped."""
     kh, kw, cin, cout = kernel.shape
     ho, wo, _ = g.shape
+    h, w, _ = x.shape
     gmat = g.reshape(ho * wo, cout)
     if kernel.requires_grad:
+        xp = x.data
+        if padding:
+            xp = np.pad(xp, ((padding, padding), (padding, padding), (0, 0)))
         gk = np.zeros((kh * kw * cin, cout), dtype=kernel.dtype)
         for r0, r1, cols in _im2col_blocks(xp, kh, kw, stride, ho, wo):
             gk += cols.T @ gmat[r0 * wo : r1 * wo]
         kernel.accumulate_grad(gk.reshape(kernel.shape), op)
     if x.requires_grad:
-        gxp = np.zeros_like(xp)
+        gxp = np.zeros((h + 2 * padding, w + 2 * padding, cin), dtype=x.dtype)
         for i in range(kh):
             for j in range(kw):
                 gxp[i : i + (ho - 1) * stride + 1 : stride,
@@ -524,7 +527,6 @@ def _conv_backward(x: Tensor, kernel: Tensor, xp: np.ndarray, g: np.ndarray,
                     gmat @ kernel.data[i, j].T
                 ).reshape(ho, wo, cin)
         if padding:
-            h, w, _ = x.shape
             gxp = np.ascontiguousarray(gxp[padding : padding + h, padding : padding + w])
         x.accumulate_grad(gxp, op)
 
@@ -538,7 +540,7 @@ def conv2d(x, kernel, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
     at CONV_COLUMN_ELEMENTS; the input gradient is scattered tap by tap.
     """
     x, kernel = as_tensor(x), as_tensor(kernel)
-    xp, out = _conv_forward(x, kernel, stride, padding)
+    out = _conv_forward(x, kernel, stride, padding)
     if bias is not None:
         out += bias.data
 
@@ -548,7 +550,7 @@ def conv2d(x, kernel, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
         def bw(g):
             if bias is not None and bias.requires_grad:
                 bias.accumulate_grad(g.sum(axis=(0, 1)), "conv2d")
-            _conv_backward(x, kernel, xp, g, stride, padding, "conv2d")
+            _conv_backward(x, kernel, g, stride, padding, "conv2d")
         return bw
 
     return make_node(out, parents, "conv2d", build)
@@ -566,7 +568,7 @@ def conv_norm_act(x, kernel, gamma, beta, relu: bool, stride: int, padding: int)
     """
     x, kernel = as_tensor(x), as_tensor(kernel)
     gamma, beta = as_tensor(gamma), as_tensor(beta)
-    xp, y = _conv_forward(x, kernel, stride, padding)
+    y = _conv_forward(x, kernel, stride, padding)
     ho, wo, cout = y.shape
     if gamma.shape != (cout,) or beta.shape != (cout,):
         raise DimensionError(
@@ -601,7 +603,7 @@ def conv_norm_act(x, kernel, gamma, beta, relu: bool, stride: int, padding: int)
                 np.subtract(ga, gy, out=gy)
                 gy -= g_beta / n
                 gy *= inv * gamma.data
-                _conv_backward(x, kernel, xp, gy.reshape(ho, wo, cout), stride, padding,
+                _conv_backward(x, kernel, gy.reshape(ho, wo, cout), stride, padding,
                                "conv_norm_act")
         return bw
 

@@ -4,6 +4,11 @@ A Tensor wraps a contiguous numpy array plus an optional gradient buffer.
 Operators (see ops.py) build a small backward graph; calling backward() on a
 scalar walks it in reverse topological order. Gradients of a value that is
 used several times add up, so callers must zero gradients between steps.
+backward() frees the graph as it goes: once a node's backward has run, its
+closure, its parent links and, unless retain_grad() was called on it, its
+gradient are dropped, so each saved array is released as soon as the pass
+is past it. Leaves keep their gradients; a second backward() through a
+freed node raises RuntimeError naming the op.
 A Parameter is a trainable leaf Tensor with a name, its checkpoint identity;
 Module.astype casts all of a module's parameters at once.
 
@@ -62,7 +67,7 @@ class Tensor:
     """N-dimensional float array with an optional gradient slot."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "op",
-                 "__weakref__")
+                 "_retains_grad", "__weakref__")
 
     def __init__(self, data, dtype=None, requires_grad: bool = False, check: bool = True):
         arr = np.asarray(data, dtype=dtype)
@@ -76,6 +81,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._parents: tuple = ()
         self._backward_fn = None
+        self._retains_grad = False
         self.op = "leaf"
         if check:
             check_finite(self.data, "leaf")
@@ -120,7 +126,7 @@ class Tensor:
             self.grad += arr
 
     def backward(self) -> None:
-        """Reverse-mode pass from a scalar output."""
+        """Reverse-mode pass from a scalar output; frees the graph behind it."""
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar tensor")
         topo = []
@@ -139,17 +145,37 @@ class Tensor:
                 if p.requires_grad and id(p) not in visited:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward_fn is not None:
-                node._backward_fn(node.grad)
+        while topo:
+            node = topo.pop()
+            if node._backward_fn is None:
+                continue
+            node._backward_fn(node.grad)
+            node._backward_fn = _freed_backward(node.op)
+            node._parents = ()
+            if not node._retains_grad:
+                node.grad = None
+
+    def retain_grad(self) -> None:
+        """Keep this interior tensor's gradient after backward() (leaves always do)."""
+        self._retains_grad = True
+
+
+def _freed_backward(op: str):
+    """Backward of a node whose graph an earlier backward() freed."""
+    def bw(g):
+        raise RuntimeError(
+            f"backward through '{op}', whose graph an earlier backward() already freed; "
+            f"run the forward again to build a new graph"
+        )
+    return bw
 
 
 def make_node(data, parents, op: str, backward_builder) -> Tensor:
     """Create an op result; record the backward closure only when needed.
 
     ``backward_builder`` is a zero-argument callable returning the backward
-    function, so per-op backward precomputation (e.g. im2col buffers) is
-    skipped entirely during inference.
+    function, so per-op backward precomputation is skipped entirely during
+    inference.
     """
     out = Tensor(data, check=False)
     out.op = op

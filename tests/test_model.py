@@ -183,6 +183,7 @@ def test_intermediate_supervision_structural():
         loss, _ = model.compute_loss(out, frame)
         for q in out.queries:
             q.grad = None
+            q.retain_grad()
         loss.backward()
         return out
 

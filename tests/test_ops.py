@@ -1,5 +1,7 @@
 """Operator oracles: identity cases, symmetry cases, finite-difference checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -167,6 +169,28 @@ def test_conv_norm_act_shape_errors_match_conv2d(x_shape, k_shape):
     with pytest.raises(DimensionError) as fused_err:
         ops.conv_norm_act(x, k, Tensor(np.ones(4)), Tensor(np.zeros(4)), True, 1, 1)
     assert str(fused_err.value) == str(conv_err.value)
+
+
+def test_conv_norm_act_graph_keeps_no_padded_input_copy():
+    """Under grad, a padded conv_norm_act forward leaves behind its output and
+    the normalized values its backward reads, plus at most ``slack`` bytes of
+    bookkeeping; the zero-padded input is rebuilt in backward, not kept."""
+    slack = 64 * 1024
+    rng = np.random.default_rng(3)
+    x = Tensor(rng.normal(size=(64, 64, 32)), requires_grad=True)
+    kernel = Tensor(rng.normal(size=(3, 3, 32, 4)), requires_grad=True)
+    gamma = Tensor(np.ones(4), requires_grad=True)
+    beta = Tensor(np.zeros(4), requires_grad=True)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = ops.conv_norm_act(x, kernel, gamma, beta, relu=True, stride=1, padding=1)
+        grown = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    padded_input = 66 * 66 * 32 * x.data.itemsize
+    assert padded_input > 2 * out.data.nbytes + slack  # a kept padded copy breaks the bound
+    assert grown < 2 * out.data.nbytes + slack  # the output and xhat
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tensor core: graph mechanics, invariants, error policy."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -80,6 +81,34 @@ def test_gradient_accumulates_across_backward_calls():
     g1 = x.grad.copy()
     ops.sum_(ops.mul(x, x)).backward()
     assert np.allclose(x.grad, 2 * g1)
+
+
+def test_backward_frees_interior_tensors_and_keeps_leaf_and_retained_gradients():
+    x = Parameter(np.array([1.0, 2.0]))
+    y = ops.mul(x, x)
+    z = ops.scale(y, 3.0)
+    z.retain_grad()
+    loss = ops.sum_(z)
+    y_ref = weakref.ref(y)
+    del y
+    loss.backward()
+    assert y_ref() is None
+    assert np.array_equal(x.grad, [6.0, 12.0])
+    assert np.array_equal(z.grad, [1.0, 1.0])
+    assert loss.grad is None
+
+
+def test_second_backward_through_a_freed_graph_names_the_op():
+    x = Tensor([3.0], dtype=np.float64, requires_grad=True)
+    y = ops.mul(x, x)
+    loss = ops.sum_(y)
+    loss.backward()
+    g1 = x.grad.copy()
+    with pytest.raises(RuntimeError, match="'sum'.*already freed"):
+        loss.backward()
+    with pytest.raises(RuntimeError, match="'mul'.*already freed"):
+        ops.sum_(y).backward()
+    assert np.array_equal(x.grad, g1)
 
 
 def test_no_grad_skips_graph():
