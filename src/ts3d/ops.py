@@ -464,6 +464,13 @@ def _im2col_blocks(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: i
         yield r0, r1, windows[r0:r1].reshape(-1, kh * kw * cin)
 
 
+def _pad_hw(data: np.ndarray, padding: int) -> np.ndarray:
+    """Zero-pad an (H, W, C) array by ``padding`` on both spatial axes."""
+    if not padding:
+        return data
+    return np.pad(data, ((padding, padding), (padding, padding), (0, 0)))
+
+
 def _conv_forward(x: Tensor, kernel: Tensor, stride: int, padding: int):
     """Check the shapes of a conv and return its (ho, wo, cout) output
     without bias."""
@@ -489,9 +496,7 @@ def _conv_forward(x: Tensor, kernel: Tensor, stride: int, padding: int):
             f"conv2d output would be empty for input {h}x{w}, kernel {kh}x{kw}, "
             f"stride {stride}, padding {padding}"
         )
-    xp = x.data
-    if padding:
-        xp = np.pad(xp, ((padding, padding), (padding, padding), (0, 0)))
+    xp = _pad_hw(x.data, padding)
     kmat = kernel.data.reshape(kh * kw * cin, cout)
     out = np.empty((ho * wo, cout), dtype=x.dtype)
     for r0, r1, cols in _im2col_blocks(xp, kh, kw, stride, ho, wo):
@@ -511,9 +516,7 @@ def _conv_backward(x: Tensor, kernel: Tensor, g: np.ndarray,
     h, w, _ = x.shape
     gmat = g.reshape(ho * wo, cout)
     if kernel.requires_grad:
-        xp = x.data
-        if padding:
-            xp = np.pad(xp, ((padding, padding), (padding, padding), (0, 0)))
+        xp = _pad_hw(x.data, padding)
         gk = np.zeros((kh * kw * cin, cout), dtype=kernel.dtype)
         for r0, r1, cols in _im2col_blocks(xp, kh, kw, stride, ho, wo):
             gk += cols.T @ gmat[r0 * wo : r1 * wo]

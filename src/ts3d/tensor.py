@@ -5,10 +5,10 @@ Operators (see ops.py) build a small backward graph; calling backward() on a
 scalar walks it in reverse topological order. Gradients of a value that is
 used several times add up, so callers must zero gradients between steps.
 backward() frees the graph as it goes: once a node's backward has run, its
-closure, its parent links and, unless retain_grad() was called on it, its
-gradient are dropped, so each saved array is released as soon as the pass
-is past it. Leaves keep their gradients; a second backward() through a
-freed node raises RuntimeError naming the op.
+closure, its parent links and its gradient are dropped, so each saved array
+and interior gradient is released as soon as the pass is past it. Only
+leaves keep their gradients; a second backward() through a freed node
+raises RuntimeError naming the op.
 A Parameter is a trainable leaf Tensor with a name, its checkpoint identity;
 Module.astype casts all of a module's parameters at once.
 
@@ -67,7 +67,7 @@ class Tensor:
     """N-dimensional float array with an optional gradient slot."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "op",
-                 "_retains_grad", "__weakref__")
+                 "__weakref__")
 
     def __init__(self, data, dtype=None, requires_grad: bool = False, check: bool = True):
         arr = np.asarray(data, dtype=dtype)
@@ -81,7 +81,6 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._parents: tuple = ()
         self._backward_fn = None
-        self._retains_grad = False
         self.op = "leaf"
         if check:
             check_finite(self.data, "leaf")
@@ -152,12 +151,7 @@ class Tensor:
             node._backward_fn(node.grad)
             node._backward_fn = _freed_backward(node.op)
             node._parents = ()
-            if not node._retains_grad:
-                node.grad = None
-
-    def retain_grad(self) -> None:
-        """Keep this interior tensor's gradient after backward() (leaves always do)."""
-        self._retains_grad = True
+            node.grad = None
 
 
 def _freed_backward(op: str):

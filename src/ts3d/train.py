@@ -120,7 +120,6 @@ def train_run(cfg: RunConfig, data_dir, out_dir, resume: bool = False,
                                   "so its disparity loss is 0", RuntimeWarning)
                 ops.scale(loss, 1.0 / cfg.batch_size).backward()
                 total_val += loss.item() / cfg.batch_size
-                del loss  # the next frame's forward must not keep this graph alive
                 for key in ("cls", "reg", "orient", "disp"):
                     acc[key] += parts[key] / cfg.batch_size
                 acc["n_pos"] += parts["n_pos"]

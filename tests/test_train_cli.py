@@ -116,18 +116,18 @@ def test_resume_after_crash_writes_the_uninterrupted_log(toy_dataset, tmp_path, 
 def test_each_frame_graph_is_freed_before_the_next_forward(toy_dataset, tmp_path,
                                                            monkeypatch, batch_size):
     step_loss = TS3D.train_step_loss
-    losses = []
+    interiors = []
 
     def checked_step_loss(self, frame):
-        assert not losses or losses[-1]() is None, "previous frame's loss is still alive"
+        assert not interiors or interiors[-1]() is None, "previous frame's graph is still alive"
         loss, parts = step_loss(self, frame)
-        losses.append(weakref.ref(loss))
+        interiors.append(weakref.ref(loss._parents[0]))
         return loss, parts
 
     monkeypatch.setattr(TS3D, "train_step_loss", checked_step_loss)
     train_run(_toy_cfg(total_steps=3, batch_size=batch_size), toy_dataset, tmp_path / "run",
               quiet=True)
-    assert len(losses) == 3 * batch_size
+    assert len(interiors) == 3 * batch_size
 
 
 def test_extending_a_finished_run_follows_new_schedule(toy_dataset, tmp_path):
