@@ -32,14 +32,12 @@ def _hue_matrix(angle: float) -> np.ndarray:
     return c * np.eye(3) + s * cross + (1 - c) * np.outer(k, k)
 
 
-def photometric_jitter(frame: FrameData, rng: np.random.Generator,
-                       contrast=(0.8, 1.25), brightness=0.1,
-                       saturation=(0.7, 1.3), hue=0.15) -> FrameData:
+def photometric_jitter(frame: FrameData, rng: np.random.Generator) -> FrameData:
     """Identical color perturbation of both views in a new frame; labels untouched."""
-    con = rng.uniform(*contrast)
-    bri = rng.uniform(-brightness, brightness)
-    sat = rng.uniform(*saturation)
-    ang = rng.uniform(-hue, hue)
+    con = rng.uniform(0.8, 1.25)
+    bri = rng.uniform(-0.1, 0.1)
+    sat = rng.uniform(0.7, 1.3)
+    ang = rng.uniform(-0.15, 0.15)
     mat = _hue_matrix(ang).astype(np.float32)
 
     def apply(img):

@@ -230,7 +230,7 @@ def _cmd_heatmap(args) -> int:
     from .config import check_interval
     from .dataset import MANIFEST_NAME, load_frame, read_manifest
     from .kitti_io import write_pgm
-    from .model import dape_similarity_heatmap
+    from .model import QUERY_STRIDE, dape_similarity_heatmap
     from .tensor import ConfigError, Tensor, no_grad
     from .train import load_trained_model
 
@@ -239,7 +239,7 @@ def _cmd_heatmap(args) -> int:
         u, v = (int(x) for x in args.probe.split(","))
     except ValueError:
         raise ConfigError(f"--probe expects two integers U,V, got '{args.probe}'") from None
-    hq, wq = cfg.height // 16, cfg.width // 16
+    hq, wq = cfg.height // QUERY_STRIDE, cfg.width // QUERY_STRIDE
     check_interval("--probe U", u, f"[0, {wq})")
     check_interval("--probe V", v, f"[0, {hq})")
     if args.bin is not None:
@@ -251,7 +251,7 @@ def _cmd_heatmap(args) -> int:
         outputs = model.forward(Tensor(frame.left.astype(model.dtype)),
                                 Tensor(frame.right.astype(model.dtype)))
     sim = dape_similarity_heatmap(outputs, (u, v), (hq, wq))
-    up = np.repeat(np.repeat(sim, 16, axis=0), 16, axis=1)
+    up = np.repeat(np.repeat(sim, QUERY_STRIDE, axis=0), QUERY_STRIDE, axis=1)
     write_pgm(args.out, up)
     masked = frame.left.mean(axis=-1) * up
     root, ext = os.path.splitext(args.out)

@@ -223,11 +223,11 @@ def pseudo_gt_paths(root, frame_id: str):
     }
 
 
-def build_pseudo_gt(root, max_disp: int, window: int = 9, frame_ids=None) -> int:
-    """Run block matching over the dataset and cache the rasters."""
+def build_pseudo_gt(root, max_disp: int, window: int = 9) -> int:
+    """Run block matching over every frame of the dataset and cache the rasters."""
     man = read_manifest(os.path.join(root, MANIFEST_NAME))
     os.makedirs(os.path.join(root, "disp"), exist_ok=True)
-    ids = frame_ids or [fid for ids in man.splits.values() for fid in ids]
+    ids = [fid for ids in man.splits.values() for fid in ids]
     for fid in ids:
         left = read_ppm(os.path.join(root, "image_2", fid + ".ppm"))
         right = read_ppm(os.path.join(root, "image_3", fid + ".ppm"))

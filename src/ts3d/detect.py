@@ -62,7 +62,6 @@ class AnchorSet:
     per_cell: int
     wq: int
     hq: int
-    stride: int
 
     def __len__(self):
         return len(self.boxes)
@@ -93,7 +92,7 @@ def generate_anchors(wq: int, hq: int, stride: int, templates) -> AnchorSet:
         cls[a::per_cell] = t.class_id
         priors[a::per_cell] = (t.z, t.w, t.h, t.l)
     return AnchorSet(boxes=boxes, class_ids=cls, priors=priors,
-                     per_cell=per_cell, wq=wq, hq=hq, stride=stride)
+                     per_cell=per_cell, wq=wq, hq=hq)
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +381,10 @@ def decode_detections(anchors: AnchorSet, cls_logits: Tensor, reg_out: Tensor,
     Each anchor takes its cell's sigmoid score for its template class, compared
     with ``score_threshold`` in float64 (numpy would round the threshold to a
     float32 score's dtype). A class's candidate rows go through one decode_box
-    and one nms_2d call."""
-    scores = 1.0 / (1.0 + np.exp(-cls_logits.data[:, :len(classes)]))
+    and one nms_2d call. A logit far enough below zero overflows ``exp`` to
+    inf, and its score is the exact limit 0."""
+    with np.errstate(over="ignore"):
+        scores = 1.0 / (1.0 + np.exp(-cls_logits.data[:, :len(classes)]))
     rows = np.arange(len(anchors))
     anchor_scores = scores[rows // anchors.per_cell, anchors.class_ids].astype(np.float64)
     reg = reg_out.data.reshape(len(anchors), 13).copy()

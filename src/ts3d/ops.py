@@ -400,7 +400,7 @@ def attention(q, k, v, heads: int) -> Tensor:
 NORM_EPS = 1e-5
 
 
-def channel_norm(x, gamma, beta, eps: float = NORM_EPS) -> Tensor:
+def channel_norm(x, gamma, beta) -> Tensor:
     """Per-channel affine normalization over all leading (spatial) axes.
 
     Statistics come from the single sample itself, so the result is
@@ -415,7 +415,7 @@ def channel_norm(x, gamma, beta, eps: float = NORM_EPS) -> Tensor:
     red = tuple(range(x.ndim - 1))
     mu = x.data.mean(axis=red, keepdims=True)
     var = x.data.var(axis=red, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + NORM_EPS)
     xhat = (x.data - mu) * inv
     data = xhat * gamma.data + beta.data
 

@@ -23,8 +23,10 @@ class AdamW:
     schedule.
     """
 
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
     def __init__(self, params, base_lr: float, weight_decay: float = 0.0,
-                 total_steps: int = 0, betas=(0.9, 0.999), eps: float = 1e-8):
+                 total_steps: int = 0):
         self.params = list(params)
         names = [p.name for p in self.params]
         if len(set(names)) != len(names):
@@ -32,8 +34,6 @@ class AdamW:
         self.base_lr = float(base_lr)
         self.weight_decay = float(weight_decay)
         self.total_steps = int(total_steps)
-        self.beta1, self.beta2 = betas
-        self.eps = float(eps)
         self.step_count = 0
         self.m = {p.name: np.zeros_like(p.data) for p in self.params}
         self.v = {p.name: np.zeros_like(p.data) for p in self.params}
@@ -42,7 +42,7 @@ class AdamW:
         """Apply one update using gradients already populated; returns the lr used."""
         lr = cosine_lr(self.step_count, self.total_steps, self.base_lr)
         t = self.step_count + 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.BETA1, self.BETA2
         bc1 = 1.0 - b1 ** t
         bc2 = 1.0 - b2 ** t
         for p in self.params:
@@ -55,7 +55,7 @@ class AdamW:
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            update = (m / bc1) / (np.sqrt(v / bc2) + self.EPS)
             if self.weight_decay:
                 update = update + self.weight_decay * p.data
             p.data -= (lr * update).astype(p.data.dtype, copy=False)

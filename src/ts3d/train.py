@@ -4,7 +4,10 @@ periodic checkpoints, and exact resume.
 The data stream is a function of (seed, position): frame
 ``k = step * batch_size + b`` is ``train_ids[perm_e[k % n]]`` with ``e = k // n``
 and ``perm_e = default_rng((seed, 1, e)).permutation(n)``, augmented with draws
-from ``default_rng((seed, 2, k))``. A checkpoint is one ``<tag>.ts3d`` file (see
+from ``default_rng((seed, 2, k))``. Each step reads its frames from disk and
+drops them after the step. There is no frame cache: within one epoch every
+frame is read once, so its hit rate is zero, and across a large train split it
+would hold every frame in memory. A checkpoint is one ``<tag>.ts3d`` file (see
 ``checkpoint``) with the parameters and the AdamW step and moments; the config
 alone supplies hyperparameters, so resuming needs only the saved step, and
 keeps only that many lines of the log (flushed before every checkpoint).
@@ -96,7 +99,6 @@ def train_run(cfg: RunConfig, data_dir, out_dir, resume: bool = False,
 
     log = open(log_path, "w", encoding="utf-8")
     log.writelines(kept_lines)
-    frames_cache: dict = {}
     n = len(train_ids)
     end_step = cfg.total_steps if stop_after is None else min(stop_after, cfg.total_steps)
     try:
@@ -108,9 +110,7 @@ def train_run(cfg: RunConfig, data_dir, out_dir, resume: bool = False,
                 k = step * cfg.batch_size + b
                 perm = np.random.default_rng((cfg.seed, 1, k // n)).permutation(n)
                 fid = train_ids[perm[k % n]]
-                if fid not in frames_cache:
-                    frames_cache[fid] = load_frame(data_dir, fid, manifest)
-                frame = frames_cache[fid]
+                frame = load_frame(data_dir, fid, manifest)
                 if cfg.augment:
                     frame = augment(frame, np.random.default_rng((cfg.seed, 2, k)),
                                     cfg.flip_probability)
@@ -143,7 +143,7 @@ def train_run(cfg: RunConfig, data_dir, out_dir, resume: bool = False,
 # inference over a split
 
 
-def run_inference(model: TS3D, data_dir, split, out_dir, quiet: bool = True):
+def run_inference(model: TS3D, data_dir, split, out_dir):
     """Write one KITTI-format detection file (with scores) per split frame."""
     manifest = read_manifest(os.path.join(data_dir, MANIFEST_NAME))
     ids = manifest.splits.get(split, [])
@@ -152,10 +152,7 @@ def run_inference(model: TS3D, data_dir, split, out_dir, quiet: bool = True):
     os.makedirs(out_dir, exist_ok=True)
     for fid in ids:
         frame = load_frame(data_dir, fid, manifest, with_pseudo=False)
-        detections = model.infer(frame)
-        write_kitti_label(os.path.join(out_dir, fid + ".txt"), detections)
-        if not quiet:
-            print(f"{fid}: {len(detections)} detections", flush=True)
+        write_kitti_label(os.path.join(out_dir, fid + ".txt"), model.infer(frame))
     return len(ids)
 
 

@@ -1,6 +1,7 @@
 """Detection machinery: anchors, assignment, box coding, losses, NMS."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -530,6 +531,19 @@ def test_decode_detections_matches_per_anchor_reference():
         for k in ("x", "y", "z", "w", "h", "l", "ry", "alpha", "box2d"):
             assert np.array_equal(getattr(g, k), getattr(w, k)), k
         assert g.to_line() == w.to_line()
+
+
+def test_decode_detections_scores_a_far_negative_logit_zero_without_a_warning():
+    """exp(100) overflows float32; the score is the exact limit 0, with no warning."""
+    anchors, cls, reg = _random_head_outputs(15)
+    cls.data[:] = -100.0
+    f, cx, cy = _calib()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = decode_detections(anchors, cls, reg, CLASSES, f, cx, cy,
+                                score_threshold=0.0, iou_threshold=0.4)
+    assert len(got) > 0
+    assert {d.score for d in got} == {0.0}
 
 
 def test_decode_detections_calls_decode_box_once_per_class(monkeypatch):

@@ -1,6 +1,7 @@
 """Full-model integration: wiring, shapes, determinism, encoding modes."""
 
 import hashlib
+import weakref
 from collections import Counter
 from dataclasses import replace
 
@@ -8,9 +9,10 @@ import numpy as np
 import pytest
 
 from ts3d import ops
+from ts3d.backbone import Backbone
 from ts3d.config import RunConfig
 from ts3d.dataset import FrameData
-from ts3d.decoder import MSDeformCA
+from ts3d.decoder import DecoderStack, MSDeformCA
 from ts3d.detect import DetectionHead
 from ts3d.disphead import block_match_stereo
 from ts3d.layers import Conv2d, ConvNorm
@@ -226,6 +228,30 @@ def test_only_the_loss_builds_auxiliary_heads_and_the_supervision_branch(monkeyp
         model.train_step_loss(frame)
         assert (len(head_calls), len(up2_calls)) == (heads, 1)
         up2_calls.clear()
+
+
+def test_inference_frees_the_backbone_pyramids_before_the_decoder(monkeypatch):
+    """Under no_grad nothing reads the per-view feature maps once the cost
+    volumes exist, so none is alive when the decoder runs."""
+    frame = _toy_frame()
+    model = TS3D(_toy_cfg(), rng=np.random.default_rng(13))
+    features, alive_at_decoder = [], []
+    backbone_forward, decoder_forward = Backbone.forward, DecoderStack.forward
+
+    def recorded_backbone_forward(self, left, right):
+        pyr = backbone_forward(self, left, right)
+        features.extend(weakref.ref(t) for maps in vars(pyr).values() for t in maps)
+        return pyr
+
+    def checked_decoder_forward(self, *args):
+        alive_at_decoder.append(sum(r() is not None for r in features))
+        return decoder_forward(self, *args)
+
+    monkeypatch.setattr(Backbone, "forward", recorded_backbone_forward)
+    monkeypatch.setattr(DecoderStack, "forward", checked_decoder_forward)
+    model.infer(frame)
+    assert len(features) == 12
+    assert alive_at_decoder == [0]
 
 
 def test_mismatched_resolution_rejected():

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import ts3d.checkpoint
+import ts3d.train
 from ts3d.checkpoint import load_arrays, save_model
 from ts3d.config import BOUNDS, CHOICES, RunConfig, config_from_text, load_config
 from ts3d.dataset import (
@@ -128,6 +129,33 @@ def test_each_frame_graph_is_freed_before_the_next_forward(toy_dataset, tmp_path
     train_run(_toy_cfg(total_steps=3, batch_size=batch_size), toy_dataset, tmp_path / "run",
               quiet=True)
     assert len(interiors) == 3 * batch_size
+
+
+def test_each_step_loads_its_own_frame_and_drops_the_earlier_ones(toy_dataset, tmp_path,
+                                                                   monkeypatch):
+    """Six steps over three train frames read a frame from disk per step, and
+    no step keeps a frame loaded for an earlier one."""
+    loaded = []
+    load = ts3d.train.load_frame
+    step_loss = TS3D.train_step_loss
+
+    def counted_load(*args, **kwargs):
+        frame = load(*args, **kwargs)
+        loaded.append(weakref.ref(frame))
+        return frame
+
+    def checked_step_loss(self, frame):
+        assert loaded[-1]() is frame
+        assert all(r() is None for r in loaded[:-1]), "an earlier step's frame is still alive"
+        return step_loss(self, frame)
+
+    monkeypatch.setattr(ts3d.train, "load_frame", counted_load)
+    monkeypatch.setattr(TS3D, "train_step_loss", checked_step_loss)
+    cfg = _toy_cfg(augment=False)
+    n_train = len(read_manifest(os.path.join(toy_dataset, MANIFEST_NAME)).splits["train"])
+    assert cfg.total_steps == 2 * n_train
+    train_run(cfg, toy_dataset, tmp_path / "run", quiet=True)
+    assert len(loaded) == cfg.total_steps
 
 
 def test_extending_a_finished_run_follows_new_schedule(toy_dataset, tmp_path):
