@@ -382,14 +382,14 @@ def decode_detections(anchors: AnchorSet, cls_logits: Tensor, reg_out: Tensor,
     with ``score_threshold`` in float64 (numpy would round the threshold to a
     float32 score's dtype). A class's candidate rows go through one decode_box
     and one nms_2d call. A logit far enough below zero overflows ``exp`` to
-    inf, and its score is the exact limit 0."""
+    inf, and its sigmoid is the exact limit 0."""
+    reg = reg_out.data.reshape(len(anchors), 13).copy()
     with np.errstate(over="ignore"):
         scores = 1.0 / (1.0 + np.exp(-cls_logits.data[:, :len(classes)]))
+        # the branch channel is a logit; its probability is stored in reg's dtype
+        reg[:, 12] = 1.0 / (1.0 + np.exp(-reg[:, 12].astype(np.float64)))
     rows = np.arange(len(anchors))
     anchor_scores = scores[rows // anchors.per_cell, anchors.class_ids].astype(np.float64)
-    reg = reg_out.data.reshape(len(anchors), 13).copy()
-    # the branch channel is a logit; its probability is stored in reg's dtype
-    reg[:, 12] = 1.0 / (1.0 + np.exp(-reg[:, 12].astype(np.float64)))
     detections = []
     for cls_id, name in enumerate(classes):
         cand = rows[(anchors.class_ids == cls_id) & (anchor_scores >= score_threshold)]

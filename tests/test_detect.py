@@ -533,10 +533,12 @@ def test_decode_detections_matches_per_anchor_reference():
         assert g.to_line() == w.to_line()
 
 
-def test_decode_detections_scores_a_far_negative_logit_zero_without_a_warning():
-    """exp(100) overflows float32; the score is the exact limit 0, with no warning."""
+def test_decode_detections_takes_far_negative_logits_to_zero_without_a_warning():
+    """exp(100) overflows float32 and exp(1000) float64; each sigmoid is the
+    exact limit 0, with no warning."""
     anchors, cls, reg = _random_head_outputs(15)
     cls.data[:] = -100.0
+    reg.data[:, 12] = -1000.0
     f, cx, cy = _calib()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -544,6 +546,10 @@ def test_decode_detections_scores_a_far_negative_logit_zero_without_a_warning():
                                 score_threshold=0.0, iou_threshold=0.4)
     assert len(got) > 0
     assert {d.score for d in got} == {0.0}
+    reg.data[:, 12] = -10.0  # the same branch decision, without overflow
+    want = decode_detections(anchors, cls, reg, CLASSES, f, cx, cy,
+                             score_threshold=0.0, iou_threshold=0.4)
+    assert [d.to_line() for d in got] == [d.to_line() for d in want]
 
 
 def test_decode_detections_calls_decode_box_once_per_class(monkeypatch):
