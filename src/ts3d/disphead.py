@@ -67,9 +67,6 @@ def _box_sums(img: np.ndarray, window: int) -> np.ndarray:
     )
 
 
-UNIQUENESS = 0.001
-
-
 def block_match_stereo(img_left, img_right, max_disp: int, window: int = 9):
     """SAD block matching in both directions, winner-take-all with a
     uniqueness test.
@@ -78,7 +75,7 @@ def block_match_stereo(img_left, img_right, max_disp: int, window: int = 9):
     best disparity per pixel of each view, so memory does not grow with
     ``max_disp``. Returns (disp_left, valid_left, disp_right, valid_right).
     Validity requires a full matching window, an in-frame candidate, a best
-    cost that beats the runner-up by ``UNIQUENESS`` per window pixel (kills
+    cost that beats the runner-up by 0.001 per window pixel (kills
     textureless regions), and left-right agreement within 1 px. An even
     window, a window outside [1, image height] or an empty disparity range
     raises ``ValueError``.
@@ -112,7 +109,7 @@ def block_match_stereo(img_left, img_right, max_disp: int, window: int = 9):
             a[better] = d
     disp = arg.astype(np.float32)
     with np.errstate(invalid="ignore"):  # inf - inf -> nan, which compares False
-        conf = np.isfinite(best) & (second - best > UNIQUENESS * window * window)
+        conf = np.isfinite(best) & (second - best > 0.001 * window * window)
 
     # left-right consistency: the match in the other view must map back within 1 px
     us = np.arange(w)

@@ -111,8 +111,7 @@ class TS3D(Module):
                 f"input extents {left.shape}/{right.shape} do not match the "
                 f"configured {cfg.height}x{cfg.width}x3"
             )
-        # no local keeps the backbone pyramids: without a graph they are freed
-        # once the cost volumes exist, before the decoder runs
+        # no local holds the pyramids, so under no_grad they are freed before the decoder
         aggregated, levels = self.spfpn.forward(self.backbone.forward(left, right))
         c3 = aggregated[-1]
         logits_q = self.disp_head.forward(c3)

@@ -16,14 +16,13 @@ def cosine_lr(step: int, total_steps: int, base_lr: float) -> float:
 
 
 class AdamW:
-    """Decoupled-weight-decay Adam over a list of named Parameters.
+    """Decoupled-weight-decay Adam (betas 0.9 and 0.999, eps 1e-8) over a
+    list of named Parameters.
 
     Moment buffers shape-match their parameters; the step counter is
     strictly increasing and drives both bias correction and the cosine
     schedule.
     """
-
-    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
     def __init__(self, params, base_lr: float, weight_decay: float = 0.0,
                  total_steps: int = 0):
@@ -42,7 +41,7 @@ class AdamW:
         """Apply one update using gradients already populated; returns the lr used."""
         lr = cosine_lr(self.step_count, self.total_steps, self.base_lr)
         t = self.step_count + 1
-        b1, b2 = self.BETA1, self.BETA2
+        b1, b2 = 0.9, 0.999
         bc1 = 1.0 - b1 ** t
         bc2 = 1.0 - b2 ** t
         for p in self.params:
@@ -55,7 +54,7 @@ class AdamW:
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.EPS)
+            update = (m / bc1) / (np.sqrt(v / bc2) + 1e-8)
             if self.weight_decay:
                 update = update + self.weight_decay * p.data
             p.data -= (lr * update).astype(p.data.dtype, copy=False)
