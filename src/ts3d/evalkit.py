@@ -1,44 +1,33 @@
 """Rotated-box IoU (bird's-eye view and 3D) and interpolated average precision.
 
-BEV boxes are ground-plane footprints (center x/z, extents l/w, yaw). The
-intersection of two rotated rectangles is computed by Sutherland-Hodgman
-polygon clipping with shoelace areas, skipped when the boxes' bounding
-circles are disjoint; the 3D overlap multiplies the footprint intersection by
-the vertical overlap. AP is 40-point interpolated, matching greedily in
+The scorer reads the ``ObjectLabel`` records that ``read_kitti_label``
+returns, so every field of a label line (truncation, occlusion, 2D box) stays
+in reach. A BEV box is a label's ground-plane footprint (center x/z, extents
+l/w, yaw ry); its vertical slab is [y - h, y]. The intersection of two
+footprints is computed by Sutherland-Hodgman polygon clipping with shoelace
+areas, skipped when the boxes' bounding circles are disjoint; the 3D overlap
+multiplies the footprint intersection by the vertical overlap. AP is 40-point interpolated, matching greedily in
 descending score order with each ground truth claimable once.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 
-@dataclass
-class RotatedBox:
-    """Footprint: center (x, z), extents (l, w), yaw theta. The optional
-    vertical slab (y_bottom, h) enables the 3D overlap (y grows downward)."""
+def _check_extents(lb) -> None:
+    if not (lb.l > 0 and lb.w > 0):
+        raise ValueError(f"degenerate box extents l={lb.l}, w={lb.w}")
 
-    x: float
-    z: float
-    l: float
-    w: float
-    theta: float
-    y: float = 0.0
-    h: float = 0.0
 
-    def __post_init__(self):
-        if self.l <= 0 or self.w <= 0:
-            raise ValueError(f"degenerate box extents l={self.l}, w={self.w}")
-
-    def corners(self) -> np.ndarray:
-        """Counter-clockwise corners in the x-z plane."""
-        c, s = math.cos(self.theta), math.sin(self.theta)
-        dx = np.array([0.5, -0.5, -0.5, 0.5]) * self.l
-        dz = np.array([0.5, 0.5, -0.5, -0.5]) * self.w
-        return np.stack([self.x + dx * c - dz * s, self.z + dx * s + dz * c], axis=1)
+def _footprint(lb) -> list:
+    """Counter-clockwise (x, z) corners of a label's ground-plane footprint."""
+    c, s = math.cos(lb.ry), math.sin(lb.ry)
+    return [(lb.x + dl * lb.l * c - dw * lb.w * s, lb.z + dl * lb.l * s + dw * lb.w * c)
+            for dl, dw in ((0.5, 0.5), (-0.5, 0.5), (-0.5, -0.5), (0.5, -0.5))]
 
 
 def _clip_polygon(poly, a, b):
@@ -73,14 +62,17 @@ def _polygon_area(poly) -> float:
     return abs(area) / 2.0
 
 
-def intersection_area(a: RotatedBox, b: RotatedBox) -> float:
+def intersection_area(a, b) -> float:
+    """Footprint overlap of two ``ObjectLabel``s in the x-z plane."""
+    _check_extents(a)
+    _check_extents(b)
     # a box lies inside the circle of its half-diagonal: centres farther apart
     # than the two half-diagonals cannot overlap, so skip the clipping
     reach = 0.5 * (math.hypot(a.l, a.w) + math.hypot(b.l, b.w))
     if math.hypot(a.x - b.x, a.z - b.z) > reach:
         return 0.0
-    poly = [tuple(p) for p in a.corners()]
-    clip = [tuple(p) for p in b.corners()]
+    poly = _footprint(a)
+    clip = _footprint(b)
     for i in range(4):
         if not poly:
             return 0.0
@@ -88,13 +80,13 @@ def intersection_area(a: RotatedBox, b: RotatedBox) -> float:
     return _polygon_area(poly)
 
 
-def bev_iou(a: RotatedBox, b: RotatedBox) -> float:
+def bev_iou(a, b) -> float:
     inter = intersection_area(a, b)
     union = a.l * a.w + b.l * b.w - inter
     return inter / union if union > 0 else 0.0
 
 
-def iou_3d(a: RotatedBox, b: RotatedBox) -> float:
+def iou_3d(a, b) -> float:
     inter_area = intersection_area(a, b)
     # y grows downward: a box spans [y - h, y]
     overlap = min(a.y, b.y) - max(a.y - a.h, b.y - b.h)
@@ -109,13 +101,6 @@ def iou_3d(a: RotatedBox, b: RotatedBox) -> float:
 # average precision
 
 
-@dataclass
-class EvalBox:
-    frame: str
-    box: RotatedBox
-    score: float = 1.0
-
-
 N_RECALL_POINTS = 40
 
 
@@ -123,30 +108,34 @@ def average_precision(predictions, ground_truth, iou_threshold: float,
                       mode: str = "bev"):
     """40-point interpolated AP in percent.
 
-    Predictions are matched greedily in descending score order; each ground
-    truth can be claimed once. Returns (ap, flagged): with no ground truth
-    the AP is undefined and reported as (0.0, True).
+    ``predictions`` and ``ground_truth`` are (frame_id, ObjectLabel) pairs; a
+    label without a score scores 1.0. Predictions are matched greedily in
+    descending score order; each ground truth can be claimed once. Returns
+    (ap, flagged): with no ground truth the AP is undefined and reported as
+    (0.0, True).
     """
     if mode not in ("bev", "3d"):
         raise ValueError(f"unknown IoU mode '{mode}'")
     iou_fn = bev_iou if mode == "bev" else iou_3d
+    for _, lb in itertools.chain(predictions, ground_truth):
+        _check_extents(lb)
     n_gt = len(ground_truth)
     if n_gt == 0:
         return 0.0, True
     by_frame = {}
-    for i, gt in enumerate(ground_truth):
-        by_frame.setdefault(gt.frame, []).append(i)
+    for i, (frame, _) in enumerate(ground_truth):
+        by_frame.setdefault(frame, []).append(i)
     claimed = [False] * n_gt
-    order = sorted(range(len(predictions)),
-                   key=lambda i: (-predictions[i].score, i))
+    scores = [1.0 if lb.score is None else lb.score for _, lb in predictions]
+    order = sorted(range(len(predictions)), key=lambda i: (-scores[i], i))
     tp = np.zeros(len(order))
     for rank, i in enumerate(order):
-        pred = predictions[i]
+        frame, pred = predictions[i]
         best_iou, best_j = 0.0, -1
-        for j in by_frame.get(pred.frame, ()):
+        for j in by_frame.get(frame, ()):
             if claimed[j]:
                 continue
-            v = iou_fn(pred.box, ground_truth[j].box)
+            v = iou_fn(pred, ground_truth[j][1])
             if v > best_iou:
                 best_iou, best_j = v, j
         if best_j >= 0 and best_iou >= iou_threshold:
@@ -162,14 +151,6 @@ def average_precision(predictions, ground_truth, iou_threshold: float,
         mask = recall >= r - 1e-12
         ap += precision[mask].max() if mask.any() else 0.0
     return 100.0 * ap / N_RECALL_POINTS, False
-
-
-def label_to_evalbox(lb, frame_id: str) -> EvalBox:
-    return EvalBox(
-        frame=frame_id,
-        box=RotatedBox(x=lb.x, z=lb.z, l=lb.l, w=lb.w, theta=lb.ry, y=lb.y, h=lb.h),
-        score=1.0 if lb.score is None else lb.score,
-    )
 
 
 def evaluate_directories(pred_dir, gt_dir, classes, iou_thresholds,
@@ -194,13 +175,13 @@ def evaluate_directories(pred_dir, gt_dir, classes, iou_thresholds,
     for fid in frame_ids:
         for lb in read_kitti_label(os.path.join(pred_dir, fid + ".txt")):
             if lb.type in preds:
-                preds[lb.type].append(label_to_evalbox(lb, fid))
+                preds[lb.type].append((fid, lb))
         gt_path = os.path.join(gt_dir, fid + ".txt")
         if not os.path.exists(gt_path):
             raise FileNotFoundError(f"ground truth missing for frame {fid}")
         for lb in read_kitti_label(gt_path):
             if lb.type in gts and (lb.box2d[3] - lb.box2d[1]) >= min_box_height:
-                gts[lb.type].append(label_to_evalbox(lb, fid))
+                gts[lb.type].append((fid, lb))
     metrics = {"frames": len(frame_ids), "mode": mode}
     for name in classes:
         thr = iou_thresholds[name]

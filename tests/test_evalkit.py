@@ -1,6 +1,7 @@
 """Rotated IoU against rasterization; AP against a brute-force PR recompute."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,8 +10,6 @@ from hypothesis import strategies as st
 
 import ts3d.evalkit
 from ts3d.evalkit import (
-    EvalBox,
-    RotatedBox,
     average_precision,
     bev_iou,
     intersection_area,
@@ -18,11 +17,17 @@ from ts3d.evalkit import (
     read_report,
     write_report,
 )
+from ts3d.kitti_io import ObjectLabel
 
 
-def rasterized_iou(a: RotatedBox, b: RotatedBox, n: int = 1000) -> float:
+def _box(x, z, l, w, ry, y=0.0, h=0.0, score=None) -> ObjectLabel:
+    """A Car label with the given footprint and vertical slab."""
+    return ObjectLabel("Car", 0.0, 0, 0.0, np.zeros(4), h, w, l, x, y, z, ry, score)
+
+
+def rasterized_iou(a: ObjectLabel, b: ObjectLabel, n: int = 1000) -> float:
     """Monte-Carlo style oracle: classify an n x n grid of cell centers."""
-    ca, cb = a.corners(), b.corners()
+    ca, cb = np.array(ts3d.evalkit._footprint(a)), np.array(ts3d.evalkit._footprint(b))
     lo = np.minimum(ca.min(axis=0), cb.min(axis=0)) - 1e-6
     hi = np.maximum(ca.max(axis=0), cb.max(axis=0)) + 1e-6
     xs = np.linspace(lo[0], hi[0], n, endpoint=False) + (hi[0] - lo[0]) / (2 * n)
@@ -31,7 +36,7 @@ def rasterized_iou(a: RotatedBox, b: RotatedBox, n: int = 1000) -> float:
 
     def inside(box):
         dx, dz = px - box.x, pz - box.z
-        c, s = math.cos(box.theta), math.sin(box.theta)
+        c, s = math.cos(box.ry), math.sin(box.ry)
         ll = dx * c + dz * s
         ww = -dx * s + dz * c
         return (np.abs(ll) <= box.l / 2) & (np.abs(ww) <= box.w / 2)
@@ -43,10 +48,10 @@ def rasterized_iou(a: RotatedBox, b: RotatedBox, n: int = 1000) -> float:
 
 
 def _random_box(rng):
-    return RotatedBox(
+    return _box(
         x=rng.uniform(-5, 5), z=rng.uniform(-5, 5),
         l=rng.uniform(1.0, 5.0), w=rng.uniform(1.0, 3.0),
-        theta=rng.uniform(-math.pi, math.pi),
+        ry=rng.uniform(-math.pi, math.pi),
     )
 
 
@@ -55,25 +60,29 @@ def _random_box(rng):
 
 
 def test_identical_boxes_full_overlap():
-    b = RotatedBox(1.0, 2.0, 4.0, 2.0, 0.7)
+    b = _box(1.0, 2.0, 4.0, 2.0, 0.7)
     assert bev_iou(b, b) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_disjoint_boxes_zero():
-    a = RotatedBox(0.0, 0.0, 2.0, 2.0, 0.3)
-    b = RotatedBox(50.0, 50.0, 2.0, 2.0, -0.9)
+    a = _box(0.0, 0.0, 2.0, 2.0, 0.3)
+    b = _box(50.0, 50.0, 2.0, 2.0, -0.9)
     assert bev_iou(a, b) == 0.0
 
 
 def test_unit_squares_half_shift():
-    a = RotatedBox(0.0, 0.0, 1.0, 1.0, 0.0)
-    b = RotatedBox(0.5, 0.0, 1.0, 1.0, 0.0)
+    a = _box(0.0, 0.0, 1.0, 1.0, 0.0)
+    b = _box(0.5, 0.0, 1.0, 1.0, 0.0)
     assert bev_iou(a, b) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
 
 def test_degenerate_extents_rejected():
     with pytest.raises(ValueError):
-        bev_iou(RotatedBox(0, 0, 0.0, 1.0, 0.0), RotatedBox(0, 0, 1, 1, 0))
+        bev_iou(_box(0, 0, 0.0, 1.0, 0.0), _box(0, 0, 1, 1, 0))
+    # every scored label is checked, also one that no ground truth is near
+    flat = _box(50.0, 50.0, 1.0, -1.0, 0.0, score=0.5)
+    with pytest.raises(ValueError, match="degenerate"):
+        average_precision([("000000", flat)], [("000000", _box(0, 0, 1, 1, 0))], 0.5)
 
 
 def test_rotated_pairs_match_rasterization():
@@ -97,21 +106,20 @@ def test_iou_symmetry():
 @settings(max_examples=30, deadline=None)
 @given(st.floats(-math.pi, math.pi))
 def test_iou_rotation_invariance(phi):
-    a = RotatedBox(1.0, 0.5, 3.0, 1.5, 0.4)
-    b = RotatedBox(1.8, 1.0, 2.0, 1.8, -0.8)
+    a = _box(1.0, 0.5, 3.0, 1.5, 0.4)
+    b = _box(1.8, 1.0, 2.0, 1.8, -0.8)
 
-    def rotate(box):
+    def rotate(b):
         c, s = math.cos(phi), math.sin(phi)
-        return RotatedBox(box.x * c - box.z * s, box.x * s + box.z * c,
-                          box.l, box.w, box.theta + phi)
+        return _box(b.x * c - b.z * s, b.x * s + b.z * c, b.l, b.w, b.ry + phi)
 
     assert abs(bev_iou(a, b) - bev_iou(rotate(a), rotate(b))) < 1e-9
 
 
-def _clipped_area(a: RotatedBox, b: RotatedBox) -> float:
+def _clipped_area(a: ObjectLabel, b: ObjectLabel) -> float:
     """Sutherland-Hodgman on every pair, with no bounding-circle reject."""
-    poly = [tuple(p) for p in a.corners()]
-    clip = [tuple(p) for p in b.corners()]
+    poly = ts3d.evalkit._footprint(a)
+    clip = ts3d.evalkit._footprint(b)
     for i in range(4):
         if not poly:
             return 0.0
@@ -124,12 +132,12 @@ def test_far_apart_boxes_are_not_clipped(monkeypatch):
     clip = ts3d.evalkit._clip_polygon
     monkeypatch.setattr(ts3d.evalkit, "_clip_polygon",
                         lambda *args: calls.append(1) or clip(*args))
-    a = RotatedBox(0.0, 0.0, 4.0, 2.0, 0.3)
+    a = _box(0.0, 0.0, 4.0, 2.0, 0.3)
     # half-diagonals sqrt(5) each: centres 4.5 apart cannot overlap
-    assert bev_iou(a, RotatedBox(4.5, 0.0, 4.0, 2.0, -1.1)) == 0.0
-    assert iou_3d(a, RotatedBox(0.0, -4.5, 2.0, 4.0, 0.0)) == 0.0
+    assert bev_iou(a, _box(4.5, 0.0, 4.0, 2.0, -1.1)) == 0.0
+    assert iou_3d(a, _box(0.0, -4.5, 2.0, 4.0, 0.0)) == 0.0
     assert calls == []
-    assert bev_iou(a, RotatedBox(3.0, 0.5, 4.0, 2.0, 0.3)) > 0.0
+    assert bev_iou(a, _box(3.0, 0.5, 4.0, 2.0, 0.3)) > 0.0
     assert calls
 
 
@@ -145,11 +153,11 @@ def test_reject_leaves_iou_and_ap_unchanged(monkeypatch):
 
 
 def test_iou_3d_cases():
-    a = RotatedBox(0, 0, 1, 1, 0, y=1.0, h=1.0)
+    a = _box(0, 0, 1, 1, 0, y=1.0, h=1.0)
     assert iou_3d(a, a) == pytest.approx(1.0, abs=1e-12)
-    high = RotatedBox(0, 0, 1, 1, 0, y=-2.0, h=1.0)
+    high = _box(0, 0, 1, 1, 0, y=-2.0, h=1.0)
     assert iou_3d(a, high) == 0.0
-    stacked = RotatedBox(0, 0, 1, 1, 0, y=1.5, h=1.0)  # half vertical overlap
+    stacked = _box(0, 0, 1, 1, 0, y=1.5, h=1.0)  # half vertical overlap
     assert iou_3d(a, stacked) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
 
@@ -160,16 +168,16 @@ def test_iou_3d_cases():
 def _brute_force_ap(predictions, ground_truth, thr, mode="bev"):
     """Independent PR recompute: quadratic matching, explicit recall sweep."""
     fn = bev_iou if mode == "bev" else iou_3d
-    order = sorted(range(len(predictions)), key=lambda i: (-predictions[i].score, i))
+    order = sorted(range(len(predictions)), key=lambda i: (-predictions[i][1].score, i))
     claimed = set()
     flags = []
     for i in order:
-        p = predictions[i]
+        frame, p = predictions[i]
         best, best_j = 0.0, None
-        for j, g in enumerate(ground_truth):
-            if j in claimed or g.frame != p.frame:
+        for j, (g_frame, g) in enumerate(ground_truth):
+            if j in claimed or g_frame != frame:
                 continue
-            v = fn(p.box, g.box)
+            v = fn(p, g)
             if v > best:
                 best, best_j = v, j
         if best_j is not None and best >= thr:
@@ -194,22 +202,22 @@ def _random_instance(rng, n_pred=30, n_gt=12):
     gts, preds = [], []
     for j in range(n_gt):
         frame = f"{rng.integers(0, 4):06d}"
-        gts.append(EvalBox(frame=frame, box=_random_box(rng)))
+        gts.append((frame, _random_box(rng)))
     for _ in range(n_pred):
-        base = gts[rng.integers(0, n_gt)]
-        jitter = RotatedBox(
-            base.box.x + rng.normal(0, 1.0), base.box.z + rng.normal(0, 1.0),
-            base.box.l * rng.uniform(0.7, 1.3), base.box.w * rng.uniform(0.7, 1.3),
-            base.box.theta + rng.normal(0, 0.4),
+        frame, base = gts[rng.integers(0, n_gt)]
+        jitter = _box(
+            base.x + rng.normal(0, 1.0), base.z + rng.normal(0, 1.0),
+            base.l * rng.uniform(0.7, 1.3), base.w * rng.uniform(0.7, 1.3),
+            base.ry + rng.normal(0, 0.4), score=float(rng.uniform()),
         )
-        preds.append(EvalBox(frame=base.frame, box=jitter, score=float(rng.uniform())))
+        preds.append((frame, jitter))
     return preds, gts
 
 
 def test_perfect_predictions_score_100():
     rng = np.random.default_rng(2)
-    gts = [EvalBox(frame="000000", box=_random_box(rng)) for _ in range(6)]
-    preds = [EvalBox(frame=g.frame, box=g.box, score=1.0) for g in gts]
+    gts = [("000000", _random_box(rng)) for _ in range(6)]
+    preds = [(frame, replace(g, score=1.0)) for frame, g in gts]
     ap, flagged = average_precision(preds, gts, iou_threshold=0.5)
     assert not flagged
     assert ap == pytest.approx(100.0, abs=1e-9)
@@ -217,7 +225,7 @@ def test_perfect_predictions_score_100():
 
 def test_no_predictions_zero():
     rng = np.random.default_rng(3)
-    gts = [EvalBox(frame="000000", box=_random_box(rng))]
+    gts = [("000000", _random_box(rng))]
     ap, flagged = average_precision([], gts, iou_threshold=0.5)
     assert ap == 0.0 and not flagged
 
@@ -242,10 +250,10 @@ def test_adding_top_scoring_true_positive_never_decreases_ap():
     rng = np.random.default_rng(5)
     for _ in range(10):
         preds, gts = _random_instance(rng, n_pred=15, n_gt=8)
-        lonely = EvalBox(frame="zz9999", box=_random_box(rng))
-        gts = gts + [lonely]
+        lonely = _random_box(rng)
+        gts = gts + [("zz9999", lonely)]
         base_ap, _ = average_precision(preds, gts, iou_threshold=0.3)
-        extra = EvalBox(frame=lonely.frame, box=lonely.box, score=2.0)
+        extra = ("zz9999", replace(lonely, score=2.0))
         new_ap, _ = average_precision(preds + [extra], gts, iou_threshold=0.3)
         assert new_ap >= base_ap - 1e-9
 
