@@ -3,11 +3,12 @@
 The scorer reads the ``ObjectLabel`` records that ``read_kitti_label``
 returns, so every field of a label line (truncation, occlusion, 2D box) stays
 in reach. A BEV box is a label's ground-plane footprint (center x/z, extents
-l/w, yaw ry); its vertical slab is [y - h, y]. The intersection of two
-footprints is computed by Sutherland-Hodgman polygon clipping with shoelace
-areas, skipped when the boxes' bounding circles are disjoint; the 3D overlap
-multiplies the footprint intersection by the vertical overlap. AP is 40-point interpolated, matching greedily in
-descending score order with each ground truth claimable once.
+l/w), turned by the camera rotation R_y(ry) as in the KITTI devkit; its
+vertical slab is [y - h, y]. The intersection of two footprints is computed
+by Sutherland-Hodgman polygon clipping with shoelace areas, skipped when the
+boxes' bounding circles are disjoint; the 3D overlap multiplies the footprint
+intersection by the vertical overlap. AP is 40-point interpolated, matching
+greedily in descending score order with each ground truth claimable once.
 """
 
 from __future__ import annotations
@@ -24,9 +25,13 @@ def _check_extents(lb) -> None:
 
 
 def _footprint(lb) -> list:
-    """Counter-clockwise (x, z) corners of a label's ground-plane footprint."""
+    """Counter-clockwise (x, z) corners of a label's ground-plane footprint.
+
+    As in the KITTI devkit's ``toPolygon``, the camera rotation R_y turns the
+    length axis to (cos ry, -sin ry) and the width axis to (sin ry, cos ry).
+    """
     c, s = math.cos(lb.ry), math.sin(lb.ry)
-    return [(lb.x + dl * lb.l * c - dw * lb.w * s, lb.z + dl * lb.l * s + dw * lb.w * c)
+    return [(lb.x + dl * lb.l * c + dw * lb.w * s, lb.z - dl * lb.l * s + dw * lb.w * c)
             for dl, dw in ((0.5, 0.5), (-0.5, 0.5), (-0.5, -0.5), (0.5, -0.5))]
 
 

@@ -36,9 +36,10 @@ def rasterized_iou(a: ObjectLabel, b: ObjectLabel, n: int = 1000) -> float:
 
     def inside(box):
         dx, dz = px - box.x, pz - box.z
+        # KITTI's R_y: the length axis is (cos ry, -sin ry), the width axis (sin ry, cos ry)
         c, s = math.cos(box.ry), math.sin(box.ry)
-        ll = dx * c + dz * s
-        ww = -dx * s + dz * c
+        ll = dx * c - dz * s
+        ww = dx * s + dz * c
         return (np.abs(ll) <= box.l / 2) & (np.abs(ww) <= box.w / 2)
 
     ia, ib = inside(a), inside(b)
@@ -110,10 +111,31 @@ def test_iou_rotation_invariance(phi):
     b = _box(1.8, 1.0, 2.0, 1.8, -0.8)
 
     def rotate(b):
+        # turning the x-z plane by +phi turns the length axis (cos ry, -sin ry)
+        # to the yaw ry - phi
         c, s = math.cos(phi), math.sin(phi)
-        return _box(b.x * c - b.z * s, b.x * s + b.z * c, b.l, b.w, b.ry + phi)
+        return _box(b.x * c - b.z * s, b.x * s + b.z * c, b.l, b.w, b.ry - phi)
 
     assert abs(bev_iou(a, b) - bev_iou(rotate(a), rotate(b))) < 1e-9
+
+
+def test_footprint_follows_the_kitti_devkit_yaw():
+    gt = _box(0.0, 10.0, 4.0, 1.8, 0.6, y=1.5, h=1.5)
+    c, s = math.cos(gt.ry), math.sin(gt.ry)
+    r_y = np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+    local = np.array([[dl * gt.l, 0.0, dw * gt.w]
+                      for dl, dw in ((0.5, 0.5), (-0.5, 0.5), (-0.5, -0.5), (0.5, -0.5))])
+    expected = (local @ r_y.T)[:, [0, 2]] + [gt.x, gt.z]
+    corners = np.array(ts3d.evalkit._footprint(gt))
+    np.testing.assert_allclose(corners, expected, atol=1e-12)
+    # counter-clockwise in the x-z plane: positive shoelace area
+    xs, zs = corners[:, 0], corners[:, 1]
+    assert np.sum(xs * np.roll(zs, -1) - np.roll(xs, -1) * zs) > 0
+    # a 0.6 m diagonal shift overlaps less than half: the mirrored yaw scored 0.566
+    shifted = replace(gt, x=0.6, z=10.6, score=0.9)
+    assert bev_iou(gt, shifted) == pytest.approx(0.3474, abs=1e-4)
+    ap, _ = average_precision([("000000", shifted)], [("000000", gt)], 0.5)
+    assert ap == 0.0
 
 
 def _clipped_area(a: ObjectLabel, b: ObjectLabel) -> float:
