@@ -2,7 +2,9 @@
 
 Label lines carry 15 space-separated fields (detections append a 16th score
 field): type, truncated, occluded, alpha, bbox x1 y1 x2 y2, dimensions
-h w l, location x y z, rotation_y.
+h w l, location x y z, rotation_y. Every numeric field must be finite; a
+reader's error names the file, the line and the field. KITTI's ``DontCare``
+lines (-1 extents, -1000 location) are finite and parse.
 """
 
 from __future__ import annotations
@@ -46,6 +48,10 @@ class ObjectLabel:
         return " ".join(fields)
 
 
+_NUMERIC_FIELDS = ("truncated", "occluded", "alpha", "x1", "y1", "x2", "y2",
+                   "h", "w", "l", "x", "y", "z", "ry", "score")
+
+
 def parse_label_line(line: str, lineno: int = 0) -> ObjectLabel:
     parts = line.split()
     if len(parts) not in (15, 16):
@@ -54,6 +60,9 @@ def parse_label_line(line: str, lineno: int = 0) -> ObjectLabel:
         vals = [float(p) for p in parts[1:]]
     except ValueError as exc:
         raise ValueError(f"label line {lineno}: non-numeric field ({exc})") from None
+    bad = [f"{name}={v}" for name, v in zip(_NUMERIC_FIELDS, vals) if not math.isfinite(v)]
+    if bad:
+        raise ValueError(f"label line {lineno}: non-finite field {', '.join(bad)}")
     return ObjectLabel(
         type=parts[0],
         truncated=vals[0],
@@ -73,7 +82,10 @@ def read_kitti_label(path) -> list:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if line:
-                labels.append(parse_label_line(line, lineno))
+                try:
+                    labels.append(parse_label_line(line, lineno))
+                except ValueError as exc:
+                    raise ValueError(f"'{path}': {exc}") from None
     return labels
 
 

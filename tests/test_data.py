@@ -95,6 +95,26 @@ def test_malformed_line_reports_number(tmp_path):
         read_kitti_label(path)
 
 
+@pytest.mark.parametrize("field, value", [("l", "nan"), ("z", "inf"), ("score", "-inf"),
+                                          ("occluded", "nan")])
+def test_non_finite_label_field_names_file_line_and_field(tmp_path, field, value):
+    fields = "Car 0.00 0 -1.57 0 0 100 50 1.5 1.6 3.9 0 1.5 20 -1.57 0.5".split()
+    names = ["type", "truncated", "occluded", "alpha", "x1", "y1", "x2", "y2",
+             "h", "w", "l", "x", "y", "z", "ry", "score"]
+    fields[names.index(field)] = value
+    path = tmp_path / "000000.txt"
+    path.write_text("DontCare -1 -1 -10 0 0 5 5 -1 -1 -1 -1000 -1000 -1000 -10\n"
+                    + " ".join(fields) + "\n")
+    with pytest.raises(ValueError, match=f"line 2: non-finite field {field}={value}") as info:
+        read_kitti_label(path)
+    assert str(path) in str(info.value)
+
+
+def test_dontcare_line_parses():
+    lb = parse_label_line("DontCare -1 -1 -10 0 0 5 5 -1 -1 -1 -1000 -1000 -1000 -10")
+    assert lb.type == "DontCare" and lb.l == -1.0 and lb.z == -1000.0
+
+
 # ---------------------------------------------------------------------------
 # calibration
 

@@ -12,6 +12,7 @@ import ts3d.evalkit
 from ts3d.evalkit import (
     average_precision,
     bev_iou,
+    evaluate_directories,
     intersection_area,
     iou_3d,
     read_report,
@@ -286,3 +287,18 @@ def test_report_roundtrip(tmp_path):
     back = read_report(path)
     assert float(back["ap_bev_0.5"]) == 93.25
     assert int(back["frames"]) == 32
+
+
+def test_non_finite_ground_truth_is_an_error_not_a_miss(tmp_path):
+    line = "Car 0.00 0 0.0 10 10 60 50 1.5 1.6 {l} 0 1.5 20 0.0"
+    for sub in ("pred", "gt"):
+        (tmp_path / sub).mkdir()
+    (tmp_path / "pred" / "000000.txt").write_text(line.format(l="3.9") + " 0.9\n")
+    gt = tmp_path / "gt" / "000000.txt"
+    gt.write_text(line.format(l="3.9") + "\n")
+    metrics = evaluate_directories(tmp_path / "pred", tmp_path / "gt", ["Car"], {"Car": 0.7})
+    assert metrics["ap_bev_Car_iou0.7"] == 100.0
+    gt.write_text(line.format(l="nan") + "\n")
+    with pytest.raises(ValueError, match="line 1: non-finite field l=nan") as info:
+        evaluate_directories(tmp_path / "pred", tmp_path / "gt", ["Car"], {"Car": 0.7})
+    assert str(gt) in str(info.value)
