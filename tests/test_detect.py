@@ -29,8 +29,9 @@ from ts3d.detect import (
     total_loss,
     wrap_angle,
 )
+from ts3d.evalkit import evaluate_directories
 from ts3d.gradcheck import grad_check
-from ts3d.kitti_io import ObjectLabel
+from ts3d.kitti_io import ObjectLabel, write_kitti_label
 from ts3d.ops import focal_loss, smooth_l1
 from ts3d.synth import SynthParams, synth_scene
 from ts3d.tensor import Tensor, no_grad
@@ -174,6 +175,30 @@ def test_principal_point_back_projects_to_centered_ray():
 def test_bad_calibration_rejected():
     with pytest.raises(ValueError):
         decode_box(np.zeros(4) + 1, np.ones(4), np.zeros(13), 0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("offset", [1000.0, -1000.0])
+def test_out_of_band_offsets_decode_to_finite_geometry_that_scores(tmp_path, offset):
+    f, cx, cy = _calib()
+    anchor_box = np.array([72.0, 40.0, 34.0, 28.0])
+    prior = np.array([9.0, 1.7, 1.5, 3.9])
+    offsets = np.full(13, offset)
+    offsets[12] = 1.0  # branch prob
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        det = _decoded(anchor_box, prior, offsets, f, cx, cy)
+    geometry = [det.x, det.y, det.z, det.w, det.h, det.l, det.ry, det.alpha, *det.box2d]
+    assert np.isfinite(geometry).all()
+    scale = (1000.0 / 16) ** math.copysign(1.0, offset)
+    assert det.z == pytest.approx(9.0 * scale) and det.l == pytest.approx(3.9 * scale)
+    assert det.box2d[2] - det.box2d[0] == pytest.approx(34.0 * scale)
+    # the written line reads back with positive extents, so it scores
+    for sub in ("pred", "gt"):
+        (tmp_path / sub).mkdir()
+    write_kitti_label(tmp_path / "pred" / "000000.txt", [det])
+    write_kitti_label(tmp_path / "gt" / "000000.txt", [replace(det, score=None)])
+    metrics = evaluate_directories(tmp_path / "pred", tmp_path / "gt", ["Car"], {"Car": 0.5})
+    assert metrics["ap_bev_Car_iou0.5"] == 100.0
 
 
 def test_encode_decode_roundtrip_100_boxes():
