@@ -108,8 +108,17 @@ def save_model(path, model, optimizer_state: dict | None = None) -> None:
 
 def load_model(path, model) -> dict:
     """Load parameters by name (mismatched key sets raise with the diff listed);
-    returns the optimizer state found under the reserved prefix, prefix removed."""
+    returns the optimizer state found under the reserved prefix, prefix removed.
+
+    A CRC-valid file is still outside input: an entry with a non-finite value,
+    or a negative AdamW second moment, raises naming the file and the entry.
+    """
     arrays = load_arrays(path)
+    for name, arr in arrays.items():
+        if not np.isfinite(arr).all():
+            raise ValueError(f"'{path}': non-finite values in entry '{name}'")
+        if name.startswith(OPTIMIZER_PREFIX + "v.") and (arr < 0).any():
+            raise ValueError(f"'{path}': negative second moment in entry '{name}'")
     optimizer_state = {
         name[len(OPTIMIZER_PREFIX):]: arrays.pop(name)
         for name in list(arrays) if name.startswith(OPTIMIZER_PREFIX)

@@ -15,7 +15,7 @@ import pytest
 
 import ts3d.checkpoint
 import ts3d.train
-from ts3d.checkpoint import load_arrays, save_model
+from ts3d.checkpoint import load_arrays, save_arrays, save_model
 from ts3d.config import BOUNDS, CHOICES, RunConfig, config_from_text, load_config
 from ts3d.dataset import (
     MANIFEST_NAME,
@@ -489,6 +489,23 @@ def toy_ckpt(toy_dataset, tmp_path_factory):
     run = tmp_path_factory.mktemp("toyrun")
     train_run(_toy_cfg(total_steps=1), toy_dataset, run, quiet=True)
     return run / (LAST_CKPT + ".ts3d")
+
+
+@pytest.mark.parametrize("entry, value", [("decoder.layers.0.mhsa.q_proj.w", np.nan),
+                                          ("adamw.m.backbone.lateral.0.b", np.inf),
+                                          ("adamw.v.backbone.lateral.0.b", -1.0)])
+def test_cli_infer_rejects_a_bad_checkpoint_entry_naming_it(toy_ckpt, toy_dataset, tmp_path,
+                                                            entry, value):
+    arrays = load_arrays(toy_ckpt)
+    assert entry in arrays
+    arrays[entry].flat[0] = value
+    ckpt = tmp_path / "bad.ts3d"
+    save_arrays(ckpt, arrays)  # a valid CRC over the bad value
+    r = _cli("infer", "--ckpt", str(ckpt), "--data", str(toy_dataset), "--split", "val",
+             "--out", "preds", "--preset", "toy", cwd=tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert str(ckpt) in r.stderr and f"'{entry}'" in r.stderr
+    assert not (tmp_path / "preds").exists()
 
 
 def test_cli_infer_mismatched_config_names_checkpoint(toy_ckpt, toy_dataset, tmp_path):
