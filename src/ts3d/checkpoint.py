@@ -109,10 +109,7 @@ def save_model(path, model, optimizer_state: dict | None = None) -> None:
 def load_model(path, model) -> dict:
     """Load parameters by name (mismatched key sets raise with the diff listed);
     returns the optimizer state found under the reserved prefix, prefix removed.
-
-    A CRC-valid file is still outside input: an entry with a non-finite value,
-    or a negative AdamW second moment, raises naming the file and the entry.
-    """
+    A non-finite entry or a negative AdamW second moment raises, naming both."""
     arrays = load_arrays(path)
     for name, arr in arrays.items():
         if not np.isfinite(arr).all():

@@ -35,8 +35,8 @@ from .tensor import Module, Tensor
 
 HALF_PI = math.pi / 2.0
 QUARTER_PI = math.pi / 4.0
-# bound on a log-space offset before exp, torchvision's bbox_xform_clip: a
-# decoded size or depth stays within 62.5x of its anchor or prior either way
+# bound on a log-space offset before exp, as torchvision's BoxCoder
+# (bbox_xform_clip) and Detectron2's scale_clamp: at most 62.5x either way
 LOG_SCALE_CLAMP = math.log(1000.0 / 16)
 
 
@@ -225,12 +225,9 @@ def decode_box(anchor_boxes, priors, offsets, f, cx, cy) -> dict:
     ObjectLabel geometry fields: x, y, z, w, h, l, ry, alpha of shape (N,)
     and corner boxes box2d of shape (N, 4). One row passed as 1-D arrays
     gives scalars and a (4,) box. c_alpha arrives as a probability in [0, 1].
-
     The log-space offsets (channels 2, 3 and 6-9) are clamped to
-    +-LOG_SCALE_CLAMP before exp, as torchvision's ``BoxCoder`` and
-    Detectron2's ``Box2BoxTransform(scale_clamp=...)`` do, so any offset
-    decodes to finite, positive sizes and depth; an offset inside the band
-    keeps its bits.
+    +-LOG_SCALE_CLAMP before exp, so any offset decodes to finite, positive
+    sizes and depth; an offset inside the band keeps its bits.
     """
     if not np.isfinite(f) or f <= 0:
         raise ValueError("calibration focal length must be positive and finite")
@@ -240,14 +237,9 @@ def decode_box(anchor_boxes, priors, offsets, f, cx, cy) -> dict:
     u2 = ua + o[0] * wa
     v2 = va + o[1] * ha
     scale = np.exp(np.clip(o[[2, 3, 6, 7, 8, 9]], -LOG_SCALE_CLAMP, LOG_SCALE_CLAMP))
-    w2 = wa * scale[0]
-    h2 = ha * scale[1]
+    w2, h2, z, w, h, l = np.array([wa, ha, za, wpr, hpr, lpr]) * scale
     u3 = ua + o[4] * wa
     v3 = va + o[5] * ha
-    z = za * scale[2]
-    w = wpr * scale[3]
-    h = hpr * scale[4]
-    l = lpr * scale[5]
     x = (u3 - cx) * z / f
     yc = (v3 - cy) * z / f
     y = yc + h / 2.0

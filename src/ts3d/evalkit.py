@@ -15,8 +15,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 
 import numpy as np
+
+from .kitti_io import read_kitti_label
 
 
 def _check_extents(lb) -> None:
@@ -25,11 +28,8 @@ def _check_extents(lb) -> None:
 
 
 def _footprint(lb) -> list:
-    """Counter-clockwise (x, z) corners of a label's ground-plane footprint.
-
-    As in the KITTI devkit's ``toPolygon``, the camera rotation R_y turns the
-    length axis to (cos ry, -sin ry) and the width axis to (sin ry, cos ry).
-    """
+    """Counter-clockwise (x, z) corners of a label's footprint. As in the KITTI
+    devkit's ``toPolygon``, R_y(ry) turns the length axis to (cos ry, -sin ry)."""
     c, s = math.cos(lb.ry), math.sin(lb.ry)
     return [(lb.x + dl * lb.l * c + dw * lb.w * s, lb.z - dl * lb.l * s + dw * lb.w * c)
             for dl, dw in ((0.5, 0.5), (-0.5, 0.5), (-0.5, -0.5), (0.5, -0.5))]
@@ -56,13 +56,8 @@ def _clip_polygon(poly, a, b):
 
 
 def _polygon_area(poly) -> float:
-    if len(poly) < 3:
-        return 0.0
     area = 0.0
-    n = len(poly)
-    for i in range(n):
-        x1, z1 = poly[i]
-        x2, z2 = poly[(i + 1) % n]
+    for (x1, z1), (x2, z2) in zip(poly, poly[1:] + poly[:1]):
         area += x1 * z2 - x2 * z1
     return abs(area) / 2.0
 
@@ -96,9 +91,7 @@ def iou_3d(a, b) -> float:
     # y grows downward: a box spans [y - h, y]
     overlap = min(a.y, b.y) - max(a.y - a.h, b.y - b.h)
     inter = inter_area * max(overlap, 0.0)
-    vol_a = a.l * a.w * a.h
-    vol_b = b.l * b.w * b.h
-    union = vol_a + vol_b - inter
+    union = a.l * a.w * a.h + b.l * b.w * b.h - inter
     return inter / union if union > 0 else 0.0
 
 
@@ -147,9 +140,8 @@ def average_precision(predictions, ground_truth, iou_threshold: float,
             claimed[best_j] = True
             tp[rank] = 1.0
     cum_tp = np.cumsum(tp)
-    ranks = np.arange(1, len(order) + 1)
-    precision = cum_tp / ranks if len(order) else np.zeros(0)
-    recall = cum_tp / n_gt if len(order) else np.zeros(0)
+    precision = cum_tp / np.arange(1, len(order) + 1)
+    recall = cum_tp / n_gt
     ap = 0.0
     for k in range(1, N_RECALL_POINTS + 1):
         r = k / N_RECALL_POINTS
@@ -166,10 +158,6 @@ def evaluate_directories(pred_dir, gt_dir, classes, iou_thresholds,
     is the (single) difficulty gate: ground truths with a shorter 2D box are
     dropped before matching.
     """
-    import os
-
-    from .kitti_io import read_kitti_label
-
     frame_ids = sorted(
         os.path.splitext(f)[0] for f in os.listdir(pred_dir) if f.endswith(".txt")
     )

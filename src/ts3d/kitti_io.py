@@ -48,8 +48,7 @@ class ObjectLabel:
         return " ".join(fields)
 
 
-_NUMERIC_FIELDS = ("truncated", "occluded", "alpha", "x1", "y1", "x2", "y2",
-                   "h", "w", "l", "x", "y", "z", "ry", "score")
+_NUMERIC_FIELDS = "truncated occluded alpha x1 y1 x2 y2 h w l x y z ry score".split()
 
 
 def parse_label_line(line: str, lineno: int = 0) -> ObjectLabel:
