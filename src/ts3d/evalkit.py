@@ -19,15 +19,15 @@ import os
 
 import numpy as np
 
-from .kitti_io import read_kitti_label
+from .kitti_io import ObjectLabel, read_kitti_label
 
 
-def _check_extents(lb) -> None:
+def _check_extents(lb: ObjectLabel) -> None:
     if not (lb.l > 0 and lb.w > 0):
         raise ValueError(f"degenerate box extents l={lb.l}, w={lb.w}")
 
 
-def _footprint(lb) -> list:
+def _footprint(lb: ObjectLabel) -> list:
     """Counter-clockwise (x, z) corners of a label's footprint. As in the KITTI
     devkit's ``toPolygon``, R_y(ry) turns the length axis to (cos ry, -sin ry)."""
     c, s = math.cos(lb.ry), math.sin(lb.ry)
@@ -62,7 +62,7 @@ def _polygon_area(poly) -> float:
     return abs(area) / 2.0
 
 
-def intersection_area(a, b) -> float:
+def intersection_area(a: ObjectLabel, b: ObjectLabel) -> float:
     """Footprint overlap of two ``ObjectLabel``s in the x-z plane."""
     _check_extents(a)
     _check_extents(b)
@@ -80,13 +80,13 @@ def intersection_area(a, b) -> float:
     return _polygon_area(poly)
 
 
-def bev_iou(a, b) -> float:
+def bev_iou(a: ObjectLabel, b: ObjectLabel) -> float:
     inter = intersection_area(a, b)
     union = a.l * a.w + b.l * b.w - inter
     return inter / union if union > 0 else 0.0
 
 
-def iou_3d(a, b) -> float:
+def iou_3d(a: ObjectLabel, b: ObjectLabel) -> float:
     inter_area = intersection_area(a, b)
     # y grows downward: a box spans [y - h, y]
     overlap = min(a.y, b.y) - max(a.y - a.h, b.y - b.h)

@@ -73,6 +73,9 @@ class AdamW:
         return out
 
     def load_state_arrays(self, arrays: dict) -> None:
+        step = arrays.get("step")
+        if step is None or step.shape != (1,) or not float(step[0]).is_integer() or step[0] < 0:
+            raise ValueError(f"optimizer state 'step' is not one non-negative integer: {step}")
         for p in self.params:
             for prefix, store in (("m.", self.m), ("v.", self.v)):
                 key = prefix + p.name
@@ -81,4 +84,4 @@ class AdamW:
                 if arrays[key].shape != p.data.shape:
                     raise ValueError(f"optimizer state shape mismatch for '{key}'")
                 store[p.name] = arrays[key].astype(p.data.dtype).copy()
-        self.step_count = int(arrays["step"][0])
+        self.step_count = int(step[0])

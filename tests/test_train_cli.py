@@ -484,6 +484,22 @@ def test_cli_resume_from_parameters_only_checkpoint_is_exit_2(toy_dataset, tmp_p
     assert "optimizer state" in r.stderr
 
 
+def test_cli_resume_from_a_negative_optimizer_step_is_exit_2(toy_dataset, tmp_path):
+    run = tmp_path / "run"
+    train_run(_toy_cfg(total_steps=1), toy_dataset, run, quiet=True)
+    ckpt = run / (LAST_CKPT + ".ts3d")
+    arrays = load_arrays(ckpt)
+    arrays["adamw.step"][0] = -3.0
+    save_arrays(ckpt, arrays)
+    log = (run / "metrics.log").read_bytes()
+    r = _cli("train", "--data", str(toy_dataset), "--out", str(run), "--preset", "toy",
+             "--set", "total_steps=1", "--set", "checkpoint_every=3", "--resume", "--quiet",
+             cwd=tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert str(ckpt) in r.stderr and "'step'" in r.stderr
+    assert (run / "metrics.log").read_bytes() == log
+
+
 @pytest.fixture(scope="module")
 def toy_ckpt(toy_dataset, tmp_path_factory):
     run = tmp_path_factory.mktemp("toyrun")
