@@ -103,16 +103,12 @@ def test_non_finite_label_field_names_file_line_and_field(tmp_path, field, value
              "h", "w", "l", "x", "y", "z", "ry", "score"]
     fields[names.index(field)] = value
     path = tmp_path / "000000.txt"
+    # line 1 is a KITTI DontCare line: its -1 extents and -1000 location parse
     path.write_text("DontCare -1 -1 -10 0 0 5 5 -1 -1 -1 -1000 -1000 -1000 -10\n"
                     + " ".join(fields) + "\n")
     with pytest.raises(ValueError, match=f"line 2: non-finite field {field}={value}") as info:
         read_kitti_label(path)
     assert str(path) in str(info.value)
-
-
-def test_dontcare_line_parses():
-    lb = parse_label_line("DontCare -1 -1 -10 0 0 5 5 -1 -1 -1 -1000 -1000 -1000 -10")
-    assert lb.type == "DontCare" and lb.l == -1.0 and lb.z == -1000.0
 
 
 # ---------------------------------------------------------------------------

@@ -111,11 +111,11 @@ def test_iou_rotation_invariance(phi):
     a = _box(1.0, 0.5, 3.0, 1.5, 0.4)
     b = _box(1.8, 1.0, 2.0, 1.8, -0.8)
 
-    def rotate(b):
+    def rotate(box):
         # turning the x-z plane by +phi turns the length axis (cos ry, -sin ry)
         # to the yaw ry - phi
         c, s = math.cos(phi), math.sin(phi)
-        return _box(b.x * c - b.z * s, b.x * s + b.z * c, b.l, b.w, b.ry - phi)
+        return _box(box.x * c - box.z * s, box.x * s + box.z * c, box.l, box.w, box.ry - phi)
 
     assert abs(bev_iou(a, b) - bev_iou(rotate(a), rotate(b))) < 1e-9
 
@@ -132,7 +132,7 @@ def test_footprint_follows_the_kitti_devkit_yaw():
     # counter-clockwise in the x-z plane: positive shoelace area
     xs, zs = corners[:, 0], corners[:, 1]
     assert np.sum(xs * np.roll(zs, -1) - np.roll(xs, -1) * zs) > 0
-    # a 0.6 m diagonal shift overlaps less than half: the mirrored yaw scored 0.566
+    # shifted 0.6 m along x and z, the box overlaps itself by less than IoU 0.5
     shifted = replace(gt, x=0.6, z=10.6, score=0.9)
     assert bev_iou(gt, shifted) == pytest.approx(0.3474, abs=1e-4)
     ap, _ = average_precision([("000000", shifted)], [("000000", gt)], 0.5)
