@@ -2,6 +2,47 @@
 
 Everything runs on a small numpy-backed tensor library with reverse-mode
 differentiation; there is no GPU path and no external ML framework.
+
+Importing the package sets glibc's malloc thresholds once (see
+``_keep_freed_heap_mapped``), so every entry point runs under the same
+allocator policy.
 """
 
+import ctypes
+
 __version__ = "0.1.0"
+
+# mallopt parameter numbers from glibc's <malloc.h>
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_heap_mapped(lib) -> None:
+    """Keep freed temporaries mapped for reuse instead of handing them back
+    to the kernel, through ``lib.mallopt``; a library without ``mallopt``
+    (a C library other than glibc) is left as it is.
+
+    By default glibc serves each allocation above its mmap threshold (a few
+    MB once it has adapted) with a fresh mapping and unmaps it on free, and
+    it trims the heap top above 128 kB, so the next step, frame or render
+    faults every page of its temporaries in again: about 1100 minor faults
+    per no-grad desk forward and 20-47k per 16-step desk training run. With
+    a 32 MB mmap threshold (glibc's upper limit on 64-bit) the temporaries
+    come from the heap, and a 256 MB trim threshold (above the full
+    preset's ~145 MB inference peak) keeps their pages mapped: the desk
+    forward then takes about 4 faults and the training run under 100, while
+    peak RSS moves by under 2 MB. Setting either threshold also switches
+    off glibc's dynamic threshold adjustment.
+    """
+    try:
+        mallopt = lib.mallopt
+    except AttributeError:
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, 256 << 20)
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+
+
+# the running process's own symbols; ctypes.util.find_library would spawn ldconfig
+_keep_freed_heap_mapped(ctypes.CDLL(None))

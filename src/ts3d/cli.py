@@ -6,6 +6,9 @@ Exit codes: 0 success, 1 usage error, 2 configuration/validation failure,
 
 The TS3D_THREADS environment variable caps worker parallelism, including the
 BLAS thread pools, and is applied before numpy is first imported.
+
+Under glibc, importing ts3d raises malloc's trim and mmap thresholds, so freed
+temporaries stay mapped for the next step or frame instead of faulting in again.
 """
 
 from __future__ import annotations

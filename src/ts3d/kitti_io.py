@@ -4,7 +4,9 @@ Label lines carry 15 space-separated fields (detections append a 16th score
 field): type, truncated, occluded, alpha, bbox x1 y1 x2 y2, dimensions
 h w l, location x y z, rotation_y. Every numeric field must be finite; a
 reader's error names the file, the line and the field. KITTI's ``DontCare``
-lines (-1 extents, -1000 location) are finite and parse.
+lines (-1 extents, -1000 location) are finite and parse. Likewise every
+entry of a calibration file's P2 and P3 rows must be finite, and an error
+names the file, the row and the entry index.
 """
 
 from __future__ import annotations
@@ -130,17 +132,37 @@ def make_calibration(f: float, cx: float, cy: float, baseline: float) -> Calibra
     return Calibration(p_left=p_left, p_right=p_right)
 
 
+def _parse_projection(path, key: str, text: str) -> np.ndarray:
+    """The 3x4 matrix of one projection row. A wrong entry count is an error
+    naming the file and the row; a non-numeric or non-finite entry is one
+    that also names the entry index."""
+    entries = text.split()
+    if len(entries) != 12:
+        raise ValueError(f"calibration file '{path}': row {key} has {len(entries)} "
+                         f"entries, expected 12")
+    vals = []
+    for i, entry in enumerate(entries):
+        try:
+            v = float(entry)
+        except ValueError:
+            v = math.nan
+        if not math.isfinite(v):
+            raise ValueError(f"calibration file '{path}': row {key} entry {i} "
+                             f"is not a finite number: '{entry}'")
+        vals.append(v)
+    return np.array(vals).reshape(3, 4)
+
+
 def read_calib(path) -> Calibration:
+    """The P2 (left) and P3 (right) projection rows of a KITTI calibration
+    file; other rows are not read."""
     rows = {}
     with open(path, encoding="utf-8") as fh:
         for line in fh:
-            line = line.strip()
-            if not line or ":" not in line:
-                continue
-            key, rest = line.split(":", 1)
-            vals = [float(v) for v in rest.split()]
-            if len(vals) == 12:
-                rows[key.strip()] = np.array(vals).reshape(3, 4)
+            key, sep, rest = line.partition(":")
+            key = key.strip()
+            if sep and key in ("P2", "P3"):
+                rows[key] = _parse_projection(path, key, rest)
     if "P2" not in rows or "P3" not in rows:
         missing = [k for k in ("P2", "P3") if k not in rows]
         raise ValueError(f"calibration file '{path}' missing rows: {missing}")

@@ -468,7 +468,10 @@ def _pad_hw(data: np.ndarray, padding: int) -> np.ndarray:
     """Zero-pad an (H, W, C) array by ``padding`` on both spatial axes."""
     if not padding:
         return data
-    return np.pad(data, ((padding, padding), (padding, padding), (0, 0)))
+    h, w, c = data.shape
+    out = np.zeros((h + 2 * padding, w + 2 * padding, c), dtype=data.dtype)
+    out[padding : padding + h, padding : padding + w] = data
+    return out
 
 
 def _conv_forward(x: Tensor, kernel: Tensor, stride: int, padding: int):
@@ -641,11 +644,11 @@ _CORNER_DU = np.array([0, 1, 0, 1])
 _CORNER_DV = np.array([0, 0, 1, 1])
 
 
-def _bilinear_corners(u, v, h: int, w: int):
+def _bilinear_corners(u, v, h: int, w: int, slopes: bool = True):
     """Bilinear corners of pixel coordinates (u, v) (arrays of one shape S)
     in an h x w map: the flat corner rows y*w + x, clipped into the map, and
-    the corner weights and their u and v derivatives, each (S, 4) over the
-    corners 00, 10, 01, 11 with an off-map corner's weight 0."""
+    the corner weights and, with ``slopes``, their u and v derivatives, each
+    (S, 4) over the corners 00, 10, 01, 11 with an off-map corner's weight 0."""
     u0f, v0f = np.floor(u), np.floor(v)
     fu, fv = u - u0f, v - v0f
     ui = u0f.astype(np.int64)[..., None] + _CORNER_DU
@@ -654,6 +657,8 @@ def _bilinear_corners(u, v, h: int, w: int):
     rows = np.clip(vi, 0, h - 1) * w + np.clip(ui, 0, w - 1)
     gu, gv = 1.0 - fu, 1.0 - fv
     wt = np.stack([gu * gv, fu * gv, gu * fv, fu * fv], axis=-1) * valid
+    if not slopes:
+        return rows, wt
     dwu = np.stack([-gv, gv, -fv, fv], axis=-1) * valid
     dwv = np.stack([-gu, -fu, gu, fu], axis=-1) * valid
     return rows, wt, dwu, dwv
@@ -778,21 +783,21 @@ def ms_deform_attn(values, locations, weights) -> Tensor:
     aw = weights.data.reshape(n_rows, nl, k)
     flats = [v.data.reshape(-1, d) for v in values]
 
-    def corners(lvl):
-        """Rows into the flattened level map, the bilinear weights and their
-        u and v derivatives, each (n_rows, points * 4), and the attention
-        weight of each corner."""
+    def corners(lvl, slopes):
+        """Rows into the flattened level map, the bilinear weights and, with
+        ``slopes``, their u and v derivatives, each (n_rows, points * 4), and
+        the attention weight of each corner."""
         h, w = values[lvl].shape[:2]
-        rows, wt, dwu, dwv = _bilinear_corners(loc[:, lvl, :, 0] * w - 0.5,
-                                               loc[:, lvl, :, 1] * h - 0.5, h, w)
+        rows, *rest = _bilinear_corners(loc[:, lvl, :, 0] * w - 0.5,
+                                        loc[:, lvl, :, 1] * h - 0.5, h, w, slopes)
         rows *= m
         rows += (np.arange(n_rows) % m)[:, None, None]
         a = np.repeat(aw[:, lvl], 4, axis=1)
-        return [x.reshape(n_rows, k * 4) for x in (rows, wt, dwu, dwv)] + [a]
+        return [x.reshape(n_rows, k * 4) for x in (rows, *rest)] + [a]
 
     data = None
     for lvl, flat in enumerate(flats):
-        rows, wt, _, _, a = corners(lvl)
+        rows, wt, a = corners(lvl, slopes=False)
         term = _gather_weighted(flat, rows, wt * a)
         data = term if data is None else data + term
 
@@ -802,7 +807,7 @@ def ms_deform_attn(values, locations, weights) -> Tensor:
             g_loc = np.empty_like(loc) if locations.requires_grad else None
             g_aw = np.empty_like(aw) if weights.requires_grad else None
             for lvl, (value, flat) in enumerate(zip(values, flats)):
-                rows, wt, dwu, dwv, a = corners(lvl)
+                rows, wt, dwu, dwv, a = corners(lvl, slopes=True)
                 if g_loc is not None or g_aw is not None:
                     dots = _gather_dots(flat, rows, g)
                     if g_aw is not None:
@@ -868,8 +873,14 @@ def correlation_volume(x_left, x_right, n_disparities: int) -> Tensor:
     if nd < 1:
         raise DimensionError(f"correlation_volume needs >= 1 disparity, got {nd}")
     left = x_left.data
-    pad = ((0, 0), (nd - 1, 0), (0, 0))
-    rpad = np.pad(x_right.data, pad)
+
+    def pad_right():
+        """x_right.data after nd - 1 zero columns."""
+        rpad = np.zeros((h, w + nd - 1, c), dtype=x_right.dtype)
+        rpad[:, nd - 1:] = x_right.data
+        return rpad
+
+    rpad = pad_right()
     inv_c = 1.0 / c
     out = np.empty((h, w, nd), dtype=x_left.dtype)
     for u0 in range(0, w, CORRELATION_COLUMN_BLOCK):
@@ -881,7 +892,7 @@ def correlation_volume(x_left, x_right, n_disparities: int) -> Tensor:
         def bw(g):
             # rebuilt, not captured: the graph then holds no padded copy until backward
             gl = np.empty_like(left) if x_left.requires_grad else None
-            rp = np.pad(x_right.data, pad) if gl is not None else None
+            rp = pad_right() if gl is not None else None
             grpad = np.zeros((h, w + nd - 1, c), dtype=g.dtype) if x_right.requires_grad else None
             for u0 in range(0, w, CORRELATION_COLUMN_BLOCK):
                 u1 = min(u0 + CORRELATION_COLUMN_BLOCK, w)

@@ -132,6 +132,23 @@ def test_missing_projection_row_rejected(tmp_path):
         read_calib(path)
 
 
+@pytest.mark.parametrize("key, index, entry", [("P2", 2, "nan"), ("P3", 11, "-inf"),
+                                               ("P2", 0, "1.0e"), ("P3", 5, "x")])
+def test_bad_projection_entry_names_file_row_and_index(tmp_path, key, index, entry):
+    path = tmp_path / "calib.txt"
+    write_calib(path, make_calibration(721.0, 609.5, 172.8, 0.54))
+    lines = path.read_text().splitlines()
+    row = next(i for i, line in enumerate(lines) if line.startswith(key + ":"))
+    values = lines[row].split()[1:]
+    values[index] = entry
+    lines[row] = f"{key}: " + " ".join(values)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as info:
+        read_calib(path)
+    assert str(path) in str(info.value)
+    assert f"row {key} entry {index} " in str(info.value) and repr(entry) in str(info.value)
+
+
 # ---------------------------------------------------------------------------
 # image I/O
 

@@ -25,7 +25,13 @@ from ts3d.dataset import (
     read_manifest,
 )
 from ts3d.evalkit import evaluate_directories
-from ts3d.kitti_io import read_kitti_label, write_kitti_label, write_raster_mask
+from ts3d.kitti_io import (
+    read_calib,
+    read_kitti_label,
+    write_calib,
+    write_kitti_label,
+    write_raster_mask,
+)
 from ts3d.model import TS3D
 from ts3d.optim import AdamW, cosine_lr
 from ts3d.synth import SynthParams
@@ -522,6 +528,21 @@ def test_cli_infer_rejects_a_bad_checkpoint_entry_naming_it(toy_ckpt, toy_datase
     assert r.returncode == 2, r.stderr
     assert str(ckpt) in r.stderr and f"'{entry}'" in r.stderr
     assert not (tmp_path / "preds").exists()
+
+
+def test_cli_infer_rejects_a_non_finite_calibration_naming_the_file(toy_ckpt, toy_dataset,
+                                                                    tmp_path):
+    data = tmp_path / "data"
+    shutil.copytree(toy_dataset, data)
+    frame = read_manifest(data / MANIFEST_NAME).splits["val"][0]
+    path = data / "calib" / f"{frame}.txt"
+    calib = read_calib(path)
+    calib.p_left[0, 2] = np.nan  # cx
+    write_calib(path, calib)
+    r = _cli("infer", "--ckpt", str(toy_ckpt), "--data", str(data), "--split", "val",
+             "--out", "preds", "--preset", "toy", cwd=tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert str(path) in r.stderr and "row P2 entry 2 " in r.stderr
 
 
 def test_cli_infer_mismatched_config_names_checkpoint(toy_ckpt, toy_dataset, tmp_path):
