@@ -22,17 +22,17 @@ def _keep_freed_heap_mapped(lib) -> None:
     to the kernel, through ``lib.mallopt``; a library without ``mallopt``
     (a C library other than glibc) is left as it is.
 
-    By default glibc serves each allocation above its mmap threshold (a few
-    MB once it has adapted) with a fresh mapping and unmaps it on free, and
-    it trims the heap top above 128 kB, so the next step, frame or render
-    faults every page of its temporaries in again: about 1100 minor faults
-    per no-grad desk forward and 20-47k per 16-step desk training run. With
-    a 32 MB mmap threshold (glibc's upper limit on 64-bit) the temporaries
-    come from the heap, and a 256 MB trim threshold (above the full
-    preset's ~145 MB inference peak) keeps their pages mapped: the desk
-    forward then takes about 4 faults and the training run under 100, while
-    peak RSS moves by under 2 MB. Setting either threshold also switches
-    off glibc's dynamic threshold adjustment.
+    By default glibc serves each allocation above its mmap threshold (128 kB,
+    raised to the largest mapping freed so far) with a fresh mapping and
+    unmaps it on free, and it trims the heap top above 128 kB, so the next
+    step, frame or render faults every page of its temporaries in again:
+    about 1100 minor faults per no-grad desk forward and 20-47k per 16-step
+    desk training run. With a 32 MB mmap threshold (glibc's upper limit on
+    64-bit) the temporaries come from the heap, and a 256 MB trim threshold
+    (above the full preset's ~145 MB inference peak) keeps their pages
+    mapped: the desk forward then takes about 4 faults and the training run
+    under 100, while peak RSS moves by under 3 MB. Setting either threshold
+    also switches off glibc's dynamic threshold adjustment.
     """
     try:
         mallopt = lib.mallopt
