@@ -117,6 +117,7 @@ def estimate_priors(all_labels, classes, n_scales: int = 1) -> dict:
 def generate_dataset(out_dir, seed: int, n_train: int, n_val: int,
                      params: SynthParams, n_scales: int = 1) -> Manifest:
     """Render frames to disk and write the manifest (bit-identical per seed)."""
+    params.validate()  # before any directory is made
     for sub in ("image_2", "image_3", "label_2", "calib"):
         os.makedirs(os.path.join(out_dir, sub), exist_ok=True)
     n_total = n_train + n_val

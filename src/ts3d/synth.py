@@ -1,16 +1,22 @@
 """Synthetic pinhole-stereo scenes with analytic ground truth.
 
 A textured ground plane plus textured axis-aligned cuboids ("cars") are
-ray-cast into both rectified views with a per-pixel depth buffer, so left
-and right images sample the same world-anchored textures and the analytic
-disparity f*b/z is exact at every rendered pixel. Labels carry exact 3D
-boxes and their clipped 2D projections; fully occluded objects are dropped.
+ray-cast into both rectified views, each view in two passes. The geometry
+pass intersects every surface with the rays of its screen window only (the
+projected corners plus a pixel margin) and keeps, per pixel, the nearest
+depth, its owner and its surface kind. The shading pass then textures each
+hit pixel once: it recomputes the world-anchored texture coordinates from
+the stored depth and kind and evaluates value noise there, so left and right
+images sample the same textures and the analytic disparity f*b/z is exact at
+every rendered pixel. Labels carry exact 3D boxes and their clipped 2D
+projections; fully occluded objects are dropped. No box reaches the
+near plane, so every face window comes from points in front of the camera.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,6 +24,7 @@ from .detect import wrap_angle
 from .kitti_io import Calibration, ObjectLabel, make_calibration
 
 SKY_COLOR = np.array([0.72, 0.80, 0.92])
+NEAR_PLANE = 0.1  # m; nearer intersections are not drawn
 
 
 @dataclass
@@ -50,6 +57,16 @@ class SynthParams:
             "z_far": self.z_far, "class_name": self.class_name,
         }
 
+    def validate(self) -> "SynthParams":
+        """Reject object distances that let a box reach the near plane."""
+        least = NEAR_PLANE + max(self.l_range[1], self.w_range[1]) / 2.0
+        if not self.z_range[0] >= least:
+            raise ValueError(
+                f"z_range minimum {self.z_range[0]:g} m lets a box reach the near plane: "
+                f"it must be at least {least:g} m (near plane {NEAR_PLANE:g} m plus half "
+                f"the longest box side)")
+        return self
+
 
 @dataclass
 class StereoFrame:
@@ -65,124 +82,153 @@ class StereoFrame:
 # ---------------------------------------------------------------------------
 # deterministic value-noise textures
 
+_HASH_X, _HASH_Z = np.uint32(374761393), np.uint32(668265263)
 
-def _hash01(ix: np.ndarray, iz: np.ndarray, salt: int) -> np.ndarray:
-    ix, iz = np.atleast_1d(ix), np.atleast_1d(iz)
-    h = (
-        ix.astype(np.int64) * 374761393
-        + iz.astype(np.int64) * 668265263
-        + np.int64(int(salt) * 2246822519 % 2**32)
-    ).astype(np.uint32)
-    h ^= h >> np.uint32(13)
-    h = (h * np.uint32(1274126177)).astype(np.uint32)
+
+def _key(ix, iz, salt) -> np.ndarray:
+    """Low 32 bits of ix*374761393 + iz*668265263 + salt*2246822519, in uint32
+    (the low word of the int64 sum); ``salt`` is an int or a sequence of ints."""
+    ix, iz = (np.atleast_1d(a).astype(np.int64, copy=False).astype(np.uint32) for a in (ix, iz))
+    salt = [int(s) * 2246822519 % 2**32 for s in np.atleast_1d(salt).tolist()]
+    return ix * _HASH_X + iz * _HASH_Z + np.array(salt, dtype=np.uint32)
+
+
+def _mix01(h: np.ndarray) -> np.ndarray:
+    h = h ^ (h >> np.uint32(13))
+    h *= np.uint32(1274126177)
     h ^= h >> np.uint32(16)
-    return (h & np.uint32(0xFFFFFF)).astype(np.float64) / float(0xFFFFFF)
+    h &= np.uint32(0xFFFFFF)
+    return h.astype(np.float64) / float(0xFFFFFF)
 
 
-def _value_noise(u: np.ndarray, v: np.ndarray, scale: float, salt: int) -> np.ndarray:
+def _hash01(ix, iz, salt) -> np.ndarray:
+    return _mix01(_key(ix, iz, salt))
+
+
+def _lattice_cell(u: np.ndarray, v: np.ndarray, scale: float):
+    """Key of the lattice cell around each point (its low corner, salt 0) and
+    the point's smoothstep weights within the cell."""
     gu, gv = u / scale, v / scale
     iu, iv = np.floor(gu), np.floor(gv)
     fu, fv = gu - iu, gv - iv
-    fu = fu * fu * (3.0 - 2.0 * fu)
-    fv = fv * fv * (3.0 - 2.0 * fv)
-    c00 = _hash01(iu, iv, salt)
-    c10 = _hash01(iu + 1, iv, salt)
-    c01 = _hash01(iu, iv + 1, salt)
-    c11 = _hash01(iu + 1, iv + 1, salt)
-    top = c00 * (1 - fu) + c10 * fu
-    bot = c01 * (1 - fu) + c11 * fu
+    return _key(iu, iv, 0), fu * fu * (3.0 - 2.0 * fu), fv * fv * (3.0 - 2.0 * fv)
+
+
+def _cell_noise(cell, salt_key: np.ndarray) -> np.ndarray:
+    key, fu, fv = cell
+    k = key + salt_key
+    top = _mix01(k) * (1 - fu) + _mix01(k + _HASH_X) * fu
+    k += _HASH_Z
+    bot = _mix01(k) * (1 - fu) + _mix01(k + _HASH_X) * fu
     return top * (1 - fv) + bot * fv
 
 
-def texture_rgb(u: np.ndarray, v: np.ndarray, salt: int, coarse: float,
-                fine: float) -> np.ndarray:
-    """World-anchored RGB texture in [0, 1]; identical coordinates always
-    yield identical colors, which is what ties the two views together."""
-    base = np.stack([_hash01(np.array(0), np.array(0), salt + 7 * c)[0] for c in range(3)])
-    base = 0.25 + 0.55 * base
-    out = np.empty(u.shape + (3,))
-    for c in range(3):
-        n = (0.62 * _value_noise(u, v, coarse, salt + 11 * c + 1)
-             + 0.38 * _value_noise(u, v, fine, salt + 11 * c + 2))
-        out[..., c] = np.clip(base[c] * (0.55 + 0.9 * n), 0.0, 1.0)
-    return out
-
-
 # ---------------------------------------------------------------------------
-# ray-cast rendering
+# ray-cast rendering: a geometry pass, then one shading pass per view
 
-
-class _View:
-    def __init__(self, params: SynthParams, cam_x: float):
-        w, h, f = params.width, params.height, params.focal
-        cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
-        us = np.arange(w, dtype=np.float64)
-        vs = np.arange(h, dtype=np.float64)
-        self.rx = ((us - cx) / f)[None, :].repeat(h, axis=0)
-        self.ry = ((vs - cy) / f)[:, None].repeat(w, axis=1)
-        self.cam_x = cam_x
-        self.depth = np.full((h, w), np.inf)
-        self.color = np.tile(SKY_COLOR, (h, w, 1))
-        self.owner = np.full((h, w), -1, dtype=np.int64)
-
-    def paint(self, t: np.ndarray, valid: np.ndarray, tex_u, tex_v, salt, owner,
-              params: SynthParams):
-        upd = valid & (t < self.depth) & (t > 0.1)
-        if not upd.any():
-            return
-        self.depth[upd] = t[upd]
-        self.color[upd] = texture_rgb(tex_u[upd], tex_v[upd], salt,
-                                      params.texture_coarse, params.texture_fine)
-        self.owner[upd] = owner
-
-    def world_xy(self, t: np.ndarray):
-        return self.cam_x + t * self.rx, t * self.ry
-
-
-def _render_box(view: _View, box, salt: int, owner: int, params: SynthParams):
-    x0, x1, y0, y1, z0, z1 = box
-    # constant-depth faces (front/rear)
-    for z_plane in (z0, z1):
-        t = np.full_like(view.rx, z_plane)
-        px, py = view.world_xy(t)
-        valid = (px >= x0) & (px <= x1) & (py >= y0) & (py <= y1)
-        view.paint(t, valid, px, py, salt + 1, owner, params)
-    # side faces
-    for x_plane in (x0, x1):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = (x_plane - view.cam_x) / view.rx
-        t = np.where(np.isfinite(t), t, -1.0)
-        py = t * view.ry
-        valid = (t >= z0) & (t <= z1) & (py >= y0) & (py <= y1)
-        view.paint(t, valid, t, py, salt + 2, owner, params)
-    # top/bottom faces
-    for y_plane in (y0, y1):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = y_plane / view.ry
-        t = np.where(np.isfinite(t), t, -1.0)
-        px = view.cam_x + t * view.rx
-        valid = (t >= z0) & (t <= z1) & (px >= x0) & (px <= x1)
-        view.paint(t, valid, px, t, salt + 3, owner, params)
-
-
-def _render_ground(view: _View, params: SynthParams, salt: int):
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = params.ground_y / view.ry
-    t = np.where(np.isfinite(t) & (view.ry > 1e-9), t, -1.0)
-    px = view.cam_x + t * view.rx
-    valid = (t > 0) & (t <= params.z_far)
-    view.paint(t, valid, px, t, salt, -1, params)
+# surface kinds; each is also the salt offset of its texture
+GROUND, Z_FACE, X_FACE, Y_FACE = 0, 1, 2, 3
 
 
 def _project_corners(corners: np.ndarray, f, cx, cy):
+    corners = corners.reshape(-1, 3)
     us = f * corners[:, 0] / corners[:, 2] + cx
     vs = f * corners[:, 1] / corners[:, 2] + cy
     return us, vs
 
 
+def _span(lo: float, hi: float) -> slice:
+    """Pixels from lo to hi with a one-pixel margin (numpy clips the far end)."""
+    return slice(max(math.floor(lo) - 1, 0), max(math.ceil(hi) + 2, 0))
+
+
+class _View:
+    def __init__(self, params: SynthParams, cam_x: float):
+        w, h, f = params.width, params.height, params.focal
+        self.f, self.cx, self.cy = f, (w - 1) / 2.0, (h - 1) / 2.0
+        self.rx = (np.arange(w, dtype=np.float64) - self.cx) / f            # per column
+        self.ry = ((np.arange(h, dtype=np.float64) - self.cy) / f)[:, None]  # per row
+        self.cam_x = cam_x
+        self.depth = np.full((h, w), np.inf)
+        self.owner = np.full((h, w), -1, dtype=np.int64)
+        self.kind = np.zeros((h, w), dtype=np.int8)
+
+    def window(self, corners: np.ndarray):
+        """Rows and columns around a face's projected corners (all in front of
+        the camera): every pixel whose ray meets the face lies inside."""
+        us, vs = _project_corners(corners - (self.cam_x, 0.0, 0.0), self.f, self.cx, self.cy)
+        return _span(vs.min(), vs.max()), _span(us.min(), us.max())
+
+    def paint(self, win, t, valid, owner: int, kind: int):
+        """Keep depth t (broadcast over the window) where valid and nearest."""
+        depth = self.depth[win]
+        upd = valid & (t < depth) & (t > NEAR_PLANE)
+        np.copyto(depth, t, where=upd)
+        np.copyto(self.owner[win], owner, where=upd)
+        np.copyto(self.kind[win], kind, where=upd)
+
+
+def _render_box(view: _View, corners: np.ndarray, owner: int):
+    (x0, y0, z0), (x1, y1, z1) = corners[0, 0, 0], corners[1, 1, 1]
+    # constant-depth faces (front/rear)
+    for z_plane, face in ((z0, corners[:, :, 0]), (z1, corners[:, :, 1])):
+        rows, cols = win = view.window(face)
+        px = view.cam_x + z_plane * view.rx[cols]
+        py = z_plane * view.ry[rows]
+        valid = (px >= x0) & (px <= x1) & (py >= y0) & (py <= y1)
+        view.paint(win, z_plane, valid, owner, Z_FACE)
+    # side faces
+    for x_plane, face in ((x0, corners[0]), (x1, corners[1])):
+        rows, cols = win = view.window(face)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = (x_plane - view.cam_x) / view.rx[cols]
+        t = np.where(np.isfinite(t), t, -1.0)
+        py = t * view.ry[rows]
+        valid = (t >= z0) & (t <= z1) & (py >= y0) & (py <= y1)
+        view.paint(win, t, valid, owner, X_FACE)
+    # top/bottom faces
+    for y_plane, face in ((y0, corners[:, 0]), (y1, corners[:, 1])):
+        rows, cols = win = view.window(face)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = y_plane / view.ry[rows]
+        t = np.where(np.isfinite(t), t, -1.0)
+        px = view.cam_x + t * view.rx[cols]
+        valid = (t >= z0) & (t <= z1) & (px >= x0) & (px <= x1)
+        view.paint(win, t, valid, owner, Y_FACE)
+
+
+def _render_ground(view: _View, params: SynthParams):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = params.ground_y / view.ry
+    t = np.where(np.isfinite(t) & (view.ry > 1e-9), t, -1.0)
+    view.paint(np.s_[:, :], t, (t > 0) & (t <= params.z_far), -1, GROUND)
+
+
+def _shade(view: _View, salts: list, params: SynthParams) -> np.ndarray:
+    """Texture each hit pixel once. Surface (owner, kind) has the texture salt
+    ``salts[owner + 1] + kind``."""
+    hit = np.isfinite(view.depth)
+    t, kind = view.depth[hit], view.kind[hit]
+    # world-anchored texture coordinates of the hit point, per surface kind
+    u = np.where(kind == X_FACE, t, view.cam_x + t * np.broadcast_to(view.rx, hit.shape)[hit])
+    v = np.where((kind == GROUND) | (kind == Y_FACE), t,
+                 t * np.broadcast_to(view.ry, hit.shape)[hit])
+    cells = [_lattice_cell(u, v, s) for s in (params.texture_coarse, params.texture_fine)]
+    del t, u, v
+    surface = (view.owner[hit] + 1) * 4 + kind
+    salt = [s + k for s in salts for k in range(4)]
+    image = np.tile(SKY_COLOR.astype(np.float32), hit.shape + (1,))
+    for c in range(3):
+        base = 0.25 + 0.55 * _hash01(0, 0, [s + 7 * c for s in salt])
+        n = (0.62 * _cell_noise(cells[0], _key(0, 0, [s + 11 * c + 1 for s in salt])[surface])
+             + 0.38 * _cell_noise(cells[1], _key(0, 0, [s + 11 * c + 2 for s in salt])[surface]))
+        image[..., c][hit] = np.clip(base[surface] * (0.55 + 0.9 * n), 0.0, 1.0)
+    return image
+
+
 def synth_scene(seed: int, params: SynthParams | None = None) -> StereoFrame:
     """Render one stereo pair with exact labels (deterministic in the seed)."""
-    params = params or SynthParams()
+    params = (params or SynthParams()).validate()
     rng = np.random.default_rng(seed)
     w, h, f = params.width, params.height, params.focal
     cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
@@ -201,32 +247,28 @@ def synth_scene(seed: int, params: SynthParams | None = None) -> StereoFrame:
         x = float(rng.uniform(-x_span, x_span))
         objs.append({"x": x, "z": z, "h": hh, "w": ww, "l": ll, "ry": ry,
                      "sx": sx, "sz": sz})
+    # (2, 2, 2, 3) box corners, indexed by the x, y and z side
+    corners = [np.stack(np.meshgrid(
+        [o["x"] - o["sx"] / 2, o["x"] + o["sx"] / 2], [params.ground_y - o["h"], params.ground_y],
+        [o["z"] - o["sz"] / 2, o["z"] + o["sz"] / 2], indexing="ij"), axis=-1) for o in objs]
 
-    views = {"left": _View(params, 0.0), "right": _View(params, params.baseline)}
-    ground_salt = seed * 131 + 17
-    for view in views.values():
-        _render_ground(view, params, ground_salt)
-        # far-to-near is irrelevant under a depth buffer but keeps salts stable
-        for idx, ob in enumerate(sorted(range(n_obj), key=lambda i: -objs[i]["z"])):
-            o = objs[ob]
-            box = (
-                o["x"] - o["sx"] / 2, o["x"] + o["sx"] / 2,
-                params.ground_y - o["h"], params.ground_y,
-                o["z"] - o["sz"] / 2, o["z"] + o["sz"] / 2,
-            )
-            _render_box(view, box, seed * 977 + ob * 59 + 29, ob, params)
+    views = [_View(params, 0.0), _View(params, params.baseline)]
+    salts = [seed * 131 + 17] + [seed * 977 + ob * 59 + 29 for ob in range(n_obj)]
+    images = []
+    for view in views:
+        _render_ground(view, params)
+        # far to near: the order decides exact depth ties
+        for ob in sorted(range(n_obj), key=lambda i: -objs[i]["z"]):
+            _render_box(view, corners[ob], ob)
+        images.append(_shade(view, salts, params))
 
-    left, right = views["left"], views["right"]
+    left = views[0]
+    visible = np.bincount(left.owner.ravel() + 1, minlength=n_obj + 1)[1:]
     labels = []
     for i, o in enumerate(objs):
-        visible = int((left.owner == i).sum())
-        if visible == 0:
+        if visible[i] == 0:
             continue
-        dx = np.array([0.5, 0.5, -0.5, -0.5, 0.5, 0.5, -0.5, -0.5]) * o["sx"]
-        dy = np.array([0.0, 0.0, 0.0, 0.0, -1.0, -1.0, -1.0, -1.0]) * o["h"]
-        dz = np.array([0.5, -0.5, 0.5, -0.5, 0.5, -0.5, 0.5, -0.5]) * o["sz"]
-        corners = np.stack([o["x"] + dx, params.ground_y + dy, o["z"] + dz], axis=1)
-        us, vs = _project_corners(corners, f, cx, cy)
+        us, vs = _project_corners(corners[i], f, cx, cy)
         full = np.array([us.min(), vs.min(), us.max(), vs.max()])
         clipped = np.array([max(full[0], 0.0), max(full[1], 0.0),
                             min(full[2], w - 1.0), min(full[3], h - 1.0)])
@@ -235,7 +277,7 @@ def synth_scene(seed: int, params: SynthParams | None = None) -> StereoFrame:
         area_full = (full[2] - full[0]) * (full[3] - full[1])
         area_clip = (clipped[2] - clipped[0]) * (clipped[3] - clipped[1])
         truncated = float(max(0.0, 1.0 - area_clip / max(area_full, 1e-9)))
-        frac_visible = min(1.0, visible / max(area_clip, 1.0))
+        frac_visible = min(1.0, int(visible[i]) / max(area_clip, 1.0))
         occluded = 0 if frac_visible >= 0.6 else (1 if frac_visible >= 0.25 else 2)
         alpha = wrap_angle(o["ry"] - math.atan2(o["x"], o["z"]))
         labels.append(ObjectLabel(
@@ -248,8 +290,8 @@ def synth_scene(seed: int, params: SynthParams | None = None) -> StereoFrame:
     disparity = np.zeros((h, w), dtype=np.float32)
     disparity[hit] = (f * params.baseline / left.depth[hit]).astype(np.float32)
     return StereoFrame(
-        left=left.color.astype(np.float32),
-        right=right.color.astype(np.float32),
+        left=images[0],
+        right=images[1],
         calib=calib,
         labels=labels,
         disparity=disparity,

@@ -17,6 +17,7 @@ zero disparity loss and raises a ``RuntimeWarning`` naming it.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import warnings
 
@@ -144,15 +145,25 @@ def train_run(cfg: RunConfig, data_dir, out_dir, resume: bool = False,
 
 
 def run_inference(model: TS3D, data_dir, split, out_dir):
-    """Write one KITTI-format detection file (with scores) per split frame."""
+    """Write one KITTI-format detection file (with scores) per split frame.
+    If a frame fails, the files of the frames reached so far are removed."""
     manifest = read_manifest(os.path.join(data_dir, MANIFEST_NAME))
     ids = manifest.splits.get(split, [])
     if not ids:
         raise ConfigError(f"dataset has no '{split}' split")
     os.makedirs(out_dir, exist_ok=True)
-    for fid in ids:
-        frame = load_frame(data_dir, fid, manifest, with_pseudo=False)
-        write_kitti_label(os.path.join(out_dir, fid + ".txt"), model.infer(frame))
+    written = []
+    try:
+        for fid in ids:
+            frame = load_frame(data_dir, fid, manifest, with_pseudo=False)
+            written.append(os.path.join(out_dir, fid + ".txt"))
+            write_kitti_label(written[-1], model.infer(frame))
+    except BaseException:
+        # a partial prediction directory would be scored as a complete one
+        for path in written:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
+        raise
     return len(ids)
 
 

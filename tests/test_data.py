@@ -1,5 +1,6 @@
 """Synthetic scenes, KITTI-format I/O, dataset build, augmentation."""
 
+import hashlib
 import math
 import os
 import warnings
@@ -222,6 +223,20 @@ def test_epipolar_invariant_block_match_accuracy():
         assert mae < 1.5
 
 
+def test_boxes_that_can_reach_the_near_plane_are_rejected():
+    # 0.1 m near plane + half of the 4 m box length
+    params = SynthParams(n_objects=(1, 1), z_range=(1.0, 1.0), yaw_choices=(0.0,),
+                         w_range=(2.0, 2.0), l_range=(4.0, 4.0))
+    with pytest.raises(ValueError, match=r"z_range minimum 1 m .* at least 2\.1 m"):
+        synth_scene(3, params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        frame = synth_scene(3, SynthParams(n_objects=(1, 1), z_range=(2.11, 2.11),
+                                           yaw_choices=(0.0,), w_range=(2.0, 2.0),
+                                           l_range=(4.0, 4.0)))
+    assert (frame.object_mask == 0).any()
+
+
 def test_scene_determinism():
     a = synth_scene(7, SynthParams(width=64, height=32))
     b = synth_scene(7, SynthParams(width=64, height=32))
@@ -250,6 +265,44 @@ def test_texture_hash_keeps_the_wrapped_int64_formula():
         want = (h & np.uint32(0xFFFFFF)).astype(np.float64) / float(0xFFFFFF)
         assert np.array_equal(_hash01(ix, iz, int(salt)), want)
         assert np.array_equal(_hash01(ix, iz, salt), want)
+
+
+# sha256 of left, right, disparity and object-mask bytes plus the label lines,
+# recorded from the one-pass-per-face renderer that textured every painted face
+RENDER_DIGESTS = [
+    (0, {"width": 64, "height": 32},
+     "45bcb6107c2b8f34a94528c3ecbde992d29fa8fefd9c8bbd11a4d1a3defe5d77"),
+    (0, {"width": 256, "height": 128},
+     "fe6ee84cf021521cc13e603bfa3bc311aeb9d789fe7846dae52cf95204494bbc"),
+    (1, {"width": 64, "height": 32},
+     "a13edff5df62df162cf60ca6968f076a6589c9b7721434bf89a4a1196fc13c76"),
+    (1, {"width": 256, "height": 128},
+     "d3ccfd32fb2cf91f8acb375080fc84df9d87fefebcb29a5daaa74e6485575fe9"),
+    (7, {"width": 64, "height": 32},
+     "05c67850da804533b0ba735666f820e4f61649be1ec13ce0e78c84a94b63fb05"),
+    (7, {"width": 256, "height": 128},
+     "126ee2f9fbf23b0e7650cb3751b014057ef1a6627c2b67efa6856f6005e033c4"),
+    (5000016, {"width": 64, "height": 32},
+     "effe4f040eaa354b705db65f8dd31dac99d9c6b51a6907d75049120c04a27b46"),
+    (5000016, {"width": 256, "height": 128},
+     "bfb9f64197fcbcbd4338d0569d31bba558938a92d5a9a20550324c62d82c8cee"),
+    (0, {"width": 1280, "height": 288},
+     "206df53e466d00c2990eefcf406624668462327e434b9134cdc3ca2c83b6e990"),
+    (3, {"z_range": (2.5, 4.0), "n_objects": (4, 4)},
+     "7efc69031a26cca3689faf61e6ba7643b500ce70d68a02d743a2610f3fc560d0"),
+    (2, {"width": 320, "height": 96, "focal": 90.0},
+     "14cc434dcc3bf03e77ea7921c422e1365558aef177d2eee1d134f7a2ed5ac329"),
+]
+
+
+@pytest.mark.parametrize("seed, kwargs, want", RENDER_DIGESTS)
+def test_render_digest_is_pinned(seed, kwargs, want):
+    frame = synth_scene(seed, SynthParams(**kwargs))
+    h = hashlib.sha256()
+    for arr in (frame.left, frame.right, frame.disparity, frame.object_mask):
+        h.update(arr.tobytes())
+    h.update("\n".join(lb.to_line() for lb in frame.labels).encode())
+    assert h.hexdigest() == want
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +351,22 @@ def test_dataset_regeneration_is_byte_identical(tmp_path):
         for name in os.listdir(a_dir / sub):
             assert (a_dir / sub / name).read_bytes() == (b_dir / sub / name).read_bytes()
     assert (a_dir / "manifest.txt").read_text() == (b_dir / "manifest.txt").read_text()
+
+
+def test_generate_dataset_renders_each_frame_through_one_synth_scene_call(tmp_path, monkeypatch):
+    # the benchmark's per-frame synth marks wrap ts3d.dataset.synth_scene
+    import ts3d.dataset
+
+    calls = []
+
+    def counting(seed, params):
+        calls.append(seed)
+        return synth_scene(seed, params)
+
+    monkeypatch.setattr(ts3d.dataset, "synth_scene", counting)
+    generate_dataset(tmp_path, seed=4, n_train=3, n_val=2,
+                     params=SynthParams(width=64, height=32))
+    assert len(calls) == 5
 
 
 def test_pseudo_gt_cache_roundtrip(tmp_path):

@@ -637,6 +637,36 @@ def test_cli_synth_rejects_bad_flags_before_writing(tmp_path, flag, value):
     assert not (tmp_path / "data").exists()
 
 
+def test_cli_synth_rejects_a_z_range_that_reaches_the_near_plane(tmp_path):
+    # the default box sides reach 4.5 m: the least minimum is 0.1 + 4.5 / 2
+    r = _cli("synth", "--out", "data", "--preset", "toy", "--z-range", "1,1", cwd=tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert "z_range" in r.stderr and "2.35" in r.stderr and "Traceback" not in r.stderr
+    assert not (tmp_path / "data").exists()
+    r = _cli("synth", "--out", "data", "--preset", "toy", "--frames", "1",
+             "--z-range", "2.36,3", cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+
+
+def test_cli_infer_failing_on_a_later_frame_leaves_no_prediction_file(toy_ckpt, toy_dataset,
+                                                                      tmp_path):
+    data = tmp_path / "data"
+    shutil.copytree(toy_dataset, data)
+    first, later = read_manifest(data / MANIFEST_NAME).splits["val"]
+    path = data / "calib" / f"{later}.txt"
+    calib = read_calib(path)
+    calib.p_right[0, 3] = np.inf  # -f * baseline
+    write_calib(path, calib)
+    r = _cli("infer", "--ckpt", str(toy_ckpt), "--data", str(data), "--split", "val",
+             "--out", "preds", "--preset", "toy", cwd=tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert str(path) in r.stderr
+    assert list((tmp_path / "preds").glob("*.txt")) == []
+    r = _cli("eval", "--pred", "preds", "--gt", str(data), "--preset", "toy", cwd=tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert "no prediction files" in r.stderr
+
+
 def test_toy_training_fits_the_frame_it_is_shown(tmp_path):
     """Learning gate: 100 steps on one toy frame cut the loss 20x, halve the
     disparity loss, and detect both of the frame's objects at bev IoU 0.5."""
