@@ -342,6 +342,13 @@ def test_read_manifest_names_the_file_and_the_key(tmp_path, drop, add, named):
     assert str(path) in str(err.value)
 
 
+def test_manifest_bytes_are_pinned(tmp_path):
+    generate_dataset(tmp_path, seed=5, n_train=2, n_val=1,
+                     params=SynthParams(width=64, height=32), n_scales=2)
+    digest = hashlib.sha256((tmp_path / "manifest.txt").read_bytes()).hexdigest()
+    assert digest == "a93ca294c4d8f8f6202370f38600c3e6a263e93d0f061830b7eb3900bf1255e0"
+
+
 def test_dataset_regeneration_is_byte_identical(tmp_path):
     params = SynthParams(width=64, height=32)
     a_dir, b_dir = tmp_path / "a", tmp_path / "b"

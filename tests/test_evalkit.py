@@ -1,5 +1,6 @@
 """Rotated IoU against rasterization; AP against a brute-force PR recompute."""
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -287,6 +288,14 @@ def test_report_roundtrip(tmp_path):
     back = read_report(path)
     assert float(back["ap_bev_0.5"]) == 93.25
     assert int(back["frames"]) == 32
+
+
+def test_report_bytes_are_pinned(tmp_path):
+    path = tmp_path / "metrics.txt"
+    write_report(path, {"ap_bev_Car_iou0.7": 100.0 / 3, "ap_3d_Car_iou0.7": 0.0,
+                        "frames": 2, "undefined_Car": 1})
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "c4f306f41573ec6c9ef9a74d2ccd248d5cee8db52ddd72b38408e75b695a1437"
 
 
 def test_non_finite_ground_truth_is_an_error_not_a_miss(tmp_path):

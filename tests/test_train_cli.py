@@ -1,5 +1,6 @@
 """Training loop determinism, checkpoint resume, and CLI surfaces."""
 
+import hashlib
 import os
 import shutil
 import subprocess
@@ -352,6 +353,14 @@ def test_resolved_config_written(toy_dataset, tmp_path):
     train_run(cfg, toy_dataset, tmp_path / "run", quiet=True)
     text = (tmp_path / "run" / "config.txt").read_text()
     assert config_from_text(text).diff(cfg) == []
+
+
+def test_run_config_bytes_are_pinned(toy_dataset, tmp_path):
+    train_run(_toy_cfg(), toy_dataset, tmp_path / "run", quiet=True, stop_after=0)
+    lines = (tmp_path / "run" / "config.txt").read_bytes().splitlines(keepends=True)
+    # bm_max_disp is derived from c_disp, so the digest leaves its line out
+    kept = b"".join(ln for ln in lines if not ln.startswith(b"bm_max_disp="))
+    assert hashlib.sha256(kept).hexdigest() == "37e8f66d0931d4de0816332c879c90fa0e393ff8cba6f7c43f157abdc7a61a34"
 
 
 # ---------------------------------------------------------------------------
