@@ -95,8 +95,6 @@ def run_op_checks(seed: int = 0):
           [x3, rand_tensor(rng, (3, 4, 2))])
     check("upsample2x", lambda x_: _weighted(ops.upsample2x(x_), _probe((6, 8, 2))), [x3])
     check("reshape", lambda x_: _weighted(ops.reshape(x_, (6, 4)), _probe((6, 4))), [x3])
-    check("transpose", lambda x_: _weighted(ops.transpose(x_, (2, 0, 1)), _probe((2, 3, 4))),
-          [x3])
     check("narrow", lambda x_: _weighted(ops.narrow(x_, 1, 1, 2), _probe((3, 2, 2))), [x3])
     check("take_rows",
           lambda x_: _weighted(ops.take_rows(x_, np.array([0, 2, 2])), _probe((3, 4, 2))),
@@ -165,7 +163,7 @@ def run_module_checks(seed: int = 0):
     # disparity-aware positional encoding
     logits = Tensor(rng.normal(size=(2, 3, 4)), dtype=np.float64, requires_grad=True)
     check("dape",
-          lambda lg: _weighted(dape(lg, c_dec=12).pe_da, _probe((2, 3, 12), 33)),
+          lambda lg: _weighted(dape(lg, c_dec=12), _probe((2, 3, 12), 33)),
           [logits], tol=1e-4)
 
     # self-attention

@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Subcommands: synth, pseudogt, train, infer, eval, gradcheck, heatmap.
-Exit codes: 0 success, 1 usage error, 2 configuration/validation failure,
-3 numerical failure (NaN or a failed gradient check).
+Exit codes: 0 success, 1 usage error, 2 configuration/validation failure or a
+path that cannot be read or written, 3 numerical failure (NaN or a failed
+gradient check).
 
 The TS3D_THREADS environment variable caps worker parallelism, including the
 BLAS thread pools, and is applied before numpy is first imported.
@@ -292,7 +293,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, OSError, ValueError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

@@ -1,8 +1,12 @@
-"""Run configuration: every hyperparameter, with validation and presets.
+"""Run configuration: every hyperparameter, with validation and presets, and
+the flat text format of config files, dataset manifests and eval reports.
 
-Config files are flat UTF-8 key=value text with '#' comments; command-line
---set overrides beat file values, which beat the built-in defaults. Every
-run writes its resolved config next to its outputs.
+That format is UTF-8 ``key=value`` lines split on the first '=', with keys and
+values stripped; text after '#' is a comment and blank lines are skipped. Any
+other line is an error naming the file and the line. ``read_pairs`` and
+``write_pairs`` are its one reader and writer; each file's owner formats its
+values. Command-line --set overrides beat config file values, which beat the
+built-in defaults. Every run writes its resolved config next to its outputs.
 """
 
 from __future__ import annotations
@@ -18,8 +22,8 @@ PYRAMID_VARIANTS = ("spfpn", "topdown_fpn", "bifpn_like")
 BOUNDS = {
     "[1, inf)": ("width", "height", "bins", "c_bb", "c_dec", "c_disp", "heads", "points",
                  "anchor_scales", "batch_size", "total_steps", "bm_window"),
-    "[0, inf)": ("blocks_per_stage", "n_dec", "checkpoint_every", "seed", "bm_max_disp",
-                 "weight_decay", "focal_gamma"),
+    "[0, inf)": ("blocks_per_stage", "n_dec", "checkpoint_every", "seed", "weight_decay",
+                 "focal_gamma"),
     "(0, inf)": ("anchor_ratios", "focal_alpha", "smooth_l1_beta", "sigma", "lr"),
     "[0, 1]": ("tau_fg", "tau_bg", "flip_probability", "score_threshold"),
     "(0, 1]": ("nms_iou",),
@@ -84,12 +88,13 @@ class RunConfig:
     score_threshold: float = 0.1
     nms_iou: float = 0.4
     # pseudo ground truth
-    bm_max_disp: int = 0                 # 0 -> derived as 4 * c_disp
     bm_window: int = 9
     dtype: str = "float32"
 
     def resolved_bm_max_disp(self) -> int:
-        return self.bm_max_disp if self.bm_max_disp > 0 else 4 * self.c_disp
+        """Block-matching search range: DAPE reads ``c_disp`` stride-4 disparity
+        bins, so pseudo-GT beyond ``4 * c_disp`` px could not be supervised."""
+        return 4 * self.c_disp
 
     def validate(self) -> "RunConfig":
         def fail(msg):
@@ -147,16 +152,13 @@ class RunConfig:
             batch_size=1, total_steps=8, checkpoint_every=4,
         )
 
-    # -- flat text serialization -----------------------------------------
-
-    def to_text(self) -> str:
-        lines = ["# resolved run configuration"]
+    def save(self, path) -> None:
+        """Write every key for ``load_config``, a tuple as comma-joined entries."""
+        pairs = []
         for f in fields(self):
             v = getattr(self, f.name)
-            if isinstance(v, tuple):
-                v = ",".join(str(x) for x in v)
-            lines.append(f"{f.name}={v}")
-        return "\n".join(lines) + "\n"
+            pairs.append((f.name, ",".join(str(x) for x in v) if isinstance(v, tuple) else v))
+        write_pairs(path, pairs, header="resolved run configuration")
 
     def diff(self, other: "RunConfig") -> list:
         out = []
@@ -200,17 +202,27 @@ def apply_overrides(cfg: RunConfig, overrides: dict) -> RunConfig:
     return cfg
 
 
-def parse_config_text(text: str) -> dict:
+def read_pairs(path) -> dict:
+    """The key=value pairs of a flat text file, in file order."""
     out = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"config line {lineno}: expected key=value, got '{line}'")
-        k, v = line.split("=", 1)
-        out[k.strip()] = v.strip()
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ConfigError(f"{path} line {lineno}: expected key=value, got '{line}'")
+            k, v = line.split("=", 1)
+            out[k.strip()] = v.strip()
     return out
+
+
+def write_pairs(path, pairs, header: str | None = None) -> None:
+    """Write (key, value) pairs as key=value lines, after a '# header' line if given."""
+    with open(path, "w", encoding="utf-8") as fh:
+        if header is not None:
+            fh.write(f"# {header}\n")
+        fh.writelines(f"{k}={v}\n" for k, v in pairs)
 
 
 def load_config(path=None, preset: str = "full", overrides: dict | None = None) -> RunConfig:
@@ -218,12 +230,7 @@ def load_config(path=None, preset: str = "full", overrides: dict | None = None) 
         raise ConfigError(f"unknown preset '{preset}' (choose from {sorted(_PRESETS)})")
     cfg = _PRESETS[preset]()
     if path is not None:
-        with open(path, encoding="utf-8") as fh:
-            apply_overrides(cfg, parse_config_text(fh.read()))
+        apply_overrides(cfg, read_pairs(path))
     if overrides:
         apply_overrides(cfg, overrides)
     return cfg.validate()
-
-
-def config_from_text(text: str) -> RunConfig:
-    return apply_overrides(RunConfig.full(), parse_config_text(text)).validate()

@@ -7,7 +7,9 @@ specified, right view alongside so mirrored augmentation stays geometric).
 
 The manifest records frame ids, split assignment, generation seed and
 parameters, and the per-class anchor priors (mean 2D box, mean distance and
-mean metric size per scale bin) estimated from the training labels.
+mean metric size per scale bin) estimated from the training labels. It is
+flat key=value text (see ``config``), with priors written as ``%.8f`` and
+lists comma-joined.
 
 A loaded frame carries its labels as the ``kitti_io.ObjectLabel``s read from
 label_2/; target assignment consumes them as they are, with the class list
@@ -22,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import read_pairs, write_pairs
 from .detect import AnchorTemplate
 from .disphead import block_match_stereo
 from .kitti_io import (
@@ -144,35 +147,22 @@ def generate_dataset(out_dir, seed: int, n_train: int, n_val: int,
 
 
 # ---------------------------------------------------------------------------
-# manifest text format (flat key=value lines)
+# manifest
 
 
 def write_manifest(path, m: Manifest) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# ts3d dataset manifest\n")
-        fh.write(f"seed={m.seed}\n")
-        fh.write(f"width={m.width}\n")
-        fh.write(f"height={m.height}\n")
-        for k, v in m.params.items():
-            fh.write(f"param.{k}={v}\n")
-        fh.write("classes=" + ",".join(m.classes) + "\n")
-        for name, scales in m.priors.items():
-            for s_idx, sc in enumerate(scales):
-                for k, v in sc.items():
-                    fh.write(f"prior.{name}.{s_idx}.{k}={v:.8f}\n")
-        for split, ids in m.splits.items():
-            fh.write(f"split.{split}=" + ",".join(ids) + "\n")
+    pairs = [("seed", m.seed), ("width", m.width), ("height", m.height)]
+    pairs += [(f"param.{k}", v) for k, v in m.params.items()]
+    pairs.append(("classes", ",".join(m.classes)))
+    pairs += [(f"prior.{name}.{s_idx}.{k}", f"{v:.8f}")
+              for name, scales in m.priors.items()
+              for s_idx, sc in enumerate(scales) for k, v in sc.items()]
+    pairs += [(f"split.{split}", ",".join(ids)) for split, ids in m.splits.items()]
+    write_pairs(path, pairs, header="ts3d dataset manifest")
 
 
 def read_manifest(path) -> Manifest:
-    raw = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#") or "=" not in line:
-                continue
-            k, v = line.split("=", 1)
-            raw[k] = v
+    raw = read_pairs(path)
     ints = {}
     for key in ("seed", "width", "height"):
         if key not in raw:

@@ -14,8 +14,6 @@ works through the query rows in blocks and so never holds the full
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import ops
@@ -59,24 +57,16 @@ def sine_pe_2d(wq: int, hq: int, dims: int, dtype=np.float32) -> np.ndarray:
     return np.ascontiguousarray(pe, dtype=dtype)
 
 
-@dataclass
-class PositionalEncoding:
-    pe_sine: np.ndarray      # (Hq, Wq, C_dec - C_disp), fixed
-    pe_disp: Tensor          # (Hq, Wq, C_disp), differentiable
-    pe_da: Tensor            # (Hq, Wq, C_dec)
-
-
-def dape(disp_logits: Tensor, c_dec: int) -> PositionalEncoding:
-    """Disparity-aware encoding: [sine 2D | softmax(disparity logits)]."""
+def dape(disp_logits: Tensor, c_dec: int) -> Tensor:
+    """Disparity-aware encoding, (Hq, Wq, c_dec): the fixed sine 2D code in the
+    first c_dec - C_disp channels, softmax(disparity logits) in the last C_disp."""
     hq, wq, c_disp = disp_logits.shape
     if c_disp >= c_dec:
         raise ConfigError(
             f"disparity channels must stay below decoder width, got {c_disp} >= {c_dec}"
         )
     pe_sine = sine_pe_2d(wq, hq, c_dec - c_disp, dtype=disp_logits.dtype)
-    pe_disp = ops.softmax(disp_logits, axis=-1)
-    pe_da = ops.concat([Tensor(pe_sine), pe_disp], axis=-1)
-    return PositionalEncoding(pe_sine=pe_sine, pe_disp=pe_disp, pe_da=pe_da)
+    return ops.concat([Tensor(pe_sine), ops.softmax(disp_logits, axis=-1)], axis=-1)
 
 
 def one_hot_disparity_pe(disp_logits: Tensor, c_dec: int) -> Tensor:

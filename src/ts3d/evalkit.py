@@ -19,6 +19,7 @@ import os
 
 import numpy as np
 
+from .config import write_pairs
 from .kitti_io import ObjectLabel, read_kitti_label
 
 
@@ -188,19 +189,5 @@ def evaluate_directories(pred_dir, gt_dir, classes, iou_thresholds,
 
 
 def write_report(path, metrics: dict) -> None:
-    """Line-delimited metric=value text."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for k, v in metrics.items():
-            fh.write(f"{k}={v}\n")
-
-
-def read_report(path) -> dict:
-    out = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or "=" not in line:
-                continue
-            k, v = line.split("=", 1)
-            out[k] = v
-    return out
+    """One metric=value line per metric, in the flat text of ``config``."""
+    write_pairs(path, metrics.items())

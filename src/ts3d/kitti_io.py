@@ -1,4 +1,5 @@
-"""KITTI-format label and calibration I/O plus binary PPM/PGM images.
+"""KITTI-format label and calibration I/O, binary PPM images (read and
+written), PGM images (written only) and raw rasters.
 
 Label lines carry 15 space-separated fields (detections append a 16th score
 field): type, truncated, occluded, alpha, bbox x1 y1 x2 y2, dimensions
@@ -6,12 +7,14 @@ h w l, location x y z, rotation_y. Every numeric field must be finite; a
 reader's error names the file, the line and the field. KITTI's ``DontCare``
 lines (-1 extents, -1000 location) are finite and parse. Likewise every
 entry of a calibration file's P2 and P3 rows must be finite, and an error
-names the file, the row and the entry index.
+names the file, the row and the entry index. An image or raster whose byte
+count does not match its extents is an error naming the file and both counts.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,9 +124,6 @@ class Calibration:
     def baseline(self) -> float:
         return float((self.p_left[0, 3] - self.p_right[0, 3]) / self.f)
 
-    def disparity_at(self, z: float) -> float:
-        return self.f * self.baseline / z
-
 
 def make_calibration(f: float, cx: float, cy: float, baseline: float) -> Calibration:
     p_left = np.array([[f, 0.0, cx, 0.0], [0.0, f, cy, 0.0], [0.0, 0.0, 1.0, 0.0]])
@@ -214,10 +214,15 @@ def read_ppm(path) -> np.ndarray:
         blob = fh.read()
     if blob[:2] != b"P6":
         raise ValueError(f"'{path}' is not a binary PPM")
-    (w, h, maxval), offset = _read_header_tokens(blob, 3)
-    w, h, maxval = int(w), int(h), int(maxval)
+    tokens, offset = _read_header_tokens(blob, 3)
+    if not all(t.isdigit() for t in tokens):
+        raise ValueError(f"'{path}' has a malformed PPM header {b' '.join(tokens)!r}")
+    w, h, maxval = (int(t) for t in tokens)
     if maxval != 255:
-        raise ValueError(f"unsupported max value {maxval}")
+        raise ValueError(f"'{path}' has unsupported max value {maxval}")
+    if len(blob) - offset < h * w * 3:
+        raise ValueError(f"'{path}' holds {max(len(blob) - offset, 0)} pixel bytes, "
+                         f"expected {h * w * 3} for {w}x{h} RGB")
     data = np.frombuffer(blob, dtype=np.uint8, count=h * w * 3, offset=offset)
     return (data.reshape(h, w, 3).astype(np.float32)) / 255.0
 
@@ -235,19 +240,17 @@ def write_pgm(path, img: np.ndarray) -> None:
         fh.write(img.tobytes())
 
 
-def read_pgm(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:2] != b"P5":
-        raise ValueError(f"'{path}' is not a binary PGM")
-    (w, h, maxval), offset = _read_header_tokens(blob, 3)
-    w, h = int(w), int(h)
-    data = np.frombuffer(blob, dtype=np.uint8, count=h * w, offset=offset)
-    return data.reshape(h, w).copy()
-
-
 # ---------------------------------------------------------------------------
 # raw float/byte rasters (pseudo ground-truth cache)
+
+
+def _read_raster(path, dtype, h: int, w: int) -> np.ndarray:
+    dtype = np.dtype(dtype)
+    expected, actual = h * w * dtype.itemsize, os.path.getsize(path)
+    if actual != expected:
+        raise ValueError(f"'{path}' holds {actual} bytes, expected {expected} for a "
+                         f"{h}x{w} {dtype.name} raster")
+    return np.fromfile(path, dtype=dtype).reshape(h, w)
 
 
 def write_raster_f32(path, arr: np.ndarray) -> None:
@@ -255,7 +258,7 @@ def write_raster_f32(path, arr: np.ndarray) -> None:
 
 
 def read_raster_f32(path, h: int, w: int) -> np.ndarray:
-    return np.fromfile(path, dtype="<f4").reshape(h, w)
+    return _read_raster(path, "<f4", h, w)
 
 
 def write_raster_mask(path, mask: np.ndarray) -> None:
@@ -263,4 +266,4 @@ def write_raster_mask(path, mask: np.ndarray) -> None:
 
 
 def read_raster_mask(path, h: int, w: int) -> np.ndarray:
-    return np.fromfile(path, dtype=np.uint8).reshape(h, w).astype(bool)
+    return _read_raster(path, np.uint8, h, w).astype(bool)

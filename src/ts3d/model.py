@@ -97,7 +97,7 @@ class TS3D(Module):
         cfg = self.cfg
         hq, wq, _ = logits_q.shape
         if cfg.dape_mode == "dape":
-            return dape(logits_q, cfg.c_dec).pe_da
+            return dape(logits_q, cfg.c_dec)
         if cfg.dape_mode == "sine2d":
             return Tensor(sine_pe_2d(wq, hq, cfg.c_dec, dtype=self.dtype))
         if cfg.dape_mode == "onehot":

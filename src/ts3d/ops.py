@@ -151,21 +151,6 @@ def reshape(a, shape) -> Tensor:
     return make_node(a.data.reshape(shape), (a,), "reshape", build)
 
 
-def transpose(a, axes) -> Tensor:
-    a = as_tensor(a)
-    axes = tuple(axes)
-
-    def build():
-        inv = np.argsort(axes)
-
-        def bw(g):
-            if a.requires_grad:
-                a.accumulate_grad(np.transpose(g, inv), "transpose")
-        return bw
-
-    return make_node(np.transpose(a.data, axes), (a,), "transpose", build)
-
-
 def concat(tensors, axis: int = -1) -> Tensor:
     ts = [as_tensor(t) for t in tensors]
     data = np.concatenate([t.data for t in ts], axis=axis)

@@ -26,7 +26,7 @@ import numpy as np
 from . import ops
 from .augment import augment
 from .checkpoint import load_model, save_model
-from .config import RunConfig, config_from_text
+from .config import RunConfig, load_config
 from .dataset import MANIFEST_NAME, load_frame, read_manifest
 from .kitti_io import write_kitti_label
 from .model import TS3D, build_anchor_templates
@@ -71,16 +71,13 @@ def train_run(cfg: RunConfig, data_dir, out_dir, resume: bool = False,
     if resume:
         if not os.path.exists(config_path):
             raise ConfigError(f"cannot resume: '{config_path}' not found")
-        with open(config_path, encoding="utf-8") as fh:
-            previous = config_from_text(fh.read())
-        mismatched = cfg.diff(previous)
+        mismatched = cfg.diff(load_config(path=config_path))
         if mismatched:
             raise ConfigError(
                 "resume configuration mismatch on keys: " + ", ".join(sorted(mismatched))
             )
     else:
-        with open(config_path, "w", encoding="utf-8") as fh:
-            fh.write(cfg.to_text())
+        cfg.save(config_path)
 
     model = TS3D(cfg, templates=templates, rng=np.random.default_rng(cfg.seed))
     opt = AdamW(list(model.parameters()), base_lr=cfg.lr,

@@ -27,11 +27,14 @@ from ts3d.kitti_io import (
     read_calib,
     read_kitti_label,
     read_ppm,
+    read_raster_f32,
+    read_raster_mask,
     write_calib,
     write_kitti_label,
     write_ppm,
-    read_pgm,
     write_pgm,
+    write_raster_f32,
+    write_raster_mask,
 )
 from ts3d.synth import SynthParams, _hash01, synth_scene
 
@@ -123,7 +126,7 @@ def test_calibration_disparity_arithmetic(tmp_path):
     back = read_calib(path)
     assert back.f == pytest.approx(721.0)
     assert back.baseline == pytest.approx(0.54)
-    assert back.disparity_at(10.0) == pytest.approx(38.934, abs=1e-3)
+    assert back.f * back.baseline / 10.0 == pytest.approx(38.934, abs=1e-3)
 
 
 def test_missing_projection_row_rejected(tmp_path):
@@ -167,11 +170,44 @@ def test_ppm_roundtrip(tmp_path):
     assert np.array_equal(read_ppm(path), back)
 
 
+@pytest.mark.parametrize("cut, found", [(1, "5 pixel bytes, expected 6 for 2x1 RGB"),
+                                        (11, "malformed PPM header")])
+def test_truncated_ppm_names_the_file(tmp_path, cut, found):
+    path = tmp_path / "img.ppm"
+    write_ppm(path, np.zeros((1, 2, 3), dtype=np.uint8))
+    path.write_bytes(path.read_bytes()[:-cut])
+    with pytest.raises(ValueError, match=found) as info:
+        read_ppm(path)
+    assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize("write, read, message", [
+    (write_raster_f32, read_raster_f32, "holds 20 bytes, expected 96 for a 4x6 float32"),
+    (write_raster_mask, read_raster_mask, "holds 5 bytes, expected 24 for a 4x6 uint8"),
+])
+def test_raster_of_the_wrong_size_names_the_file(tmp_path, write, read, message):
+    path = tmp_path / "raster"
+    write(path, np.ones(5))
+    with pytest.raises(ValueError, match=message) as info:
+        read(path, 4, 6)
+    assert str(path) in str(info.value)
+    write(path, np.ones((4, 6)))
+    assert read(path, 4, 6).shape == (4, 6)
+
+
+def _read_pgm(path) -> np.ndarray:
+    """The image ``write_pgm`` wrote: three header lines (P5, the size, 255), then pixels."""
+    magic, size, maxval, data = path.read_bytes().split(b"\n", 3)
+    w, h = (int(x) for x in size.split())
+    assert magic == b"P5" and maxval == b"255" and len(data) == w * h
+    return np.frombuffer(data, dtype=np.uint8).reshape(h, w)
+
+
 def test_pgm_roundtrip(tmp_path):
     img = np.arange(30, dtype=np.uint8).reshape(5, 6)
     path = tmp_path / "img.pgm"
     write_pgm(path, img)
-    assert np.array_equal(read_pgm(path), img)
+    assert np.array_equal(_read_pgm(path), img)
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +366,7 @@ def test_dataset_generation_and_manifest(tmp_path):
     ("", "prior.Car.x.z=1\n", "prior.Car.x.z"), ("", "prior.Car=1\n", "prior.Car"),
     ("", "prior.Car.0.z=far\n", "prior.Car.0.z"), ("seed=", "seed=abc\n", "'seed=abc'"),
     ("width=", "width=6.4e1\n", "'width=6.4e1'"), ("height=", "height=\n", "'height='"),
+    ("split.train=", "split.train000000\n", r"line \d+: expected key=value, got 'split.train"),
 ])
 def test_read_manifest_names_the_file_and_the_key(tmp_path, drop, add, named):
     generate_dataset(tmp_path, seed=5, n_train=1, n_val=0,

@@ -60,21 +60,18 @@ def test_dape_widths_and_ordering():
     rng = np.random.default_rng(0)
     logits = Tensor(rng.normal(size=(3, 5, 96)).astype(np.float32))
     pe = dape(logits, c_dec=256)
-    assert pe.pe_sine.shape == (3, 5, 160)
-    assert pe.pe_disp.shape == (3, 5, 96)
-    assert pe.pe_da.shape == (3, 5, 256)
+    assert pe.shape == (3, 5, 256)
     # concatenation order: sine block first, disparity block last
-    assert np.array_equal(pe.pe_da.data[:, :, :160], pe.pe_sine)
-    assert np.array_equal(pe.pe_da.data[:, :, 160:], pe.pe_disp.data)
+    assert np.array_equal(pe.data[:, :, :160], sine_pe_2d(5, 3, 160))
+    assert np.array_equal(pe.data[:, :, 160:], ops.softmax(logits, axis=-1).data)
 
 
 def test_dape_simplex_rows():
     rng = np.random.default_rng(1)
     logits = Tensor(rng.normal(size=(4, 6, 8)), dtype=np.float64)
-    pe = dape(logits, c_dec=16)
-    sums = pe.pe_disp.data.sum(axis=-1)
-    assert np.allclose(sums, 1.0, atol=1e-6)
-    assert (pe.pe_disp.data >= 0).all()
+    pe_disp = dape(logits, c_dec=16).data[:, :, 8:]
+    assert np.allclose(pe_disp.sum(axis=-1), 1.0, atol=1e-6)
+    assert (pe_disp >= 0).all()
 
 
 def test_dape_saturated_logits_one_hot():
@@ -83,16 +80,16 @@ def test_dape_saturated_logits_one_hot():
     pe = dape(Tensor(logits, dtype=np.float64), c_dec=18)
     expected = np.zeros(6)
     expected[4] = 1.0
-    assert np.allclose(pe.pe_disp.data, expected)
+    assert np.allclose(pe.data[:, :, 12:], expected)
 
 
 def test_dape_same_disparity_same_block_distinct_sine():
     logits = np.zeros((2, 3, 4), dtype=np.float32)
     logits[0, 1] = [3.0, 0.0, -1.0, 0.5]
     logits[1, 2] = [3.0, 0.0, -1.0, 0.5]
-    pe = dape(Tensor(logits), c_dec=12)
-    assert np.allclose(pe.pe_disp.data[0, 1], pe.pe_disp.data[1, 2])
-    assert not np.allclose(pe.pe_sine[0, 1], pe.pe_sine[1, 2])
+    pe = dape(Tensor(logits), c_dec=12).data
+    assert np.allclose(pe[0, 1, 8:], pe[1, 2, 8:])
+    assert not np.allclose(pe[0, 1, :8], pe[1, 2, :8])
 
 
 def test_dape_rejects_wide_disparity_block():
@@ -107,7 +104,7 @@ def test_dape_differentiable_through_logits():
     probe = Tensor(np.random.default_rng(3).normal(size=(2, 2, 12)), dtype=np.float64)
 
     def f(lg):
-        return ops.sum_(ops.mul(dape(lg, c_dec=12).pe_da, probe))
+        return ops.sum_(ops.mul(dape(lg, c_dec=12), probe))
 
     assert grad_check(f, [logits], eps=1e-6) < 1e-6
 
@@ -407,8 +404,8 @@ def test_positional_encoding_is_sole_depth_channel():
     with no_grad():
         none_a = layer.forward(x_q, None, refs, feats)
         none_b = layer.forward(x_q, None, refs, feats)
-        pe_a = ops.reshape(dape(logits_a, 8).pe_da, (8, 8))
-        pe_b = ops.reshape(dape(logits_b, 8).pe_da, (8, 8))
+        pe_a = ops.reshape(dape(logits_a, 8), (8, 8))
+        pe_b = ops.reshape(dape(logits_b, 8), (8, 8))
         da_a = layer.forward(x_q, pe_a, refs, feats)
         da_b = layer.forward(x_q, pe_b, refs, feats)
     assert np.array_equal(none_a.data, none_b.data)

@@ -10,13 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ts3d.evalkit
+from ts3d.config import read_pairs
 from ts3d.evalkit import (
     average_precision,
     bev_iou,
     evaluate_directories,
     intersection_area,
     iou_3d,
-    read_report,
     write_report,
 )
 from ts3d.kitti_io import ObjectLabel
@@ -285,7 +285,7 @@ def test_adding_top_scoring_true_positive_never_decreases_ap():
 def test_report_roundtrip(tmp_path):
     path = tmp_path / "metrics.txt"
     write_report(path, {"ap_bev_0.5": 93.25, "frames": 32})
-    back = read_report(path)
+    back = read_pairs(path)
     assert float(back["ap_bev_0.5"]) == 93.25
     assert int(back["frames"]) == 32
 

@@ -15,6 +15,20 @@ from ts3d.tensor import DimensionError, Tensor
 RNG = np.random.default_rng(1234)
 
 
+def _transpose(a: Tensor, axes) -> Tensor:
+    """Differentiable transpose for the reference compositions below; the model
+    itself never transposes a graph tensor."""
+    inv = np.argsort(axes)
+
+    def build():
+        def bw(g):
+            if a.requires_grad:
+                a.accumulate_grad(np.transpose(g, inv), "transpose")
+        return bw
+
+    return ops.make_node(np.transpose(a.data, axes), (a,), "transpose", build)
+
+
 # ---------------------------------------------------------------------------
 # conv2d
 
@@ -271,13 +285,13 @@ def _ms_deform_attn_reference(v1, v2, loc, aw):
     a sum over points and an add over levels, and finally the heads merged."""
     n, m, nl, k, _ = loc.shape
     hd = v1.shape[-1] // m
-    values = [ops.transpose(ops.reshape(v, v.shape[:2] + (m, hd)), (2, 0, 1, 3))
+    values = [_transpose(ops.reshape(v, v.shape[:2] + (m, hd)), (2, 0, 1, 3))
               for v in (v1, v2)]
     extent = np.array([[v.shape[2], v.shape[1]] for v in values], dtype=loc.dtype)
-    pts_px = ops.add(ops.mul(ops.transpose(loc, (2, 1, 0, 3, 4)),
+    pts_px = ops.add(ops.mul(_transpose(loc, (2, 1, 0, 3, 4)),
                              Tensor(extent.reshape(nl, 1, 1, 1, 2))),
                      Tensor(np.full(2, -0.5, dtype=loc.dtype)))
-    weights = ops.transpose(ops.reshape(aw, (n, m, nl, k, 1)), (2, 1, 0, 3, 4))
+    weights = _transpose(ops.reshape(aw, (n, m, nl, k, 1)), (2, 1, 0, 3, 4))
     total = None
     for lvl, value in enumerate(values):
         pts = ops.reshape(ops.narrow(pts_px, 0, lvl, 1), (m, n * k, 2))
@@ -285,7 +299,7 @@ def _ms_deform_attn_reference(v1, v2, loc, aw):
         w_lvl = ops.reshape(ops.narrow(weights, 0, lvl, 1), (m, n, k, 1))
         term = ops.sum_(ops.mul(sampled, w_lvl), axis=2)
         total = term if total is None else ops.add(total, term)
-    return ops.reshape(ops.transpose(total, (1, 0, 2)), (n, m * hd))
+    return ops.reshape(_transpose(total, (1, 0, 2)), (n, m * hd))
 
 
 @pytest.mark.parametrize("row_block", [None, 5], ids=["one-block", "row-blocks"])
@@ -412,7 +426,7 @@ def _attention_reference(q, k, v, heads):
     ctx = []
     for h in range(heads):
         qh, kh, vh = (ops.narrow(t, 1, h * d, d) for t in (q, k, v))
-        scores = ops.scale(ops.matmul(qh, ops.transpose(kh, (1, 0))), 1.0 / np.sqrt(d))
+        scores = ops.scale(ops.matmul(qh, _transpose(kh, (1, 0))), 1.0 / np.sqrt(d))
         ctx.append(ops.matmul(ops.softmax(scores, axis=-1), vh))
     return ops.concat(ctx, axis=1)
 
@@ -608,7 +622,7 @@ def test_shape_op_gradchecks():
     x = rand_tensor(rng, (3, 4, 2))
     fns = [
         lambda a: ops.sum_(ops.mul(ops.reshape(a, (6, 4)), _probe((6, 4)))),
-        lambda a: ops.sum_(ops.mul(ops.transpose(a, (2, 0, 1)), _probe((2, 3, 4)))),
+        lambda a: ops.sum_(ops.mul(_transpose(a, (2, 0, 1)), _probe((2, 3, 4)))),
         lambda a: ops.sum_(ops.mul(ops.narrow(a, 1, 1, 2), _probe((3, 2, 2)))),
         lambda a: ops.sum_(ops.mul(ops.take_rows(a, np.array([2, 0, 2])), _probe((3, 4, 2)))),
     ]

@@ -17,7 +17,7 @@ import pytest
 import ts3d.checkpoint
 import ts3d.train
 from ts3d.checkpoint import load_arrays, save_arrays, save_model
-from ts3d.config import BOUNDS, CHOICES, RunConfig, config_from_text, load_config
+from ts3d.config import BOUNDS, CHOICES, RunConfig, load_config
 from ts3d.dataset import (
     MANIFEST_NAME,
     build_pseudo_gt,
@@ -169,7 +169,7 @@ def test_extending_a_finished_run_follows_new_schedule(toy_dataset, tmp_path):
     run = tmp_path / "run"
     train_run(_toy_cfg(total_steps=3), toy_dataset, run, quiet=True)
     longer = _toy_cfg()
-    (run / "config.txt").write_text(longer.to_text())
+    longer.save(run / "config.txt")
     train_run(longer, toy_dataset, run, resume=True, quiet=True)
     lrs = _read_log(run, key="lr")
     assert len(lrs) == 6
@@ -266,6 +266,14 @@ def test_config_file_and_overrides(tmp_path):
     assert cfg.augment is False
 
 
+def test_config_line_without_equals_names_the_file_and_the_line(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("c_dec=32\nheads 4\n")
+    with pytest.raises(ConfigError, match="line 2: expected key=value, got 'heads 4'") as info:
+        load_config(path=path, preset="toy")
+    assert str(path) in str(info.value)
+
+
 def test_config_validation_names_constraint():
     with pytest.raises(ConfigError, match="divisible by 16"):
         load_config(preset="toy", overrides={"width": "60"})
@@ -285,7 +293,7 @@ def test_config_validation_names_constraint():
     ("sigma", "0", "1e-3"), ("sigma", "-1", "2"), ("sigma", "inf", "1e3"),
     ("c_bb", "0", "1"), ("c_disp", "0", "4"), ("blocks_per_stage", "-1", "0"),
     ("heads", "0", "1"), ("points", "0", "1"), ("seed", "-1", "0"),
-    ("bm_max_disp", "-1", "0"), ("classes", "", "Car"),
+    ("classes", "", "Car"),
 ])
 def test_config_rejects_out_of_range_values_naming_the_key(key, bad, edge):
     with pytest.raises(ConfigError, match=key):
@@ -333,9 +341,10 @@ def test_config_rejects_a_block_matching_window_that_cannot_fit(window):
 
 
 @pytest.mark.parametrize("preset", ["full", "desk", "toy"])
-def test_config_text_roundtrip_keeps_default_types(preset):
+def test_config_text_roundtrip_keeps_default_types(preset, tmp_path):
     cfg = load_config(preset=preset)
-    back = config_from_text(cfg.to_text())
+    cfg.save(tmp_path / "config.txt")
+    back = load_config(path=tmp_path / "config.txt")
     assert back.diff(cfg) == []
     for f in fields(RunConfig):
         value = getattr(back, f.name)
@@ -351,8 +360,7 @@ def test_config_text_roundtrip_keeps_default_types(preset):
 def test_resolved_config_written(toy_dataset, tmp_path):
     cfg = _toy_cfg()
     train_run(cfg, toy_dataset, tmp_path / "run", quiet=True)
-    text = (tmp_path / "run" / "config.txt").read_text()
-    assert config_from_text(text).diff(cfg) == []
+    assert load_config(path=tmp_path / "run" / "config.txt").diff(cfg) == []
 
 
 def test_run_config_bytes_are_pinned(toy_dataset, tmp_path):
@@ -434,6 +442,37 @@ def test_cli_train_on_a_manifest_without_seed_is_exit_2(toy_dataset, tmp_path):
     assert r.returncode == 2, r.stderr
     assert str(manifest) in r.stderr and "'seed='" in r.stderr
     assert "Traceback" not in r.stderr
+
+
+def test_cli_train_on_a_manifest_line_without_equals_is_exit_2(toy_dataset, tmp_path):
+    data = tmp_path / "data"
+    shutil.copytree(toy_dataset, data)
+    manifest = data / MANIFEST_NAME
+    lines = manifest.read_text().splitlines(keepends=True)
+    lineno = next(i for i, ln in enumerate(lines, start=1) if ln.startswith("split.train="))
+    lines[lineno - 1] = lines[lineno - 1].replace("=", "", 1)
+    manifest.write_text("".join(lines))
+    r = _cli("train", "--data", str(data), "--out", "run", "--preset", "toy",
+             "--set", "total_steps=1", "--set", "checkpoint_every=1", "--quiet", cwd=tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert f"{manifest} line {lineno}: expected key=value" in r.stderr
+    assert "no train split" not in r.stderr and "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("command, taken_by", [
+    ("synth", "file"), ("train", "file"), ("eval", "directory"),
+])
+def test_cli_path_that_cannot_be_written_is_exit_2(toy_dataset, tmp_path, command, taken_by):
+    taken = tmp_path / "taken"
+    taken.mkdir() if taken_by == "directory" else taken.write_text("")
+    args = {"synth": ("--frames", "1", "--out", "taken"),
+            "train": ("--data", str(toy_dataset), "--out", "taken",
+                      "--set", "total_steps=1", "--set", "checkpoint_every=1", "--quiet"),
+            "eval": ("--pred", str(toy_dataset / "label_2"), "--gt", str(toy_dataset),
+                     "--report", "taken")}[command]
+    r = _cli(command, *args, "--preset", "toy", cwd=tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert "'taken" in r.stderr and "Traceback" not in r.stderr
 
 
 def test_cli_gradcheck_rejects_a_negative_seed(tmp_path):
