@@ -7,8 +7,9 @@ h w l, location x y z, rotation_y. Every numeric field must be finite; a
 reader's error names the file, the line and the field. KITTI's ``DontCare``
 lines (-1 extents, -1000 location) are finite and parse. Likewise every
 entry of a calibration file's P2 and P3 rows must be finite, and an error
-names the file, the row and the entry index. An image or raster whose byte
-count does not match its extents is an error naming the file and both counts.
+names the file, the row and the entry index. A PPM with fewer pixel bytes
+than its header declares, or a raster whose size differs from its extents, is
+an error naming the file and both byte counts.
 """
 
 from __future__ import annotations

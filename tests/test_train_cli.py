@@ -366,7 +366,7 @@ def test_resolved_config_written(toy_dataset, tmp_path):
 def test_run_config_bytes_are_pinned(toy_dataset, tmp_path):
     train_run(_toy_cfg(), toy_dataset, tmp_path / "run", quiet=True, stop_after=0)
     lines = (tmp_path / "run" / "config.txt").read_bytes().splitlines(keepends=True)
-    # bm_max_disp is derived from c_disp, so the digest leaves its line out
+    # pinned before bm_max_disp became 4 * c_disp; older config files list it
     kept = b"".join(ln for ln in lines if not ln.startswith(b"bm_max_disp="))
     assert hashlib.sha256(kept).hexdigest() == "37e8f66d0931d4de0816332c879c90fa0e393ff8cba6f7c43f157abdc7a61a34"
 
