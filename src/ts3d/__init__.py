@@ -3,18 +3,31 @@
 Everything runs on a small numpy-backed tensor library with reverse-mode
 differentiation; there is no GPU path and no external ML framework.
 
-Importing the package sets glibc's malloc thresholds once (see
-``_keep_freed_heap_mapped``), so every entry point runs under the same
-allocator policy.
+Importing the package applies the ``TS3D_THREADS`` cap to the BLAS and
+OpenMP thread pools before numpy loads (see ``_apply_thread_cap``) and sets
+glibc's malloc thresholds once (see ``_keep_freed_heap_mapped``), so every
+entry point runs under the same thread and allocator policy.
 """
 
 import ctypes
+import os
 
 __version__ = "0.1.0"
 
 # mallopt parameter numbers from glibc's <malloc.h>
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
+
+
+def _apply_thread_cap() -> None:
+    """When ``TS3D_THREADS`` is set, use it for each thread-pool variable that
+    is not set already; the pools read them once, when numpy is first imported."""
+    cap = os.environ.get("TS3D_THREADS")
+    if not cap:
+        return
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "NUMEXPR_NUM_THREADS"):
+        os.environ.setdefault(var, cap)
 
 
 def _keep_freed_heap_mapped(lib) -> None:
@@ -44,5 +57,6 @@ def _keep_freed_heap_mapped(lib) -> None:
     mallopt(_M_MMAP_THRESHOLD, 32 << 20)
 
 
+_apply_thread_cap()
 # the running process's own symbols; ctypes.util.find_library would spawn ldconfig
 _keep_freed_heap_mapped(ctypes.CDLL(None))

@@ -24,12 +24,22 @@ from .synth import SynthParams, synth_scene
 from .tensor import Tensor
 
 
-def _probe(shape, seed=99):
+def _probe(shape, seed):
     return Tensor(np.random.default_rng(seed).normal(size=shape), dtype=np.float64)
 
 
-def _weighted(out, probe):
-    return ops.sum_(ops.mul(out, probe))
+def _probed(f, seed):
+    """A scalar objective from ``f``: each output (one tensor, or several)
+    times a normal probe of its own shape, drawn with seeds seed, seed + 1,
+    ..., summed over all elements and outputs."""
+    def objective(*inputs):
+        outs = f(*inputs)
+        total = None
+        for i, out in enumerate([outs] if isinstance(outs, Tensor) else outs):
+            term = ops.sum_(ops.mul(out, _probe(out.shape, seed + i)))
+            total = term if total is None else ops.add(total, term)
+        return total
+    return objective
 
 
 def run_op_checks(seed: int = 0):
@@ -37,100 +47,72 @@ def run_op_checks(seed: int = 0):
     rng = np.random.default_rng(seed)
     results = []
 
-    def check(name, f, inputs, tol=1e-6, eps=1e-6):
-        results.append((name, grad_check(f, inputs, eps=eps), tol))
+    def check(name, f, inputs):
+        results.append((name, grad_check(_probed(f, 99), inputs), 1e-6))
 
     for tag, (h, w, cin, cout, stride) in (
         ("s1", (5, 6, 3, 4, 1)), ("s2", (7, 6, 2, 3, 2)), ("wide", (4, 9, 4, 2, 1)),
     ):
-        x = rand_tensor(rng, (h, w, cin))
-        k = rand_tensor(rng, (3, 3, cin, cout))
-        b = rand_tensor(rng, (cout,))
-        ho = (h + 2 - 3) // stride + 1
-        wo = (w + 2 - 3) // stride + 1
-        check(
-            f"conv2d[{tag}]",
-            lambda x_, k_, b_, s=stride, p=_probe((ho, wo, cout)): _weighted(
-                ops.conv2d(x_, k_, b_, stride=s, padding=1), p),
-            [x, k, b],
-        )
+        check(f"conv2d[{tag}]",
+              lambda x_, k_, b_, s=stride: ops.conv2d(x_, k_, b_, stride=s, padding=1),
+              [rand_tensor(rng, (h, w, cin)), rand_tensor(rng, (3, 3, cin, cout)),
+               rand_tensor(rng, (cout,))])
 
     feat = rand_tensor(rng, (6, 8, 3))
     pts = Tensor(rng.uniform(0.3, 4.4, size=(7, 2)), dtype=np.float64, requires_grad=True)
-    check("bilinear_sample",
-          lambda f_, p_: _weighted(ops.bilinear_sample(f_, p_), _probe((7, 3))),
-          [feat, pts])
+    check("bilinear_sample", ops.bilinear_sample, [feat, pts])
     gpts = Tensor(rng.uniform(0.3, 4.4, size=(2, 4, 2)), dtype=np.float64, requires_grad=True)
-    check("bilinear_sample[grouped]",
-          lambda f_, p_: _weighted(ops.bilinear_sample(f_, p_), _probe((2, 4, 3))),
-          [rand_tensor(rng, (2, 5, 6, 3)), gpts])
+    check("bilinear_sample[grouped]", ops.bilinear_sample, [rand_tensor(rng, (2, 5, 6, 3)), gpts])
 
     left = rand_tensor(rng, (3, 9, 4))
     right = rand_tensor(rng, (3, 9, 4))
-    check("correlation_volume",
-          lambda l, r: _weighted(ops.correlation_volume(l, r, 5), _probe((3, 9, 5))),
-          [left, right])
+    check("correlation_volume", lambda l, r: ops.correlation_volume(l, r, 5), [left, right])
 
     x2 = rand_tensor(rng, (4, 6))
-    check("softmax", lambda a: _weighted(ops.softmax(a, axis=1), _probe((4, 6))), [x2])
-    check("softargmax", lambda a: _weighted(softargmax(a, axis=-1), _probe((4,))), [x2])
+    check("softmax", lambda a: ops.softmax(a, axis=1), [x2])
+    check("softargmax", lambda a: softargmax(a, axis=-1), [x2])
 
     a = rand_tensor(rng, (3, 4))
     bmat = rand_tensor(rng, (4, 5))
-    check("matmul", lambda a_, b_: _weighted(ops.matmul(a_, b_), _probe((3, 5))), [a, bmat])
-    bias = rand_tensor(rng, (5,))
-    check("linear", lambda a_, w_, b_: _weighted(ops.linear(a_, w_, b_), _probe((3, 5))),
-          [a, bmat, bias])
+    check("matmul", ops.matmul, [a, bmat])
+    check("linear", ops.linear, [a, bmat, rand_tensor(rng, (5,))])
 
     v = Tensor(np.where(np.abs(z := rng.normal(size=10)) < 0.1, 0.4, z),
                dtype=np.float64, requires_grad=True)
-    check("relu", lambda x_: _weighted(ops.relu(x_), _probe((10,))), [v])
-    check("sigmoid", lambda x_: _weighted(ops.sigmoid(x_), _probe((10,))), [v])
+    check("relu", ops.relu, [v])
+    check("sigmoid", ops.sigmoid, [v])
     w2 = rand_tensor(rng, (10,))
-    check("add", lambda x_, y_: _weighted(ops.add(x_, y_), _probe((10,))), [v, w2])
-    check("mul", lambda x_, y_: _weighted(ops.mul(x_, y_), _probe((10,))), [v, w2])
+    check("add", ops.add, [v, w2])
+    check("mul", ops.mul, [v, w2])
 
     x3 = rand_tensor(rng, (3, 4, 2))
-    check("concat", lambda x_, y_: _weighted(ops.concat([x_, y_], axis=1), _probe((3, 8, 2))),
+    check("concat", lambda x_, y_: ops.concat([x_, y_], axis=1),
           [x3, rand_tensor(rng, (3, 4, 2))])
-    check("upsample2x", lambda x_: _weighted(ops.upsample2x(x_), _probe((6, 8, 2))), [x3])
-    check("reshape", lambda x_: _weighted(ops.reshape(x_, (6, 4)), _probe((6, 4))), [x3])
-    check("narrow", lambda x_: _weighted(ops.narrow(x_, 1, 1, 2), _probe((3, 2, 2))), [x3])
-    check("take_rows",
-          lambda x_: _weighted(ops.take_rows(x_, np.array([0, 2, 2])), _probe((3, 4, 2))),
-          [x3])
-    check("sum", lambda x_: _weighted(ops.sum_(x_, axis=1), _probe((3, 2))), [x3])
+    check("upsample2x", ops.upsample2x, [x3])
+    check("reshape", lambda x_: ops.reshape(x_, (6, 4)), [x3])
+    check("narrow", lambda x_: ops.narrow(x_, 1, 1, 2), [x3])
+    check("take_rows", lambda x_: ops.take_rows(x_, np.array([0, 2, 2])), [x3])
+    check("sum", lambda x_: ops.sum_(x_, axis=1), [x3])
 
     g = rand_tensor(rng, (3,), lo=0.5, hi=1.5)
     be = rand_tensor(rng, (3,))
-    check("channel_norm",
-          lambda x_, g_, b_: _weighted(ops.channel_norm(x_, g_, b_), _probe((4, 5, 3))),
-          [rand_tensor(rng, (4, 5, 3)), g, be])
+    check("channel_norm", ops.channel_norm, [rand_tensor(rng, (4, 5, 3)), g, be])
 
     # one full row block and a partial one
-    n_att = ops.ATTENTION_ROW_BLOCK + 22
-    check("attention",
-          lambda q_, k_, v_: _weighted(ops.attention(q_, k_, v_, 2), _probe((n_att, 4))),
-          [rand_tensor(rng, (n_att, 4)) for _ in range(3)])
-    check("scale", lambda x_: _weighted(ops.scale(x_, -2.5), _probe((10,))), [v])
+    check("attention", lambda q_, k_, v_: ops.attention(q_, k_, v_, 2),
+          [rand_tensor(rng, (ops.ATTENTION_ROW_BLOCK + 22, 4)) for _ in range(3)])
+    check("scale", lambda x_: ops.scale(x_, -2.5), [v])
 
     for tag, (h, w, stride, relu) in (("s1-relu", (5, 6, 1, True)),
                                        ("s2-linear", (7, 6, 2, False))):
-        ho, wo = (h - 1) // stride + 1, (w - 1) // stride + 1
-        check(
-            f"conv_norm_act[{tag}]",
-            lambda x_, k_, g_, b_, s=stride, r=relu, p=_probe((ho, wo, 4)): _weighted(
-                ops.conv_norm_act(x_, k_, g_, b_, r, s, 1), p),
-            [rand_tensor(rng, (h, w, 3)), rand_tensor(rng, (3, 3, 3, 4)),
-             rand_tensor(rng, (4,), lo=0.5, hi=1.5), rand_tensor(rng, (4,))],
-        )
-    check("linear[3d]",
-          lambda x_, w_, b_: _weighted(ops.linear(x_, w_, b_), _probe((2, 3, 6))),
+        check(f"conv_norm_act[{tag}]",
+              lambda x_, k_, g_, b_, s=stride, r=relu: ops.conv_norm_act(x_, k_, g_, b_, r, s, 1),
+              [rand_tensor(rng, (h, w, 3)), rand_tensor(rng, (3, 3, 3, 4)),
+               rand_tensor(rng, (4,), lo=0.5, hi=1.5), rand_tensor(rng, (4,))])
+    check("linear[3d]", ops.linear,
           [rand_tensor(rng, (2, 3, 4)), rand_tensor(rng, (4, 6)), rand_tensor(rng, (1, 6))])
     # two levels, two heads, three queries, two points per level
-    check("ms_deform_attn",
-          lambda v1, v2, loc, aw: _weighted(ops.ms_deform_attn([v1, v2], loc, aw),
-                                            _probe((3, 6))),
+    check("ms_deform_attn", lambda v1, v2, loc, aw: ops.ms_deform_attn([v1, v2], loc, aw),
           [rand_tensor(rng, (3, 4, 6)), rand_tensor(rng, (2, 3, 6)),
            rand_tensor(rng, (3, 2, 2, 2, 2), lo=-0.1, hi=1.1),
            rand_tensor(rng, (3, 2, 2, 2), lo=0.1, hi=1.0)])
@@ -141,35 +123,32 @@ def run_module_checks(seed: int = 0):
     rng = np.random.default_rng(seed)
     results = []
 
-    def check(name, f, inputs, tol, eps=1e-6):
-        results.append((name, grad_check(f, inputs, eps=eps), tol))
+    def check(name, f, inputs, tol, probe=None, eps=1e-6):
+        """``probe``: the seed of ``f``'s output probes; None for a scalar ``f``."""
+        objective = f if probe is None else _probed(f, probe)
+        results.append((name, grad_check(objective, inputs, eps=eps), tol))
 
     # cost-volume pyramid (correlate, fuse, aggregate, project)
     net = SPFPN(rng, bins=(3, 4), c_dec=5)
     l1 = rand_tensor(rng, (4, 6, 3))
     r1 = rand_tensor(rng, (4, 6, 3))
     c2_const = Tensor(rng.normal(size=(2, 3, 4)), dtype=np.float64)
-    probes = [_probe((4, 6, 5), 31), _probe((2, 3, 5), 32)]
 
     def pyramid(l, r):
         c1 = intra_scale_fuse(ops.correlation_volume(l, r, 3),
                               ops.correlation_volume(l, r, 3))
-        keys = [lv.projected() for lv in net.project_scales(
+        return [ops.linear(*level) for level in net.project_scales(
             net.cross_scale_aggregate([c1, c2_const]))]
-        return ops.add(_weighted(keys[0], probes[0]), _weighted(keys[1], probes[1]))
 
-    check("spfpn", pyramid, [l1, r1], tol=1e-4)
+    check("spfpn", pyramid, [l1, r1], tol=1e-4, probe=31)
 
     # disparity-aware positional encoding
     logits = Tensor(rng.normal(size=(2, 3, 4)), dtype=np.float64, requires_grad=True)
-    check("dape",
-          lambda lg: _weighted(dape(lg, c_dec=12), _probe((2, 3, 12), 33)),
-          [logits], tol=1e-4)
+    check("dape", lambda lg: dape(lg, c_dec=12), [logits], tol=1e-4, probe=33)
 
     # self-attention
     attn = MHSA(rng, c_dec=6, heads=2)
-    xq = rand_tensor(rng, (4, 6))
-    check("mhsa", lambda x_: _weighted(attn.forward(x_), _probe((4, 6), 34)), [xq], tol=1e-5)
+    check("mhsa", attn.forward, [rand_tensor(rng, (4, 6))], tol=1e-5, probe=34)
 
     # one full decoder layer
     layer = DecoderLayer(rng, c_dec=4, heads=2, points=2, n_levels=1, ffn_hidden=8)
@@ -182,21 +161,13 @@ def run_module_checks(seed: int = 0):
     kernel0 = Tensor(proj_rng.normal(size=(4, 4)), dtype=np.float64)
     bias0 = Tensor(proj_rng.normal(size=(1, 4)), dtype=np.float64)
     check("decoder_layer",
-          lambda q_, f_: _weighted(layer.forward(q_, None, refs,
-                                                 [LevelProjection(f_, kernel0, bias0)]),
-                                   _probe((4, 4), 35)),
-          [q0, f0], tol=1e-4)
+          lambda q_, f_: layer.forward(q_, None, refs, [LevelProjection(f_, kernel0, bias0)]),
+          [q0, f0], tol=1e-4, probe=35)
 
     # detection heads
     head = DetectionHead(rng, c_dec=6, n_classes=1, anchors_per_cell=1)
     head.reg_out.w.data[:] = 0.1 * rng.normal(size=head.reg_out.w.data.shape)
-    qh = rand_tensor(rng, (4, 6))
-
-    def head_fn(q_):
-        cls, reg = head.forward(q_)
-        return ops.add(_weighted(cls, _probe((4, 2), 36)), _weighted(reg, _probe((4, 13), 37)))
-
-    check("detection_head", head_fn, [qh], tol=1e-5)
+    check("detection_head", head.forward, [rand_tensor(rng, (4, 6))], tol=1e-5, probe=36)
 
     # losses
     probs = Tensor(rng.uniform(0.1, 0.9, size=(8,)), dtype=np.float64, requires_grad=True)

@@ -6,7 +6,7 @@ path that cannot be read or written, 3 numerical failure (NaN or a failed
 gradient check).
 
 The TS3D_THREADS environment variable caps worker parallelism, including the
-BLAS thread pools, and is applied before numpy is first imported.
+BLAS thread pools; importing ts3d applies it, before numpy is first imported.
 
 Under glibc, importing ts3d raises malloc's trim and mmap thresholds, so freed
 temporaries stay mapped for the next step or frame instead of faulting in again.
@@ -18,6 +18,18 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
+from .checksuite import run_scope
+from .config import check_interval, load_config
+from .dataset import MANIFEST_NAME, build_pseudo_gt, generate_dataset, load_frame, read_manifest
+from .evalkit import evaluate_directories, write_report
+from .kitti_io import write_pgm
+from .model import QUERY_STRIDE, dape_similarity_heatmap
+from .synth import SynthParams
+from .tensor import ConfigError, NumericalError, Tensor, no_grad
+from .train import load_trained_model, run_inference, train_run
+
 
 class UsageError(Exception):
     pass
@@ -26,15 +38,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-def _apply_thread_cap():
-    cap = os.environ.get("TS3D_THREADS")
-    if not cap:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
 
 
 def _build_parser() -> _Parser:
@@ -117,17 +120,12 @@ def _parse_overrides(pairs):
 
 
 def _load_cfg(args):
-    from .config import load_config
-
     return load_config(path=args.config, preset=args.preset,
                        overrides=_parse_overrides(args.overrides))
 
 
 def _range_flag(flag, text, cast, interval):
     """LO,HI from a synth flag, both in ``interval``; ConfigError naming the flag."""
-    from .config import check_interval
-    from .tensor import ConfigError
-
     try:
         lo, hi = (cast(x) for x in text.split(","))
     except ValueError:
@@ -140,10 +138,6 @@ def _range_flag(flag, text, cast, interval):
 
 
 def _cmd_synth(args) -> int:
-    from .config import check_interval
-    from .dataset import generate_dataset
-    from .synth import SynthParams
-
     cfg = _load_cfg(args)
     for flag, n in (("--frames", args.frames), ("--val-frames", args.val_frames),
                     ("--seed", args.seed)):
@@ -162,8 +156,6 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_pseudogt(args) -> int:
-    from .dataset import build_pseudo_gt
-
     cfg = _load_cfg(args)
     n = build_pseudo_gt(args.data, max_disp=cfg.resolved_bm_max_disp(),
                         window=cfg.bm_window)
@@ -172,9 +164,6 @@ def _cmd_pseudogt(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    from .config import check_interval
-    from .train import train_run
-
     cfg = _load_cfg(args)
     check_interval("--print-every", args.print_every, "[1, inf)")
     train_run(cfg, args.data, args.out, resume=args.resume,
@@ -184,8 +173,6 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_infer(args) -> int:
-    from .train import load_trained_model, run_inference
-
     cfg = _load_cfg(args)
     model = load_trained_model(cfg, args.data, args.ckpt)
     n = run_inference(model, args.data, args.split, args.out)
@@ -194,9 +181,6 @@ def _cmd_infer(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    from .config import check_interval
-    from .evalkit import evaluate_directories, write_report
-
     cfg = _load_cfg(args)
     check_interval("--iou", args.iou, "(0, 1]")
     gt_dir = args.gt
@@ -214,9 +198,6 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    from .checksuite import run_scope
-    from .config import check_interval
-
     check_interval("--seed", args.seed, "[0, inf)")
     results = run_scope(args.scope, seed=args.seed)
     failed = 0
@@ -229,15 +210,6 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_heatmap(args) -> int:
-    import numpy as np
-
-    from .config import check_interval
-    from .dataset import MANIFEST_NAME, load_frame, read_manifest
-    from .kitti_io import write_pgm
-    from .model import QUERY_STRIDE, dape_similarity_heatmap
-    from .tensor import ConfigError, Tensor, no_grad
-    from .train import load_trained_model
-
     cfg = _load_cfg(args)
     try:
         u, v = (int(x) for x in args.probe.split(","))
@@ -279,15 +251,12 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    from .tensor import ConfigError, NumericalError
-
     try:
         return _COMMANDS[args.command](args)
     except UsageError as exc:

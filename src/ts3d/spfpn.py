@@ -23,16 +23,12 @@ from .tensor import ConfigError, DimensionError, Module, ModuleList, Tensor
 
 class LevelProjection(NamedTuple):
     """One level's 1x1 projection in factored form: the projected map is
-    ``ops.linear(agg, kernel, bias)`` over the level's pixels, and the model
-    never builds it; only checks call ``projected()``."""
+    ``ops.linear(*level)`` over the level's pixels, and the model never
+    builds it; only checks do."""
 
     agg: Tensor     # (H, W, c_l) aggregated cost volume
     kernel: Tensor  # (c_l, c_dec) 1x1 conv kernel
     bias: Tensor    # (1, c_dec)
-
-    def projected(self) -> Tensor:
-        """The (H, W, c_dec) projected map itself, for checks against it."""
-        return ops.linear(self.agg, self.kernel, self.bias)
 
 
 def intra_scale_fuse(c_primary: Tensor, c_enhanced: Tensor) -> Tensor:

@@ -1,5 +1,5 @@
 """Importing ts3d keeps freed heap memory mapped, so repeated forwards do not
-page-fault their temporaries in again."""
+page-fault their temporaries in again, and applies the TS3D_THREADS cap."""
 
 import os
 import platform
@@ -54,3 +54,24 @@ def test_a_warm_desk_forward_does_not_fault_its_temporaries_in_again():
 
 def test_a_library_without_mallopt_is_left_alone():
     assert _keep_freed_heap_mapped(types.SimpleNamespace()) is None
+
+
+_POOL_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+              "NUMEXPR_NUM_THREADS")
+
+
+@pytest.mark.parametrize("cap, preset, expected", [
+    ("1", {"OPENBLAS_NUM_THREADS": "3"}, ["1", "3", "1", "1"]),
+    (None, {}, [None] * 4),
+])
+def test_importing_ts3d_fills_the_unset_thread_pool_variables_from_the_cap(cap, preset,
+                                                                           expected):
+    env = {k: v for k, v in os.environ.items() if k not in _POOL_VARS + ("TS3D_THREADS",)}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
+    env.update(preset)
+    if cap is not None:
+        env["TS3D_THREADS"] = cap
+    script = f"import os, ts3d; print([os.environ.get(v) for v in {_POOL_VARS!r}])"
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == repr(expected)

@@ -188,14 +188,14 @@ def test_projection_shapes_and_identity_passthrough():
     inits = _toy_inits(rng, dtype=np.float32)
     with no_grad():
         agg = net.cross_scale_aggregate(inits)
-        keys = [lv.projected() for lv in net.project_scales(agg)]
+        keys = [ops.linear(*lv) for lv in net.project_scales(agg)]
     assert [k.shape[-1] for k in keys] == [18, 18, 18]
     assert keys[2].shape[:2] == agg[2].shape[:2]
     # identity-initialized 1x1 projection passes through when widths match
     net.project[2].w.data[:] = np.eye(18, dtype=np.float32).reshape(1, 1, 18, 18)
     net.project[2].b.data[:] = 0.0
     with no_grad():
-        again = [lv.projected() for lv in net.project_scales(agg)]
+        again = [ops.linear(*lv) for lv in net.project_scales(agg)]
     assert np.allclose(again[2].data, agg[2].data, atol=1e-6)
 
 
@@ -206,7 +206,7 @@ def test_variant_modes_emit_uniform_width_levels():
         net = SPFPN(rng, bins=(4, 6, 8), c_dec=12, variant=variant).astype(np.float32)
         with no_grad():
             agg = net.aggregate(inits)
-            keys = [lv.projected() for lv in net.project_scales(agg)]
+            keys = [ops.linear(*lv) for lv in net.project_scales(agg)]
         assert len(keys) == 3
         assert all(k.shape[-1] == 12 for k in keys)
         assert [k.shape[:2] for k in keys] == [t.shape[:2] for t in inits]
@@ -238,7 +238,7 @@ def test_pyramid_gradcheck_composite():
                               ops.correlation_volume(l1, r1, 3))
         c2 = Tensor(np.random.default_rng(22).normal(size=(2, 3, 4)), dtype=np.float64)
         agg = net.cross_scale_aggregate([c1, c2])
-        keys = [lv.projected() for lv in net.project_scales(agg)]
+        keys = [ops.linear(*lv) for lv in net.project_scales(agg)]
         total = None
         for k, p in zip(keys, probe):
             term = ops.sum_(ops.mul(k, p))
