@@ -20,6 +20,7 @@ fsyncs it and renames it over ``<path>``, so readers never see a partial file.
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import struct
 import zlib
@@ -65,7 +66,8 @@ def save_arrays(path, arrays: dict) -> None:
 
 
 def load_arrays(path) -> dict:
-    """Read a container; a bad checksum or a truncated file raises ValueError."""
+    """Read a container; a bad checksum, a truncated file or an entry table
+    that does not fit the data before the trailer raises ValueError."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != MAGIC:
@@ -78,24 +80,34 @@ def load_arrays(path) -> dict:
     (crc,) = struct.unpack_from("<I", blob, len(blob) - 4)
     if zlib.crc32(memoryview(blob)[:-4]) != crc:
         raise ValueError(f"'{path}' is truncated or corrupted (CRC-32 mismatch)")
-    out = {}
+    end = len(blob) - 4  # where the CRC-32 trailer starts
     off = 12
-    for _ in range(count):
-        (nlen,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        name = blob[off : off + nlen].decode("utf-8")
-        off += nlen
-        tag, rank = struct.unpack_from("<BB", blob, off)
-        off += 2
+
+    def take(size, entry):
+        """Offset of ``entry``'s next ``size`` bytes, which must end before the trailer."""
+        nonlocal off
+        if off + size > end:
+            raise ValueError(f"'{path}': {entry} of {count} runs past the end of the data")
+        off += size
+        return off - size
+
+    out = {}
+    for i in range(count):
+        entry = f"entry {i}"
+        (nlen,) = struct.unpack_from("<I", blob, take(4, entry))
+        start = take(nlen, entry)
+        name = blob[start : start + nlen].decode("utf-8")
+        entry = f"entry {i} '{name}'"
+        tag, rank = struct.unpack_from("<BB", blob, take(2, entry))
         if tag not in _DTYPE_TAGS:
             raise ValueError(f"unknown dtype tag {tag} for entry '{name}'")
-        shape = struct.unpack_from(f"<{rank}I", blob, off) if rank else ()
-        off += 4 * rank
+        shape = struct.unpack_from(f"<{rank}I", blob, take(4 * rank, entry))
         dtype = _DTYPE_TAGS[tag]
-        n = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(blob, dtype=dtype, count=n, offset=off).reshape(shape)
-        off += n * dtype.itemsize
-        out[name] = arr.copy()
+        n = math.prod(shape)
+        data = np.frombuffer(blob, dtype=dtype, count=n, offset=take(n * dtype.itemsize, entry))
+        out[name] = data.reshape(shape).copy()
+    if off != end:
+        raise ValueError(f"'{path}': {end - off} bytes follow the last of {count} entries")
     return out
 
 

@@ -111,6 +111,10 @@ class RunConfig:
         if len(self.bins) != 3 or not self.anchor_ratios or not self.classes:
             fail(f"bins needs three entries and anchor_ratios and classes at least one, "
                  f"got {self.bins}, {self.anchor_ratios}, {self.classes}")
+        for name in self.classes:
+            if not name or "#" in name or "," in name or any(c.isspace() for c in name):
+                fail(f"classes entries must be non-empty without '#', ',' or whitespace, "
+                     f"as KITTI label types and config lines are, got {name!r}")
         if self.width % 16 or self.height % 16:
             fail(f"width/height must be divisible by 16, got {self.width}x{self.height}")
         if self.c_disp >= self.c_dec:

@@ -87,6 +87,39 @@ def test_flipped_payload_byte_names_path(tmp_path):
         load_arrays(path)
 
 
+def _resealed(path, blob):
+    """Write ``blob`` with a valid CRC-32 trailer, so only the entry table is wrong."""
+    path.write_bytes(bytes(blob) + struct.pack("<I", zlib.crc32(blob)))
+    return path
+
+
+def test_entry_count_beyond_the_entries_present_names_path_and_entry(tmp_path):
+    path = _saved(tmp_path)
+    blob = bytearray(path.read_bytes()[:-4])
+    blob[8:12] = struct.pack("<I", 3)
+    with pytest.raises(ValueError, match=r"ckpt\.ts3d.*entry 2 of 3"):
+        load_arrays(_resealed(path, blob))
+
+
+def test_extent_beyond_the_data_names_path_and_entry(tmp_path):
+    path = _saved(tmp_path)
+    blob = bytearray(path.read_bytes()[:-4])
+    # entry "b": 12-byte header + 1 name byte + 24 data bytes of "a", then
+    # name length, name, tag and rank, then its one extent
+    off = 12 + 4 + 1 + 2 + 8 + 24 + 4 + 1 + 2
+    assert struct.unpack_from("<I", blob, off)[0] == 4
+    blob[off:off + 4] = struct.pack("<I", 5)
+    with pytest.raises(ValueError, match=r"ckpt\.ts3d.*entry 1 'b'"):
+        load_arrays(_resealed(path, blob))
+
+
+def test_bytes_after_the_last_entry_are_rejected(tmp_path):
+    path = _saved(tmp_path)
+    blob = path.read_bytes()[:-4] + bytes(8)
+    with pytest.raises(ValueError, match=r"ckpt\.ts3d.*8 bytes follow the last of 2 entries"):
+        load_arrays(_resealed(path, blob))
+
+
 class _Net(Module):
     def __init__(self, scale=1.0):
         super().__init__()

@@ -3,6 +3,7 @@
 import hashlib
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import types
@@ -340,6 +341,27 @@ def test_config_rejects_a_block_matching_window_that_cannot_fit(window):
     assert load_config(preset="toy", overrides={"bm_window": "31"}).bm_window == 31
 
 
+# '#' starts a config comment, and KITTI label types are split on whitespace
+@pytest.mark.parametrize("name", ["Car#2", "Big Car"])
+def test_config_rejects_a_class_name_that_config_text_and_labels_cannot_carry(name):
+    with pytest.raises(ConfigError, match="classes"):
+        load_config(preset="toy", overrides={"classes": name})
+
+
+@pytest.mark.parametrize("classes", [("Car", ""), ("Car,Van",), ("Car\t",)])
+def test_run_config_rejects_a_class_name_its_save_cannot_write_back(classes):
+    with pytest.raises(ConfigError, match="classes"):
+        replace(RunConfig.toy(), classes=classes).validate()
+
+
+def test_cli_rejects_a_class_name_with_a_comment_mark_before_any_work(tmp_path):
+    r = _cli("synth", "--out", "data", "--frames", "1", "--preset", "toy",
+             "--set", "classes=Car#2", cwd=tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert "classes" in r.stderr and "Traceback" not in r.stderr
+    assert not (tmp_path / "data").exists()
+
+
 @pytest.mark.parametrize("preset", ["full", "desk", "toy"])
 def test_config_text_roundtrip_keeps_default_types(preset, tmp_path):
     cfg = load_config(preset=preset)
@@ -523,6 +545,20 @@ def test_cli_infer_truncated_checkpoint_is_exit_2(toy_dataset, tmp_path):
              "--out", "preds", "--preset", "toy", cwd=tmp_path)
     assert r.returncode == 2
     assert str(ckpt) in r.stderr
+
+
+def test_cli_infer_checkpoint_listing_more_entries_than_it_holds_is_exit_2(toy_ckpt,
+                                                                           toy_dataset,
+                                                                           tmp_path):
+    blob = bytearray(toy_ckpt.read_bytes()[:-4])
+    blob[8:12] = struct.pack("<I", struct.unpack_from("<I", blob, 8)[0] + 1)
+    ckpt = tmp_path / "overcount.ts3d"
+    ckpt.write_bytes(bytes(blob) + struct.pack("<I", zlib.crc32(blob)))
+    r = _cli("infer", "--ckpt", str(ckpt), "--data", str(toy_dataset), "--split", "val",
+             "--out", "preds", "--preset", "toy", cwd=tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert str(ckpt) in r.stderr and "Traceback" not in r.stderr
+    assert not (tmp_path / "preds").exists()
 
 
 def test_cli_resume_from_parameters_only_checkpoint_is_exit_2(toy_dataset, tmp_path):
