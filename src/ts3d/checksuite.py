@@ -42,6 +42,11 @@ def _probed(f, seed):
     return objective
 
 
+def _logits(p):
+    """The logits of probabilities ``p``, as a float64 input tensor."""
+    return Tensor(np.log(p / (1.0 - p)), dtype=np.float64, requires_grad=True)
+
+
 def run_op_checks(seed: int = 0):
     """Returns [(name, max_rel_err, tolerance)]."""
     rng = np.random.default_rng(seed)
@@ -80,7 +85,6 @@ def run_op_checks(seed: int = 0):
     v = Tensor(np.where(np.abs(z := rng.normal(size=10)) < 0.1, 0.4, z),
                dtype=np.float64, requires_grad=True)
     check("relu", ops.relu, [v])
-    check("sigmoid", ops.sigmoid, [v])
     w2 = rand_tensor(rng, (10,))
     check("add", ops.add, [v, w2])
     check("mul", ops.mul, [v, w2])
@@ -170,16 +174,15 @@ def run_module_checks(seed: int = 0):
     check("detection_head", head.forward, [rand_tensor(rng, (4, 6))], tol=1e-5, probe=36)
 
     # losses
-    probs = Tensor(rng.uniform(0.1, 0.9, size=(8,)), dtype=np.float64, requires_grad=True)
+    cls_in = _logits(rng.uniform(0.1, 0.9, size=(8,)))
     tgt = (rng.uniform(size=8) > 0.6).astype(np.float64)
-    check("focal_loss", lambda p: ops.focal_loss(p, tgt), [probs], tol=1e-6)
+    check("focal_loss", lambda x: ops.focal_loss(x, tgt), [cls_in], tol=1e-6)
     reg_in = rand_tensor(rng, (6,))
     reg_target = rng.normal(size=6)
     check("smooth_l1", lambda p: ops.smooth_l1(p, reg_target), [reg_in], tol=1e-5, eps=1e-7)
-    orient_in = Tensor(rng.uniform(0.15, 0.85, size=(5,)), dtype=np.float64,
-                       requires_grad=True)
+    orient_in = _logits(rng.uniform(0.15, 0.85, size=(5,)))
     blab = (rng.uniform(size=5) > 0.5).astype(np.float64)
-    check("focal_loss[orientation]", lambda p: ops.focal_loss(p, blab, alpha=1.0, gamma=1.0),
+    check("focal_loss[orientation]", lambda x: ops.focal_loss(x, blab, alpha=1.0, gamma=1.0),
           [orient_in], tol=1e-6)
     dl = Tensor(rng.normal(size=(2, 3, 4)), dtype=np.float64, requires_grad=True)
     gt = rng.uniform(0, 3, size=(2, 3))

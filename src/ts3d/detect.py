@@ -17,8 +17,9 @@ reads a frame's labels and computes every target as arrays (one row per
 positive anchor), and ``decode_detections`` returns scored labels ready to
 be written as a KITTI detection file.
 
-Per layer the loss is ``ops.focal_loss`` on class scores, ``ops.smooth_l1`` on
-the offsets and ``ops.focal_loss`` (alpha = gamma = 1) on the branch c_a.
+Per layer the loss is ``ops.focal_loss`` on the class logits, ``ops.smooth_l1``
+on the offsets and ``ops.focal_loss`` (alpha = gamma = 1) on the logit of the
+branch c_a; the focal loss applies the sigmoid itself.
 """
 
 from __future__ import annotations
@@ -336,13 +337,12 @@ def layer_detection_loss(cls_logits: Tensor, reg_out: Tensor, targets: TargetSet
                          alpha=20.0, gamma=2.0, beta=0.04):
     """(classification, regression, orientation) sums for one decoder layer;
     without positives the last two sum no rows (+0.0, zero gradient)."""
-    probs = ops.sigmoid(cls_logits)
-    cls_loss = ops.focal_loss(probs, targets.cls_targets, alpha=alpha, gamma=gamma,
+    cls_loss = ops.focal_loss(cls_logits, targets.cls_targets, alpha=alpha, gamma=gamma,
                               weights=targets.cls_weights)
     pred = ops.take_rows(reg_out, targets.pos_rows)
     reg_loss = ops.smooth_l1(ops.narrow(pred, 1, 0, 12), targets.offsets[:, :12], beta=beta)
-    branch_prob = ops.sigmoid(ops.narrow(pred, 1, 12, 1))
-    orient_loss = ops.focal_loss(branch_prob, targets.offsets[:, 12:], alpha=1.0, gamma=1.0)
+    orient_loss = ops.focal_loss(ops.narrow(pred, 1, 12, 1), targets.offsets[:, 12:],
+                                 alpha=1.0, gamma=1.0)
     return cls_loss, reg_loss, orient_loss
 
 

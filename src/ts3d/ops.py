@@ -1,7 +1,7 @@
 """Differentiable operators over Tensor.
 
 Exactly the operator set the detector needs: elementwise arithmetic (add,
-mul, scale, relu, sigmoid), reductions, shape ops, matmul, the affine map
+mul, scale, relu), reductions, shape ops, matmul, the affine map
 over any leading shape (linear), conv2d (a row-blocked im2col GEMM), bilinear
 sampling, row-blocked multi-scale deformable attention over channel-merged
 value maps (ms_deform_attn), normalization, the backbone's fused conv ->
@@ -91,24 +91,6 @@ def relu(a) -> Tensor:
         return bw
 
     return make_node(np.maximum(a.data, 0.0), (a,), "relu", build)
-
-
-def sigmoid(a) -> Tensor:
-    a = as_tensor(a)
-    x = a.data
-    data = np.empty_like(x)
-    pos = x >= 0
-    data[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    data[~pos] = ex / (1.0 + ex)
-
-    def build():
-        def bw(g):
-            if a.requires_grad:
-                a.accumulate_grad(g * data * (1.0 - data), "sigmoid")
-        return bw
-
-    return make_node(data, (a,), "sigmoid", build)
 
 
 # ---------------------------------------------------------------------------
@@ -900,19 +882,26 @@ def correlation_volume(x_left, x_right, n_disparities: int) -> Tensor:
 # losses: each sums over one input tensor against constant targets
 
 
-def focal_loss(p_hat, targets, alpha: float = 20.0, gamma: float = 2.0,
+def focal_loss(logits, targets, alpha: float = 20.0, gamma: float = 2.0,
                weights=None) -> Tensor:
-    """Summed focal loss on probabilities (Lin et al., ICCV 2017).
+    """Summed focal loss on logits (Lin et al., ICCV 2017), as torchvision's
+    ``sigmoid_focal_loss``: p = sigmoid(x), computed inside.
 
     Target 1 costs -alpha (1 - p)^gamma log p, target 0 costs -p^gamma log(1 - p),
     and ``weights`` scales each entry. p is clipped to [1e-7, 1 - 1e-7]; a
     clipped entry gets no gradient. alpha = gamma = 1 gives -(1 - p_t) log p_t.
     """
-    p_hat = as_tensor(p_hat)
+    logits = as_tensor(logits)
     eps = 1e-7
     pos = np.asarray(targets) > 0.5
-    w = 1.0 if weights is None else np.asarray(weights, dtype=p_hat.dtype)
-    p = np.clip(p_hat.data, eps, 1.0 - eps)
+    w = 1.0 if weights is None else np.asarray(weights, dtype=logits.dtype)
+    x = logits.data
+    sig = np.empty_like(x)  # split so that exp never overflows
+    up = x >= 0
+    sig[up] = 1.0 / (1.0 + np.exp(-x[up]))
+    ex = np.exp(x[~up])
+    sig[~up] = ex / (1.0 + ex)
+    p = np.clip(sig, eps, 1.0 - eps)
     q = 1.0 - p
     p_t = np.where(pos, p, q)  # probability of the labelled outcome
     rest = np.where(pos, q, p)  # 1 - p_t, not rounded through 1 - (1 - p)
@@ -923,14 +912,15 @@ def focal_loss(p_hat, targets, alpha: float = 20.0, gamma: float = 2.0,
         # d/dp of c rest^gamma log p_t, c = -alpha or -1; dp_t/dp = -drest/dp = +1 or -1
         slope = np.where(pos, -alpha, 1.0).astype(p.dtype)
         dp = slope * (rest ** gamma / p_t - gamma * rest ** (gamma - 1.0) * log_pt) * w
-        dp *= (p_hat.data > eps) & (p_hat.data < 1.0 - eps)
+        dp *= (sig > eps) & (sig < 1.0 - eps)
 
         def bw(g):
-            if p_hat.requires_grad:
-                p_hat.accumulate_grad(g * dp, "focal_loss")
+            if logits.requires_grad:
+                # dp/dx = p (1 - p)
+                logits.accumulate_grad(g * dp * sig * (1.0 - sig), "focal_loss")
         return bw
 
-    return make_node(loss.sum(), (p_hat,), "focal_loss", build)
+    return make_node(loss.sum(), (logits,), "focal_loss", build)
 
 
 def smooth_l1(pred, target, beta: float = 0.04) -> Tensor:

@@ -314,24 +314,29 @@ def test_head_gradcheck():
 
 
 def test_focal_loss_golden_values():
-    assert focal_loss(Tensor(np.array([1.0 - 1e-9])), np.array([1.0])).item() == pytest.approx(0.0, abs=1e-6)
-    val = focal_loss(Tensor(np.array([0.5]), dtype=np.float64), np.array([1.0])).item()
+    # logit 30 is sigmoid 1 - 1e-13, clipped to 1 - 1e-7; logit 0 is sigmoid 0.5
+    assert focal_loss(Tensor(np.array([30.0])), np.array([1.0])).item() == pytest.approx(0.0, abs=1e-6)
+    val = focal_loss(Tensor(np.array([0.0]), dtype=np.float64), np.array([1.0])).item()
     assert val == pytest.approx(-20.0 * 0.25 * math.log(0.5), abs=1e-9)
     assert val == pytest.approx(3.4657, abs=1e-3)
-    assert focal_loss(Tensor(np.array([1e-9])), np.array([0.0])).item() == pytest.approx(0.0, abs=1e-6)
+    assert focal_loss(Tensor(np.array([-30.0])), np.array([0.0])).item() == pytest.approx(0.0, abs=1e-6)
+
+
+def _logit(p):
+    return np.log(p / (1.0 - p))
 
 
 def test_focal_loss_monotonicity():
-    ps = np.linspace(0.02, 0.98, 25)
-    pos = [focal_loss(Tensor(np.array([p]), dtype=np.float64), np.array([1.0])).item() for p in ps]
-    neg = [focal_loss(Tensor(np.array([p]), dtype=np.float64), np.array([0.0])).item() for p in ps]
+    xs = _logit(np.linspace(0.02, 0.98, 25))
+    pos = [focal_loss(Tensor(np.array([x]), dtype=np.float64), np.array([1.0])).item() for x in xs]
+    neg = [focal_loss(Tensor(np.array([x]), dtype=np.float64), np.array([0.0])).item() for x in xs]
     assert all(a >= b for a, b in zip(pos, pos[1:]))  # nonincreasing for target 1
     assert all(a <= b for a, b in zip(neg, neg[1:]))  # nondecreasing for target 0
 
 
 def test_focal_loss_gradcheck():
     rng = np.random.default_rng(8)
-    x = Tensor(rng.uniform(0.1, 0.9, size=(6,)), dtype=np.float64, requires_grad=True)
+    x = Tensor(_logit(rng.uniform(0.1, 0.9, size=(6,))), dtype=np.float64, requires_grad=True)
     t = (rng.uniform(size=6) > 0.5).astype(np.float64)
 
     def f(x_):
@@ -361,22 +366,23 @@ def test_smooth_l1_gradcheck():
 
 
 def test_orientation_bce_golden_values():
-    assert focal_loss(Tensor(np.array([1.0 - 1e-9])), np.array([1.0]),
+    assert focal_loss(Tensor(np.array([30.0])), np.array([1.0]),
                       alpha=1.0, gamma=1.0).item() == pytest.approx(0.0, abs=1e-6)
-    val = focal_loss(Tensor(np.array([0.5]), dtype=np.float64), np.array([1.0]),
+    val = focal_loss(Tensor(np.array([0.0]), dtype=np.float64), np.array([1.0]),
                      alpha=1.0, gamma=1.0).item()
     assert val == pytest.approx(-(1 - 0.5) * math.log(0.5), abs=1e-9)
     assert val == pytest.approx(0.3466, abs=1e-4)
     # symmetric treatment of the zero branch
-    val0 = focal_loss(Tensor(np.array([0.5]), dtype=np.float64), np.array([0.0]),
+    val0 = focal_loss(Tensor(np.array([0.0]), dtype=np.float64), np.array([0.0]),
                       alpha=1.0, gamma=1.0).item()
     assert val0 == pytest.approx(val, abs=1e-12)
 
 
 def test_orientation_bce_finite_at_clamp():
-    for p in (0.0, 1.0):
+    # exp(1000) would overflow: both signs must reach the clamp without it
+    for x in (-1000.0, 1000.0):
         for t in (0.0, 1.0):
-            v = focal_loss(Tensor(np.array([p]), dtype=np.float64), np.array([t]),
+            v = focal_loss(Tensor(np.array([x]), dtype=np.float64), np.array([t]),
                            alpha=1.0, gamma=1.0).item()
             assert np.isfinite(v)
 

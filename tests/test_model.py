@@ -344,7 +344,8 @@ def test_deformable_cross_attention_records_18_nodes_per_layer(monkeypatch):
     3 for the sampling locations, 4 for the attention weights, 3 per level
     (the folded kernel's matmul, the folded bias's linear, the value map's
     linear), one ms_deform_attn and one linear for the output projection.
-    The whole desk training graph records 215 nodes. The parameters keep
+    The whole desk training graph records 211 nodes; the focal losses apply
+    their sigmoid inside, with no node of its own. The parameters keep
     their names and shapes."""
     cfg = RunConfig.desk()
     model = TS3D(cfg, rng=np.random.default_rng(0))
@@ -373,7 +374,7 @@ def test_deformable_cross_attention_records_18_nodes_per_layer(monkeypatch):
     assert counts == [18] * cfg.n_dec
     graph = _graph_ops(loss)
     assert graph["ms_deform_attn"] == cfg.n_dec
-    assert sum(graph.values()) == 215
+    assert sum(graph.values()) == 211
 
     for preset, digest in (("desk", DESK_PARAMETER_DIGEST), ("full", FULL_PARAMETER_DIGEST)):
         params = TS3D(getattr(RunConfig, preset)(), rng=np.random.default_rng(0))

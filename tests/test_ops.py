@@ -611,7 +611,6 @@ def test_elementwise_gradchecks():
     checks = [
         (lambda a, b: ops.sum_(ops.mul(ops.add(a, b), _probe((7,)))), [x, y]),
         (lambda a, b: ops.sum_(ops.mul(ops.mul(a, b), _probe((7,)))), [x, y]),
-        (lambda a: ops.sum_(ops.mul(ops.sigmoid(a), _probe((7,)))), [x]),
     ]
     for f, args in checks:
         assert grad_check(f, args, eps=1e-6) < 1e-6
@@ -634,9 +633,9 @@ def test_shape_op_gradchecks():
 # losses
 
 
-def _focal_reference(p, t, alpha, gamma, w):
-    """Per-entry focal loss written out in numpy, on probabilities clipped as the op does."""
-    p = np.clip(p, 1e-7, 1.0 - 1e-7)
+def _focal_reference(x, t, alpha, gamma, w):
+    """Per-entry focal loss written out in numpy, on sigmoid(x) clipped as the op does."""
+    p = np.clip(1.0 / (1.0 + np.exp(-x)), 1e-7, 1.0 - 1e-7)
     pos = -alpha * (1.0 - p) ** gamma * np.log(p)
     neg = -(p ** gamma) * np.log(1.0 - p)
     return w * np.where(t > 0.5, pos, neg)
@@ -644,21 +643,24 @@ def _focal_reference(p, t, alpha, gamma, w):
 
 @pytest.mark.parametrize("alpha, gamma", [(20.0, 2.0), (1.0, 1.0), (0.25, 0.5)])
 def test_focal_loss_matches_its_formula_and_clipped_entries_get_no_gradient(alpha, gamma):
-    p = np.array([0.0, 1e-9, 1e-7, 0.03, 0.3, 0.5, 0.7, 0.97, 1.0 - 1e-7, 1.0 - 1e-9, 1.0,
-                  0.0, 1e-9, 0.2, 0.6, 0.9, 1.0 - 1e-9, 1.0])
-    t = np.array([1.0] * 11 + [0.0] * 7)
-    w = np.random.default_rng(22).uniform(0.5, 2.0, size=p.shape)
-    w[4] = 0.0
-    x = Tensor(p, dtype=np.float64, requires_grad=True)
-    loss = ops.focal_loss(x, t, alpha=alpha, gamma=gamma, weights=w)
-    assert loss.item() == pytest.approx(_focal_reference(p, t, alpha, gamma, w).sum(), rel=1e-12)
+    # sigmoid(-16.5) < 1e-7 < sigmoid(-15.5): entries at and beyond +-16.5 are clipped.
+    # Unclipped entries stay below 3.5, where 1 - p keeps enough digits for the
+    # reference's finite differences.
+    x = np.array([-40.0, -20.0, -16.5, -15.5, -3.5, -0.85, 0.0, 0.85, 3.5, 16.5, 40.0,
+                  -40.0, -16.5, -15.5, -1.4, 0.4, 2.2, 16.5, 40.0])
+    t = np.array([1.0] * 11 + [0.0] * 8)
+    w = np.random.default_rng(22).uniform(0.5, 2.0, size=x.shape)
+    w[5] = 0.0
+    xt = Tensor(x, dtype=np.float64, requires_grad=True)
+    loss = ops.focal_loss(xt, t, alpha=alpha, gamma=gamma, weights=w)
+    assert loss.item() == pytest.approx(_focal_reference(x, t, alpha, gamma, w).sum(), rel=1e-12)
     loss.backward()
-    clipped = (p <= 1e-7) | (p >= 1.0 - 1e-7)
-    assert not x.grad[clipped].any()
+    clipped = np.abs(x) >= 16.5
+    assert not xt.grad[clipped].any()
     h = 1e-8
-    fd = (_focal_reference(p + h, t, alpha, gamma, w)
-          - _focal_reference(p - h, t, alpha, gamma, w)) / (2 * h)
-    assert np.allclose(x.grad[~clipped], fd[~clipped], rtol=1e-6, atol=1e-9)
+    fd = (_focal_reference(x + h, t, alpha, gamma, w)
+          - _focal_reference(x - h, t, alpha, gamma, w)) / (2 * h)
+    assert np.allclose(xt.grad[~clipped], fd[~clipped], rtol=1e-6, atol=1e-9)
 
 
 def test_soft_cross_entropy_matches_its_formula():
@@ -688,8 +690,9 @@ def test_soft_cross_entropy_with_zero_weights_is_positive_zero_with_zero_gradien
     (lambda x: stereo_focal_loss(x, np.ones((4, 3)), np.eye(4, 3, dtype=bool))[0], (4, 3, 5)),
 ], ids=["focal_loss", "smooth_l1", "stereo_focal_loss"])
 def test_each_loss_is_one_graph_node_on_its_input(loss_of, shape):
+    """Logits for the two focal losses, residuals for smooth L1."""
     rng = np.random.default_rng(25)
-    x = Tensor(rng.uniform(0.1, 0.9, size=shape).astype(np.float32), requires_grad=True)
+    x = Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
     loss = loss_of(x)
     assert loss.size == 1 and loss.dtype == np.float32
     assert loss._parents == (x,)
