@@ -24,10 +24,6 @@ from .synth import SynthParams, synth_scene
 from .tensor import Tensor
 
 
-def _probe(shape, seed):
-    return Tensor(np.random.default_rng(seed).normal(size=shape), dtype=np.float64)
-
-
 def _probed(f, seed):
     """A scalar objective from ``f``: each output (one tensor, or several)
     times a normal probe of its own shape, drawn with seeds seed, seed + 1,
@@ -36,7 +32,8 @@ def _probed(f, seed):
         outs = f(*inputs)
         total = None
         for i, out in enumerate([outs] if isinstance(outs, Tensor) else outs):
-            term = ops.sum_(ops.mul(out, _probe(out.shape, seed + i)))
+            probe = np.random.default_rng(seed + i).normal(size=out.shape)
+            term = ops.sum_(ops.mul(out, Tensor(probe, dtype=np.float64)))
             total = term if total is None else ops.add(total, term)
         return total
     return objective
@@ -69,9 +66,8 @@ def run_op_checks(seed: int = 0):
     gpts = Tensor(rng.uniform(0.3, 4.4, size=(2, 4, 2)), dtype=np.float64, requires_grad=True)
     check("bilinear_sample[grouped]", ops.bilinear_sample, [rand_tensor(rng, (2, 5, 6, 3)), gpts])
 
-    left = rand_tensor(rng, (3, 9, 4))
-    right = rand_tensor(rng, (3, 9, 4))
-    check("correlation_volume", lambda l, r: ops.correlation_volume(l, r, 5), [left, right])
+    check("correlation_volume", lambda l, r: ops.correlation_volume(l, r, 5),
+          [rand_tensor(rng, (3, 9, 4)), rand_tensor(rng, (3, 9, 4))])
 
     x2 = rand_tensor(rng, (4, 6))
     check("softmax", lambda a: ops.softmax(a, axis=1), [x2])
@@ -159,8 +155,7 @@ def run_module_checks(seed: int = 0):
     layer.cross.offset.w.data[:] = 0.1 * rng.normal(size=layer.cross.offset.w.data.shape)
     layer.cross.weight.w.data[:] = rng.normal(size=layer.cross.weight.w.data.shape)
     refs = reference_points(2, 2, np.float64)
-    q0 = rand_tensor(rng, (4, 4))
-    f0 = rand_tensor(rng, (2, 2, 4))
+    q0, f0 = rand_tensor(rng, (4, 4)), rand_tensor(rng, (2, 2, 4))
     proj_rng = np.random.default_rng(38)
     kernel0 = Tensor(proj_rng.normal(size=(4, 4)), dtype=np.float64)
     bias0 = Tensor(proj_rng.normal(size=(1, 4)), dtype=np.float64)
