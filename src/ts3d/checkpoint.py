@@ -100,7 +100,7 @@ def load_arrays(path) -> dict:
         entry = f"entry {i} '{name}'"
         tag, rank = struct.unpack_from("<BB", blob, take(2, entry))
         if tag not in _DTYPE_TAGS:
-            raise ValueError(f"unknown dtype tag {tag} for entry '{name}'")
+            raise ValueError(f"'{path}': unknown dtype tag {tag} for {entry}")
         shape = struct.unpack_from(f"<{rank}I", blob, take(4 * rank, entry))
         dtype = _DTYPE_TAGS[tag]
         n = math.prod(shape)

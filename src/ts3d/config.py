@@ -113,8 +113,8 @@ class RunConfig:
                  f"got {self.bins}, {self.anchor_ratios}, {self.classes}")
         for name in self.classes:
             if not name or "#" in name or "," in name or any(c.isspace() for c in name):
-                fail(f"classes entries must be non-empty without '#', ',' or whitespace, "
-                     f"as KITTI label types and config lines are, got {name!r}")
+                fail(f"classes entries must be non-empty and hold no '#', ',' or whitespace, "
+                     f"which config lines and KITTI label types cannot carry, got {name!r}")
         if self.width % 16 or self.height % 16:
             fail(f"width/height must be divisible by 16, got {self.width}x{self.height}")
         if self.c_disp >= self.c_dec:

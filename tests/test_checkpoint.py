@@ -113,6 +113,14 @@ def test_extent_beyond_the_data_names_path_and_entry(tmp_path):
         load_arrays(_resealed(path, blob))
 
 
+def test_unknown_dtype_tag_names_path_and_entry(tmp_path):
+    path = _saved(tmp_path)
+    blob = bytearray(path.read_bytes()[:-4])
+    blob[12 + 4 + 1] = 7  # entry "a"'s dtype tag
+    with pytest.raises(ValueError, match=r"ckpt\.ts3d.*unknown dtype tag 7 for entry 0 'a'"):
+        load_arrays(_resealed(path, blob))
+
+
 def test_bytes_after_the_last_entry_are_rejected(tmp_path):
     path = _saved(tmp_path)
     blob = path.read_bytes()[:-4] + bytes(8)
