@@ -96,7 +96,10 @@ def load_arrays(path) -> dict:
         entry = f"entry {i}"
         (nlen,) = struct.unpack_from("<I", blob, take(4, entry))
         start = take(nlen, entry)
-        name = blob[start : start + nlen].decode("utf-8")
+        try:
+            name = blob[start : start + nlen].decode("utf-8")
+        except UnicodeDecodeError:
+            raise ValueError(f"'{path}': the name of {entry} is not UTF-8") from None
         entry = f"entry {i} '{name}'"
         tag, rank = struct.unpack_from("<BB", blob, take(2, entry))
         if tag not in _DTYPE_TAGS:

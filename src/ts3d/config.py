@@ -20,9 +20,9 @@ PYRAMID_VARIANTS = ("spfpn", "topdown_fpn", "bifpn_like")
 
 # The interval each numeric key must lie in; a tuple key's every entry must.
 BOUNDS = {
-    "[1, inf)": ("width", "height", "bins", "c_bb", "c_dec", "c_disp", "heads", "points",
-                 "anchor_scales", "batch_size", "total_steps", "bm_window"),
-    "[0, inf)": ("blocks_per_stage", "n_dec", "checkpoint_every", "seed", "weight_decay",
+    "[1, inf)": ("width", "height", "bins", "c_bb", "c_dec", "c_disp", "n_dec", "heads",
+                 "points", "anchor_scales", "batch_size", "total_steps", "bm_window"),
+    "[0, inf)": ("blocks_per_stage", "checkpoint_every", "seed", "weight_decay",
                  "focal_gamma"),
     "(0, inf)": ("anchor_ratios", "focal_alpha", "smooth_l1_beta", "sigma", "lr"),
     "[0, 1]": ("tau_fg", "tau_bg", "flip_probability", "score_threshold"),
@@ -61,7 +61,6 @@ class RunConfig:
     points: int = 4
     pyramid_variant: str = "spfpn"
     dape_mode: str = "dape"
-    intermediate_supervision: bool = True
     # anchors / assignment
     classes: tuple = ("Car",)
     anchor_scales: int = 2

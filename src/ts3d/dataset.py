@@ -7,9 +7,11 @@ specified, right view alongside so mirrored augmentation stays geometric).
 
 The manifest records frame ids, split assignment, generation seed and
 parameters, and the per-class anchor priors (mean 2D box, mean distance and
-mean metric size per scale bin) estimated from the training labels. It is
-flat key=value text (see ``config``), with priors written as ``%.8f`` and
-lists comma-joined.
+mean metric size per scale bin) estimated from the training labels; a class
+without any gets the default prior that a model built without a dataset uses.
+It is flat key=value text (see ``config``), with priors written as ``%.8f``
+and lists comma-joined. ``model.build_anchor_templates`` checks a manifest
+against a run's config and builds the model's anchor templates from it.
 
 A loaded frame carries its labels as the ``kitti_io.ObjectLabel``s read from
 label_2/; target assignment consumes them as they are, with the class list
@@ -25,7 +27,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import read_pairs, write_pairs
-from .detect import AnchorTemplate
 from .disphead import block_match_stereo
 from .kitti_io import (
     Calibration,
@@ -67,21 +68,6 @@ class Manifest:
     classes: list = field(default_factory=list)
     priors: dict = field(default_factory=dict)   # class -> list of scale dicts
     splits: dict = field(default_factory=dict)   # split -> list of frame ids
-
-    def anchor_templates(self, n_scales: int | None = None) -> list:
-        out = []
-        for cls_id, name in enumerate(self.classes):
-            scales = self.priors[name]
-            if n_scales is not None and len(scales) != n_scales:
-                raise ValueError(
-                    f"manifest stores {len(scales)} anchor scales for '{name}', "
-                    f"configuration expects {n_scales}"
-                )
-            for sc in scales:
-                out.append(AnchorTemplate(
-                    class_id=cls_id, w2d=sc["w2d"], h2d=sc["h2d"], z=sc["z"],
-                    w=sc["w"], h=sc["h"], l=sc["l"]))
-        return out
 
 
 def _frame_id(i: int) -> str:

@@ -235,8 +235,8 @@ class DecoderLayer(Module):
 
 
 class DecoderStack(Module):
-    """Cascade of decoder layers; every layer's output is kept so training
-    heads can supervise each one (inference reads only the last)."""
+    """Cascade of at least one decoder layer; every layer's output is kept,
+    because training supervises each one (inference reads only the last)."""
 
     def __init__(self, rng, n_layers, c_dec, heads, points, n_levels,
                  ffn_hidden=None):

@@ -123,8 +123,7 @@ IGNORE = -2
 
 
 def assign_targets(anchor_corners: np.ndarray, gt_corners: np.ndarray,
-                   tau_fg: float = 0.5, tau_bg: float = 0.4,
-                   ensure_matches: bool = False) -> np.ndarray:
+                   tau_fg: float, tau_bg: float, ensure_matches: bool) -> np.ndarray:
     """Label each anchor: matched gt index, BACKGROUND, or IGNORE.
 
     IoU > tau_fg assigns the anchor to its best-overlap ground truth;
@@ -299,7 +298,7 @@ class TargetSet:
 
 
 def build_targets(anchors: AnchorSet, labels, classes, f, cx, cy,
-                  tau_fg=0.5, tau_bg=0.4, ensure_matches=True) -> TargetSet:
+                  tau_fg, tau_bg, ensure_matches) -> TargetSet:
     """Assign anchors to a frame's ``ObjectLabel``s and encode their targets.
 
     Labels whose type is not in ``classes`` (e.g. DontCare) are excluded. An

@@ -3,8 +3,8 @@
 
 ``TS3D.forward`` stops at the decoder. The rest is built by whoever reads it:
 ``compute_loss`` builds the stride-4 disparity logits and one detection head
-per supervised decoder layer (auxiliary supervision, as in DETR), and
-``infer`` runs the detection head once, on the last layer's queries."""
+per decoder layer (auxiliary supervision, as in DETR), and ``infer`` runs the
+detection head once, on the last layer's queries."""
 
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ import numpy as np
 from . import ops
 from .backbone import Backbone
 from .config import RunConfig
-from .dataset import FrameData, Manifest
+from .dataset import FrameData, Manifest, estimate_priors
 from .decoder import DecoderStack, GridQuery, dape, one_hot_disparity_pe, sine_pe_2d
 from .detect import (
     AnchorTemplate,
@@ -36,25 +36,34 @@ SUPERVISION_STRIDE = 4
 QUERY_STRIDE = 16
 
 
-def build_anchor_templates(manifest: Manifest, cfg: RunConfig) -> list:
-    """Class x depth-scale x aspect-ratio anchor templates from dataset priors."""
-    if list(cfg.classes) != manifest.classes:
-        raise ConfigError(f"classes {list(cfg.classes)} differ from the dataset manifest's "
-                          f"{manifest.classes}")
-    base = manifest.anchor_templates(cfg.anchor_scales)
+def anchor_templates(priors: dict, cfg: RunConfig) -> list:
+    """Class x prior scale x aspect-ratio anchor templates from per-class priors
+    (``dataset.estimate_priors``); ratio r makes a 2D box w2d*sqrt(r) by h2d/sqrt(r)."""
     out = []
-    for t in base:
-        for r in cfg.anchor_ratios:
-            s = math.sqrt(r)
-            out.append(AnchorTemplate(class_id=t.class_id, w2d=t.w2d * s,
-                                      h2d=t.h2d / s, z=t.z, w=t.w, h=t.h, l=t.l))
+    for cls_id, name in enumerate(cfg.classes):
+        scales = priors[name]
+        if len(scales) != cfg.anchor_scales:
+            raise ValueError(f"manifest stores {len(scales)} anchor scales for '{name}', "
+                             f"configuration expects {cfg.anchor_scales}")
+        for sc in scales:
+            for r in cfg.anchor_ratios:
+                s = math.sqrt(r)
+                out.append(AnchorTemplate(cls_id, sc["w2d"] * s, sc["h2d"] / s,
+                                          sc["z"], sc["w"], sc["h"], sc["l"]))
     return out
 
 
-def default_templates(cfg: RunConfig) -> list:
-    """Fallback priors for building a model without a dataset manifest."""
-    return [AnchorTemplate(class_id=i, w2d=34.0, h2d=28.0, z=10.0, w=1.7, h=1.5, l=3.9)
-            for i in range(len(cfg.classes))]
+def build_anchor_templates(manifest: Manifest, cfg: RunConfig) -> list:
+    """The anchor templates of a model trained or run on a dataset. Its manifest
+    must fit the config: the same resolution and classes (else ``ConfigError``)
+    and ``cfg.anchor_scales`` priors per class (else ``ValueError``)."""
+    if (manifest.width, manifest.height) != (cfg.width, cfg.height):
+        raise ConfigError(f"dataset resolution {manifest.width}x{manifest.height} does not "
+                          f"match configured {cfg.width}x{cfg.height}")
+    if list(cfg.classes) != manifest.classes:
+        raise ConfigError(f"classes {list(cfg.classes)} differ from the dataset manifest's "
+                          f"{manifest.classes}")
+    return anchor_templates(manifest.priors, cfg)
 
 
 @dataclass
@@ -66,7 +75,7 @@ class ModelOutputs:
 
     logits_q: Tensor           # stride-16 disparity logits
     pe_flat: Tensor | None     # (Nq, c_dec) positional encoding
-    queries: list              # decoder outputs, one per layer; [x_q] if n_dec = 0
+    queries: list              # decoder outputs, one per layer
 
 
 class TS3D(Module):
@@ -74,7 +83,8 @@ class TS3D(Module):
         super().__init__()
         self.cfg = cfg
         rng = rng if rng is not None else np.random.default_rng(cfg.seed)
-        templates = templates if templates is not None else default_templates(cfg)
+        if templates is None:  # the prior of a class without training labels
+            templates = anchor_templates(estimate_priors([], cfg.classes, cfg.anchor_scales), cfg)
         self.backbone = Backbone(rng, width=cfg.c_bb, blocks_per_stage=cfg.blocks_per_stage)
         self.spfpn = SPFPN(rng, bins=cfg.bins, c_dec=cfg.c_dec, variant=cfg.pyramid_variant)
         c3_channels = self.spfpn.agg_channels[-1]
@@ -118,7 +128,7 @@ class TS3D(Module):
         x_q, refs = self.query.forward(c3)
         pe = self.positional_encoding(logits_q)
         pe_flat = ops.reshape(pe, (x_q.shape[0], cfg.c_dec)) if pe is not None else None
-        queries = self.decoder.forward(x_q, pe_flat, refs, levels) or [x_q]
+        queries = self.decoder.forward(x_q, pe_flat, refs, levels)
         return ModelOutputs(logits_q=logits_q, pe_flat=pe_flat, queries=queries)
 
     # -- training --------------------------------------------------------
@@ -139,11 +149,10 @@ class TS3D(Module):
         gt_disp, valid = self.supervision_pseudo_gt(frame)
         logits_sup = self.disp_head.supervision_logits(outputs.logits_q)
         disp_loss, n_valid = stereo_focal_loss(logits_sup, gt_disp, valid, sigma=cfg.sigma)
-        supervised = outputs.queries if cfg.intermediate_supervision else outputs.queries[-1:]
         layer_losses = [
             layer_detection_loss(*self.head.forward(q), targets, alpha=cfg.focal_alpha,
                                  gamma=cfg.focal_gamma, beta=cfg.smooth_l1_beta)
-            for q in supervised
+            for q in outputs.queries
         ]
         total = total_loss(layer_losses, disp_loss, targets.n_objects)
         norm = 1.0 / max(targets.n_objects, 1)

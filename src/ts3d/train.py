@@ -59,11 +59,6 @@ def train_run(cfg: RunConfig, data_dir, out_dir, resume: bool = False,
     train_ids = manifest.splits.get("train", [])
     if not train_ids:
         raise ConfigError(f"dataset at '{data_dir}' has no train split")
-    if manifest.width != cfg.width or manifest.height != cfg.height:
-        raise ConfigError(
-            f"dataset resolution {manifest.width}x{manifest.height} does not match "
-            f"configured {cfg.width}x{cfg.height}"
-        )
     templates = build_anchor_templates(manifest, cfg)
 
     os.makedirs(out_dir, exist_ok=True)
@@ -79,7 +74,7 @@ def train_run(cfg: RunConfig, data_dir, out_dir, resume: bool = False,
     else:
         cfg.save(config_path)
 
-    model = TS3D(cfg, templates=templates, rng=np.random.default_rng(cfg.seed))
+    model = TS3D(cfg, templates=templates)
     opt = AdamW(list(model.parameters()), base_lr=cfg.lr,
                 weight_decay=cfg.weight_decay, total_steps=cfg.total_steps)
     log_path = os.path.join(out_dir, "metrics.log")
@@ -99,6 +94,7 @@ def train_run(cfg: RunConfig, data_dir, out_dir, resume: bool = False,
     log.writelines(kept_lines)
     n = len(train_ids)
     end_step = cfg.total_steps if stop_after is None else min(stop_after, cfg.total_steps)
+    saved = False  # whether the last step wrote ckpt_last
     try:
         for step in range(opt.step_count, end_step):
             model.zero_grad()
@@ -126,12 +122,14 @@ def train_run(cfg: RunConfig, data_dir, out_dir, resume: bool = False,
             log.write(record + "\n")
             if not quiet and (step % print_every == 0 or step == cfg.total_steps - 1):
                 print(record, flush=True)
-            if cfg.checkpoint_every and opt.step_count % cfg.checkpoint_every == 0:
+            saved = bool(cfg.checkpoint_every) and opt.step_count % cfg.checkpoint_every == 0
+            if saved:
                 log.flush()  # every checkpoint has its log lines on disk
                 save_checkpoint(out_dir, f"ckpt_{opt.step_count:06d}", model, opt)
                 save_checkpoint(out_dir, LAST_CKPT, model, opt)
         log.flush()
-        save_checkpoint(out_dir, LAST_CKPT, model, opt)
+        if not saved:
+            save_checkpoint(out_dir, LAST_CKPT, model, opt)
     finally:
         log.close()
     return model
@@ -166,7 +164,6 @@ def run_inference(model: TS3D, data_dir, split, out_dir):
 
 def load_trained_model(cfg: RunConfig, data_dir, ckpt_path) -> TS3D:
     manifest = read_manifest(os.path.join(data_dir, MANIFEST_NAME))
-    model = TS3D(cfg, templates=build_anchor_templates(manifest, cfg),
-                 rng=np.random.default_rng(cfg.seed))
+    model = TS3D(cfg, templates=build_anchor_templates(manifest, cfg))
     load_model(ckpt_path, model)
     return model

@@ -121,6 +121,16 @@ def test_unknown_dtype_tag_names_path_and_entry(tmp_path):
         load_arrays(_resealed(path, blob))
 
 
+def test_entry_name_that_is_not_utf8_names_path_and_entry(tmp_path):
+    path = _saved(tmp_path)
+    blob = bytearray(path.read_bytes()[:-4])
+    off = 12 + 4 + 1 + 2 + 8 + 24 + 4  # entry "b"'s one name byte, after entry "a"
+    assert blob[off:off + 1] == b"b"
+    blob[off] = 0xFF
+    with pytest.raises(ValueError, match=r"ckpt\.ts3d.*entry 1 is not UTF-8"):
+        load_arrays(_resealed(path, blob))
+
+
 def test_bytes_after_the_last_entry_are_rejected(tmp_path):
     path = _saved(tmp_path)
     blob = path.read_bytes()[:-4] + bytes(8)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from ts3d.augment import augment, horizontal_flip, photometric_jitter
+from ts3d.config import RunConfig
 from ts3d.dataset import (
     FrameData,
     build_pseudo_gt,
@@ -36,6 +37,7 @@ from ts3d.kitti_io import (
     write_raster_f32,
     write_raster_mask,
 )
+from ts3d.model import build_anchor_templates
 from ts3d.synth import SynthParams, _hash01, synth_scene
 
 
@@ -87,7 +89,7 @@ def test_dontcare_excluded_from_assignment():
     ]
     # one 8x8 anchor at (8, 8): the Car box claims it, the DontCare box is left out
     anchors = generate_anchors(1, 1, 16, [AnchorTemplate(0, 8.0, 8.0, 10.0, 1.7, 1.5, 4.0)])
-    targets = build_targets(anchors, labels, ["Car"], 200.0, 8.0, 8.0)
+    targets = build_targets(anchors, labels, ["Car"], 200.0, 8.0, 8.0, 0.5, 0.4, True)
     assert targets.n_objects == 1
     assert targets.pos_rows.tolist() == [0] and targets.cls_targets.tolist() == [[1.0, 0.0]]
 
@@ -356,7 +358,7 @@ def test_dataset_generation_and_manifest(tmp_path):
     assert back.seed == 11
     assert back.classes == ["Car"]
     assert back.splits == man.splits
-    tpl = back.anchor_templates()
+    tpl = build_anchor_templates(back, RunConfig.toy())
     assert len(tpl) == 1 and tpl[0].z > 0
 
 

@@ -74,14 +74,14 @@ def test_anchor_centers_coincide_with_reference_points():
 def test_assign_exact_match_positive():
     anchors = np.array([[10.0, 10.0, 40.0, 40.0]])
     gts = anchors.copy()
-    labels = assign_targets(anchors, gts)
+    labels = assign_targets(anchors, gts, 0.5, 0.4, False)
     assert labels[0] == 0
 
 
 def test_assign_disjoint_negative():
     anchors = np.array([[0.0, 0.0, 10.0, 10.0]])
     gts = np.array([[50.0, 50.0, 80.0, 80.0]])
-    labels = assign_targets(anchors, gts)
+    labels = assign_targets(anchors, gts, 0.5, 0.4, False)
     assert labels[0] == BACKGROUND
 
 
@@ -91,7 +91,7 @@ def test_assign_band_is_ignored():
     gts = np.array([[0.0, 0.0, 100.0, 100.0]])
     iou = iou_axis_aligned(anchors, gts)[0, 0]
     assert 0.4 < iou < 0.5
-    labels = assign_targets(anchors, gts, tau_fg=0.5, tau_bg=0.4)
+    labels = assign_targets(anchors, gts, tau_fg=0.5, tau_bg=0.4, ensure_matches=False)
     assert labels[0] == IGNORE
 
 
@@ -103,7 +103,7 @@ def test_assign_monotone_in_tau_fg():
     gts = np.array([[20.0, 20.0, 80.0, 80.0], [40.0, 10.0, 100.0, 60.0]])
     pos_counts = []
     for tau in (0.3, 0.5, 0.7, 0.9):
-        labels = assign_targets(anchors, gts, tau_fg=tau, tau_bg=0.2)
+        labels = assign_targets(anchors, gts, tau_fg=tau, tau_bg=0.2, ensure_matches=False)
         pos_counts.append((labels >= 0).sum())
     assert all(a >= b for a, b in zip(pos_counts, pos_counts[1:]))
 
@@ -111,9 +111,9 @@ def test_assign_monotone_in_tau_fg():
 def test_assign_ensure_matches_rescues_small_gt():
     anchors = np.array([[0.0, 0.0, 32.0, 32.0], [32.0, 0.0, 64.0, 32.0]])
     gts = np.array([[40.0, 4.0, 52.0, 20.0]])  # IoU too small for tau_fg
-    base = assign_targets(anchors, gts, ensure_matches=False)
+    base = assign_targets(anchors, gts, 0.5, 0.4, ensure_matches=False)
     assert (base < 0).all()
-    forced = assign_targets(anchors, gts, ensure_matches=True)
+    forced = assign_targets(anchors, gts, 0.5, 0.4, ensure_matches=True)
     assert forced[1] == 0
 
 
@@ -396,7 +396,7 @@ def _toy_targets():
     f, cx, cy = _calib()
     gt = ObjectLabel("Car", 0.0, 0, 0.0, np.array([30.0, 10.0, 70.0, 40.0]),
                      1.5, 1.7, 3.9, 0.5, 1.5, 9.0, 0.3)
-    return anchors, build_targets(anchors, [gt], ("Car",), f, cx, cy)
+    return anchors, build_targets(anchors, [gt], ("Car",), f, cx, cy, 0.5, 0.4, True)
 
 
 def test_build_targets_produces_positive():
@@ -424,7 +424,7 @@ def test_total_loss_doubles_with_layer_count():
 def test_empty_frame_contributes_classification_only():
     anchors = generate_anchors(4, 2, 16, [CAR])
     f, cx, cy = _calib()
-    targets = build_targets(anchors, [], ("Car",), f, cx, cy)
+    targets = build_targets(anchors, [], ("Car",), f, cx, cy, 0.5, 0.4, True)
     assert targets.n_objects == 0
     rng = np.random.default_rng(11)
     cls = Tensor(rng.normal(size=(8, 2)), dtype=np.float64)

@@ -11,12 +11,12 @@ import pytest
 from ts3d import ops
 from ts3d.backbone import Backbone
 from ts3d.config import RunConfig
-from ts3d.dataset import FrameData
+from ts3d.dataset import FrameData, generate_dataset
 from ts3d.decoder import DecoderStack, MSDeformCA
 from ts3d.detect import DetectionHead
 from ts3d.disphead import block_match_stereo
 from ts3d.layers import Conv2d, ConvNorm
-from ts3d.model import TS3D, dape_similarity_heatmap
+from ts3d.model import TS3D, build_anchor_templates, dape_similarity_heatmap
 from ts3d.synth import SynthParams, synth_scene
 from ts3d.tensor import ConfigError, Tensor, no_grad
 
@@ -111,12 +111,31 @@ def test_float32_model_is_the_float64_model_cast_once(preset):
         assert p32.data.tobytes() == p64.data.tobytes()
 
 
-def test_zero_decoder_layers_supervises_raw_queries():
-    cfg = _toy_cfg(n_dec=0)
-    model = TS3D(cfg, rng=np.random.default_rng(4))
-    out = _forward(model, _toy_frame())
-    # heads attach directly to the grid queries
-    assert [q.shape for q in out.queries] == [(8, cfg.c_dec)]
+def test_full_model_without_a_dataset_has_the_parameters_of_one_built_from_a_manifest(
+        tmp_path):
+    cfg = RunConfig.full()
+    manifest = generate_dataset(tmp_path, seed=1, n_train=0, n_val=0,
+                                params=SynthParams(width=cfg.width, height=cfg.height),
+                                n_scales=cfg.anchor_scales)
+    built = TS3D(cfg, templates=build_anchor_templates(manifest, cfg),
+                 rng=np.random.default_rng(0))
+    bare = TS3D(cfg, rng=np.random.default_rng(0))
+    assert [(n, p.shape) for n, p in bare.named_parameters()] == \
+        [(n, p.shape) for n, p in built.named_parameters()]
+    assert bare.head.reg_out.w.shape == (256, 78) and len(bare.anchors) == 8640
+
+
+def test_model_without_a_dataset_has_the_anchors_of_a_dataset_without_train_frames(
+        tmp_path):
+    cfg = RunConfig.toy()
+    manifest = generate_dataset(tmp_path, seed=2, n_train=0, n_val=1,
+                                params=SynthParams(width=cfg.width, height=cfg.height),
+                                n_scales=cfg.anchor_scales)
+    want = TS3D(cfg, templates=build_anchor_templates(manifest, cfg)).anchors
+    got = TS3D(cfg).anchors
+    for key in ("boxes", "class_ids", "priors"):
+        assert np.array_equal(getattr(got, key), getattr(want, key)), key
+    assert (got.per_cell, got.wq, got.hq) == (want.per_cell, want.wq, want.hq)
 
 
 def test_dape_is_the_depth_channel_into_queries():
@@ -171,37 +190,24 @@ def test_loss_and_gradient_flow_end_to_end():
 
 
 def test_intermediate_supervision_structural():
-    """With supervision every decoder layer's queries receive gradient; without
-    it only the final layer's path is driven."""
+    """Every decoder layer's queries receive gradient from the loss."""
     frame = _toy_frame()
     cfg = _toy_cfg(n_dec=2)
     model = TS3D(cfg, rng=np.random.default_rng(9))
-    left = Tensor(frame.left.astype(model.dtype))
-    right = Tensor(frame.right.astype(model.dtype))
-
-    def layer_grads(intermediate):
-        model.cfg.intermediate_supervision = intermediate
-        model.zero_grad()
-        out = model.forward(left, right)
-        # leaf copies of the queries: backward frees interior gradients, and
-        # each leaf collects only the gradient of its own layer's head loss
-        out = replace(out, queries=[Tensor(q.data, requires_grad=True) for q in out.queries])
-        loss, _ = model.compute_loss(out, frame)
-        loss.backward()
-        return out
-
-    out = layer_grads(True)
+    out = model.forward(Tensor(frame.left.astype(model.dtype)),
+                        Tensor(frame.right.astype(model.dtype)))
+    # leaf copies of the queries: backward frees interior gradients, and
+    # each leaf collects only the gradient of its own layer's head loss
+    out = replace(out, queries=[Tensor(q.data, requires_grad=True) for q in out.queries])
+    loss, _ = model.compute_loss(out, frame)
+    loss.backward()
     assert all(q.grad is not None and np.abs(q.grad).max() > 0
                for q in out.queries)
-    out = layer_grads(False)
-    # no head loss attaches to the first layer; the last layer's must
-    assert out.queries[0].grad is None
-    assert out.queries[-1].grad is not None
 
 
 def test_only_the_loss_builds_auxiliary_heads_and_the_supervision_branch(monkeypatch):
     """``infer`` runs the detection head once and never the stride-4 branch;
-    ``compute_loss`` runs one head per supervised decoder layer."""
+    ``compute_loss`` runs one head per decoder layer."""
     frame = _toy_frame()
     model = TS3D(_toy_cfg(n_dec=2), rng=np.random.default_rng(12))
     head_calls, up2_calls = [], []
@@ -222,12 +228,9 @@ def test_only_the_loss_builds_auxiliary_heads_and_the_supervision_branch(monkeyp
     model.infer(frame)
     assert (len(head_calls), len(up2_calls)) == (1, 0)
 
-    for intermediate, heads in ((False, 1), (True, 2)):
-        head_calls.clear()
-        model.cfg.intermediate_supervision = intermediate
-        model.train_step_loss(frame)
-        assert (len(head_calls), len(up2_calls)) == (heads, 1)
-        up2_calls.clear()
+    head_calls.clear()
+    model.train_step_loss(frame)
+    assert (len(head_calls), len(up2_calls)) == (2, 1)
 
 
 def test_inference_frees_the_backbone_pyramids_before_the_decoder(monkeypatch):
@@ -335,8 +338,9 @@ def test_desk_parameter_names_and_shapes_are_unchanged():
     assert hashlib.sha256(lines.encode()).hexdigest() == DESK_PARAMETER_DIGEST
 
 
-# The same for the full preset.
-FULL_PARAMETER_DIGEST = "b32216a5d2cbea5eb010a872fe1ac9a97acb756115f9959e67c384d53345759a"
+# The same for the full preset: its (256, 78) regression head has one
+# 13-wide output per template, 2 anchor scales x 3 ratios.
+FULL_PARAMETER_DIGEST = "b31fa6d90d73396ce94f6c374d8a188f20fb21b59ee48c16e7d0edcdc0cd16bb"
 
 
 def test_deformable_cross_attention_records_18_nodes_per_layer(monkeypatch):

@@ -232,6 +232,29 @@ def test_failed_save_keeps_previous_checkpoint(toy_dataset, tmp_path, monkeypatc
     load_trained_model(cfg, toy_dataset, ckpt)
 
 
+@pytest.mark.parametrize("total_steps, stop_after, tags", [
+    (4, None, ["ckpt_000004", LAST_CKPT]),
+    (5, None, ["ckpt_000004", LAST_CKPT, LAST_CKPT]),
+    (4, 0, [LAST_CKPT]),
+])
+def test_ckpt_last_is_written_once_per_state(toy_dataset, tmp_path, monkeypatch,
+                                             total_steps, stop_after, tags):
+    """A last step on the checkpoint cadence has just written ckpt_last, so the
+    end of the run does not write the same bytes again."""
+    written = []
+    save = ts3d.train.save_checkpoint
+
+    def recorded_save(out_dir, tag, model, opt):
+        written.append(tag)
+        save(out_dir, tag, model, opt)
+
+    monkeypatch.setattr(ts3d.train, "save_checkpoint", recorded_save)
+    train_run(_toy_cfg(total_steps=total_steps, checkpoint_every=4), toy_dataset,
+              tmp_path / "run", quiet=True, stop_after=stop_after)
+    assert written == tags
+    assert (tmp_path / "run" / (LAST_CKPT + ".ts3d")).exists()
+
+
 def test_resume_config_mismatch_lists_keys(toy_dataset, tmp_path):
     train_run(_toy_cfg(), toy_dataset, tmp_path / "run", quiet=True)
     changed = _toy_cfg(c_dec=32, heads=4)
@@ -294,7 +317,7 @@ def test_config_validation_names_constraint():
     ("sigma", "0", "1e-3"), ("sigma", "-1", "2"), ("sigma", "inf", "1e3"),
     ("c_bb", "0", "1"), ("c_disp", "0", "4"), ("blocks_per_stage", "-1", "0"),
     ("heads", "0", "1"), ("points", "0", "1"), ("seed", "-1", "0"),
-    ("classes", "", "Car"),
+    ("classes", "", "Car"), ("n_dec", "0", "1"),
 ])
 def test_config_rejects_out_of_range_values_naming_the_key(key, bad, edge):
     with pytest.raises(ConfigError, match=key):
@@ -311,7 +334,7 @@ def test_config_value_that_does_not_parse_names_the_key(key, value):
 
 
 # a new key must come with a bound, or be listed here as having none
-UNBOUNDED_KEYS = ("intermediate_supervision", "ensure_matches", "augment", "classes")
+UNBOUNDED_KEYS = ("ensure_matches", "augment", "classes")
 
 
 def test_every_config_key_is_bounded_or_listed_as_unbounded_exactly_once():
@@ -390,7 +413,7 @@ def test_run_config_bytes_are_pinned(toy_dataset, tmp_path):
     lines = (tmp_path / "run" / "config.txt").read_bytes().splitlines(keepends=True)
     # pinned before bm_max_disp became 4 * c_disp; older config files list it
     kept = b"".join(ln for ln in lines if not ln.startswith(b"bm_max_disp="))
-    assert hashlib.sha256(kept).hexdigest() == "37e8f66d0931d4de0816332c879c90fa0e393ff8cba6f7c43f157abdc7a61a34"
+    assert hashlib.sha256(kept).hexdigest() == "d9562b7315468b9089f0b8eb9c4b3888de855b5b800a7e73c57ea12d6973f810"
 
 
 # ---------------------------------------------------------------------------
@@ -451,6 +474,11 @@ def test_cli_validation_error_is_exit_2(tmp_path):
              "--set", "smooth_l1_beta=0", cwd=tmp_path)
     assert r.returncode == 2
     assert "smooth_l1_beta" in r.stderr and "Traceback" not in r.stderr
+    # every decoder layer is supervised, so there must be one
+    r = _cli("train", "--data", "missing", "--out", "run", "--preset", "toy",
+             "--set", "n_dec=0", cwd=tmp_path)
+    assert r.returncode == 2
+    assert "n_dec" in r.stderr and "Traceback" not in r.stderr
 
 
 def test_cli_train_on_a_manifest_without_seed_is_exit_2(toy_dataset, tmp_path):
@@ -611,6 +639,37 @@ def test_cli_infer_rejects_a_bad_checkpoint_entry_naming_it(toy_ckpt, toy_datase
              "--out", "preds", "--preset", "toy", cwd=tmp_path)
     assert r.returncode == 2, r.stderr
     assert str(ckpt) in r.stderr and f"'{entry}'" in r.stderr
+    assert not (tmp_path / "preds").exists()
+
+
+def test_cli_infer_rejects_a_checkpoint_entry_name_that_is_not_utf8(toy_ckpt, toy_dataset,
+                                                                    tmp_path):
+    blob = bytearray(toy_ckpt.read_bytes()[:-4])
+    blob[16] = 0xFF  # the first name byte of entry 0, which UTF-8 never uses
+    ckpt = tmp_path / "badname.ts3d"
+    ckpt.write_bytes(bytes(blob) + struct.pack("<I", zlib.crc32(blob)))
+    r = _cli("infer", "--ckpt", str(ckpt), "--data", str(toy_dataset), "--split", "val",
+             "--out", "preds", "--preset", "toy", cwd=tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert str(ckpt) in r.stderr and "entry 0 " in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+# a toy model reads 64x32 frames; the check runs before the checkpoint is opened
+@pytest.mark.parametrize("readable", [True, False])
+def test_cli_infer_rejects_a_dataset_of_another_resolution_naming_both(toy_ckpt, tmp_path,
+                                                                       readable):
+    data = tmp_path / "data"
+    generate_dataset(data, seed=3, n_train=0, n_val=1,
+                     params=SynthParams(width=128, height=64))
+    ckpt = toy_ckpt
+    if not readable:
+        ckpt = tmp_path / "junk.ts3d"
+        ckpt.write_bytes(b"junk")
+    r = _cli("infer", "--ckpt", str(ckpt), "--data", str(data), "--split", "val",
+             "--out", "preds", "--preset", "toy", cwd=tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert "128x64" in r.stderr and "64x32" in r.stderr and "Traceback" not in r.stderr
     assert not (tmp_path / "preds").exists()
 
 
