@@ -84,7 +84,7 @@ def horizontal_flip(frame: FrameData) -> FrameData:
 
 
 def augment(frame: FrameData, rng: np.random.Generator,
-            flip_probability: float = 0.5) -> FrameData:
+            flip_probability: float) -> FrameData:
     """Jitter, then flip with ``flip_probability``; the input frame is left as is."""
     frame = photometric_jitter(frame, rng)
     if rng.uniform() < flip_probability:

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-
 from . import ops
+from .config import QUERY_STRIDE
 from .layers import Conv2d, ConvNorm
 from .tensor import ConfigError, Module, ModuleList, Tensor
 
@@ -52,7 +52,7 @@ class Stage(Module):
 class Backbone(Module):
     """Residual encoder + top-down pyramid, applied identically to both views."""
 
-    def __init__(self, rng, width=32, blocks_per_stage=2):
+    def __init__(self, rng, width, blocks_per_stage):
         super().__init__()
         self.width = width
         self.stem = ConvNorm(rng, 3, width, stride=2)
@@ -68,8 +68,8 @@ class Backbone(Module):
 
     def forward_view(self, img: Tensor):
         h, w, _ = img.shape
-        if h % 16 or w % 16:
-            raise ConfigError(f"input extents must be divisible by 16, got {w}x{h}")
+        if h % QUERY_STRIDE or w % QUERY_STRIDE:
+            raise ConfigError(f"input extents must be divisible by {QUERY_STRIDE}, got {w}x{h}")
         x = self.stem.forward(img)
         c2 = self.stage1.forward(x)
         c3 = self.stage2.forward(c2)

@@ -44,7 +44,7 @@ def _logits(p):
     return Tensor(np.log(p / (1.0 - p)), dtype=np.float64, requires_grad=True)
 
 
-def run_op_checks(seed: int = 0):
+def run_op_checks(seed: int):
     """Returns [(name, max_rel_err, tolerance)]."""
     rng = np.random.default_rng(seed)
     results = []
@@ -119,7 +119,7 @@ def run_op_checks(seed: int = 0):
     return results
 
 
-def run_module_checks(seed: int = 0):
+def run_module_checks(seed: int):
     rng = np.random.default_rng(seed)
     results = []
 
@@ -129,7 +129,7 @@ def run_module_checks(seed: int = 0):
         results.append((name, grad_check(objective, inputs, eps=eps), tol))
 
     # cost-volume pyramid (correlate, fuse, aggregate, project)
-    net = SPFPN(rng, bins=(3, 4), c_dec=5)
+    net = SPFPN(rng, bins=(3, 4), c_dec=5, variant="spfpn")
     l1 = rand_tensor(rng, (4, 6, 3))
     r1 = rand_tensor(rng, (4, 6, 3))
     c2_const = Tensor(rng.normal(size=(2, 3, 4)), dtype=np.float64)
@@ -171,10 +171,10 @@ def run_module_checks(seed: int = 0):
     # losses
     cls_in = _logits(rng.uniform(0.1, 0.9, size=(8,)))
     tgt = (rng.uniform(size=8) > 0.6).astype(np.float64)
-    check("focal_loss", lambda x: ops.focal_loss(x, tgt), [cls_in], tol=1e-6)
+    check("focal_loss", lambda x: ops.focal_loss(x, tgt, 20.0, 2.0), [cls_in], tol=1e-6)
     reg_in = rand_tensor(rng, (6,))
     reg_target = rng.normal(size=6)
-    check("smooth_l1", lambda p: ops.smooth_l1(p, reg_target), [reg_in], tol=1e-5, eps=1e-7)
+    check("smooth_l1", lambda p: ops.smooth_l1(p, reg_target, 0.04), [reg_in], tol=1e-5, eps=1e-7)
     orient_in = _logits(rng.uniform(0.15, 0.85, size=(5,)))
     blab = (rng.uniform(size=5) > 0.5).astype(np.float64)
     check("focal_loss[orientation]", lambda x: ops.focal_loss(x, blab, alpha=1.0, gamma=1.0),
@@ -182,22 +182,22 @@ def run_module_checks(seed: int = 0):
     dl = Tensor(rng.normal(size=(2, 3, 4)), dtype=np.float64, requires_grad=True)
     gt = rng.uniform(0, 3, size=(2, 3))
     msk = np.ones((2, 3), dtype=bool)
-    check("stereo_focal_loss", lambda lg: stereo_focal_loss(lg, gt, msk)[0], [dl], tol=1e-6)
+    check("stereo_focal_loss", lambda lg: stereo_focal_loss(lg, gt, msk, 0.5)[0], [dl], tol=1e-6)
     return results
 
 
-def _toy_frame(seed: int = 5):
+def _toy_frame():
     params = SynthParams(width=64, height=32, focal=40.0, baseline=0.5,
                          n_objects=(2, 2), z_range=(4.5, 9.0),
                          w_range=(1.8, 2.2), l_range=(2.5, 3.5))
-    frame = synth_scene(seed, params)
+    frame = synth_scene(5, params)
     dl, vl, dr, vr = block_match_stereo(frame.left, frame.right, 16, 7)
     return FrameData(frame_id="toy", left=frame.left, right=frame.right,
                      calib=frame.calib, labels=frame.labels, pseudo_disp=dl,
                      pseudo_valid=vl, pseudo_disp_right=dr, pseudo_valid_right=vr)
 
 
-def run_end2end_check(seed: int = 0):
+def run_end2end_check(seed: int):
     """Full training loss on a two-object toy scene, differentiated through
     parameters selected across the network depth."""
     cfg = RunConfig.toy()
@@ -229,7 +229,7 @@ def run_end2end_check(seed: int = 0):
     return [("end2end_toy_scene", err, 1e-4)]
 
 
-def run_scope(scope: str, seed: int = 0):
+def run_scope(scope: str, seed: int):
     if scope == "ops":
         return run_op_checks(seed)
     if scope == "modules":

@@ -21,11 +21,11 @@ import sys
 import numpy as np
 
 from .checksuite import run_scope
-from .config import check_interval, load_config
+from .config import QUERY_STRIDE, check_interval, load_config
 from .dataset import MANIFEST_NAME, build_pseudo_gt, generate_dataset, load_frame, read_manifest
 from .evalkit import evaluate_directories, write_report
 from .kitti_io import write_pgm
-from .model import QUERY_STRIDE, dape_similarity_heatmap
+from .model import dape_similarity_heatmap
 from .synth import SynthParams
 from .tensor import ConfigError, NumericalError, Tensor, no_grad
 from .train import load_trained_model, run_inference, train_run
@@ -219,6 +219,9 @@ def _cmd_heatmap(args) -> int:
     check_interval("--probe U", u, f"[0, {wq})")
     check_interval("--probe V", v, f"[0, {hq})")
     if args.bin is not None:
+        if cfg.dape_mode not in ("dape", "onehot"):
+            raise ConfigError(f"--bin needs an encoding with disparity bins (dape_mode dape "
+                              f"or onehot), got dape_mode={cfg.dape_mode}")
         check_interval("--bin", args.bin, f"[0, {cfg.c_disp})")
     model = load_trained_model(cfg, args.data, args.ckpt)
     manifest = read_manifest(os.path.join(args.data, MANIFEST_NAME))

@@ -1,5 +1,6 @@
-"""Run configuration: every hyperparameter, with validation and presets, and
-the flat text format of config files, dataset manifests and eval reports.
+"""Run configuration: every hyperparameter, with validation and presets, the
+model's strides, and the flat text format of config files, dataset manifests
+and eval reports. No library function restates a value of it as a default.
 
 That format is UTF-8 ``key=value`` lines split on the first '=', with keys and
 values stripped; text after '#' is a comment and blank lines are skipped. Any
@@ -14,6 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 from .tensor import ConfigError
+
+# queries and anchors tile the stride-16 grid; disparity is supervised at stride 4
+QUERY_STRIDE = 16
+SUPERVISION_STRIDE = 4
 
 DAPE_MODES = ("dape", "sine2d", "onehot", "none")
 PYRAMID_VARIANTS = ("spfpn", "topdown_fpn", "bifpn_like")
@@ -91,9 +96,9 @@ class RunConfig:
     dtype: str = "float32"
 
     def resolved_bm_max_disp(self) -> int:
-        """Block-matching search range: DAPE reads ``c_disp`` stride-4 disparity
-        bins, so pseudo-GT beyond ``4 * c_disp`` px could not be supervised."""
-        return 4 * self.c_disp
+        """Block-matching search range: DAPE reads ``c_disp`` bins at the supervision
+        stride, so pseudo-GT beyond ``SUPERVISION_STRIDE * c_disp`` px is unsupervised."""
+        return SUPERVISION_STRIDE * self.c_disp
 
     def validate(self) -> "RunConfig":
         def fail(msg):
@@ -114,8 +119,9 @@ class RunConfig:
             if not name or "#" in name or "," in name or any(c.isspace() for c in name):
                 fail(f"classes entries must be non-empty and hold no '#', ',' or whitespace, "
                      f"which config lines and KITTI label types cannot carry, got {name!r}")
-        if self.width % 16 or self.height % 16:
-            fail(f"width/height must be divisible by 16, got {self.width}x{self.height}")
+        if self.width % QUERY_STRIDE or self.height % QUERY_STRIDE:
+            fail(f"width/height must be divisible by {QUERY_STRIDE}, "
+                 f"got {self.width}x{self.height}")
         if self.c_disp >= self.c_dec:
             fail(f"c_disp must stay below c_dec, got {self.c_disp} >= {self.c_dec}")
         if self.dape_mode == "dape" and (self.c_dec - self.c_disp) % 4:

@@ -74,7 +74,7 @@ def _frame_id(i: int) -> str:
     return f"{i:06d}"
 
 
-def estimate_priors(all_labels, classes, n_scales: int = 1) -> dict:
+def estimate_priors(all_labels, classes, n_scales: int) -> dict:
     """Mean 2D box / distance / size per class, binned into ``n_scales``
     groups by 2D height (depth bins: apparent size tracks 1/z). A class with
     no training labels gets ``n_scales`` copies of a default prior."""
@@ -104,7 +104,7 @@ def estimate_priors(all_labels, classes, n_scales: int = 1) -> dict:
 
 
 def generate_dataset(out_dir, seed: int, n_train: int, n_val: int,
-                     params: SynthParams, n_scales: int = 1) -> Manifest:
+                     params: SynthParams, n_scales: int) -> Manifest:
     """Render frames to disk and write the manifest (bit-identical per seed)."""
     params.validate()  # before any directory is made
     for sub in ("image_2", "image_3", "label_2", "calib"):
@@ -200,7 +200,7 @@ def pseudo_gt_paths(root, frame_id: str):
     }
 
 
-def build_pseudo_gt(root, max_disp: int, window: int = 9) -> int:
+def build_pseudo_gt(root, max_disp: int, window: int) -> int:
     """Run block matching over every frame of the dataset and cache the rasters."""
     man = read_manifest(os.path.join(root, MANIFEST_NAME))
     os.makedirs(os.path.join(root, "disp"), exist_ok=True)

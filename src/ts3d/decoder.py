@@ -25,7 +25,7 @@ from .tensor import ConfigError, Module, ModuleList, Tensor
 # positional encodings
 
 
-def sine_pe_2d(wq: int, hq: int, dims: int, dtype=np.float32) -> np.ndarray:
+def sine_pe_2d(wq: int, hq: int, dims: int, dtype) -> np.ndarray:
     """Fixed sinusoidal 2D encoding, (Hq, Wq, dims).
 
     Half the channels encode the column index, half the row index; within
@@ -87,7 +87,7 @@ def one_hot_disparity_pe(disp_logits: Tensor, c_dec: int) -> Tensor:
 # queries
 
 
-def reference_points(wq: int, hq: int, dtype=np.float32) -> np.ndarray:
+def reference_points(wq: int, hq: int, dtype) -> np.ndarray:
     """Normalized cell-center coordinates, row-major: query k -> cell
     (k mod Wq, k div Wq)."""
     us = (np.arange(wq) + 0.5) / wq
@@ -113,13 +113,6 @@ class GridQuery(Module):
         return x_q, refs
 
 
-def add_positional(x_q: Tensor, pe_flat) -> Tensor:
-    """Sum the encoding onto the queries (identity when pe is None)."""
-    if pe_flat is None:
-        return x_q
-    return ops.add(x_q, pe_flat)
-
-
 # ---------------------------------------------------------------------------
 # attention layers
 
@@ -130,8 +123,6 @@ class MHSA(Module):
 
     def __init__(self, rng, c_dec, heads):
         super().__init__()
-        if c_dec % heads:
-            raise ConfigError(f"decoder width {c_dec} not divisible by {heads} heads")
         self.heads = heads
         self.q_proj = Linear(rng, c_dec, c_dec)
         self.k_proj = Linear(rng, c_dec, c_dec)
@@ -161,13 +152,13 @@ class MSDeformCA(Module):
     (H, W, c_dec) map, head h in channels [h head_dim, (h+1) head_dim). One
     ``ms_deform_attn`` node then samples every level and head from these
     channel-merged maps, as Deformable DETR's ``ms_deform_attn_core_pytorch``
-    does.
+    does. A level projecting to another width fails in ``ops.matmul``, and a
+    level count other than ``n_levels`` or a width that does not divide into
+    ``heads`` in ``ops.ms_deform_attn``, each a ``DimensionError`` naming the op.
     """
 
     def __init__(self, rng, c_dec, heads, points, n_levels):
         super().__init__()
-        if c_dec % heads:
-            raise ConfigError(f"decoder width {c_dec} not divisible by {heads} heads")
         self.heads = heads
         self.points = points
         self.n_levels = n_levels
@@ -176,30 +167,23 @@ class MSDeformCA(Module):
         self.weight = Linear(rng, c_dec, heads * n_levels * points, init="zero")
         self.out_proj = Linear(rng, c_dec, c_dec)
 
-    def value_maps(self, levels, c: int):
-        """The (H, W, c) value maps of the factored level projections."""
+    def value_maps(self, levels):
+        """The (H, W, c_dec) value maps of the factored level projections."""
         maps = []
-        for lvl, (agg, kernel, bias) in enumerate(levels):
-            if kernel.shape[1] != c:
-                raise ConfigError(
-                    f"level {lvl + 1} projects to {kernel.shape[1]} channels, expected "
-                    f"decoder width {c}"
-                )
+        for agg, kernel, bias in levels:
             w = ops.matmul(kernel, self.value_proj.w)
             b = ops.linear(bias, self.value_proj.w, self.value_proj.b)
             maps.append(ops.linear(agg, w, b))
         return maps
 
     def forward(self, q: Tensor, refs: np.ndarray, levels) -> Tensor:
-        if len(levels) != self.n_levels:
-            raise ConfigError(f"expected {self.n_levels} feature levels, got {len(levels)}")
-        n, c = q.shape
+        n = q.shape[0]
         m, k, nl = self.heads, self.points, self.n_levels
         locations = ops.add(ops.reshape(self.offset.forward(q), (n, m, nl, k, 2)),
                             Tensor(refs[:, None, None, None, :]))
         logits = ops.reshape(self.weight.forward(q), (n, m, nl * k))
         weights = ops.reshape(ops.softmax(logits, axis=-1), (n, m, nl, k))
-        ctx = ops.ms_deform_attn(self.value_maps(levels, c), locations, weights)
+        ctx = ops.ms_deform_attn(self.value_maps(levels), locations, weights)
         return self.out_proj.forward(ctx)
 
 
@@ -227,7 +211,7 @@ class DecoderLayer(Module):
         self.norm3 = ChannelNorm(c_dec)
 
     def forward(self, q: Tensor, pe_flat, refs, levels) -> Tensor:
-        h = add_positional(q, pe_flat)
+        h = q if pe_flat is None else ops.add(q, pe_flat)
         h = self.norm1.forward(ops.add(h, self.mhsa.forward(h)))
         h = self.norm2.forward(ops.add(h, self.cross.forward(h, refs, levels)))
         h = self.norm3.forward(ops.add(h, self.ffn.forward(h)))

@@ -333,7 +333,7 @@ def build_targets(anchors: AnchorSet, labels, classes, f, cx, cy,
 
 
 def layer_detection_loss(cls_logits: Tensor, reg_out: Tensor, targets: TargetSet,
-                         alpha=20.0, gamma=2.0, beta=0.04):
+                         alpha, gamma, beta):
     """(classification, regression, orientation) sums for one decoder layer;
     without positives the last two sum no rows (+0.0, zero gradient)."""
     cls_loss = ops.focal_loss(cls_logits, targets.cls_targets, alpha=alpha, gamma=gamma,
@@ -375,7 +375,7 @@ def nms_2d(boxes: np.ndarray, scores: np.ndarray, iou_threshold: float) -> list:
 
 
 def decode_detections(anchors: AnchorSet, cls_logits: Tensor, reg_out: Tensor,
-                      classes, f, cx, cy, score_threshold=0.1, iou_threshold=0.4):
+                      classes, f, cx, cy, score_threshold, iou_threshold):
     """Scores + offsets -> thresholded, per-class NMS-filtered ``ObjectLabel``s
     with scores, in descending score order.
 

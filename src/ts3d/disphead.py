@@ -67,7 +67,7 @@ def _box_sums(img: np.ndarray, window: int) -> np.ndarray:
     )
 
 
-def block_match_stereo(img_left, img_right, max_disp: int, window: int = 9):
+def block_match_stereo(img_left, img_right, max_disp: int, window: int):
     """SAD block matching in both directions, winner-take-all with a
     uniqueness test.
 
@@ -136,7 +136,7 @@ def disparity_target(gt_disp: np.ndarray, n_bins: int, sigma: float) -> np.ndarr
 
 
 def stereo_focal_loss(logits_sup: Tensor, gt_disp: np.ndarray, valid_mask: np.ndarray,
-                      sigma: float = 0.5):
+                      sigma: float):
     """Cross-entropy between the predicted bin distribution and the unimodal
     target, averaged over exactly the valid pixels: one ``soft_cross_entropy``
     node weighted by mask / n_valid.

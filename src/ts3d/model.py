@@ -15,7 +15,7 @@ import numpy as np
 
 from . import ops
 from .backbone import Backbone
-from .config import RunConfig
+from .config import QUERY_STRIDE, SUPERVISION_STRIDE, RunConfig
 from .dataset import FrameData, Manifest, estimate_priors
 from .decoder import DecoderStack, GridQuery, dape, one_hot_disparity_pe, sine_pe_2d
 from .detect import (
@@ -31,9 +31,6 @@ from .detect import (
 from .disphead import DisparityHead, softargmax, stereo_focal_loss  # noqa: F401
 from .spfpn import SPFPN
 from .tensor import ConfigError, Module, Tensor, bind_parameter_names, no_grad
-
-SUPERVISION_STRIDE = 4
-QUERY_STRIDE = 16
 
 
 def anchor_templates(priors: dict, cfg: RunConfig) -> list:

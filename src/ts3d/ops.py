@@ -882,14 +882,14 @@ def correlation_volume(x_left, x_right, n_disparities: int) -> Tensor:
 # losses: each sums over one input tensor against constant targets
 
 
-def focal_loss(logits, targets, alpha: float = 20.0, gamma: float = 2.0,
-               weights=None) -> Tensor:
+def focal_loss(logits, targets, alpha: float, gamma: float, weights=None) -> Tensor:
     """Summed focal loss on logits (Lin et al., ICCV 2017), as torchvision's
     ``sigmoid_focal_loss``: p = sigmoid(x), computed inside.
 
     Target 1 costs -alpha (1 - p)^gamma log p, target 0 costs -p^gamma log(1 - p),
     and ``weights`` scales each entry. p is clipped to [1e-7, 1 - 1e-7]; a
     clipped entry gets no gradient. alpha = gamma = 1 gives -(1 - p_t) log p_t.
+    The class loss passes the config's ``focal_alpha`` and ``focal_gamma``.
     """
     logits = as_tensor(logits)
     eps = 1e-7
@@ -923,9 +923,9 @@ def focal_loss(logits, targets, alpha: float = 20.0, gamma: float = 2.0,
     return make_node(loss.sum(), (logits,), "focal_loss", build)
 
 
-def smooth_l1(pred, target, beta: float = 0.04) -> Tensor:
+def smooth_l1(pred, target, beta: float) -> Tensor:
     """Summed smooth L1 of d = pred - target: 0.5 d^2 / beta where |d| < beta,
-    |d| - beta / 2 elsewhere."""
+    |d| - beta / 2 elsewhere; beta is the config's ``smooth_l1_beta``."""
     pred = as_tensor(pred)
     d = pred.data - np.asarray(target, dtype=pred.dtype)
     a = np.abs(d)

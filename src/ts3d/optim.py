@@ -8,9 +8,7 @@ import numpy as np
 
 
 def cosine_lr(step: int, total_steps: int, base_lr: float) -> float:
-    """base_lr * 0.5 * (1 + cos(pi * step / total_steps))."""
-    if total_steps <= 0:
-        return base_lr
+    """base_lr * 0.5 * (1 + cos(pi * step / total_steps)), for total_steps >= 1."""
     frac = min(max(step / total_steps, 0.0), 1.0)
     return base_lr * 0.5 * (1.0 + math.cos(math.pi * frac))
 
@@ -24,8 +22,7 @@ class AdamW:
     schedule.
     """
 
-    def __init__(self, params, base_lr: float, weight_decay: float = 0.0,
-                 total_steps: int = 0):
+    def __init__(self, params, base_lr: float, weight_decay: float, total_steps: int):
         self.params = list(params)
         names = [p.name for p in self.params]
         if len(set(names)) != len(names):

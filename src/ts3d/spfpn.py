@@ -50,7 +50,7 @@ class SPFPN(Module):
     the bin-preservation property that "spfpn" maintains.
     """
 
-    def __init__(self, rng, bins=(24, 48, 96), c_dec=256, variant="spfpn"):
+    def __init__(self, rng, bins, c_dec, variant):
         super().__init__()
         if variant not in PYRAMID_VARIANTS:
             raise ConfigError(f"unknown pyramid variant '{variant}'")

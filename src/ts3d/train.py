@@ -164,6 +164,9 @@ def run_inference(model: TS3D, data_dir, split, out_dir):
 
 def load_trained_model(cfg: RunConfig, data_dir, ckpt_path) -> TS3D:
     manifest = read_manifest(os.path.join(data_dir, MANIFEST_NAME))
-    model = TS3D(cfg, templates=build_anchor_templates(manifest, cfg))
+    templates = build_anchor_templates(manifest, cfg)
+    if not manifest.splits.get("train"):  # a checkpoint does not store its templates
+        raise ConfigError(f"dataset at '{data_dir}' has no train split to take anchor priors from")
+    model = TS3D(cfg, templates=templates)
     load_model(ckpt_path, model)
     return model

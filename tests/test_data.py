@@ -349,7 +349,7 @@ def test_render_digest_is_pinned(seed, kwargs, want):
 
 def test_dataset_generation_and_manifest(tmp_path):
     params = SynthParams(width=64, height=32, n_objects=(1, 2), z_range=(4.0, 12.0))
-    man = generate_dataset(tmp_path, seed=11, n_train=3, n_val=2, params=params)
+    man = generate_dataset(tmp_path, seed=11, n_train=3, n_val=2, params=params, n_scales=1)
     assert man.splits["train"] == ["000000", "000001", "000002"]
     assert man.splits["val"] == ["000003", "000004"]
     for sub in ("image_2", "image_3", "label_2", "calib"):
@@ -372,7 +372,7 @@ def test_dataset_generation_and_manifest(tmp_path):
 ])
 def test_read_manifest_names_the_file_and_the_key(tmp_path, drop, add, named):
     generate_dataset(tmp_path, seed=5, n_train=1, n_val=0,
-                     params=SynthParams(width=64, height=32))
+                     params=SynthParams(width=64, height=32), n_scales=1)
     path = tmp_path / "manifest.txt"
     lines = path.read_text().splitlines(keepends=True)
     path.write_text("".join(ln for ln in lines if not (drop and ln.startswith(drop))) + add)
@@ -391,8 +391,8 @@ def test_manifest_bytes_are_pinned(tmp_path):
 def test_dataset_regeneration_is_byte_identical(tmp_path):
     params = SynthParams(width=64, height=32)
     a_dir, b_dir = tmp_path / "a", tmp_path / "b"
-    generate_dataset(a_dir, seed=3, n_train=2, n_val=1, params=params)
-    generate_dataset(b_dir, seed=3, n_train=2, n_val=1, params=params)
+    generate_dataset(a_dir, seed=3, n_train=2, n_val=1, params=params, n_scales=1)
+    generate_dataset(b_dir, seed=3, n_train=2, n_val=1, params=params, n_scales=1)
     for sub in ("image_2", "image_3", "label_2", "calib"):
         for name in os.listdir(a_dir / sub):
             assert (a_dir / sub / name).read_bytes() == (b_dir / sub / name).read_bytes()
@@ -411,13 +411,13 @@ def test_generate_dataset_renders_each_frame_through_one_synth_scene_call(tmp_pa
 
     monkeypatch.setattr(ts3d.dataset, "synth_scene", counting)
     generate_dataset(tmp_path, seed=4, n_train=3, n_val=2,
-                     params=SynthParams(width=64, height=32))
+                     params=SynthParams(width=64, height=32), n_scales=1)
     assert len(calls) == 5
 
 
 def test_pseudo_gt_cache_roundtrip(tmp_path):
     params = SynthParams(width=64, height=32, n_objects=(1, 1), z_range=(4.0, 8.0))
-    man = generate_dataset(tmp_path, seed=4, n_train=2, n_val=0, params=params)
+    man = generate_dataset(tmp_path, seed=4, n_train=2, n_val=0, params=params, n_scales=1)
     n = build_pseudo_gt(tmp_path, max_disp=12, window=7)
     assert n == 2
     frame = load_frame(tmp_path, "000000", man)
@@ -451,7 +451,7 @@ def test_priors_single_and_multi_scale():
 
 def _loaded_frame(tmp_path, with_pseudo=True):
     params = SynthParams(width=64, height=32, n_objects=(2, 2), z_range=(4.0, 10.0))
-    man = generate_dataset(tmp_path, seed=21, n_train=1, n_val=0, params=params)
+    man = generate_dataset(tmp_path, seed=21, n_train=1, n_val=0, params=params, n_scales=1)
     if with_pseudo:
         build_pseudo_gt(tmp_path, max_disp=12, window=7)
     return load_frame(tmp_path, "000000", man, with_pseudo=with_pseudo)
@@ -513,8 +513,8 @@ def test_flip_mirrors_boxes_and_yaw(tmp_path):
 def test_augment_deterministic_given_rng(tmp_path):
     frame_a = _loaded_frame(tmp_path)
     frame_b = load_frame(tmp_path, "000000", read_manifest(tmp_path / "manifest.txt"))
-    frame_a = augment(frame_a, np.random.default_rng(42))
-    frame_b = augment(frame_b, np.random.default_rng(42))
+    frame_a = augment(frame_a, np.random.default_rng(42), flip_probability=0.5)
+    frame_b = augment(frame_b, np.random.default_rng(42), flip_probability=0.5)
     assert np.array_equal(frame_a.left, frame_b.left)
     assert np.array_equal(frame_a.right, frame_b.right)
 

@@ -12,7 +12,6 @@ from ts3d.decoder import (
     DecoderLayer,
     DecoderStack,
     GridQuery,
-    add_positional,
     dape,
     one_hot_disparity_pe,
     reference_points,
@@ -20,7 +19,7 @@ from ts3d.decoder import (
 )
 from ts3d.gradcheck import grad_check
 from ts3d.spfpn import LevelProjection
-from ts3d.tensor import ConfigError, Tensor, no_grad
+from ts3d.tensor import ConfigError, DimensionError, Tensor, no_grad
 
 
 # ---------------------------------------------------------------------------
@@ -28,7 +27,7 @@ from ts3d.tensor import ConfigError, Tensor, no_grad
 
 
 def test_sine_pe_channel_zero_at_origin():
-    pe = sine_pe_2d(6, 4, 16)
+    pe = sine_pe_2d(6, 4, 16, np.float32)
     assert pe[0, 0, 0] == 0.0  # sin(0)
     assert pe[:, 0, 0].max() == 0.0  # u-block channel 0 at u=0 everywhere
 
@@ -49,7 +48,7 @@ def test_sine_pe_pairwise_distinct():
 
 def test_sine_pe_width_must_divide_by_four():
     with pytest.raises(ConfigError):
-        sine_pe_2d(4, 4, 10)
+        sine_pe_2d(4, 4, 10, np.float32)
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +61,7 @@ def test_dape_widths_and_ordering():
     pe = dape(logits, c_dec=256)
     assert pe.shape == (3, 5, 256)
     # concatenation order: sine block first, disparity block last
-    assert np.array_equal(pe.data[:, :, :160], sine_pe_2d(5, 3, 160))
+    assert np.array_equal(pe.data[:, :, :160], sine_pe_2d(5, 3, 160, np.float32))
     assert np.array_equal(pe.data[:, :, 160:], ops.softmax(logits, axis=-1).data)
 
 
@@ -144,25 +143,11 @@ def test_query_count_toy():
 
 
 def test_reference_points_grid_centers():
-    refs = reference_points(4, 2)
+    refs = reference_points(4, 2, np.float32)
     assert np.allclose(refs[0], [0.5 / 4, 0.5 / 2])
     # query k maps to cell (k mod Wq, k div Wq)
     k = 6
     assert np.allclose(refs[k], [((k % 4) + 0.5) / 4, ((k // 4) + 0.5) / 2])
-
-
-def test_add_positional_identity_shapes_and_gradient_split():
-    rng = np.random.default_rng(7)
-    x_q = Tensor(rng.normal(size=(8, 4)), dtype=np.float64, requires_grad=True)
-    assert add_positional(x_q, None) is x_q
-    zero = Tensor(np.zeros((8, 4)), dtype=np.float64)
-    assert np.array_equal(add_positional(x_q, zero).data, x_q.data)
-    pe = Tensor(rng.normal(size=(8, 4)), dtype=np.float64, requires_grad=True)
-    out = add_positional(x_q, pe)
-    assert out.shape == (8, 4)
-    probe = np.random.default_rng(8).normal(size=(8, 4))
-    ops.sum_(ops.mul(out, Tensor(probe, dtype=np.float64))).backward()
-    assert np.array_equal(x_q.grad, pe.grad)  # sum rule: both sides get dL/dQ
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +181,9 @@ def test_mhsa_rows_sum_to_one():
 
 
 def test_mhsa_rejects_indivisible_width():
-    with pytest.raises(ConfigError):
-        MHSA(np.random.default_rng(0), c_dec=10, heads=4)
+    attn = MHSA(np.random.default_rng(0), c_dec=10, heads=4)
+    with pytest.raises(DimensionError, match="attention expects .* divisible by 4 heads"):
+        attn.forward(Tensor(np.zeros((3, 10))))
 
 
 def test_mhsa_gradcheck():
@@ -334,8 +320,17 @@ def test_deformable_rejects_wrong_level_width():
     mod = MSDeformCA(rng, c_dec=8, heads=2, points=2, n_levels=1).astype(np.float32)
     q = Tensor(np.zeros((4, 8), dtype=np.float32))
     bad = Tensor(np.zeros((2, 2, 6), dtype=np.float32))
-    with pytest.raises(ConfigError, match="channels"):
-        mod.forward(q, reference_points(2, 2), _identity_levels(bad))
+    with pytest.raises(DimensionError, match="matmul inner axes differ"):
+        mod.forward(q, reference_points(2, 2, np.float32), _identity_levels(bad))
+
+
+@pytest.mark.parametrize("heads, n_maps", [(3, 1), (2, 2)])
+def test_deformable_rejects_indivisible_width_or_wrong_level_count(heads, n_maps):
+    mod = MSDeformCA(np.random.default_rng(16), c_dec=8, heads=heads, points=2, n_levels=1)
+    q = Tensor(np.zeros((4, 8)))
+    maps = [Tensor(np.zeros((2, 2, 8))) for _ in range(n_maps)]
+    with pytest.raises(DimensionError, match="ms_deform_attn expects"):
+        mod.forward(q, reference_points(2, 2, np.float64), _identity_levels(*maps))
 
 
 def test_deformable_gradcheck():
@@ -374,21 +369,13 @@ def _toy_feats(rng, c=8):
 
 def test_stack_returns_one_output_per_layer():
     rng = np.random.default_rng(19)
-    for n in (0, 1, 3):
+    for n in (1, 3):
         stack = _toy_stack(rng, n)
         x_q = Tensor(rng.normal(size=(8, 8)), dtype=np.float64)
         with no_grad():
             outs = stack.forward(x_q, None, reference_points(4, 2, np.float64),
                                  _toy_feats(rng))
         assert len(outs) == n
-
-
-def test_zero_layer_stack_is_passthrough():
-    rng = np.random.default_rng(20)
-    stack = _toy_stack(rng, 0)
-    x_q = Tensor(rng.normal(size=(8, 8)), dtype=np.float64)
-    outs = stack.forward(x_q, None, reference_points(4, 2, np.float64), _toy_feats(rng))
-    assert outs == []  # caller falls back to the raw queries
 
 
 def test_positional_encoding_is_sole_depth_channel():
@@ -410,6 +397,25 @@ def test_positional_encoding_is_sole_depth_channel():
         da_b = layer.forward(x_q, pe_b, refs, feats)
     assert np.array_equal(none_a.data, none_b.data)
     assert not np.allclose(da_a.data, da_b.data)
+
+
+def test_decoder_layer_adds_the_encoding_to_its_queries():
+    """The layer reads q + pe: no encoding and a zero one give the same output,
+    and q and pe receive the same gradient (the sum rule)."""
+    rng = np.random.default_rng(7)
+    layer = DecoderLayer(rng, c_dec=4, heads=2, points=2, n_levels=1, ffn_hidden=8)
+    refs = reference_points(2, 2, np.float64)
+    levels = _identity_levels(Tensor(rng.normal(size=(2, 2, 4)), dtype=np.float64))
+    x_q = Tensor(rng.normal(size=(4, 4)), dtype=np.float64, requires_grad=True)
+    with no_grad():
+        bare = layer.forward(x_q, None, refs, levels)
+        zero = layer.forward(x_q, Tensor(np.zeros((4, 4)), dtype=np.float64), refs, levels)
+    assert np.array_equal(bare.data, zero.data)
+    pe = Tensor(rng.normal(size=(4, 4)), dtype=np.float64, requires_grad=True)
+    out = layer.forward(x_q, pe, refs, levels)
+    probe = np.random.default_rng(8).normal(size=(4, 4))
+    ops.sum_(ops.mul(out, Tensor(probe, dtype=np.float64))).backward()
+    assert np.array_equal(x_q.grad, pe.grad)
 
 
 def test_decoder_layer_gradcheck():

@@ -62,7 +62,7 @@ def test_anchor_centers_coincide_with_reference_points():
     from ts3d.decoder import reference_points
 
     anchors = generate_anchors(6, 4, 16, [CAR])
-    refs = reference_points(6, 4)
+    refs = reference_points(6, 4, np.float32)
     assert np.allclose(anchors.boxes[:, 0], refs[:, 0] * 6 * 16)
     assert np.allclose(anchors.boxes[:, 1], refs[:, 1] * 4 * 16)
 
@@ -313,13 +313,20 @@ def test_head_gradcheck():
 # losses
 
 
+# the full preset's focal_alpha, focal_gamma and smooth_l1_beta
+FOCAL = dict(alpha=20.0, gamma=2.0)
+BETA = 0.04
+
+
 def test_focal_loss_golden_values():
     # logit 30 is sigmoid 1 - 1e-13, clipped to 1 - 1e-7; logit 0 is sigmoid 0.5
-    assert focal_loss(Tensor(np.array([30.0])), np.array([1.0])).item() == pytest.approx(0.0, abs=1e-6)
-    val = focal_loss(Tensor(np.array([0.0]), dtype=np.float64), np.array([1.0])).item()
+    assert focal_loss(Tensor(np.array([30.0])), np.array([1.0]),
+                      **FOCAL).item() == pytest.approx(0.0, abs=1e-6)
+    val = focal_loss(Tensor(np.array([0.0]), dtype=np.float64), np.array([1.0]), **FOCAL).item()
     assert val == pytest.approx(-20.0 * 0.25 * math.log(0.5), abs=1e-9)
     assert val == pytest.approx(3.4657, abs=1e-3)
-    assert focal_loss(Tensor(np.array([-30.0])), np.array([0.0])).item() == pytest.approx(0.0, abs=1e-6)
+    assert focal_loss(Tensor(np.array([-30.0])), np.array([0.0]),
+                      **FOCAL).item() == pytest.approx(0.0, abs=1e-6)
 
 
 def _logit(p):
@@ -328,8 +335,10 @@ def _logit(p):
 
 def test_focal_loss_monotonicity():
     xs = _logit(np.linspace(0.02, 0.98, 25))
-    pos = [focal_loss(Tensor(np.array([x]), dtype=np.float64), np.array([1.0])).item() for x in xs]
-    neg = [focal_loss(Tensor(np.array([x]), dtype=np.float64), np.array([0.0])).item() for x in xs]
+    pos = [focal_loss(Tensor(np.array([x]), dtype=np.float64), np.array([1.0]), **FOCAL).item()
+           for x in xs]
+    neg = [focal_loss(Tensor(np.array([x]), dtype=np.float64), np.array([0.0]), **FOCAL).item()
+           for x in xs]
     assert all(a >= b for a, b in zip(pos, pos[1:]))  # nonincreasing for target 1
     assert all(a <= b for a, b in zip(neg, neg[1:]))  # nondecreasing for target 0
 
@@ -340,17 +349,17 @@ def test_focal_loss_gradcheck():
     t = (rng.uniform(size=6) > 0.5).astype(np.float64)
 
     def f(x_):
-        return focal_loss(x_, t)
+        return focal_loss(x_, t, **FOCAL)
 
     assert grad_check(f, [x], eps=1e-6) < 1e-6
 
 
 def test_smooth_l1_golden_values():
-    z = smooth_l1(Tensor(np.array([2.0]), dtype=np.float64), np.array([2.0]))
+    z = smooth_l1(Tensor(np.array([2.0]), dtype=np.float64), np.array([2.0]), beta=BETA)
     assert z.item() == 0.0
-    at_break = smooth_l1(Tensor(np.array([0.04]), dtype=np.float64), np.array([0.0]))
+    at_break = smooth_l1(Tensor(np.array([0.04]), dtype=np.float64), np.array([0.0]), beta=BETA)
     assert at_break.item() == pytest.approx(0.02, abs=1e-12)
-    at_one = smooth_l1(Tensor(np.array([1.0]), dtype=np.float64), np.array([0.0]))
+    at_one = smooth_l1(Tensor(np.array([1.0]), dtype=np.float64), np.array([0.0]), beta=BETA)
     assert at_one.item() == pytest.approx(0.98, abs=1e-12)
 
 
@@ -429,7 +438,7 @@ def test_empty_frame_contributes_classification_only():
     rng = np.random.default_rng(11)
     cls = Tensor(rng.normal(size=(8, 2)), dtype=np.float64)
     reg = Tensor(rng.normal(size=(8, 13)), dtype=np.float64)
-    cls_l, reg_l, orient_l = layer_detection_loss(cls, reg, targets)
+    cls_l, reg_l, orient_l = layer_detection_loss(cls, reg, targets, beta=BETA, **FOCAL)
     assert cls_l.item() > 0
     assert reg_l.item() == 0.0 and orient_l.item() == 0.0
 
@@ -440,7 +449,7 @@ def test_layer_loss_gradients_reach_queries():
     head = DetectionHead(rng, c_dec=8, n_classes=1, anchors_per_cell=1)
     q = Tensor(rng.normal(size=(8, 8)), dtype=np.float64, requires_grad=True)
     cls, reg = head.forward(q)
-    losses = layer_detection_loss(cls, reg, targets)
+    losses = layer_detection_loss(cls, reg, targets, beta=BETA, **FOCAL)
     total = total_loss([losses], Tensor(np.zeros(1, dtype=np.float64)), targets.n_objects)
     total.backward()
     assert q.grad is not None and np.abs(q.grad).max() > 0
@@ -593,7 +602,8 @@ def test_decode_detections_calls_decode_box_once_per_class(monkeypatch):
 
     monkeypatch.setattr(ts3d.detect, "decode_box", spy)
     f, cx, cy = _calib()
-    decode_detections(anchors, cls, reg, CLASSES, f, cx, cy, score_threshold=0.001)
+    decode_detections(anchors, cls, reg, CLASSES, f, cx, cy, score_threshold=0.001,
+                      iou_threshold=0.4)
     assert len(rows_per_call) == 2 and min(rows_per_call) > 1
 
 

@@ -316,14 +316,16 @@ def test_loss_masked_mean_uses_exact_valid_count():
 
 def test_loss_zero_valid_pixels_flagged():
     logits = Tensor(np.zeros((2, 2, 4)))
-    loss, n = stereo_focal_loss(logits, np.zeros((2, 2)), np.zeros((2, 2), dtype=bool))
+    loss, n = stereo_focal_loss(logits, np.zeros((2, 2)), np.zeros((2, 2), dtype=bool),
+                                sigma=0.5)
     assert n == 0
     assert loss.item() == 0.0
 
 
 def test_loss_zero_valid_pixels_gives_zero_gradient():
     logits = Tensor(np.random.default_rng(6).normal(size=(2, 2, 4)), requires_grad=True)
-    loss, _ = stereo_focal_loss(logits, np.zeros((2, 2)), np.zeros((2, 2), dtype=bool))
+    loss, _ = stereo_focal_loss(logits, np.zeros((2, 2)), np.zeros((2, 2), dtype=bool),
+                                sigma=0.5)
     loss.backward()
     assert logits.grad is not None and not logits.grad.any()
 
@@ -389,7 +391,7 @@ def test_gradient_flows_back_to_stereo_feature():
     logits_sup = head.supervision_logits(head.forward(c3))
     gt = rng.uniform(0, 3, size=logits_sup.shape[:2])
     mask = np.ones(logits_sup.shape[:2], dtype=bool)
-    loss, _ = stereo_focal_loss(logits_sup, gt, mask)
+    loss, _ = stereo_focal_loss(logits_sup, gt, mask, sigma=0.5)
     loss.backward()
     assert c3.grad is not None
     assert np.abs(c3.grad).max() > 0

@@ -685,9 +685,11 @@ def test_soft_cross_entropy_with_zero_weights_is_positive_zero_with_zero_gradien
 
 
 @pytest.mark.parametrize("loss_of, shape", [
-    (lambda x: ops.focal_loss(x, np.eye(4, 3), weights=np.ones((4, 3))), (4, 3)),
-    (lambda x: ops.smooth_l1(x, np.zeros((4, 3))), (4, 3)),
-    (lambda x: stereo_focal_loss(x, np.ones((4, 3)), np.eye(4, 3, dtype=bool))[0], (4, 3, 5)),
+    (lambda x: ops.focal_loss(x, np.eye(4, 3), alpha=20.0, gamma=2.0, weights=np.ones((4, 3))),
+     (4, 3)),
+    (lambda x: ops.smooth_l1(x, np.zeros((4, 3)), beta=0.04), (4, 3)),
+    (lambda x: stereo_focal_loss(x, np.ones((4, 3)), np.eye(4, 3, dtype=bool), sigma=0.5)[0],
+     (4, 3, 5)),
 ], ids=["focal_loss", "smooth_l1", "stereo_focal_loss"])
 def test_each_loss_is_one_graph_node_on_its_input(loss_of, shape):
     """Logits for the two focal losses, residuals for smooth L1."""

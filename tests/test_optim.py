@@ -33,7 +33,7 @@ def test_zero_gradient_zero_decay_is_fixed_point():
 
 def test_missing_gradient_names_parameter():
     p = Parameter(np.zeros(3), name="decoder.ffn.w1")
-    opt = AdamW([p], base_lr=1e-3, total_steps=10)
+    opt = AdamW([p], base_lr=1e-3, weight_decay=0.0, total_steps=10)
     with pytest.raises(ValueError, match="decoder.ffn.w1"):
         opt.step()
 
@@ -41,7 +41,7 @@ def test_missing_gradient_names_parameter():
 def test_weight_decay_is_decoupled():
     # with zero gradient, the update is exactly -lr * wd * p
     p = Parameter(np.array([2.0]), name="w")
-    opt = AdamW([p], base_lr=0.1, weight_decay=0.5, total_steps=0)
+    opt = AdamW([p], base_lr=0.1, weight_decay=0.5, total_steps=1)  # step 0 runs at base_lr
     p.grad = np.zeros_like(p.data)
     opt.step()
     assert np.allclose(p.data, 2.0 - 0.1 * 0.5 * 2.0)
@@ -49,7 +49,8 @@ def test_weight_decay_is_decoupled():
 
 def test_adamw_descends_quadratic():
     p = Parameter(np.array([4.0, -3.0]), name="w")
-    opt = AdamW([p], base_lr=0.05, weight_decay=0.0, total_steps=0)
+    # cos(pi * step / total_steps) rounds to 1.0 for every step taken: a constant lr
+    opt = AdamW([p], base_lr=0.05, weight_decay=0.0, total_steps=10**12)
     for _ in range(400):
         p.grad = None
         loss = ops.sum_(ops.mul(p, p))
@@ -60,7 +61,7 @@ def test_adamw_descends_quadratic():
 
 def test_step_counter_strictly_increases():
     p = Parameter(np.zeros(2), name="w")
-    opt = AdamW([p], base_lr=1e-3, total_steps=5)
+    opt = AdamW([p], base_lr=1e-3, weight_decay=0.0, total_steps=5)
     for expected in (1, 2, 3):
         p.grad = np.ones_like(p.data)
         opt.step()

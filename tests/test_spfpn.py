@@ -131,13 +131,13 @@ def _toy_inits(rng, bins=(4, 6, 8), h=8, w=16, dtype=np.float64):
 
 def test_channel_recursion_full_scale_arithmetic():
     rng = np.random.default_rng(6)
-    net = SPFPN(rng, bins=(24, 48, 96), c_dec=16).astype(np.float32)
+    net = SPFPN(rng, bins=(24, 48, 96), c_dec=16, variant="spfpn").astype(np.float32)
     assert net.agg_channels == [24, 72, 168]
 
 
 def test_single_level_is_identity():
     rng = np.random.default_rng(7)
-    net = SPFPN(rng, bins=(4,), c_dec=8).astype(np.float32)
+    net = SPFPN(rng, bins=(4,), c_dec=8, variant="spfpn").astype(np.float32)
     c1 = Tensor(rng.normal(size=(4, 8, 4)).astype(np.float32))
     out = net.cross_scale_aggregate([c1])
     assert len(out) == 1
@@ -146,7 +146,7 @@ def test_single_level_is_identity():
 
 def test_concat_order_native_block_first():
     rng = np.random.default_rng(8)
-    net = SPFPN(rng, bins=(4, 6, 8), c_dec=8).astype(np.float32)
+    net = SPFPN(rng, bins=(4, 6, 8), c_dec=8, variant="spfpn").astype(np.float32)
     inits = _toy_inits(rng)
     with no_grad():
         agg = net.cross_scale_aggregate(inits)
@@ -158,7 +158,7 @@ def test_concat_order_native_block_first():
 def test_bin_isolation_invariant():
     """Perturbing bin d of one level moves only that native channel, at every level."""
     rng = np.random.default_rng(9)
-    net = SPFPN(rng, bins=(4, 6, 8), c_dec=8).astype(np.float32)
+    net = SPFPN(rng, bins=(4, 6, 8), c_dec=8, variant="spfpn").astype(np.float32)
     base = _toy_inits(rng)
     with no_grad():
         ref = net.cross_scale_aggregate(base)
@@ -184,7 +184,7 @@ def test_bin_isolation_invariant():
 
 def test_projection_shapes_and_identity_passthrough():
     rng = np.random.default_rng(10)
-    net = SPFPN(rng, bins=(4, 6, 8), c_dec=18).astype(np.float32)
+    net = SPFPN(rng, bins=(4, 6, 8), c_dec=18, variant="spfpn").astype(np.float32)
     inits = _toy_inits(rng, dtype=np.float32)
     with no_grad():
         agg = net.cross_scale_aggregate(inits)
@@ -225,7 +225,7 @@ def test_spfpn_mode_aliases_cross_scale_aggregate():
 
 def test_pyramid_gradcheck_composite():
     rng = np.random.default_rng(13)
-    net = SPFPN(rng, bins=(3, 4), c_dec=5)
+    net = SPFPN(rng, bins=(3, 4), c_dec=5, variant="spfpn")
     probe = [
         Tensor(np.random.default_rng(20).normal(size=(4, 6, 5)), dtype=np.float64),
         Tensor(np.random.default_rng(21).normal(size=(2, 3, 5)), dtype=np.float64),

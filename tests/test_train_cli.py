@@ -54,7 +54,7 @@ def toy_dataset(tmp_path_factory):
     root = tmp_path_factory.mktemp("toyset")
     params = SynthParams(width=64, height=32, focal=40.0, baseline=0.5,
                          n_objects=(1, 2), z_range=(4.5, 9.0))
-    generate_dataset(root, seed=13, n_train=3, n_val=2, params=params)
+    generate_dataset(root, seed=13, n_train=3, n_val=2, params=params, n_scales=1)
     cfg = RunConfig.toy()
     build_pseudo_gt(root, max_disp=cfg.resolved_bm_max_disp(), window=7)
     return root
@@ -221,7 +221,8 @@ def test_failed_save_keeps_previous_checkpoint(toy_dataset, tmp_path, monkeypatc
                         types.SimpleNamespace(crc32=crc32_failing_on_third_entry))
     for p in model.parameters():
         p.data += 1.0
-    opt = AdamW(list(model.parameters()), base_lr=cfg.lr)
+    opt = AdamW(list(model.parameters()), base_lr=cfg.lr, weight_decay=cfg.weight_decay,
+                total_steps=cfg.total_steps)
     with pytest.raises(OSError, match="simulated"):
         save_checkpoint(str(run), LAST_CKPT, model, opt)
     monkeypatch.undo()
@@ -296,6 +297,12 @@ def test_config_line_without_equals_names_the_file_and_the_line(tmp_path):
     with pytest.raises(ConfigError, match="line 2: expected key=value, got 'heads 4'") as info:
         load_config(path=path, preset="toy")
     assert str(path) in str(info.value)
+
+
+def test_config_rejects_a_decoder_width_that_does_not_divide_into_heads():
+    # the one check of it: MHSA and MSDeformCA leave it to their ops
+    with pytest.raises(ConfigError, match="c_dec must divide into heads, got 16 % 3"):
+        load_config(preset="toy", overrides={"heads": "3"})
 
 
 def test_config_validation_names_constraint():
@@ -661,7 +668,7 @@ def test_cli_infer_rejects_a_dataset_of_another_resolution_naming_both(toy_ckpt,
                                                                        readable):
     data = tmp_path / "data"
     generate_dataset(data, seed=3, n_train=0, n_val=1,
-                     params=SynthParams(width=128, height=64))
+                     params=SynthParams(width=128, height=64), n_scales=1)
     ckpt = toy_ckpt
     if not readable:
         ckpt = tmp_path / "junk.ts3d"
@@ -670,6 +677,19 @@ def test_cli_infer_rejects_a_dataset_of_another_resolution_naming_both(toy_ckpt,
              "--out", "preds", "--preset", "toy", cwd=tmp_path)
     assert r.returncode == 2, r.stderr
     assert "128x64" in r.stderr and "64x32" in r.stderr and "Traceback" not in r.stderr
+    assert not (tmp_path / "preds").exists()
+
+
+# a checkpoint does not store its anchor templates, and a manifest without a
+# train split holds only the fallback priors of a class without labels
+def test_cli_infer_rejects_a_dataset_without_a_train_split_naming_it(toy_ckpt, tmp_path):
+    data = tmp_path / "data"
+    generate_dataset(data, seed=13, n_train=0, n_val=1,
+                     params=SynthParams(width=64, height=32), n_scales=1)
+    r = _cli("infer", "--ckpt", str(toy_ckpt), "--data", str(data), "--split", "val",
+             "--out", "preds", "--preset", "toy", cwd=tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert f"'{data}' has no train split" in r.stderr and "Traceback" not in r.stderr
     assert not (tmp_path / "preds").exists()
 
 
@@ -722,6 +742,20 @@ def test_cli_heatmap_rejects_out_of_range_probe_and_bin(toy_ckpt, toy_dataset, t
     assert r.returncode == 2, r.stderr
     assert flag in r.stderr and "Traceback" not in r.stderr
     assert list(tmp_path.iterdir()) == []
+
+
+# sine2d has no disparity channels and none no encoding; the junk checkpoint
+# shows that the check comes before the checkpoint is read
+@pytest.mark.parametrize("mode", ["sine2d", "none"])
+def test_cli_heatmap_bin_needs_an_encoding_with_disparity_bins(toy_dataset, tmp_path, mode):
+    junk = tmp_path / "junk.ts3d"
+    junk.write_bytes(b"junk")
+    r = _cli("heatmap", "--ckpt", str(junk), "--data", str(toy_dataset), "--frame", "000000",
+             "--probe", "1,1", "--bin", "0", "--out", "heat.pgm", "--preset", "toy",
+             "--set", f"dape_mode={mode}", cwd=tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert "--bin" in r.stderr and f"dape_mode={mode}" in r.stderr
+    assert "Traceback" not in r.stderr and list(tmp_path.iterdir()) == [junk]
 
 
 def test_cli_synth_takes_anchor_scales_from_the_config(tmp_path):
@@ -816,7 +850,7 @@ def test_toy_training_fits_the_frame_it_is_shown(tmp_path):
     data = tmp_path / "data"
     params = SynthParams(width=64, height=32, focal=40.0, baseline=0.5,
                          n_objects=(1, 2), z_range=(4.5, 9.0))
-    generate_dataset(data, seed=13, n_train=1, n_val=0, params=params)
+    generate_dataset(data, seed=13, n_train=1, n_val=0, params=params, n_scales=1)
     cfg = _toy_cfg(total_steps=100, lr=3e-3, augment=False, checkpoint_every=0,
                    score_threshold=0.05)
     build_pseudo_gt(data, max_disp=cfg.resolved_bm_max_disp(), window=7)
