@@ -223,6 +223,8 @@ def _cmd_heatmap(args) -> int:
             raise ConfigError(f"--bin needs an encoding with disparity bins (dape_mode dape "
                               f"or onehot), got dape_mode={cfg.dape_mode}")
         check_interval("--bin", args.bin, f"[0, {cfg.c_disp})")
+    if cfg.dape_mode == "none":
+        raise ConfigError("heatmap needs a positional encoding, got dape_mode=none")
     model = load_trained_model(cfg, args.data, args.ckpt)
     manifest = read_manifest(os.path.join(args.data, MANIFEST_NAME))
     frame = load_frame(args.data, args.frame, manifest, with_pseudo=False)

@@ -222,13 +222,11 @@ class DecoderStack(Module):
     """Cascade of at least one decoder layer; every layer's output is kept,
     because training supervises each one (inference reads only the last)."""
 
-    def __init__(self, rng, n_layers, c_dec, heads, points, n_levels,
-                 ffn_hidden=None):
+    def __init__(self, rng, n_layers, c_dec, heads, points, n_levels):
         super().__init__()
-        if ffn_hidden is None:
-            ffn_hidden = 4 * c_dec
+        # the FFN widens to 4x the query width, as in Deformable DETR (256 -> 1024)
         self.layers = ModuleList([
-            DecoderLayer(rng, c_dec, heads, points, n_levels, ffn_hidden)
+            DecoderLayer(rng, c_dec, heads, points, n_levels, ffn_hidden=4 * c_dec)
             for _ in range(n_layers)
         ])
 

@@ -103,19 +103,25 @@ def generate_anchors(wq: int, hq: int, stride: int, templates) -> AnchorSet:
 # assignment
 
 
+def _pairwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of corner boxes ``a`` and ``b`` (broadcast over their leading axes);
+    a union <= 0 gives 0. The one IoU formula: matcher and NMS share it."""
+    x1 = np.maximum(a[..., 0], b[..., 0])
+    y1 = np.maximum(a[..., 1], b[..., 1])
+    x2 = np.minimum(a[..., 2], b[..., 2])
+    y2 = np.minimum(a[..., 3], b[..., 3])
+    inter = np.clip(x2 - x1, 0, None) * np.clip(y2 - y1, 0, None)
+    area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+    area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
+    union = area_a + area_b - inter
+    return np.where(union > 0, inter / np.maximum(union, 1e-12), 0.0)
+
+
 def iou_axis_aligned(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """IoU matrix between (N,4) and (M,4) corner boxes."""
     if len(a) == 0 or len(b) == 0:
         return np.zeros((len(a), len(b)))
-    x1 = np.maximum(a[:, None, 0], b[None, :, 0])
-    y1 = np.maximum(a[:, None, 1], b[None, :, 1])
-    x2 = np.minimum(a[:, None, 2], b[None, :, 2])
-    y2 = np.minimum(a[:, None, 3], b[None, :, 3])
-    inter = np.clip(x2 - x1, 0, None) * np.clip(y2 - y1, 0, None)
-    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
-    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
-    union = area_a[:, None] + area_b[None, :] - inter
-    return np.where(union > 0, inter / np.maximum(union, 1e-12), 0.0)
+    return _pairwise_iou(a[:, None, :], b[None, :, :])
 
 
 BACKGROUND = -1
@@ -361,16 +367,51 @@ def total_loss(layer_losses, disp_loss: Tensor, n_objects: int) -> Tensor:
 # inference
 
 
+# ranks resolved per step of nms_2d's walk. On the full preset's ~8.4k
+# candidates per frame, blocks of 64-128 ran fastest (32 and 192 took about
+# 1.1-1.3x as long); 64 halves 128's transient arrays.
+NMS_BLOCK = 64
+
+
 def nms_2d(boxes: np.ndarray, scores: np.ndarray, iou_threshold: float) -> list:
-    """Greedy descending-score suppression on (N,4) corner boxes. Equal scores
-    keep index order; an IoU equal to ``iou_threshold`` does not suppress."""
+    """Greedy descending-score suppression on (N,4) corner boxes; returns the
+    kept indices in score order. Equal scores keep index order; an IoU equal to
+    ``iou_threshold`` (in (0, 1]) does not suppress; a union <= 0 gives IoU 0.
+
+    Exact greedy NMS, walked in blocks of NMS_BLOCK ranks: one IoU matrix
+    resolves a block against itself row by row, then the block's kept boxes
+    suppress every later live box they overlap above the threshold. Only
+    pairs that overlap on both axes get an IoU; any other pair's is 0, which
+    never exceeds the threshold. Memory stays O(NMS_BLOCK * N).
+    """
     order = np.argsort(-scores, kind="stable")
+    ranked = boxes[order]
+    x1, y1, x2, y2 = np.ascontiguousarray(ranked.T)
+    n = len(ranked)
+    alive = np.ones(n, dtype=bool)
     keep = []
-    while len(order):
-        i, rest = order[0], order[1:]
-        keep.append(int(i))
-        ious = iou_axis_aligned(boxes[i][None, :], boxes[rest])[0]
-        order = rest[~(ious > iou_threshold)]
+    for start in range(0, n, NMS_BLOCK):
+        stop = min(start + NMS_BLOCK, n)
+        block = ranked[start:stop]
+        over = _pairwise_iou(block[:, None, :], block[None, :, :]) > iou_threshold
+        live = alive[start:stop]  # a view: suppression writes through
+        rows = []
+        for r in range(stop - start):
+            if live[r]:
+                rows.append(r)
+                live[r + 1:] &= ~over[r, r + 1:]
+        kept = start + np.array(rows, dtype=np.int64)
+        keep.extend(order[kept].tolist())
+        rest = stop + np.flatnonzero(alive[stop:])
+        if not len(rest):
+            break
+        touch = x1[kept, None] < x2[rest]
+        touch &= x2[kept, None] > x1[rest]
+        touch &= y1[kept, None] < y2[rest]
+        touch &= y2[kept, None] > y1[rest]
+        ia, ib = np.divmod(np.flatnonzero(touch), len(rest))
+        iou = _pairwise_iou(ranked[kept[ia]], ranked[rest[ib]])
+        alive[rest[ib[iou > iou_threshold]]] = False
     return keep
 
 

@@ -88,7 +88,7 @@ class TS3D(Module):
         self.disp_head = DisparityHead(rng, c3_channels, cfg.c_disp)
         self.query = GridQuery(rng, c3_channels, cfg.c_dec)
         self.decoder = DecoderStack(rng, cfg.n_dec, cfg.c_dec, cfg.heads, cfg.points,
-                                    n_levels=3)
+                                    n_levels=len(cfg.bins))
         self.head = DetectionHead(rng, cfg.c_dec, len(cfg.classes),
                                   anchors_per_cell=len(templates))
         self.anchors = generate_anchors(cfg.width // QUERY_STRIDE,

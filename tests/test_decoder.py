@@ -356,8 +356,7 @@ def test_deformable_gradcheck():
 
 
 def _toy_stack(rng, n_layers, c=8):
-    return DecoderStack(rng, n_layers, c_dec=c, heads=2, points=2, n_levels=2,
-                        ffn_hidden=2 * c)
+    return DecoderStack(rng, n_layers, c_dec=c, heads=2, points=2, n_levels=2)
 
 
 def _toy_feats(rng, c=8):

@@ -1,6 +1,7 @@
 """Detection machinery: anchors, assignment, box coding, losses, NMS."""
 
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -512,6 +513,98 @@ def test_nms_iou_at_threshold_is_kept():
     assert iou_axis_aligned(boxes[:1], boxes[1:])[0, 0] == 0.5
     assert nms_2d(boxes, np.array([0.9, 0.8]), 0.5) == [0, 1]
     assert nms_2d(boxes, np.array([0.9, 0.8]), 0.49) == [0]
+
+
+def _nms_loop_reference(boxes, scores, iou_threshold):
+    """The one-box-per-iteration loop nms_2d replaced: keep the best remaining
+    box, drop every remaining box whose IoU with it exceeds the threshold."""
+    order = np.argsort(-scores, kind="stable")
+    keep = []
+    while len(order):
+        i, rest = order[0], order[1:]
+        keep.append(int(i))
+        ious = iou_axis_aligned(boxes[i][None, :], boxes[rest])[0]
+        order = rest[~(ious > iou_threshold)]
+    return keep
+
+
+# 2D sizes of the full preset's decoded candidates: wide, flat boxes that
+# overlap many neighbouring cells
+WIDE_TEMPLATES = [AnchorTemplate(class_id=0, w2d=w, h2d=h, z=9.0, w=1.7, h=1.5, l=3.9)
+                  for w, h in ((46, 10), (65, 14), (99, 18), (150, 24), (212, 34), (80, 30))]
+
+
+def _anchor_like_boxes(rng, wq, hq):
+    """Jittered corner boxes on a stride-16 grid, six per cell, each scored
+    with its cell's score as decode_detections does (so a cell's six tie)."""
+    corners = generate_anchors(wq, hq, 16, WIDE_TEMPLATES).corners()
+    corners += np.tile(rng.normal(scale=3.0, size=(len(corners), 2)), 2)  # shift, keep size
+    scores = np.repeat(np.round(rng.uniform(size=wq * hq), 3), len(WIDE_TEMPLATES))
+    return corners, scores
+
+
+def _hard_nms_set(seed):
+    """Over a thousand clustered anchor-like boxes plus the contract's edge
+    cases: exact score ties, duplicate boxes, pairs at IoU exactly 0.4,
+    zero-area boxes and clusters of boxes under 1.5 px wide."""
+    rng = np.random.default_rng(seed)
+    boxes, scores = _anchor_like_boxes(rng, 16, 12)
+    dup = rng.choice(len(boxes), 60, replace=False)
+    dup_scores = np.where(rng.uniform(size=60) < 0.5, scores[dup], rng.uniform(size=60))
+    x, y = rng.integers(0, 240, 40), rng.integers(0, 180, 40)
+    square = np.stack([x, y, x + 10, y + 10], axis=1).astype(float)
+    strip = np.stack([x, y, x + 10, y + 4], axis=1).astype(float)  # IoU 40/100
+    pair_scores = np.round(rng.uniform(size=40), 3)
+    flat = boxes[rng.choice(len(boxes), 30, replace=False)].copy()
+    flat[:15, 2] = flat[:15, 0]   # zero width
+    flat[15:, 3] = flat[15:, 1]   # zero height
+    point = np.repeat(rng.uniform(0, 200, (10, 2)), 2, axis=1)[:, [0, 2, 1, 3]]
+    corner = rng.uniform(0, 200, (5, 1, 2)) + rng.uniform(0, 0.5, (5, 8, 2))
+    tiny = np.concatenate([corner, corner + rng.uniform(0.2, 1.5, (5, 8, 2))], axis=2)
+    boxes = np.concatenate([boxes, boxes[dup], square, strip, flat, point, tiny.reshape(40, 4)])
+    scores = np.concatenate([scores, dup_scores, pair_scores, pair_scores - 0.0005,
+                             rng.uniform(size=80)])
+    perm = rng.permutation(len(boxes))
+    assert (iou_axis_aligned(square, strip).diagonal() == 0.4).all()
+    return boxes[perm], scores[perm]
+
+
+@pytest.mark.parametrize("block", [1, 5, 128, 4096])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_nms_matches_the_loop_across_blocks(monkeypatch, seed, block):
+    boxes, scores = _hard_nms_set(seed)
+    assert len(boxes) > 1000
+    monkeypatch.setattr(ts3d.detect, "NMS_BLOCK", block)
+    want = _nms_loop_reference(boxes, scores, 0.4)
+    assert nms_2d(boxes, scores, 0.4) == want
+    # suppression reaches from one block of 128 ranks into later ones
+    rank = np.empty(len(boxes), dtype=np.int64)
+    rank[np.argsort(-scores, kind="stable")] = np.arange(len(boxes))
+    dropped = np.setdiff1d(np.arange(len(boxes)), want)
+    over = iou_axis_aligned(boxes[want], boxes[dropped]) > 0.4
+    k, d = np.nonzero(over)
+    assert (rank[np.array(want)[k]] // 128 < rank[dropped[d]] // 128).any()
+
+
+def test_nms_of_no_box_or_one_box():
+    assert nms_2d(np.zeros((0, 4)), np.zeros(0), 0.4) == []
+    assert nms_2d(np.array([[1.0, 2.0, 3.0, 4.0]]), np.array([0.3]), 0.4) == [0]
+    assert nms_2d(np.array([[1.0, 2.0, 1.0, 4.0]]), np.array([0.3]), 0.4) == [0]
+
+
+def test_nms_memory_stays_linear_in_the_candidates():
+    """About 8.6k anchor-like candidates, as one full-preset frame yields: an
+    N x N IoU or overlap matrix would take 75-600 MB and a gather of every
+    overlapping pair tens of MB; the blocked walk needs about 2.2 MB."""
+    boxes, scores = _anchor_like_boxes(np.random.default_rng(3), 80, 18)
+    tracemalloc.start()
+    try:
+        keep = nms_2d(boxes, scores, 0.4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < len(keep) < len(boxes)
+    assert peak < 6e6, peak
 
 
 # ---------------------------------------------------------------------------

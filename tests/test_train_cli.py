@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import ts3d.checkpoint
+import ts3d.cli
 import ts3d.train
 from ts3d.checkpoint import load_arrays, save_arrays, save_model
 from ts3d.config import BOUNDS, CHOICES, RunConfig, load_config
@@ -756,6 +757,19 @@ def test_cli_heatmap_bin_needs_an_encoding_with_disparity_bins(toy_dataset, tmp_
     assert r.returncode == 2, r.stderr
     assert "--bin" in r.stderr and f"dape_mode={mode}" in r.stderr
     assert "Traceback" not in r.stderr and list(tmp_path.iterdir()) == [junk]
+
+
+def test_cli_heatmap_without_an_encoding_fails_before_reading_the_checkpoint(
+        toy_dataset, tmp_path, monkeypatch, capsys):
+    reads = []
+    monkeypatch.setattr(ts3d.train, "load_model", lambda *args: reads.append(args))
+    code = ts3d.cli.main(["heatmap", "--ckpt", str(tmp_path / "model.ts3d"),
+                          "--data", str(toy_dataset), "--frame", "000000", "--probe", "1,1",
+                          "--out", str(tmp_path / "heat.pgm"), "--preset", "toy",
+                          "--set", "dape_mode=none"])
+    assert reads == [] and code == 2
+    assert "dape_mode=none" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_synth_takes_anchor_scales_from_the_config(tmp_path):
