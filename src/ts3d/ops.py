@@ -1,14 +1,15 @@
 """Differentiable operators over Tensor.
 
 Exactly the operator set the detector needs: elementwise arithmetic (add,
-mul, scale, relu), reductions, shape ops, matmul, the affine map
-over any leading shape (linear), conv2d (a row-blocked im2col GEMM), bilinear
-sampling, row-blocked multi-scale deformable attention over channel-merged
-value maps (ms_deform_attn), normalization, the backbone's fused conv ->
+scale, relu), shape ops, matmul, the affine map over any leading shape
+(linear), conv2d (a row-blocked im2col GEMM), bilinear sampling,
+row-blocked multi-scale deformable attention over channel-merged value maps
+(ms_deform_attn), normalization, the backbone's fused conv ->
 channel_norm -> relu (conv_norm_act), softmax, row-blocked multi-head
 attention, nearest upsampling, the stereo correlation volume, and the
 training losses (focal_loss, smooth_l1, soft_cross_entropy); each fused op is
-one node with a closed-form backward.
+one node with a closed-form backward. There is no product or reduction op:
+an output needs no scalar objective, since Tensor.backward takes any seed.
 Each op validates shapes up front and registers a backward closure that
 accumulates into its parents (fan-out gradients add).
 """
@@ -52,21 +53,6 @@ def add(a, b) -> Tensor:
     return make_node(data, (a, b), "add", build)
 
 
-def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    data = a.data * b.data
-
-    def build():
-        def bw(g):
-            if a.requires_grad:
-                a.accumulate_grad(_unbroadcast(g * b.data, a.shape), "mul")
-            if b.requires_grad:
-                b.accumulate_grad(_unbroadcast(g * a.data, b.shape), "mul")
-        return bw
-
-    return make_node(data, (a, b), "mul", build)
-
-
 def scale(a, s: float) -> Tensor:
     """Multiply by a python scalar (no dtype promotion)."""
     a = as_tensor(a)
@@ -91,29 +77,6 @@ def relu(a) -> Tensor:
         return bw
 
     return make_node(np.maximum(a.data, 0.0), (a,), "relu", build)
-
-
-# ---------------------------------------------------------------------------
-# reductions
-
-
-def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
-    data = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def build():
-        def bw(g):
-            if not a.requires_grad:
-                return
-            gg = g
-            if not keepdims and axis is not None:
-                gg = np.expand_dims(gg, axis)
-            elif axis is None and not keepdims:
-                gg = np.asarray(gg).reshape((1,) * a.ndim)
-            a.accumulate_grad(np.broadcast_to(gg, a.shape).copy(), "sum")
-        return bw
-
-    return make_node(data, (a,), "sum", build)
 
 
 # ---------------------------------------------------------------------------

@@ -80,5 +80,5 @@ class AdamW:
                     raise ValueError(f"optimizer state missing '{key}'")
                 if arrays[key].shape != p.data.shape:
                     raise ValueError(f"optimizer state shape mismatch for '{key}'")
-                store[p.name] = arrays[key].astype(p.data.dtype).copy()
+                store[p.name] = arrays[key].astype(p.data.dtype)
         self.step_count = int(step[0])

@@ -1,9 +1,12 @@
 """Dense float tensors with reverse-mode automatic differentiation.
 
 A Tensor wraps a contiguous numpy array plus an optional gradient buffer.
-Operators (see ops.py) build a small backward graph; calling backward() on a
-scalar walks it in reverse topological order. Gradients of a value that is
-used several times add up, so callers must zero gradients between steps.
+Operators (see ops.py) build a small backward graph; backward(grad) walks it
+in reverse topological order from ``grad``, the gradient of some objective
+with respect to the tensor it is called on: any output can be seeded, as with
+a vector-Jacobian product, and a scalar may omit the seed (ones). Gradients
+of a value that is used several times add up, so callers must zero gradients
+between steps.
 backward() frees the graph as it goes: once a node's backward has run, its
 closure, its parent links and its gradient are dropped, so each saved array
 and interior gradient is released as soon as the pass is past it. Only
@@ -124,10 +127,21 @@ class Tensor:
         else:
             self.grad += arr
 
-    def backward(self) -> None:
-        """Reverse-mode pass from a scalar output; frees the graph behind it."""
-        if self.data.size != 1:
-            raise ValueError("backward() requires a scalar tensor")
+    def backward(self, grad=None) -> None:
+        """Reverse-mode pass seeded with ``grad``, an array of this tensor's
+        shape and dtype (ones when None, which needs a scalar); frees the
+        graph behind it."""
+        if grad is None and self.data.size != 1:
+            raise ValueError("backward() without a seed requires a scalar tensor")
+        # a copy: accumulation must never write into the caller's array
+        grad = np.ones_like(self.data) if grad is None else np.array(grad)
+        if grad.shape != self.data.shape or grad.dtype != self.data.dtype:
+            raise DimensionError(
+                f"backward seed of shape {grad.shape} and dtype {grad.dtype} does not "
+                f"match tensor shape {self.data.shape} and dtype {self.data.dtype}"
+            )
+        if not np.isfinite(grad).all():
+            raise NumericalError("non-finite values in the backward() seed")
         topo = []
         visited = set()
         stack = [(self, False)]
@@ -143,7 +157,7 @@ class Tensor:
             for p in node._parents:
                 if p.requires_grad and id(p) not in visited:
                     stack.append((p, False))
-        self.grad = np.ones_like(self.data)
+        self.grad = grad if self.grad is None else self.grad + grad  # only a leaf has one
         while topo:
             node = topo.pop()
             if node._backward_fn is None:

@@ -23,7 +23,6 @@ import warnings
 
 import numpy as np
 
-from . import ops
 from .augment import augment
 from .checkpoint import load_model, save_model
 from .config import RunConfig, load_config
@@ -112,7 +111,8 @@ def train_run(cfg: RunConfig, data_dir, out_dir, resume: bool = False,
                 if parts["n_valid_px"] == 0:
                     warnings.warn(f"frame {fid}: no valid pseudo-GT disparity pixels, "
                                   "so its disparity loss is 0", RuntimeWarning)
-                ops.scale(loss, 1.0 / cfg.batch_size).backward()
+                # d(batch mean)/d(this frame's loss)
+                loss.backward(np.full_like(loss.data, 1.0 / cfg.batch_size))
                 total_val += loss.item() / cfg.batch_size
                 for key in ("cls", "reg", "orient", "disp"):
                     acc[key] += parts[key] / cfg.batch_size

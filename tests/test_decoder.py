@@ -100,12 +100,7 @@ def test_dape_rejects_wide_disparity_block():
 def test_dape_differentiable_through_logits():
     rng = np.random.default_rng(2)
     logits = Tensor(rng.normal(size=(2, 2, 4)), dtype=np.float64, requires_grad=True)
-    probe = Tensor(np.random.default_rng(3).normal(size=(2, 2, 12)), dtype=np.float64)
-
-    def f(lg):
-        return ops.sum_(ops.mul(dape(lg, c_dec=12), probe))
-
-    assert grad_check(f, [logits], eps=1e-6) < 1e-6
+    assert grad_check(lambda lg: dape(lg, c_dec=12), [logits], eps=1e-6, probe=3) < 1e-6
 
 
 def test_one_hot_pe_block_and_zeros():
@@ -190,12 +185,7 @@ def test_mhsa_gradcheck():
     rng = np.random.default_rng(11)
     attn = MHSA(rng, c_dec=6, heads=2)
     x = Tensor(rng.normal(size=(4, 6)), dtype=np.float64, requires_grad=True)
-    probe = Tensor(np.random.default_rng(12).normal(size=(4, 6)), dtype=np.float64)
-
-    def f(x_):
-        return ops.sum_(ops.mul(attn.forward(x_), probe))
-
-    assert grad_check(f, [x], eps=1e-6) < 1e-5
+    assert grad_check(attn.forward, [x], eps=1e-6, probe=12) < 1e-5
 
 
 def test_mhsa_full_shape_never_holds_the_score_matrix():
@@ -343,12 +333,10 @@ def test_deformable_gradcheck():
     q = Tensor(rng.normal(size=(4, 4)), dtype=np.float64, requires_grad=True)
     f1 = Tensor(rng.normal(size=(2, 2, 4)), dtype=np.float64, requires_grad=True)
     f2 = Tensor(rng.normal(size=(4, 4, 4)), dtype=np.float64, requires_grad=True)
-    probe = Tensor(np.random.default_rng(18).normal(size=(4, 4)), dtype=np.float64)
-
     def f(q_, f1_, f2_):
-        return ops.sum_(ops.mul(mod.forward(q_, refs, _identity_levels(f1_, f2_)), probe))
+        return mod.forward(q_, refs, _identity_levels(f1_, f2_))
 
-    assert grad_check(f, [q, f1, f2], eps=1e-6) < 1e-5
+    assert grad_check(f, [q, f1, f2], eps=1e-6, probe=18) < 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -412,8 +400,7 @@ def test_decoder_layer_adds_the_encoding_to_its_queries():
     assert np.array_equal(bare.data, zero.data)
     pe = Tensor(rng.normal(size=(4, 4)), dtype=np.float64, requires_grad=True)
     out = layer.forward(x_q, pe, refs, levels)
-    probe = np.random.default_rng(8).normal(size=(4, 4))
-    ops.sum_(ops.mul(out, Tensor(probe, dtype=np.float64))).backward()
+    out.backward(np.random.default_rng(8).normal(size=(4, 4)))
     assert np.array_equal(x_q.grad, pe.grad)
 
 
@@ -426,9 +413,7 @@ def test_decoder_layer_gradcheck():
     x_q = Tensor(rng.normal(size=(4, 4)), dtype=np.float64, requires_grad=True)
     feat = Tensor(rng.normal(size=(2, 2, 4)), dtype=np.float64, requires_grad=True)
     pe = Tensor(rng.normal(size=(4, 4)), dtype=np.float64, requires_grad=True)
-    probe = Tensor(np.random.default_rng(23).normal(size=(4, 4)), dtype=np.float64)
-
     def f(x_, feat_, pe_):
-        return ops.sum_(ops.mul(layer.forward(x_, pe_, refs, _identity_levels(feat_)), probe))
+        return layer.forward(x_, pe_, refs, _identity_levels(feat_))
 
-    assert grad_check(f, [x_q, feat, pe], eps=1e-6) < 1e-4
+    assert grad_check(f, [x_q, feat, pe], eps=1e-6, probe=23) < 1e-4

@@ -311,3 +311,21 @@ def test_non_finite_ground_truth_is_an_error_not_a_miss(tmp_path):
     with pytest.raises(ValueError, match="line 1: non-finite field l=nan") as info:
         evaluate_directories(tmp_path / "pred", tmp_path / "gt", ["Car"], {"Car": 0.7})
     assert str(gt) in str(info.value)
+
+
+@pytest.mark.parametrize("side, w, l", [("pred", "1.6", "0"), ("gt", "-1.6", "3.9")])
+def test_degenerate_scored_label_names_its_file(tmp_path, side, w, l):
+    line = "Car 0.00 0 0.0 10 10 60 50 1.5 {w} {l} 0 1.5 20 0.0"
+    dontcare = "DontCare -1 -1 -10 0 0 5 5 -1 -1 -1 -1000 -1000 -1000 -10\n"
+    for sub in ("pred", "gt"):
+        (tmp_path / sub).mkdir()
+        (tmp_path / sub / "000000.txt").write_text(
+            dontcare + line.format(w="1.6", l="3.9") + (" 0.9\n" if sub == "pred" else "\n"))
+    metrics = evaluate_directories(tmp_path / "pred", tmp_path / "gt", ["Car"], {"Car": 0.7})
+    assert metrics["ap_bev_Car_iou0.7"] == 100.0  # the DontCare lines are skipped
+    bad = tmp_path / side / "000000.txt"
+    bad.write_text(dontcare + line.format(w=w, l=l) + (" 0.9\n" if side == "pred" else "\n"))
+    message = f"degenerate box extents l={float(l)}, w={float(w)}"
+    with pytest.raises(ValueError, match=message) as info:
+        evaluate_directories(tmp_path / "pred", tmp_path / "gt", ["Car"], {"Car": 0.7})
+    assert str(bad) in str(info.value)

@@ -69,9 +69,9 @@ def test_conv2d_gradcheck_vs_finite_differences():
     b = rand_tensor(rng, (4,))
 
     def f(x_, k_, b_):
-        return ops.sum_(ops.mul(ops.conv2d(x_, k_, b_, stride=1, padding=1), _probe((7, 9, 4))))
+        return ops.conv2d(x_, k_, b_, stride=1, padding=1)
 
-    assert grad_check(f, [x, k, b], eps=1e-6) < 1e-6
+    assert grad_check(f, [x, k, b], eps=1e-6, probe=99) < 1e-6
 
 
 def test_conv2d_strided_gradcheck():
@@ -80,14 +80,9 @@ def test_conv2d_strided_gradcheck():
     k = rand_tensor(rng, (3, 3, 2, 3))
 
     def f(x_, k_):
-        return ops.sum_(ops.mul(ops.conv2d(x_, k_, stride=2, padding=1), _probe((5, 4, 3))))
+        return ops.conv2d(x_, k_, stride=2, padding=1)
 
-    assert grad_check(f, [x, k], eps=1e-6) < 1e-6
-
-
-def _probe(shape):
-    """Fixed random weights so the sum objective exercises all outputs."""
-    return Tensor(np.random.default_rng(99).normal(size=shape), dtype=np.float64)
+    assert grad_check(f, [x, k], eps=1e-6, probe=99) < 1e-6
 
 
 def _conv_per_tap(x, k, b, g, stride, padding):
@@ -122,7 +117,7 @@ def test_conv2d_matches_per_tap_reference(k, stride, row_block, monkeypatch):
     g = rng.normal(size=(ho, wo, 4))
     ts = [Tensor(a, requires_grad=True) for a in (x, kern, b)]
     out = ops.conv2d(*ts, stride=stride, padding=pad)
-    ops.sum_(ops.mul(out, Tensor(g))).backward()
+    out.backward(g)
     ref = _conv_per_tap(x, kern, b, g, stride, pad)
     for name, a, r in zip(("out", "dx", "dk", "db"), [out.data] + [t.grad for t in ts], ref):
         assert np.abs(a - r).max() <= 1e-12 * np.abs(r).max(), name
@@ -143,7 +138,7 @@ def _with_grads(fn, arrays, probe, dtype):
     sum(output * probe)."""
     ts = [Tensor(a.astype(dtype), requires_grad=True) for a in arrays]
     out = fn(*ts)
-    ops.sum_(ops.mul(out, Tensor(probe.astype(dtype)))).backward()
+    out.backward(probe.astype(dtype))
     return [out.data] + [t.grad for t in ts]
 
 
@@ -244,12 +239,12 @@ def test_bilinear_group_axis_matches_separate_calls(dtype):
     p_all = Tensor(pts, requires_grad=True)
     out = ops.bilinear_sample(f_all, p_all)
     assert out.shape == (3, 9, 4)
-    ops.sum_(ops.mul(out, Tensor(probe))).backward()
+    out.backward(probe)
     for g in range(3):
         f_g = Tensor(feat[g], requires_grad=True)
         p_g = Tensor(pts[g], requires_grad=True)
         out_g = ops.bilinear_sample(f_g, p_g)
-        ops.sum_(ops.mul(out_g, Tensor(probe[g]))).backward()
+        out_g.backward(probe[g])
         assert out.data[g].tobytes() == out_g.data.tobytes()
         assert f_all.grad[g].tobytes() == f_g.grad.tobytes()
         assert p_all.grad[g].tobytes() == p_g.grad.tobytes()
@@ -267,14 +262,27 @@ def test_bilinear_point_gradcheck():
     feat = rand_tensor(rng, (6, 8, 3))
     pts = Tensor(rng.uniform(0.3, 4.3, size=(5, 2)), dtype=np.float64, requires_grad=True)
 
-    def f(feat_, pts_):
-        return ops.sum_(ops.mul(ops.bilinear_sample(feat_, pts_), _probe((5, 3))))
-
-    assert grad_check(f, [feat, pts], eps=1e-5) < 1e-5
+    assert grad_check(ops.bilinear_sample, [feat, pts], eps=1e-5, probe=99) < 1e-5
 
 
 # ---------------------------------------------------------------------------
 # multi-scale deformable attention
+
+
+def _weighted_point_sum(x, w):
+    """Differentiable sum over axis 2 of x * w, for (m, n, k, d) samples x and
+    (m, n, k, 1) weights w."""
+    def build():
+        def bw(g):
+            ge = g[:, :, None]
+            if x.requires_grad:
+                x.accumulate_grad(ge * w.data, "weighted_point_sum")
+            if w.requires_grad:
+                w.accumulate_grad((ge * x.data).sum(axis=-1, keepdims=True),
+                                  "weighted_point_sum")
+        return bw
+
+    return ops.make_node((x.data * w.data).sum(axis=2), (x, w), "weighted_point_sum", build)
 
 
 def _ms_deform_attn_reference(v1, v2, loc, aw):
@@ -287,17 +295,18 @@ def _ms_deform_attn_reference(v1, v2, loc, aw):
     hd = v1.shape[-1] // m
     values = [_transpose(ops.reshape(v, v.shape[:2] + (m, hd)), (2, 0, 1, 3))
               for v in (v1, v2)]
-    extent = np.array([[v.shape[2], v.shape[1]] for v in values], dtype=loc.dtype)
-    pts_px = ops.add(ops.mul(_transpose(loc, (2, 1, 0, 3, 4)),
-                             Tensor(extent.reshape(nl, 1, 1, 1, 2))),
-                     Tensor(np.full(2, -0.5, dtype=loc.dtype)))
+    loc_by_level = _transpose(loc, (2, 1, 0, 3, 4))
     weights = _transpose(ops.reshape(aw, (n, m, nl, k, 1)), (2, 1, 0, 3, 4))
+    half = Tensor(np.full(2, -0.5, dtype=loc.dtype))
     total = None
     for lvl, value in enumerate(values):
-        pts = ops.reshape(ops.narrow(pts_px, 0, lvl, 1), (m, n * k, 2))
+        # (u, v) * (W, H) - 0.5 as an affine map with a diagonal kernel
+        extent = Tensor(np.diag([value.shape[2], value.shape[1]]).astype(loc.dtype))
+        pts_px = ops.linear(ops.narrow(loc_by_level, 0, lvl, 1), extent, half)
+        pts = ops.reshape(pts_px, (m, n * k, 2))
         sampled = ops.reshape(ops.bilinear_sample(value, pts), (m, n, k, hd))
         w_lvl = ops.reshape(ops.narrow(weights, 0, lvl, 1), (m, n, k, 1))
-        term = ops.sum_(ops.mul(sampled, w_lvl), axis=2)
+        term = _weighted_point_sum(sampled, w_lvl)
         total = term if total is None else ops.add(total, term)
     return ops.reshape(_transpose(total, (1, 0, 2)), (n, m * hd))
 
@@ -403,17 +412,14 @@ def test_softmax_gradcheck():
     rng = np.random.default_rng(10)
     x = rand_tensor(rng, (4, 6))
 
-    def f(x_):
-        return ops.sum_(ops.mul(ops.softmax(x_, axis=1), _probe((4, 6))))
-
-    assert grad_check(f, [x], eps=1e-6) < 1e-6
+    assert grad_check(lambda x_: ops.softmax(x_, axis=1), [x], eps=1e-6, probe=99) < 1e-6
 
 
 def test_sum_of_softmax_has_zero_gradient():
     rng = np.random.default_rng(11)
     x = rand_tensor(rng, (5,))
-    err = grad_check(lambda x_: ops.sum_(ops.softmax(x_, axis=0)), [x], eps=1e-6)
-    assert err < 1e-9
+    ops.softmax(x, axis=0).backward(np.ones(5))  # the gradient of sum(softmax(x))
+    assert np.abs(x.grad).max() < 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -534,10 +540,7 @@ def test_matmul_gradcheck():
     a = rand_tensor(rng, (3, 4))
     b = rand_tensor(rng, (4, 2))
 
-    def f(a_, b_):
-        return ops.sum_(ops.mul(ops.matmul(a_, b_), _probe((3, 2))))
-
-    assert grad_check(f, [a, b], eps=1e-6) < 1e-6
+    assert grad_check(ops.matmul, [a, b], eps=1e-6, probe=99) < 1e-6
 
 
 def test_relu_cases_and_gradcheck():
@@ -547,7 +550,7 @@ def test_relu_cases_and_gradcheck():
     # keep values away from the kink
     x = Tensor(np.where(np.abs(v := rng.normal(size=12)) < 0.1, 0.5, v), dtype=np.float64,
                requires_grad=True)
-    assert grad_check(lambda x_: ops.sum_(ops.mul(ops.relu(x_), _probe((12,)))), [x]) < 1e-6
+    assert grad_check(ops.relu, [x], probe=99) < 1e-6
 
 
 def test_add_concat_identity_and_symmetry():
@@ -564,10 +567,7 @@ def test_concat_gradcheck():
     a = rand_tensor(rng, (2, 3))
     b = rand_tensor(rng, (2, 2))
 
-    def f(a_, b_):
-        return ops.sum_(ops.mul(ops.concat([a_, b_], axis=1), _probe((2, 5))))
-
-    assert grad_check(f, [a, b]) < 1e-6
+    assert grad_check(lambda a_, b_: ops.concat([a_, b_], axis=1), [a, b], probe=99) < 1e-6
 
 
 def test_upsample2x_values_and_gradcheck():
@@ -579,10 +579,7 @@ def test_upsample2x_values_and_gradcheck():
     rng = np.random.default_rng(17)
     xt = rand_tensor(rng, (3, 2, 2))
 
-    def f(x_):
-        return ops.sum_(ops.mul(ops.upsample2x(x_), _probe((6, 4, 2))))
-
-    assert grad_check(f, [xt]) < 1e-6
+    assert grad_check(ops.upsample2x, [xt], probe=99) < 1e-6
 
 
 def test_channel_norm_normalizes_and_gradcheck():
@@ -598,35 +595,27 @@ def test_channel_norm_normalizes_and_gradcheck():
     gt = rand_tensor(rng, (2,), lo=0.5, hi=1.5)
     bt = rand_tensor(rng, (2,))
 
-    def f(x_, g_, b_):
-        return ops.sum_(ops.mul(ops.channel_norm(x_, g_, b_), _probe((4, 3, 2))))
-
-    assert grad_check(f, [xt, gt, bt], eps=1e-6) < 1e-6
+    assert grad_check(ops.channel_norm, [xt, gt, bt], eps=1e-6, probe=99) < 1e-6
 
 
 def test_elementwise_gradchecks():
     rng = np.random.default_rng(19)
     x = rand_tensor(rng, (7,), lo=0.2, hi=2.0)
     y = rand_tensor(rng, (7,), lo=0.2, hi=2.0)
-    checks = [
-        (lambda a, b: ops.sum_(ops.mul(ops.add(a, b), _probe((7,)))), [x, y]),
-        (lambda a, b: ops.sum_(ops.mul(ops.mul(a, b), _probe((7,)))), [x, y]),
-    ]
-    for f, args in checks:
-        assert grad_check(f, args, eps=1e-6) < 1e-6
+    assert grad_check(ops.add, [x, y], eps=1e-6, probe=99) < 1e-6
 
 
 def test_shape_op_gradchecks():
     rng = np.random.default_rng(20)
     x = rand_tensor(rng, (3, 4, 2))
     fns = [
-        lambda a: ops.sum_(ops.mul(ops.reshape(a, (6, 4)), _probe((6, 4)))),
-        lambda a: ops.sum_(ops.mul(_transpose(a, (2, 0, 1)), _probe((2, 3, 4)))),
-        lambda a: ops.sum_(ops.mul(ops.narrow(a, 1, 1, 2), _probe((3, 2, 2)))),
-        lambda a: ops.sum_(ops.mul(ops.take_rows(a, np.array([2, 0, 2])), _probe((3, 4, 2)))),
+        lambda a: ops.reshape(a, (6, 4)),
+        lambda a: _transpose(a, (2, 0, 1)),
+        lambda a: ops.narrow(a, 1, 1, 2),
+        lambda a: ops.take_rows(a, np.array([2, 0, 2])),
     ]
     for f in fns:
-        assert grad_check(f, [x]) < 1e-6
+        assert grad_check(f, [x], probe=99) < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -707,14 +696,26 @@ def test_each_loss_is_one_graph_node_on_its_input(loss_of, shape):
 @pytest.mark.parametrize("shape", [(3, 4, 2), (5, 2, 3), (2, 7, 1)])
 def test_operator_suite_multiple_shapes(shape):
     rng = np.random.default_rng(sum(shape))
-    h, w, c = shape
     x = rand_tensor(rng, shape)
-    k = rand_tensor(rng, (3, 3, c, 2))
+    k = rand_tensor(rng, (3, 3, shape[-1], 2))
 
     def f(x_, k_):
         y = ops.conv2d(x_, k_, stride=1, padding=1)
         y = ops.relu(y)
-        y = ops.softmax(y, axis=-1)
-        return ops.sum_(ops.mul(y, _probe((h, w, 2))))
+        return ops.softmax(y, axis=-1)
 
-    assert grad_check(f, [x, k], eps=1e-6) < 1e-6
+    assert grad_check(f, [x, k], eps=1e-6, probe=99) < 1e-6
+
+
+def test_grad_check_catches_a_wrong_backward():
+    """The oracle itself: a backward off by a factor fails it, the right one passes."""
+    def doubled_with_wrong_backward(a):
+        def build():
+            def bw(g):
+                a.accumulate_grad(3.0 * g, "doubled")
+            return bw
+        return ops.make_node(2.0 * a.data, (a,), "doubled", build)
+
+    x = rand_tensor(np.random.default_rng(3), (4, 3))
+    assert grad_check(doubled_with_wrong_backward, [x], probe=5) > 1e-3
+    assert grad_check(lambda a: ops.scale(a, 2.0), [x], probe=5) < 1e-6

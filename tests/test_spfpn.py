@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ts3d import ops
-from ts3d.gradcheck import grad_check
+from ts3d.gradcheck import flat_concat, grad_check
 from ts3d.spfpn import SPFPN, intra_scale_fuse
 from ts3d.tensor import DimensionError, Tensor, no_grad
 
@@ -68,12 +68,8 @@ def test_correlation_gradcheck():
     rng = np.random.default_rng(3)
     left = Tensor(rng.normal(size=(3, 8, 4)), dtype=np.float64, requires_grad=True)
     right = Tensor(rng.normal(size=(3, 8, 4)), dtype=np.float64, requires_grad=True)
-    probe = Tensor(np.random.default_rng(9).normal(size=(3, 8, 5)), dtype=np.float64)
-
-    def f(l, r):
-        return ops.sum_(ops.mul(ops.correlation_volume(l, r, 5), probe))
-
-    assert grad_check(f, [left, right], eps=1e-6) < 1e-6
+    err = grad_check(lambda l, r: ops.correlation_volume(l, r, 5), [left, right], probe=9)
+    assert err < 1e-6
 
 
 def test_disparity_bin_count_edge_cases():
@@ -226,10 +222,6 @@ def test_spfpn_mode_aliases_cross_scale_aggregate():
 def test_pyramid_gradcheck_composite():
     rng = np.random.default_rng(13)
     net = SPFPN(rng, bins=(3, 4), c_dec=5, variant="spfpn")
-    probe = [
-        Tensor(np.random.default_rng(20).normal(size=(4, 6, 5)), dtype=np.float64),
-        Tensor(np.random.default_rng(21).normal(size=(2, 3, 5)), dtype=np.float64),
-    ]
     left1 = Tensor(rng.normal(size=(4, 6, 3)), dtype=np.float64, requires_grad=True)
     right1 = Tensor(rng.normal(size=(4, 6, 3)), dtype=np.float64, requires_grad=True)
 
@@ -238,14 +230,9 @@ def test_pyramid_gradcheck_composite():
                               ops.correlation_volume(l1, r1, 3))
         c2 = Tensor(np.random.default_rng(22).normal(size=(2, 3, 4)), dtype=np.float64)
         agg = net.cross_scale_aggregate([c1, c2])
-        keys = [ops.linear(*lv) for lv in net.project_scales(agg)]
-        total = None
-        for k, p in zip(keys, probe):
-            term = ops.sum_(ops.mul(k, p))
-            total = term if total is None else ops.add(total, term)
-        return total
+        return flat_concat([ops.linear(*lv) for lv in net.project_scales(agg)])
 
-    assert grad_check(f, [left1, right1], eps=1e-6) < 1e-4
+    assert grad_check(f, [left1, right1], eps=1e-6, probe=20) < 1e-4
 
 
 def test_uniform_shift_end_to_end_recovery():

@@ -50,9 +50,9 @@ def test_nonfinite_forward_names_operator():
 
 def test_fanout_gradients_add():
     x = Tensor([2.0], dtype=np.float64, requires_grad=True)
-    y = ops.add(ops.mul(x, x), x)  # x^2 + x
-    ops.sum_(y).backward()
-    assert np.allclose(x.grad, [5.0])
+    y = ops.add(ops.scale(x, 2.0), x)  # 2x + x
+    y.backward()
+    assert np.allclose(x.grad, [3.0])
 
 
 @pytest.mark.parametrize("reused", ["a", "b"])
@@ -63,7 +63,7 @@ def test_first_gradient_write_never_aliases_the_incoming_array(reused):
     b = Tensor([3.0, 4.0], dtype=np.float64, requires_grad=True)
     y = ops.add(a, b)
     again = ops.scale(a if reused == "a" else b, 5.0)
-    ops.sum_(ops.add(y, again)).backward()
+    ops.add(y, again).backward(np.ones(2))
     assert not np.shares_memory(a.grad, b.grad)
     assert np.array_equal(a.grad, [6.0, 6.0] if reused == "a" else [1.0, 1.0])
     assert np.array_equal(b.grad, [1.0, 1.0] if reused == "a" else [6.0, 6.0])
@@ -71,49 +71,80 @@ def test_first_gradient_write_never_aliases_the_incoming_array(reused):
 
 def test_backward_requires_scalar():
     x = Tensor([1.0, 2.0], requires_grad=True)
-    with pytest.raises(ValueError):
-        ops.mul(x, x).backward()
+    with pytest.raises(ValueError, match="without a seed requires a scalar"):
+        ops.scale(x, 2.0).backward()
+
+
+def test_backward_seed_must_match_shape_and_dtype():
+    x = Tensor(np.ones((2, 3)), requires_grad=True)
+    y = ops.relu(x)
+    with pytest.raises(DimensionError, match=r"shape \(3, 2\).*shape \(2, 3\)"):
+        y.backward(np.ones((3, 2)))
+    with pytest.raises(DimensionError, match="dtype float32.*dtype float64"):
+        y.backward(np.ones((2, 3), dtype=np.float32))
+    y.backward(np.full((2, 3), 0.5))  # the rejected seeds left the graph intact
+    assert np.array_equal(x.grad, np.full((2, 3), 0.5))
+
+
+def test_nonfinite_backward_seed_blames_the_seed():
+    x = Tensor(np.ones(3), requires_grad=True)
+    with pytest.raises(NumericalError, match="seed"):
+        ops.relu(x).backward(np.array([1.0, np.nan, 1.0]))
+    assert x.grad is None
+
+
+def test_vector_seed_is_the_output_gradient():
+    rng = np.random.default_rng(5)
+    x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    w = Tensor(rng.normal(size=(3, 2)))
+    g = rng.normal(size=(4, 2))
+    ops.linear(x, w, Tensor(np.zeros(2))).backward(g)
+    assert np.array_equal(x.grad, g @ w.data.T)
 
 
 def test_gradient_accumulates_across_backward_calls():
     x = Tensor([3.0], dtype=np.float64, requires_grad=True)
-    ops.sum_(ops.mul(x, x)).backward()
-    g1 = x.grad.copy()
-    ops.sum_(ops.mul(x, x)).backward()
-    assert np.allclose(x.grad, 2 * g1)
+    seed = np.array([1.0])
+    x.backward(seed)  # a leaf as the root takes its seed as its gradient
+    ops.scale(x, 3.0).backward()
+    ops.scale(x, 3.0).backward()
+    assert np.array_equal(x.grad, [7.0])
+    x.backward(seed)  # and adds it to a gradient it holds
+    assert np.array_equal(x.grad, [8.0])
+    assert np.array_equal(seed, [1.0])  # never written through
 
 
 def test_backward_frees_interior_tensors_and_keeps_leaf_gradients():
     x = Parameter(np.array([1.0, 2.0]))
-    y = ops.mul(x, x)
+    y = ops.relu(x)
     z = ops.scale(y, 3.0)
-    loss = ops.sum_(z)
+    out = ops.add(z, x)
     y_ref = weakref.ref(y)
     del y
-    loss.backward()
+    out.backward(np.array([1.0, 2.0]))
     assert y_ref() is None
-    assert np.array_equal(x.grad, [6.0, 12.0])
+    assert np.array_equal(x.grad, [4.0, 8.0])
     assert z.grad is None
-    assert loss.grad is None
+    assert out.grad is None
 
 
 def test_second_backward_through_a_freed_graph_names_the_op():
     x = Tensor([3.0], dtype=np.float64, requires_grad=True)
-    y = ops.mul(x, x)
-    loss = ops.sum_(y)
+    y = ops.relu(x)
+    loss = ops.scale(y, 2.0)
     loss.backward()
     g1 = x.grad.copy()
-    with pytest.raises(RuntimeError, match="'sum'.*already freed"):
+    with pytest.raises(RuntimeError, match="'scale'.*already freed"):
         loss.backward()
-    with pytest.raises(RuntimeError, match="'mul'.*already freed"):
-        ops.sum_(y).backward()
+    with pytest.raises(RuntimeError, match="'relu'.*already freed"):
+        ops.scale(y, 1.0).backward()
     assert np.array_equal(x.grad, g1)
 
 
 def test_no_grad_skips_graph():
     x = Tensor([1.0], requires_grad=True)
     with no_grad():
-        y = ops.mul(x, x)
+        y = ops.relu(x)
     assert not y.requires_grad
     assert y._backward_fn is None
 
@@ -154,7 +185,7 @@ def test_zero_grad_clears():
     root = _Root()
     bind_parameter_names(root)
     p = root.stem.w
-    ops.sum_(ops.mul(p, p)).backward()
+    ops.relu(p).backward(np.ones((2, 2)))
     assert p.grad is not None
     root.zero_grad()
     assert p.grad is None

@@ -31,11 +31,13 @@ from ts3d.evalkit import evaluate_directories
 from ts3d.kitti_io import (
     read_calib,
     read_kitti_label,
+    read_ppm,
     write_calib,
     write_kitti_label,
+    write_ppm,
     write_raster_mask,
 )
-from ts3d.model import TS3D
+from ts3d.model import TS3D, build_anchor_templates
 from ts3d.optim import AdamW, cosine_lr
 from ts3d.synth import SynthParams
 from ts3d.tensor import ConfigError
@@ -165,6 +167,28 @@ def test_each_step_loads_its_own_frame_and_drops_the_earlier_ones(toy_dataset, t
     assert cfg.total_steps == 2 * n_train
     train_run(cfg, toy_dataset, tmp_path / "run", quiet=True)
     assert len(loaded) == cfg.total_steps
+
+
+def test_a_batch_trains_on_the_mean_of_its_frame_gradients(toy_dataset, tmp_path, monkeypatch):
+    cfg = _toy_cfg(total_steps=1, batch_size=2, augment=False)
+    frames, grads = [], {}
+    load, step = ts3d.train.load_frame, AdamW.step
+    monkeypatch.setattr(ts3d.train, "load_frame",
+                        lambda *a, **kw: frames.append(load(*a, **kw)) or frames[-1])
+
+    def spy(opt):
+        grads.update({p.name: p.grad.copy() for p in opt.params})
+        return step(opt)
+
+    monkeypatch.setattr(AdamW, "step", spy)
+    train_run(cfg, toy_dataset, tmp_path / "run", quiet=True)
+    assert len(frames) == 2
+    model = TS3D(cfg, templates=build_anchor_templates(
+        read_manifest(toy_dataset / MANIFEST_NAME), cfg))
+    for frame in frames:
+        model.train_step_loss(frame)[0].backward()
+    for name, p in model.named_parameters():
+        assert np.allclose(grads[name], p.grad / 2, rtol=1e-5, atol=1e-9), name
 
 
 def test_extending_a_finished_run_follows_new_schedule(toy_dataset, tmp_path):
@@ -707,6 +731,23 @@ def test_cli_infer_rejects_a_non_finite_calibration_naming_the_file(toy_ckpt, to
              "--out", "preds", "--preset", "toy", cwd=tmp_path)
     assert r.returncode == 2, r.stderr
     assert str(path) in r.stderr and "row P2 entry 2 " in r.stderr
+
+
+@pytest.mark.parametrize("command, frame", [("train", "000001"), ("infer", "000004")])
+def test_cli_rejects_an_image_of_another_size_naming_the_file(toy_ckpt, toy_dataset, tmp_path,
+                                                              command, frame):
+    data = tmp_path / "data"
+    shutil.copytree(toy_dataset, data)
+    path = data / "image_3" / f"{frame}.ppm"
+    write_ppm(path, read_ppm(path)[:16, :32])
+    args = {"train": ("train", "--data", str(data), "--out", "run", "--preset", "toy",
+                      "--set", "total_steps=3", "--quiet"),
+            "infer": ("infer", "--ckpt", str(toy_ckpt), "--data", str(data), "--split", "val",
+                      "--out", "preds", "--preset", "toy")}[command]
+    r = _cli(*args, cwd=tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert str(path) in r.stderr and "32x16" in r.stderr and "64x32" in r.stderr
+    assert "Traceback" not in r.stderr
 
 
 def test_cli_infer_mismatched_config_names_checkpoint(toy_ckpt, toy_dataset, tmp_path):
