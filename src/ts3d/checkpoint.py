@@ -12,8 +12,9 @@ Layout (all integers little-endian):
         raw little-endian element data
     CRC-32 (zlib) of all preceding bytes, u32
 
-A training checkpoint is one file: the parameters by name, plus the optimizer
-state under the reserved ``adamw.`` prefix. A save writes ``<path>.tmp``,
+A training checkpoint is one file: the parameters by name, the model's anchor
+templates (``TS3D.templates``) as the reserved entry ``anchor_templates``, plus the
+optimizer state under the reserved ``adamw.`` prefix. A save writes ``<path>.tmp``,
 fsyncs it and renames it over ``<path>``, so readers never see a partial file.
 """
 
@@ -30,6 +31,7 @@ import numpy as np
 MAGIC = b"TS3D"
 VERSION = 2
 OPTIMIZER_PREFIX = "adamw."
+TEMPLATES_ENTRY = "anchor_templates"
 
 _DTYPE_TAGS = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 _TAG_FOR = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
@@ -66,10 +68,11 @@ def save_arrays(path, arrays: dict) -> None:
 
 
 def load_arrays(path) -> dict:
-    """Read a container; a bad checksum, a truncated file or an entry table
-    that does not fit the data before the trailer raises ValueError."""
+    """Read a container as views into one writable buffer; a bad checksum, a truncated
+    file or an entry table that does not fit the data before the trailer raises ValueError."""
     with open(path, "rb") as fh:
-        blob = fh.read()
+        blob = bytearray(os.fstat(fh.fileno()).st_size)
+        fh.readinto(blob)
     if blob[:4] != MAGIC:
         raise ValueError(f"'{path}' is not a checkpoint (bad magic)")
     if len(blob) < 16:
@@ -108,24 +111,26 @@ def load_arrays(path) -> dict:
         dtype = _DTYPE_TAGS[tag]
         n = math.prod(shape)
         data = np.frombuffer(blob, dtype=dtype, count=n, offset=take(n * dtype.itemsize, entry))
-        out[name] = data.reshape(shape).copy()
+        out[name] = data.reshape(shape)
     if off != end:
         raise ValueError(f"'{path}': {end - off} bytes follow the last of {count} entries")
     return out
 
 
 def save_model(path, model, optimizer_state: dict | None = None) -> None:
-    """Write the parameters, plus ``optimizer_state`` under the reserved prefix."""
+    """Write the parameters, any ``model.templates``, and ``optimizer_state``."""
     arrays = {name: p.data for name, p in model.named_parameters()}
+    if hasattr(model, "templates"):
+        arrays[TEMPLATES_ENTRY] = model.templates
     arrays.update((OPTIMIZER_PREFIX + k, v) for k, v in (optimizer_state or {}).items())
     save_arrays(path, arrays)
 
 
-def load_model(path, model) -> dict:
-    """Load parameters by name (mismatched key sets raise with the diff listed);
-    returns the optimizer state found under the reserved prefix, prefix removed.
-    A non-finite entry or a negative AdamW second moment raises, naming both."""
-    arrays = load_arrays(path)
+def load_model(path, model, arrays: dict) -> dict:
+    """Load parameters by name from ``arrays``, as ``load_arrays(path)`` read them
+    (mismatched key sets raise with the diff listed); returns the optimizer state
+    under the reserved prefix, prefix removed. A non-finite entry or a negative
+    AdamW second moment raises, naming both."""
     for name, arr in arrays.items():
         if not np.isfinite(arr).all():
             raise ValueError(f"'{path}': non-finite values in entry '{name}'")

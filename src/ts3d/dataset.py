@@ -11,7 +11,7 @@ mean metric size per scale bin) estimated from the training labels; a class
 without any gets the default prior that a model built without a dataset uses.
 It is flat key=value text (see ``config``), with priors written as ``%.8f``
 and lists comma-joined. ``model.build_anchor_templates`` checks a manifest
-against a run's config and builds the model's anchor templates from it.
+against a run's config and builds a fresh run's anchor templates from it.
 
 A loaded frame's images must have the manifest's width and height; one that
 does not is an error naming the file and both extents. A loaded frame

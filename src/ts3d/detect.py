@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,15 +40,16 @@ QUARTER_PI = math.pi / 4.0
 # bound on a log-space offset before exp, as torchvision's BoxCoder
 # (bbox_xform_clip) and Detectron2's scale_clamp: at most 62.5x either way
 LOG_SCALE_CLAMP = math.log(1000.0 / 16)
+CODE_SIZE = 13  # the regression offsets per anchor, listed above
 
 
 # ---------------------------------------------------------------------------
 # anchors
 
 
-@dataclass
-class AnchorTemplate:
-    """Per-class, per-scale box prior: 2D size in pixels, 3D priors in meters."""
+class AnchorTemplate(NamedTuple):
+    """Per-class, per-scale box prior (2D size in pixels, 3D priors in meters): a row
+    of the (T, 7) template table that a model and its checkpoint keep."""
 
     class_id: int
     w2d: float
@@ -80,23 +82,15 @@ class AnchorSet:
 
 def generate_anchors(wq: int, hq: int, stride: int, templates) -> AnchorSet:
     """One anchor per (grid cell, template); cell-major, template-minor order."""
-    per_cell = len(templates)
+    table = np.array(templates, dtype=np.float64)  # AnchorTemplate rows
     centers_u = (np.arange(wq) + 0.5) * stride
     centers_v = (np.arange(hq) + 0.5) * stride
     gu, gv = np.meshgrid(centers_u, centers_v)
     cells = np.stack([gu.reshape(-1), gv.reshape(-1)], axis=1)  # (Nq, 2)
-    boxes = np.empty((wq * hq * per_cell, 4), dtype=np.float64)
-    cls = np.empty(wq * hq * per_cell, dtype=np.int64)
-    priors = np.empty((wq * hq * per_cell, 4), dtype=np.float64)
-    for a, t in enumerate(templates):
-        boxes[a::per_cell, 0] = cells[:, 0]
-        boxes[a::per_cell, 1] = cells[:, 1]
-        boxes[a::per_cell, 2] = t.w2d
-        boxes[a::per_cell, 3] = t.h2d
-        cls[a::per_cell] = t.class_id
-        priors[a::per_cell] = (t.z, t.w, t.h, t.l)
-    return AnchorSet(boxes=boxes, class_ids=cls, priors=priors,
-                     per_cell=per_cell, wq=wq, hq=hq)
+    rows = np.tile(table, (wq * hq, 1))
+    boxes = np.concatenate([np.repeat(cells, len(table), axis=0), rows[:, 1:3]], axis=1)
+    return AnchorSet(boxes=boxes, class_ids=rows[:, 0].astype(np.int64),
+                     priors=rows[:, 3:].copy(), per_cell=len(table), wq=wq, hq=hq)
 
 
 # ---------------------------------------------------------------------------
@@ -279,13 +273,13 @@ class DetectionHead(Module):
         self.cls_out.b.data[:n_classes] = prior_bias
         self.cls_out.b.data[n_classes] = -prior_bias  # background starts likely
         self.reg_fc = Linear(rng, c_dec, c_dec)
-        self.reg_out = Linear(rng, c_dec, anchors_per_cell * 13, init="zero")
+        self.reg_out = Linear(rng, c_dec, anchors_per_cell * CODE_SIZE, init="zero")
 
     def forward(self, queries: Tensor):
         nq = queries.shape[0]
         cls = self.cls_out.forward(ops.relu(self.cls_fc.forward(queries)))
         reg = self.reg_out.forward(ops.relu(self.reg_fc.forward(queries)))
-        return cls, ops.reshape(reg, (nq * self.anchors_per_cell, 13))
+        return cls, ops.reshape(reg, (nq * self.anchors_per_cell, CODE_SIZE))
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +419,7 @@ def decode_detections(anchors: AnchorSet, cls_logits: Tensor, reg_out: Tensor,
     float32 score's dtype). A class's candidate rows go through one decode_box
     and one nms_2d call. A logit far enough below zero overflows ``exp`` to
     inf, and its sigmoid is the exact limit 0."""
-    reg = reg_out.data.reshape(len(anchors), 13).copy()
+    reg = reg_out.data.reshape(len(anchors), CODE_SIZE).copy()
     with np.errstate(over="ignore"):
         scores = 1.0 / (1.0 + np.exp(-cls_logits.data[:, :len(classes)]))
         # the branch channel is a logit; its probability is stored in reg's dtype

@@ -50,16 +50,20 @@ def anchor_templates(priors: dict, cfg: RunConfig) -> list:
     return out
 
 
-def build_anchor_templates(manifest: Manifest, cfg: RunConfig) -> list:
-    """The anchor templates of a model trained or run on a dataset. Its manifest
-    must fit the config: the same resolution and classes (else ``ConfigError``)
-    and ``cfg.anchor_scales`` priors per class (else ``ValueError``)."""
+def check_dataset(manifest: Manifest, cfg: RunConfig) -> None:
+    """A model's dataset has the config's resolution and classes (else ``ConfigError``)."""
     if (manifest.width, manifest.height) != (cfg.width, cfg.height):
         raise ConfigError(f"dataset resolution {manifest.width}x{manifest.height} does not "
                           f"match configured {cfg.width}x{cfg.height}")
     if list(cfg.classes) != manifest.classes:
         raise ConfigError(f"classes {list(cfg.classes)} differ from the dataset manifest's "
                           f"{manifest.classes}")
+
+
+def build_anchor_templates(manifest: Manifest, cfg: RunConfig) -> list:
+    """The anchor templates of a model trained on a dataset, whose manifest fits the config
+    (``check_dataset``) and holds ``cfg.anchor_scales`` priors per class (else ``ValueError``)."""
+    check_dataset(manifest, cfg)
     return anchor_templates(manifest.priors, cfg)
 
 
@@ -82,6 +86,7 @@ class TS3D(Module):
         rng = rng if rng is not None else np.random.default_rng(cfg.seed)
         if templates is None:  # the prior of a class without training labels
             templates = anchor_templates(estimate_priors([], cfg.classes, cfg.anchor_scales), cfg)
+        self.templates = np.array(templates, dtype=np.float64)  # (T, 7), as a checkpoint stores it
         self.backbone = Backbone(rng, width=cfg.c_bb, blocks_per_stage=cfg.blocks_per_stage)
         self.spfpn = SPFPN(rng, bins=cfg.bins, c_dec=cfg.c_dec, variant=cfg.pyramid_variant)
         c3_channels = self.spfpn.agg_channels[-1]
@@ -90,10 +95,10 @@ class TS3D(Module):
         self.decoder = DecoderStack(rng, cfg.n_dec, cfg.c_dec, cfg.heads, cfg.points,
                                     n_levels=len(cfg.bins))
         self.head = DetectionHead(rng, cfg.c_dec, len(cfg.classes),
-                                  anchors_per_cell=len(templates))
+                                  anchors_per_cell=len(self.templates))
         self.anchors = generate_anchors(cfg.width // QUERY_STRIDE,
                                         cfg.height // QUERY_STRIDE,
-                                        QUERY_STRIDE, templates)
+                                        QUERY_STRIDE, self.templates)
         bind_parameter_names(self)
         self.dtype = np.dtype(cfg.dtype)
         self.astype(self.dtype)

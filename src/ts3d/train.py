@@ -8,9 +8,10 @@ from ``default_rng((seed, 2, k))``. Each step reads its frames from disk and
 drops them after the step. There is no frame cache: within one epoch every
 frame is read once, so its hit rate is zero, and across a large train split it
 would hold every frame in memory. A checkpoint is one ``<tag>.ts3d`` file (see
-``checkpoint``) with the parameters and the AdamW step and moments; the config
-alone supplies hyperparameters, so resuming needs only the saved step, and
-keeps only that many lines of the log (flushed before every checkpoint).
+``checkpoint``) with the parameters, the anchor templates and the AdamW step and
+moments; only a fresh run takes templates from the dataset's priors. The config
+alone supplies hyperparameters, so resuming needs only the saved step, and keeps
+only that many lines of the log (flushed before every checkpoint).
 A frame with no valid pseudo-GT pixels at the supervision stride trains with a
 zero disparity loss and raises a ``RuntimeWarning`` naming it.
 """
@@ -24,11 +25,11 @@ import warnings
 import numpy as np
 
 from .augment import augment
-from .checkpoint import load_model, save_model
+from .checkpoint import TEMPLATES_ENTRY, load_arrays, load_model, save_model
 from .config import RunConfig, load_config
 from .dataset import MANIFEST_NAME, load_frame, read_manifest
 from .kitti_io import write_kitti_label
-from .model import TS3D, build_anchor_templates
+from .model import TS3D, build_anchor_templates, check_dataset
 from .optim import AdamW
 from .tensor import ConfigError
 
@@ -58,10 +59,11 @@ def train_run(cfg: RunConfig, data_dir, out_dir, resume: bool = False,
     train_ids = manifest.splits.get("train", [])
     if not train_ids:
         raise ConfigError(f"dataset at '{data_dir}' has no train split")
-    templates = build_anchor_templates(manifest, cfg)
+    templates = None if resume else build_anchor_templates(manifest, cfg)
 
     os.makedirs(out_dir, exist_ok=True)
     config_path = os.path.join(out_dir, "config.txt")
+    ckpt = os.path.join(out_dir, LAST_CKPT + ".ts3d")
     if resume:
         if not os.path.exists(config_path):
             raise ConfigError(f"cannot resume: '{config_path}' not found")
@@ -70,17 +72,16 @@ def train_run(cfg: RunConfig, data_dir, out_dir, resume: bool = False,
             raise ConfigError(
                 "resume configuration mismatch on keys: " + ", ".join(sorted(mismatched))
             )
+        model, state = load_checkpoint(cfg, manifest, ckpt)
     else:
         cfg.save(config_path)
+        model = TS3D(cfg, templates=templates)
 
-    model = TS3D(cfg, templates=templates)
     opt = AdamW(list(model.parameters()), base_lr=cfg.lr,
                 weight_decay=cfg.weight_decay, total_steps=cfg.total_steps)
     log_path = os.path.join(out_dir, "metrics.log")
     kept_lines = []
     if resume:
-        ckpt = os.path.join(out_dir, LAST_CKPT + ".ts3d")
-        state = load_model(ckpt, model)
         try:
             opt.load_state_arrays(state)
         except ValueError as exc:
@@ -162,11 +163,22 @@ def run_inference(model: TS3D, data_dir, split, out_dir):
     return len(ids)
 
 
+def load_checkpoint(cfg: RunConfig, manifest, path):
+    """The model saved at ``path``, built with the anchor templates saved in it,
+    and its optimizer state. The dataset of ``manifest`` must fit the config;
+    that is checked before the file is read, once."""
+    check_dataset(manifest, cfg)
+    arrays = load_arrays(path)
+    table = arrays.pop(TEMPLATES_ENTRY, np.empty(0))
+    sizes = table[:, 1:] if table.ndim == 2 and table.shape[1] == 7 else np.empty(0)
+    if not (sizes.size and np.isin(table[:, 0], range(len(cfg.classes))).all()
+            and ((sizes > 0) & (sizes < np.inf)).all()):
+        raise ValueError(f"'{path}' holds no '{TEMPLATES_ENTRY}' table of rows: a class id "
+                         f"in [0, {len(cfg.classes)}), then six finite sizes and priors > 0")
+    model = TS3D(cfg, templates=table)
+    return model, load_model(path, model, arrays)
+
+
 def load_trained_model(cfg: RunConfig, data_dir, ckpt_path) -> TS3D:
-    manifest = read_manifest(os.path.join(data_dir, MANIFEST_NAME))
-    templates = build_anchor_templates(manifest, cfg)
-    if not manifest.splits.get("train"):  # a checkpoint does not store its templates
-        raise ConfigError(f"dataset at '{data_dir}' has no train split to take anchor priors from")
-    model = TS3D(cfg, templates=templates)
-    load_model(ckpt_path, model)
-    return model
+    return load_checkpoint(cfg, read_manifest(os.path.join(data_dir, MANIFEST_NAME)),
+                           ckpt_path)[0]

@@ -6,7 +6,18 @@ import zlib
 import numpy as np
 import pytest
 
-from ts3d.checkpoint import MAGIC, VERSION, load_arrays, load_model, save_arrays, save_model
+from ts3d.checkpoint import (
+    MAGIC,
+    TEMPLATES_ENTRY,
+    VERSION,
+    load_arrays,
+    load_model,
+    save_arrays,
+    save_model,
+)
+from ts3d.config import RunConfig
+from ts3d.detect import AnchorTemplate
+from ts3d.model import TS3D
 from ts3d.tensor import Module, Parameter, bind_parameter_names
 
 
@@ -152,7 +163,7 @@ def test_model_roundtrip(tmp_path):
     save_model(path, net)
     other = _Net(scale=9.0)
     bind_parameter_names(other)
-    assert load_model(path, other) == {}
+    assert load_model(path, other, load_arrays(path)) == {}
     assert np.array_equal(other.w.data, net.w.data)
 
 
@@ -162,7 +173,7 @@ def test_optimizer_state_rides_under_reserved_prefix(tmp_path):
     path = tmp_path / "net.ts3d"
     save_model(path, net, {"step": np.array([3.0]), "m.w": np.ones((2, 3))})
     assert sorted(load_arrays(path)) == ["adamw.m.w", "adamw.step", "b", "w"]
-    state = load_model(path, _bound(_Net()))
+    state = load_model(path, _bound(_Net()), load_arrays(path))
     assert sorted(state) == ["m.w", "step"] and state["step"][0] == 3.0
 
 
@@ -177,6 +188,28 @@ def test_model_mismatch_lists_keys(tmp_path):
     path = tmp_path / "net.ts3d"
     save_arrays(path, {"w": net.w.data, "stray": np.zeros(1, dtype=np.float32)})
     with pytest.raises(ValueError) as exc:
-        load_model(path, net)
+        load_model(path, net, load_arrays(path))
     assert "b" in str(exc.value) and "stray" in str(exc.value)
     assert str(path) in str(exc.value)
+
+
+# views, not copies: a load holds the file once; writable, so an entry can be
+# edited and saved back
+def test_loaded_entries_are_writable_views_of_the_read_buffer(tmp_path):
+    path = tmp_path / "a.ts3d"
+    save_arrays(path, {"a": np.arange(3.0), "b": np.ones((2, 2), dtype=np.float32)})
+    for arr in load_arrays(path).values():
+        assert arr.flags.writeable and not arr.flags.owndata
+
+
+def test_a_detector_checkpoint_carries_its_anchor_templates_bit_for_bit(tmp_path):
+    templates = [AnchorTemplate(0, 19.5 + 2.0**-40, 12.0, 7.09, 1.7, 1.5, 3.9)]
+    model = TS3D(RunConfig.toy(), templates=templates)
+    path = tmp_path / "m.ts3d"
+    save_model(path, model, {"step": np.zeros(1)})
+    arrays = load_arrays(path)
+    assert list(arrays)[-2:] == [TEMPLATES_ENTRY, "adamw.step"]
+    assert list(arrays)[:-2] == [name for name, _ in model.named_parameters()]
+    table = arrays[TEMPLATES_ENTRY]
+    assert table.dtype == np.float64
+    assert table.tobytes() == np.array(templates, dtype=np.float64).tobytes()

@@ -705,16 +705,51 @@ def test_cli_infer_rejects_a_dataset_of_another_resolution_naming_both(toy_ckpt,
     assert not (tmp_path / "preds").exists()
 
 
-# a checkpoint does not store its anchor templates, and a manifest without a
-# train split holds only the fallback priors of a class without labels
-def test_cli_infer_rejects_a_dataset_without_a_train_split_naming_it(toy_ckpt, tmp_path):
-    data = tmp_path / "data"
-    generate_dataset(data, seed=13, n_train=0, n_val=1,
-                     params=SynthParams(width=64, height=32), n_scales=1)
-    r = _cli("infer", "--ckpt", str(toy_ckpt), "--data", str(data), "--split", "val",
-             "--out", "preds", "--preset", "toy", cwd=tmp_path)
-    assert r.returncode == 2, r.stderr
-    assert f"'{data}' has no train split" in r.stderr and "Traceback" not in r.stderr
+# frame 000003 of data seed 13 is the same whatever the split; the train split
+# sets the manifest's anchor priors, which a checkpoint's own templates replace
+def test_cli_infer_labels_of_a_frame_do_not_depend_on_the_train_split(toy_ckpt, tmp_path):
+    params = SynthParams(width=64, height=32, focal=40.0, baseline=0.5,
+                         n_objects=(1, 2), z_range=(4.5, 9.0))
+    seen = []
+    for n_train in (3, 1, 0):  # 0: a val-only dataset
+        data = tmp_path / f"train{n_train}"
+        generate_dataset(data, seed=13, n_train=n_train, n_val=4 - n_train, params=params,
+                         n_scales=1)
+        code = ts3d.cli.main(["infer", "--ckpt", str(toy_ckpt), "--data", str(data),
+                              "--split", "val", "--out", str(data / "preds"), "--preset", "toy",
+                              "--set", "score_threshold=0.005"])
+        assert code == 0
+        seen.append([(data / sub / "000003.ppm").read_bytes() for sub in ("image_2", "image_3")]
+                    + [(data / "preds" / "000003.txt").read_bytes()])
+        assert seen[-1] == seen[0]
+    assert seen[0][2].count(b"\n") > 1  # detections to compare
+
+
+# the toy model has one class and one anchor template: rows of class_id, w2d,
+# h2d, z, w, h, l
+@pytest.mark.parametrize("edit", [
+    "drop", "rank", "width", "rows", "class 0.5", "class 1", "class -1",
+    "w2d nan", "z inf", "h2d 0", "l -1",
+])
+def test_cli_infer_rejects_a_missing_or_malformed_anchor_table_naming_the_file(
+        toy_ckpt, toy_dataset, tmp_path, capsys, edit):
+    arrays = load_arrays(toy_ckpt)
+    table = arrays.pop(ts3d.checkpoint.TEMPLATES_ENTRY)
+    assert table.shape == (1, 7)
+    key, _, value = edit.partition(" ")
+    if key in ("rank", "width", "rows"):
+        table = {"rank": table[0], "width": table[:, :6], "rows": table[:0]}[key]
+    elif key != "drop":
+        table = table.copy()
+        table[0, ["class", "w2d", "h2d", "z", "w", "h", "l"].index(key)] = float(value)
+    if key != "drop":
+        arrays[ts3d.checkpoint.TEMPLATES_ENTRY] = table
+    ckpt = tmp_path / "bad.ts3d"
+    save_arrays(ckpt, arrays)
+    code = ts3d.cli.main(["infer", "--ckpt", str(ckpt), "--data", str(toy_dataset),
+                          "--split", "val", "--out", str(tmp_path / "preds"), "--preset", "toy"])
+    assert code == 2
+    assert str(ckpt) in capsys.readouterr().err
     assert not (tmp_path / "preds").exists()
 
 
@@ -803,7 +838,7 @@ def test_cli_heatmap_bin_needs_an_encoding_with_disparity_bins(toy_dataset, tmp_
 def test_cli_heatmap_without_an_encoding_fails_before_reading_the_checkpoint(
         toy_dataset, tmp_path, monkeypatch, capsys):
     reads = []
-    monkeypatch.setattr(ts3d.train, "load_model", lambda *args: reads.append(args))
+    monkeypatch.setattr(ts3d.train, "load_arrays", lambda *args: reads.append(args))
     code = ts3d.cli.main(["heatmap", "--ckpt", str(tmp_path / "model.ts3d"),
                           "--data", str(toy_dataset), "--frame", "000000", "--probe", "1,1",
                           "--out", str(tmp_path / "heat.pgm"), "--preset", "toy",
