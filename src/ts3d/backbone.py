@@ -11,9 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import ops
-from .config import QUERY_STRIDE
 from .layers import Conv2d, ConvNorm
-from .tensor import ConfigError, Module, ModuleList, Tensor
+from .tensor import Module, ModuleList, Tensor
 
 
 @dataclass
@@ -54,7 +53,6 @@ class Backbone(Module):
 
     def __init__(self, rng, width, blocks_per_stage):
         super().__init__()
-        self.width = width
         self.stem = ConvNorm(rng, 3, width, stride=2)
         self.stage1 = Stage(rng, width, width, blocks_per_stage)
         self.stage2 = Stage(rng, width, width, blocks_per_stage)
@@ -67,9 +65,6 @@ class Backbone(Module):
         )
 
     def forward_view(self, img: Tensor):
-        h, w, _ = img.shape
-        if h % QUERY_STRIDE or w % QUERY_STRIDE:
-            raise ConfigError(f"input extents must be divisible by {QUERY_STRIDE}, got {w}x{h}")
         x = self.stem.forward(img)
         c2 = self.stage1.forward(x)
         c3 = self.stage2.forward(c2)

@@ -19,7 +19,7 @@ from .detect import DetectionHead
 from .disphead import softargmax, stereo_focal_loss, block_match_stereo
 from .gradcheck import flat_concat, grad_check, rand_tensor
 from .model import TS3D
-from .spfpn import SPFPN, LevelProjection, intra_scale_fuse
+from .spfpn import SPFPN, LevelProjection
 from .synth import SynthParams, synth_scene
 from .tensor import Tensor
 
@@ -93,7 +93,7 @@ def run_op_checks(seed: int):
               [rand_tensor(rng, (h, w, 3)), rand_tensor(rng, (3, 3, 3, 4)),
                rand_tensor(rng, (4,), lo=0.5, hi=1.5), rand_tensor(rng, (4,))])
     check("linear[3d]", ops.linear,
-          [rand_tensor(rng, (2, 3, 4)), rand_tensor(rng, (4, 6)), rand_tensor(rng, (1, 6))])
+          [rand_tensor(rng, (2, 3, 4)), rand_tensor(rng, (4, 6)), rand_tensor(rng, (6,))])
     # two levels, two heads, three queries, two points per level
     check("ms_deform_attn", lambda v1, v2, loc, aw: ops.ms_deform_attn([v1, v2], loc, aw),
           [rand_tensor(rng, (3, 4, 6)), rand_tensor(rng, (2, 3, 6)),
@@ -117,8 +117,7 @@ def run_module_checks(seed: int):
     c2_const = Tensor(rng.normal(size=(2, 3, 4)), dtype=np.float64)
 
     def pyramid(l, r):
-        c1 = intra_scale_fuse(ops.correlation_volume(l, r, 3),
-                              ops.correlation_volume(l, r, 3))
+        c1 = ops.add(ops.correlation_volume(l, r, 3), ops.correlation_volume(l, r, 3))
         return flat_concat([ops.linear(*level) for level in net.project_scales(
             net.cross_scale_aggregate([c1, c2_const]))])
 
@@ -140,7 +139,7 @@ def run_module_checks(seed: int):
     q0, f0 = rand_tensor(rng, (4, 4)), rand_tensor(rng, (2, 2, 4))
     proj_rng = np.random.default_rng(38)
     kernel0 = Tensor(proj_rng.normal(size=(4, 4)), dtype=np.float64)
-    bias0 = Tensor(proj_rng.normal(size=(1, 4)), dtype=np.float64)
+    bias0 = Tensor(proj_rng.normal(size=4), dtype=np.float64)
     check("decoder_layer",
           lambda q_, f_: layer.forward(q_, None, refs, [LevelProjection(f_, kernel0, bias0)]),
           [q0, f0], tol=1e-4, probe=35)
@@ -185,7 +184,6 @@ def run_end2end_check(seed: int):
     parameters selected across the network depth."""
     cfg = RunConfig.toy()
     cfg.dtype = "float64"
-    cfg.validate()
     frame = _toy_frame()
     assert len(frame.labels) == 2, "toy scene must carry two labeled objects"
     model = TS3D(cfg, rng=np.random.default_rng(seed))

@@ -25,7 +25,7 @@ from .config import QUERY_STRIDE, check_interval, load_config
 from .dataset import MANIFEST_NAME, build_pseudo_gt, generate_dataset, load_frame, read_manifest
 from .evalkit import evaluate_directories, write_report
 from .kitti_io import write_pgm
-from .model import dape_similarity_heatmap
+from .model import check_dataset, dape_similarity_heatmap
 from .synth import SynthParams
 from .tensor import ConfigError, NumericalError, Tensor, no_grad
 from .train import load_trained_model, run_inference, train_run
@@ -157,6 +157,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_pseudogt(args) -> int:
     cfg = _load_cfg(args)
+    check_dataset(read_manifest(os.path.join(args.data, MANIFEST_NAME)), cfg)
     n = build_pseudo_gt(args.data, max_disp=cfg.resolved_bm_max_disp(),
                         window=cfg.bm_window)
     print(f"cached pseudo ground truth for {n} frames under {args.data}/disp")

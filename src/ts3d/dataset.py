@@ -11,13 +11,14 @@ mean metric size per scale bin) estimated from the training labels; a class
 without any gets the default prior that a model built without a dataset uses.
 It is flat key=value text (see ``config``), with priors written as ``%.8f``
 and lists comma-joined. ``model.build_anchor_templates`` checks a manifest
-against a run's config and builds a fresh run's anchor templates from it.
+against a run's config and builds a fresh run's anchor templates from its
+priors, which must give finite sizes > 0 (``model.check_templates``).
 
-A loaded frame's images must have the manifest's width and height; one that
-does not is an error naming the file and both extents. A loaded frame
-carries its labels as the ``kitti_io.ObjectLabel``s read from
-label_2/; target assignment consumes them as they are, with the class list
-of the run deciding which types are detected (others, e.g. DontCare, are
+A loaded frame's images, like those the pseudo-gt pass matches, must have the
+manifest's width and height; one that does not is an error naming the file and
+both extents. A loaded frame carries its labels as the ``kitti_io.ObjectLabel``s
+read from label_2/; target assignment consumes them as they are, with the class
+list of the run deciding which types are detected (others, e.g. DontCare, are
 left out).
 """
 
@@ -203,13 +204,14 @@ def pseudo_gt_paths(root, frame_id: str):
 
 
 def build_pseudo_gt(root, max_disp: int, window: int) -> int:
-    """Run block matching over every frame of the dataset and cache the rasters."""
+    """Run block matching over every frame of the dataset and cache the rasters;
+    an image of another size than the manifest's raises ``ValueError`` naming it."""
     man = read_manifest(os.path.join(root, MANIFEST_NAME))
     os.makedirs(os.path.join(root, "disp"), exist_ok=True)
     ids = [fid for ids in man.splits.values() for fid in ids]
     for fid in ids:
-        left = read_ppm(os.path.join(root, "image_2", fid + ".ppm"))
-        right = read_ppm(os.path.join(root, "image_3", fid + ".ppm"))
+        left = _read_image(os.path.join(root, "image_2", fid + ".ppm"), man)
+        right = _read_image(os.path.join(root, "image_3", fid + ".ppm"), man)
         dl, vl, dr, vr = block_match_stereo(left, right, max_disp, window)
         paths = pseudo_gt_paths(root, fid)
         write_raster_f32(paths["disp"], dl)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import ops
 from .layers import Linear, ChannelNorm
-from .tensor import ConfigError, Module, ModuleList, Tensor
+from .tensor import Module, ModuleList, Tensor
 
 
 # ---------------------------------------------------------------------------
@@ -30,10 +30,8 @@ def sine_pe_2d(wq: int, hq: int, dims: int, dtype) -> np.ndarray:
 
     Half the channels encode the column index, half the row index; within
     each half, sin/cos pairs run over geometrically spaced frequencies with
-    base temperature 10000.
+    base temperature 10000. ``dims`` divides by 4 (``RunConfig.validate``).
     """
-    if dims % 4:
-        raise ConfigError(f"sinusoidal encoding width must be divisible by 4, got {dims}")
     d_axis = dims // 2
     n_pairs = d_axis // 2
     freqs = 10000.0 ** (-np.arange(n_pairs, dtype=np.float64) * 2.0 / d_axis)
@@ -61,10 +59,6 @@ def dape(disp_logits: Tensor, c_dec: int) -> Tensor:
     """Disparity-aware encoding, (Hq, Wq, c_dec): the fixed sine 2D code in the
     first c_dec - C_disp channels, softmax(disparity logits) in the last C_disp."""
     hq, wq, c_disp = disp_logits.shape
-    if c_disp >= c_dec:
-        raise ConfigError(
-            f"disparity channels must stay below decoder width, got {c_disp} >= {c_dec}"
-        )
     pe_sine = sine_pe_2d(wq, hq, c_dec - c_disp, dtype=disp_logits.dtype)
     return ops.concat([Tensor(pe_sine), ops.softmax(disp_logits, axis=-1)], axis=-1)
 
@@ -72,10 +66,6 @@ def dape(disp_logits: Tensor, c_dec: int) -> Tensor:
 def one_hot_disparity_pe(disp_logits: Tensor, c_dec: int) -> Tensor:
     """Ablation encoding: hard argmax disparity as a one-hot block, no 2D code."""
     hq, wq, c_disp = disp_logits.shape
-    if c_disp >= c_dec:
-        raise ConfigError(
-            f"disparity channels must stay below decoder width, got {c_disp} >= {c_dec}"
-        )
     idx = disp_logits.data.argmax(axis=-1)
     pe = np.zeros((hq, wq, c_dec), dtype=disp_logits.data.dtype)
     onehot = np.eye(c_disp, dtype=pe.dtype)[idx]
@@ -103,7 +93,6 @@ class GridQuery(Module):
     def __init__(self, rng, in_channels, c_dec):
         super().__init__()
         self.proj = Linear(rng, in_channels, c_dec)
-        self.c_dec = c_dec
 
     def forward(self, feat: Tensor):
         hq, wq, c = feat.shape

@@ -265,7 +265,6 @@ class DetectionHead(Module):
 
     def __init__(self, rng, c_dec, n_classes, anchors_per_cell):
         super().__init__()
-        self.n_classes = n_classes
         self.anchors_per_cell = anchors_per_cell
         prior_bias = -math.log((1.0 - 0.01) / 0.01)
         self.cls_fc = Linear(rng, c_dec, c_dec)

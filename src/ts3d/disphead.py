@@ -128,8 +128,6 @@ def disparity_target(gt_disp: np.ndarray, n_bins: int, sigma: float) -> np.ndarr
 
     P(d) ∝ exp(-|gt - d| / sigma), normalized over the candidate bins.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
     d = np.arange(n_bins, dtype=np.float64)
     w = np.exp(-np.abs(gt_disp[..., None] - d) / sigma)
     return (w / w.sum(axis=-1, keepdims=True)).astype(np.float64)

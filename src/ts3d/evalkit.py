@@ -9,6 +9,9 @@ by Sutherland-Hodgman polygon clipping with shoelace areas, skipped when the
 boxes' bounding circles are disjoint; the 3D overlap multiplies the footprint
 intersection by the vertical overlap. AP is 40-point interpolated, matching
 greedily in descending score order with each ground truth claimable once.
+``average_precision`` and ``_scored_labels`` check that every label they score
+has positive l and w before any pair is matched, so the IoU functions take
+their boxes as given.
 """
 
 from __future__ import annotations
@@ -66,7 +69,6 @@ def _polygon_area(poly) -> float:
 
 def intersection_area(a: ObjectLabel, b: ObjectLabel) -> float:
     """Footprint overlap of two ``ObjectLabel``s in the x-z plane."""
-    _check_extents((a, b))
     # a box lies inside the circle of its half-diagonal: centres farther apart
     # than the two half-diagonals cannot overlap, so skip the clipping
     reach = 0.5 * (math.hypot(a.l, a.w) + math.hypot(b.l, b.w))

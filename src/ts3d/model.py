@@ -15,8 +15,9 @@ import numpy as np
 
 from . import ops
 from .backbone import Backbone
+from .checkpoint import TEMPLATES_ENTRY
 from .config import QUERY_STRIDE, SUPERVISION_STRIDE, RunConfig
-from .dataset import FrameData, Manifest, estimate_priors
+from .dataset import MANIFEST_NAME, FrameData, Manifest, estimate_priors
 from .decoder import DecoderStack, GridQuery, dape, one_hot_disparity_pe, sine_pe_2d
 from .detect import (
     AnchorTemplate,
@@ -60,11 +61,33 @@ def check_dataset(manifest: Manifest, cfg: RunConfig) -> None:
                           f"{manifest.classes}")
 
 
+def check_templates(table, classes, source: str) -> np.ndarray:
+    """``table`` as a float64 (T, 7) anchor-template table (``TS3D.templates``) whose rows
+    each hold a class id in [0, len(classes)), then six finite sizes and priors > 0; else
+    ``ValueError`` naming ``source`` and, for a bad size, the row's class. Every table
+    that enters a model from outside (manifest priors, a checkpoint) passes here."""
+    table = np.asarray(table, dtype=np.float64)
+    sizes = table[:, 1:] if table.ndim == 2 and table.shape[1] == 7 else np.empty(0)
+    if not (sizes.size and np.isin(table[:, 0], range(len(classes))).all()):
+        raise ValueError(f"{source} holds no '{TEMPLATES_ENTRY}' table of rows: a class id "
+                         f"in [0, {len(classes)}), then six finite sizes and priors > 0")
+    bad = ~((sizes > 0) & (sizes < np.inf)).all(axis=1)
+    if bad.any():
+        row = int(bad.argmax())
+        name = classes[int(table[row, 0])]
+        raise ValueError(f"{source}: the anchor template of class '{name}' has sizes and "
+                         f"priors {sizes[row].tolist()}, not all finite and > 0")
+    return table
+
+
 def build_anchor_templates(manifest: Manifest, cfg: RunConfig) -> list:
     """The anchor templates of a model trained on a dataset, whose manifest fits the config
-    (``check_dataset``) and holds ``cfg.anchor_scales`` priors per class (else ``ValueError``)."""
+    (``check_dataset``) and holds ``cfg.anchor_scales`` valid priors per class (else
+    ``ValueError``, see ``check_templates``)."""
     check_dataset(manifest, cfg)
-    return anchor_templates(manifest.priors, cfg)
+    templates = anchor_templates(manifest.priors, cfg)
+    check_templates(templates, cfg.classes, f"the priors of the dataset's {MANIFEST_NAME}")
+    return templates
 
 
 @dataclass
@@ -80,11 +103,16 @@ class ModelOutputs:
 
 
 class TS3D(Module):
+    """The detector of ``cfg``, which it validates before it builds any module: a
+    config that breaks a constraint raises ``ConfigError`` naming the key here, and
+    no module re-checks it. ``templates`` is an anchor-template table that
+    ``check_templates`` admits; without one, each class gets the default prior."""
+
     def __init__(self, cfg: RunConfig, templates=None, rng=None):
         super().__init__()
-        self.cfg = cfg
+        self.cfg = cfg.validate()
         rng = rng if rng is not None else np.random.default_rng(cfg.seed)
-        if templates is None:  # the prior of a class without training labels
+        if templates is None:
             templates = anchor_templates(estimate_priors([], cfg.classes, cfg.anchor_scales), cfg)
         self.templates = np.array(templates, dtype=np.float64)  # (T, 7), as a checkpoint stores it
         self.backbone = Backbone(rng, width=cfg.c_bb, blocks_per_stage=cfg.blocks_per_stage)

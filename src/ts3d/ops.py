@@ -177,14 +177,12 @@ def matmul(a, b) -> Tensor:
 
 def linear(x, w, b) -> Tensor:
     """``x @ w + b`` for (..., cin) inputs x, a (cin, c) kernel w and a (c,)
-    or (1, c) bias b, as one node over the flattened (N, cin) rows; the bias
-    gradient comes back in the bias's own shape."""
+    bias b, as one node over the flattened (N, cin) rows."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    if (w.ndim != 2 or x.shape[-1:] != w.shape[:1]
-            or b.shape not in ((w.shape[1],), (1, w.shape[1]))):
+    if w.ndim != 2 or x.shape[-1:] != w.shape[:1] or b.shape != w.shape[1:]:
         raise DimensionError(
-            f"linear expects (...,cin) inputs, a (cin,c) kernel and a (c,) or (1,c) "
-            f"bias, got {x.shape}, {w.shape} and {b.shape}"
+            f"linear expects (...,cin) inputs, a (cin,c) kernel and a (c,) bias, "
+            f"got {x.shape}, {w.shape} and {b.shape}"
         )
     cin, c = w.shape
     xm = x.data.reshape(-1, cin)
@@ -199,7 +197,7 @@ def linear(x, w, b) -> Tensor:
             if w.requires_grad:
                 w.accumulate_grad(xm.T @ gm, "linear")
             if b.requires_grad:
-                b.accumulate_grad(gm.sum(axis=0).reshape(b.shape), "linear")
+                b.accumulate_grad(gm.sum(axis=0), "linear")
         return bw
 
     return make_node(data.reshape(x.shape[:-1] + (c,)), (x, w, b), "linear", build)

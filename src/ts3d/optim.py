@@ -15,7 +15,7 @@ def cosine_lr(step: int, total_steps: int, base_lr: float) -> float:
 
 class AdamW:
     """Decoupled-weight-decay Adam (betas 0.9 and 0.999, eps 1e-8) over a
-    list of named Parameters.
+    list of uniquely named Parameters (``bind_parameter_names`` names them).
 
     Moment buffers shape-match their parameters; the step counter is
     strictly increasing and drives both bias correction and the cosine
@@ -24,9 +24,6 @@ class AdamW:
 
     def __init__(self, params, base_lr: float, weight_decay: float, total_steps: int):
         self.params = list(params)
-        names = [p.name for p in self.params]
-        if len(set(names)) != len(names):
-            raise ValueError("optimizer requires uniquely named parameters")
         self.base_lr = float(base_lr)
         self.weight_decay = float(weight_decay)
         self.total_steps = int(total_steps)

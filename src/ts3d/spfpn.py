@@ -1,13 +1,17 @@
 """Stereo-preserving cost-volume pyramid.
 
 Six correlation volumes (primary + enhanced at three scales) are fused
-intra-scale by summation, which is legal because identically shaped volumes
-share the same per-channel disparity definition. Cross-scale aggregation is
+intra-scale by summation (``ops.add``), which is legal because the two volumes
+of a scale share the same per-channel disparity definition. Cross-scale aggregation is
 bottom-up: finer volumes are downsampled by a strided conv and concatenated,
 never summed, so no disparity channel is ever mixed with another. Each
 aggregated level finally has a 1x1 conv projection to the decoder width,
 handed on in factored form (``LevelProjection``): every decoder layer folds it
 into its own value projection, so the projected maps are never built.
+
+The variant and the input extents come from a ``RunConfig`` that ``TS3D``
+validated, so the two volumes of a scale have one shape and each stride-2 conv
+halves a level onto the next; nothing here checks either again.
 """
 
 from __future__ import annotations
@@ -16,9 +20,8 @@ from typing import NamedTuple
 
 from . import ops
 from .backbone import UnaryPyramids
-from .config import PYRAMID_VARIANTS
 from .layers import Conv2d
-from .tensor import ConfigError, DimensionError, Module, ModuleList, Tensor
+from .tensor import Module, ModuleList, Tensor
 
 
 class LevelProjection(NamedTuple):
@@ -28,18 +31,7 @@ class LevelProjection(NamedTuple):
 
     agg: Tensor     # (H, W, c_l) aggregated cost volume
     kernel: Tensor  # (c_l, c_dec) 1x1 conv kernel
-    bias: Tensor    # (1, c_dec)
-
-
-def intra_scale_fuse(c_primary: Tensor, c_enhanced: Tensor) -> Tensor:
-    """Elementwise sum of two cost volumes with identical bin definitions."""
-    if c_primary.shape != c_enhanced.shape:
-        raise DimensionError(
-            "intra-scale fusion requires identical disparity bin definitions: "
-            f"got {c_primary.shape[-1]} bins at {c_primary.shape[:2]} vs "
-            f"{c_enhanced.shape[-1]} bins at {c_enhanced.shape[:2]}"
-        )
-    return ops.add(c_primary, c_enhanced)
+    bias: Tensor    # (c_dec,)
 
 
 class SPFPN(Module):
@@ -52,8 +44,6 @@ class SPFPN(Module):
 
     def __init__(self, rng, bins, c_dec, variant):
         super().__init__()
-        if variant not in PYRAMID_VARIANTS:
-            raise ConfigError(f"unknown pyramid variant '{variant}'")
         self.bins = tuple(bins)
         self.variant = variant
         self.agg_channels = self._aggregated_channels()
@@ -97,7 +87,7 @@ class SPFPN(Module):
         for lvl, n_bins in enumerate(self.bins):
             c_c = ops.correlation_volume(pyr.left_primary[lvl], pyr.right_primary[lvl], n_bins)
             c_p = ops.correlation_volume(pyr.left_enhanced[lvl], pyr.right_enhanced[lvl], n_bins)
-            c_init.append(intra_scale_fuse(c_c, c_p))
+            c_init.append(ops.add(c_c, c_p))
         return c_init
 
     def cross_scale_aggregate(self, c_init):
@@ -105,11 +95,6 @@ class SPFPN(Module):
         out = [c_init[0]]
         for lvl in range(1, len(c_init)):
             down = ops.relu(self.cross[lvl - 1].forward(out[-1]))
-            if down.shape[:2] != c_init[lvl].shape[:2]:
-                raise DimensionError(
-                    f"cross-scale spatial mismatch at level {lvl + 1}: "
-                    f"{down.shape[:2]} vs {c_init[lvl].shape[:2]}"
-                )
             out.append(ops.concat([c_init[lvl], down], axis=-1))
         return out
 
@@ -134,11 +119,10 @@ class SPFPN(Module):
 
     def project_scales(self, aggregated):
         """Each level's ``project`` conv as a LevelProjection: the aggregated
-        volume, the conv's (c_l, c_dec) kernel and its bias as a (1, c_dec)
-        row. Decoder layers compose kernel and bias with their value
-        projection, so no c_dec-wide map is computed here."""
-        return [LevelProjection(c, ops.reshape(proj.w, proj.w.shape[2:]),
-                                ops.reshape(proj.b, (1, proj.b.shape[0])))
+        volume, the conv's (c_l, c_dec) kernel and its (c_dec,) bias. Decoder
+        layers compose kernel and bias with their value projection, so no
+        c_dec-wide map is computed here."""
+        return [LevelProjection(c, ops.reshape(proj.w, proj.w.shape[2:]), proj.b)
                 for proj, c in zip(self.project, aggregated)]
 
     def forward(self, pyr: UnaryPyramids):

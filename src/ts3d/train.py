@@ -29,7 +29,7 @@ from .checkpoint import TEMPLATES_ENTRY, load_arrays, load_model, save_model
 from .config import RunConfig, load_config
 from .dataset import MANIFEST_NAME, load_frame, read_manifest
 from .kitti_io import write_kitti_label
-from .model import TS3D, build_anchor_templates, check_dataset
+from .model import TS3D, build_anchor_templates, check_dataset, check_templates
 from .optim import AdamW
 from .tensor import ConfigError
 
@@ -164,17 +164,12 @@ def run_inference(model: TS3D, data_dir, split, out_dir):
 
 
 def load_checkpoint(cfg: RunConfig, manifest, path):
-    """The model saved at ``path``, built with the anchor templates saved in it,
-    and its optimizer state. The dataset of ``manifest`` must fit the config;
-    that is checked before the file is read, once."""
+    """The model saved at ``path``, built with the anchor templates saved in it
+    once ``check_templates`` admits them, and its optimizer state. The dataset of ``manifest``
+    must fit the config; that is checked before the file is read, once."""
     check_dataset(manifest, cfg)
     arrays = load_arrays(path)
-    table = arrays.pop(TEMPLATES_ENTRY, np.empty(0))
-    sizes = table[:, 1:] if table.ndim == 2 and table.shape[1] == 7 else np.empty(0)
-    if not (sizes.size and np.isin(table[:, 0], range(len(cfg.classes))).all()
-            and ((sizes > 0) & (sizes < np.inf)).all()):
-        raise ValueError(f"'{path}' holds no '{TEMPLATES_ENTRY}' table of rows: a class id "
-                         f"in [0, {len(cfg.classes)}), then six finite sizes and priors > 0")
+    table = check_templates(arrays.pop(TEMPLATES_ENTRY, np.empty(0)), cfg.classes, f"'{path}'")
     model = TS3D(cfg, templates=table)
     return model, load_model(path, model, arrays)
 

@@ -1,10 +1,9 @@
 """Backbone contracts: stride arithmetic, weight sharing, receptive fields."""
 
 import numpy as np
-import pytest
 
 from ts3d.backbone import Backbone
-from ts3d.tensor import ConfigError, Tensor, no_grad
+from ts3d.tensor import Tensor, no_grad
 
 
 def _img(rng, w, h):
@@ -54,13 +53,6 @@ def test_swapping_inputs_swaps_outputs_exactly():
         assert x.data.tobytes() == y.data.tobytes()
     for x, y in zip(p1.right_enhanced, p2.left_enhanced):
         assert x.data.tobytes() == y.data.tobytes()
-
-
-def test_indivisible_extent_rejected():
-    rng = np.random.default_rng(4)
-    bb = Backbone(rng, width=8, blocks_per_stage=1).astype(np.float32)
-    with pytest.raises(ConfigError, match="divisible"):
-        bb.forward_view(Tensor(np.zeros((30, 64, 3), dtype=np.float32)))
 
 
 def test_receptive_fields_nest_across_levels():

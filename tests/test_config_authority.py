@@ -3,11 +3,14 @@ method of ``ts3d`` gives a parameter named after a ``RunConfig`` field, or one
 of its aliases, a default. Dataclasses such as ``RunConfig`` and
 ``SynthParams`` are records, not callers, and are not walked. No field of
 ``RunConfig`` is ever None, so a None default (``Tensor``'s dtype, taken from
-the data) restates no value of it."""
+the data) restates no value of it. Nor does any module but the few that take a
+config in re-check one: only they raise ``ConfigError``."""
 
+import ast
 import dataclasses
 import importlib
 import inspect
+import pathlib
 import pkgutil
 
 import ts3d
@@ -46,3 +49,26 @@ def test_no_parameter_named_after_a_config_value_has_a_default():
                 if qual not in EXEMPT for p in inspect.signature(fn).parameters.values()
                 if p.name in names and p.default is not p.empty and p.default is not None]
     assert defaults == []
+
+
+# where a ConfigError may be raised: the config and the places a config meets
+# the command line, a dataset or a run directory
+CONFIG_GATES = {"config.py", "cli.py", "model.py", "train.py"}
+
+
+def _raised_names(tree):
+    """The name of every exception a ``raise`` statement in ``tree`` raises."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            yield exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None)
+
+
+def test_only_the_config_gates_raise_config_errors():
+    """``TS3D`` validates its config, so the modules it builds take the config's
+    constraints as given: a ConfigError raised elsewhere re-checks a fact."""
+    package = pathlib.Path(ts3d.__file__).parent
+    raisers = sorted(path.name for path in package.glob("*.py")
+                     if "ConfigError" in _raised_names(ast.parse(path.read_text("utf-8"))))
+    assert "config.py" in raisers
+    assert set(raisers) <= CONFIG_GATES, raisers

@@ -19,7 +19,7 @@ from ts3d.decoder import (
 )
 from ts3d.gradcheck import grad_check
 from ts3d.spfpn import LevelProjection
-from ts3d.tensor import ConfigError, DimensionError, Tensor, no_grad
+from ts3d.tensor import DimensionError, Tensor, no_grad
 
 
 # ---------------------------------------------------------------------------
@@ -44,11 +44,6 @@ def test_sine_pe_pairwise_distinct():
     diffs = np.linalg.norm(pe[:, None, :] - pe[None, :, :], axis=-1)
     np.fill_diagonal(diffs, 1.0)
     assert diffs.min() > 1e-9
-
-
-def test_sine_pe_width_must_divide_by_four():
-    with pytest.raises(ConfigError):
-        sine_pe_2d(4, 4, 10, np.float32)
 
 
 # ---------------------------------------------------------------------------
@@ -89,12 +84,6 @@ def test_dape_same_disparity_same_block_distinct_sine():
     pe = dape(Tensor(logits), c_dec=12).data
     assert np.allclose(pe[0, 1, 8:], pe[1, 2, 8:])
     assert not np.allclose(pe[0, 1, :8], pe[1, 2, :8])
-
-
-def test_dape_rejects_wide_disparity_block():
-    logits = Tensor(np.zeros((2, 2, 16), dtype=np.float32))
-    with pytest.raises(ConfigError):
-        dape(logits, c_dec=16)
 
 
 def test_dape_differentiable_through_logits():
@@ -214,7 +203,7 @@ def test_mhsa_full_shape_never_holds_the_score_matrix():
 def _identity_levels(*maps):
     """Each (H, W, c) map as a level whose 1x1 projection is the identity."""
     return [LevelProjection(f, Tensor(np.eye(f.shape[-1], dtype=f.dtype)),
-                            Tensor(np.zeros((1, f.shape[-1]), dtype=f.dtype)))
+                            Tensor(np.zeros(f.shape[-1], dtype=f.dtype)))
             for f in maps]
 
 

@@ -257,6 +257,16 @@ def test_inference_frees_the_backbone_pyramids_before_the_decoder(monkeypatch):
     assert alive_at_decoder == [0]
 
 
+@pytest.mark.parametrize("key, value", [
+    ("heads", 3), ("c_disp", 16), ("pyramid_variant", "fpn"), ("width", 60),
+])
+def test_model_validates_its_config_on_construction(key, value):
+    """A config that was never validated is checked by ``TS3D`` itself, which
+    names the key; no module it builds checks the config again."""
+    with pytest.raises(ConfigError, match=key):
+        TS3D(replace(RunConfig.toy(), **{key: value}), rng=np.random.default_rng(0))
+
+
 def test_mismatched_resolution_rejected():
     cfg = _toy_cfg()
     model = TS3D(cfg, rng=np.random.default_rng(10))
@@ -348,9 +358,10 @@ def test_deformable_cross_attention_records_18_nodes_per_layer(monkeypatch):
     3 for the sampling locations, 4 for the attention weights, 3 per level
     (the folded kernel's matmul, the folded bias's linear, the value map's
     linear), one ms_deform_attn and one linear for the output projection.
-    The whole desk training graph records 211 nodes; the focal losses apply
-    their sigmoid inside, with no node of its own. The parameters keep
-    their names and shapes."""
+    The whole desk training graph records 208 nodes; the focal losses apply
+    their sigmoid inside, with no node of its own, and each level's 1x1
+    projection bias enters ``ops.linear`` as the conv's own (c_dec,) vector,
+    with no reshape node. The parameters keep their names and shapes."""
     cfg = RunConfig.desk()
     model = TS3D(cfg, rng=np.random.default_rng(0))
     frame = _toy_frame(seed=3, params=SynthParams(width=cfg.width, height=cfg.height),
@@ -378,7 +389,7 @@ def test_deformable_cross_attention_records_18_nodes_per_layer(monkeypatch):
     assert counts == [18] * cfg.n_dec
     graph = _graph_ops(loss)
     assert graph["ms_deform_attn"] == cfg.n_dec
-    assert sum(graph.values()) == 211
+    assert sum(graph.values()) == 208
 
     for preset, digest in (("desk", DESK_PARAMETER_DIGEST), ("full", FULL_PARAMETER_DIGEST)):
         params = TS3D(getattr(RunConfig, preset)(), rng=np.random.default_rng(0))

@@ -356,8 +356,8 @@ def _linear_reference(x, w, b):
     return ops.reshape(ops.add(ops.matmul(rows, w), b), x.shape[:-1] + (w.shape[1],))
 
 
-@pytest.mark.parametrize("x_shape,b_shape", [((6, 5), (3,)), ((4, 6, 5), (1, 3))],
-                         ids=["2d-vector-bias", "3d-row-bias"])
+@pytest.mark.parametrize("x_shape,b_shape", [((6, 5), (3,)), ((4, 6, 5), (3,))],
+                         ids=["2d-vector-bias", "3d-vector-bias"])
 def test_linear_is_one_node_matching_matmul_plus_add(x_shape, b_shape):
     rng = np.random.default_rng(32)
     arrays = [rng.normal(size=x_shape), rng.normal(size=(5, 3)), rng.normal(size=b_shape)]
@@ -377,7 +377,7 @@ def test_linear_is_one_node_matching_matmul_plus_add(x_shape, b_shape):
 
 def test_linear_shape_errors():
     x, w = Tensor(np.zeros((2, 5))), Tensor(np.zeros((5, 3)))
-    for bad in (Tensor(np.zeros(4)), Tensor(np.zeros((2, 3)))):
+    for bad in (Tensor(np.zeros(4)), Tensor(np.zeros((1, 3))), Tensor(np.zeros((2, 3)))):
         with pytest.raises(DimensionError, match="linear"):
             ops.linear(x, w, bad)
     with pytest.raises(DimensionError, match="linear"):

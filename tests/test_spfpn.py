@@ -5,7 +5,7 @@ import pytest
 
 from ts3d import ops
 from ts3d.gradcheck import flat_concat, grad_check
-from ts3d.spfpn import SPFPN, intra_scale_fuse
+from ts3d.spfpn import SPFPN
 from ts3d.tensor import DimensionError, Tensor, no_grad
 
 
@@ -91,16 +91,9 @@ def test_fuse_additive_identity_and_commutativity():
     rng = np.random.default_rng(4)
     a = Tensor(rng.normal(size=(9, 20, 6)), dtype=np.float64)
     z = Tensor(np.zeros((9, 20, 6)), dtype=np.float64)
-    assert np.array_equal(intra_scale_fuse(a, z).data, a.data)
+    assert np.array_equal(ops.add(a, z).data, a.data)
     b = Tensor(rng.normal(size=(9, 20, 6)), dtype=np.float64)
-    assert np.array_equal(intra_scale_fuse(a, b).data, intra_scale_fuse(b, a).data)
-
-
-def test_fuse_shape_mismatch_names_bins():
-    a = Tensor(np.zeros((4, 8, 6)))
-    b = Tensor(np.zeros((4, 8, 12)))
-    with pytest.raises(DimensionError, match="6 bins"):
-        intra_scale_fuse(a, b)
+    assert np.array_equal(ops.add(a, b).data, ops.add(b, a).data)
 
 
 def test_full_scale_volume_shapes():
@@ -109,8 +102,7 @@ def test_full_scale_volume_shapes():
     for (h, w), bins in [((72, 320), 24), ((36, 160), 48), ((18, 80), 96)]:
         l = Tensor(rng.normal(size=(h, w, 4)).astype(np.float32))
         r = Tensor(rng.normal(size=(h, w, 4)).astype(np.float32))
-        fused = intra_scale_fuse(ops.correlation_volume(l, r, bins),
-                                 ops.correlation_volume(l, r, bins))
+        fused = ops.add(ops.correlation_volume(l, r, bins), ops.correlation_volume(l, r, bins))
         assert fused.shape == (h, w, bins)
 
 
@@ -226,8 +218,7 @@ def test_pyramid_gradcheck_composite():
     right1 = Tensor(rng.normal(size=(4, 6, 3)), dtype=np.float64, requires_grad=True)
 
     def f(l1, r1):
-        c1 = intra_scale_fuse(ops.correlation_volume(l1, r1, 3),
-                              ops.correlation_volume(l1, r1, 3))
+        c1 = ops.add(ops.correlation_volume(l1, r1, 3), ops.correlation_volume(l1, r1, 3))
         c2 = Tensor(np.random.default_rng(22).normal(size=(2, 3, 4)), dtype=np.float64)
         agg = net.cross_scale_aggregate([c1, c2])
         return flat_concat([ops.linear(*lv) for lv in net.project_scales(agg)])
@@ -244,8 +235,7 @@ def test_uniform_shift_end_to_end_recovery():
     right = np.zeros_like(left)
     right[:, : 48 - d0, :] = left[:, d0:, :]
     lt, rt = Tensor(left, dtype=np.float64), Tensor(right, dtype=np.float64)
-    fused = intra_scale_fuse(ops.correlation_volume(lt, rt, 8),
-                             ops.correlation_volume(lt, rt, 8))
+    fused = ops.add(ops.correlation_volume(lt, rt, 8), ops.correlation_volume(lt, rt, 8))
     interior = fused.data[:, 7 : 48 - d0, :]
     frac = (interior.argmax(axis=-1) == d0).mean()
     assert frac >= 0.95

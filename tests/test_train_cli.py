@@ -541,6 +541,40 @@ def test_cli_train_on_a_manifest_line_without_equals_is_exit_2(toy_dataset, tmp_
     assert "no train split" not in r.stderr and "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("prior", ["prior.Car.0.w2d=0", "prior.Car.0.h2d=inf",
+                                   "prior.Car.0.z=-4", "prior.Car.0.l=nan"])
+def test_cli_train_on_a_manifest_prior_that_is_not_a_size_is_exit_2(toy_dataset, tmp_path,
+                                                                     capsys, prior):
+    """A template of size zero matches no object, so the run would train with no
+    positive anchor and write a checkpoint that no command reads back."""
+    data = tmp_path / "data"
+    shutil.copytree(toy_dataset, data)
+    manifest = data / MANIFEST_NAME
+    key = prior.split("=")[0] + "="
+    lines = manifest.read_text().splitlines(keepends=True)
+    manifest.write_text("".join(prior + "\n" if ln.startswith(key) else ln for ln in lines))
+    code = ts3d.cli.main(["train", "--data", str(data), "--out", str(tmp_path / "run"),
+                          "--preset", "toy", "--set", "total_steps=1", "--quiet"])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert MANIFEST_NAME in err and "class 'Car'" in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_cli_pseudogt_rejects_a_dataset_of_another_resolution_before_matching(tmp_path,
+                                                                             capsys):
+    """The toy config's 32 px search range does not fit a desk dataset's 96 px."""
+    desk = RunConfig.desk()
+    generate_dataset(tmp_path / "data", seed=1, n_train=1, n_val=0,
+                     params=SynthParams(width=desk.width, height=desk.height),
+                     n_scales=desk.anchor_scales)
+    code = ts3d.cli.main(["pseudogt", "--data", str(tmp_path / "data"), "--preset", "toy"])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert "256x128" in err and "64x32" in err
+    assert not (tmp_path / "data" / "disp").exists()
+
+
 @pytest.mark.parametrize("command, taken_by", [
     ("synth", "file"), ("train", "file"), ("eval", "directory"),
 ])
@@ -768,7 +802,8 @@ def test_cli_infer_rejects_a_non_finite_calibration_naming_the_file(toy_ckpt, to
     assert str(path) in r.stderr and "row P2 entry 2 " in r.stderr
 
 
-@pytest.mark.parametrize("command, frame", [("train", "000001"), ("infer", "000004")])
+@pytest.mark.parametrize("command, frame", [("train", "000001"), ("infer", "000004"),
+                                            ("pseudogt", "000001")])
 def test_cli_rejects_an_image_of_another_size_naming_the_file(toy_ckpt, toy_dataset, tmp_path,
                                                               command, frame):
     data = tmp_path / "data"
@@ -778,7 +813,8 @@ def test_cli_rejects_an_image_of_another_size_naming_the_file(toy_ckpt, toy_data
     args = {"train": ("train", "--data", str(data), "--out", "run", "--preset", "toy",
                       "--set", "total_steps=3", "--quiet"),
             "infer": ("infer", "--ckpt", str(toy_ckpt), "--data", str(data), "--split", "val",
-                      "--out", "preds", "--preset", "toy")}[command]
+                      "--out", "preds", "--preset", "toy"),
+            "pseudogt": ("pseudogt", "--data", str(data), "--preset", "toy")}[command]
     r = _cli(*args, cwd=tmp_path)
     assert r.returncode == 2, r.stderr
     assert str(path) in r.stderr and "32x16" in r.stderr and "64x32" in r.stderr
