@@ -4,10 +4,11 @@ Photometric jitter (contrast, hue, saturation, brightness) is applied with
 identical parameters to both views so matching costs are preserved. The
 horizontal flip mirrors both images and swaps the views: the mirrored right
 image becomes the new left view of a valid rectified scene with the same
-baseline and positive disparities. Boxes mirror about the stereo midline and
-yaw flips accordingly. The principal point must sit at the image center for
-the calibration to survive the mirror unchanged (the synthesizer guarantees
-this).
+baseline and positive disparities. 3D boxes mirror about the stereo midline,
+yaw flips accordingly, and 2D boxes are re-projected into the new left view
+the way the renderer labels a frame (``synth.project_box``). The principal
+point must sit at the image center for the calibration to survive the mirror
+unchanged (the synthesizer guarantees this).
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ import numpy as np
 
 from .dataset import FrameData
 from .detect import wrap_angle
-from .kitti_io import ObjectLabel
+from .kitti_io import label_corners
+from .synth import project_box
 
 _GRAY = np.array([0.299, 0.587, 0.114], dtype=np.float32)
 _HUE_AXIS = np.ones(3) / math.sqrt(3.0)
@@ -55,22 +57,23 @@ def horizontal_flip(frame: FrameData) -> FrameData:
     """Mirror both images, swap the views, and remap geometry in a new frame.
 
     New world x' = baseline - x (mirror about the stereo midline), so the old
-    right camera becomes the new left origin; yaw maps to pi - ry.
+    right camera becomes the new left origin; yaw maps to pi - ry. Each label's
+    2D box and truncation are its 3D box's projection into the new left view;
+    a label not wholly in front of the camera (KITTI's DontCare) or outside
+    that view is dropped. ``occluded`` is kept.
     """
-    w = frame.left.shape[1]
+    h, w = frame.left.shape[:2]
     b = frame.calib.baseline
     flipped = []
     for lb in frame.labels:
-        x1, y1, x2, y2 = lb.box2d
-        box = np.array([(w - 1) - x2, y1, (w - 1) - x1, y2])
         x_new = b - lb.x
         ry_new = wrap_angle(math.pi - lb.ry)
-        alpha_new = wrap_angle(ry_new - math.atan2(x_new, lb.z))
-        flipped.append(ObjectLabel(
-            type=lb.type, truncated=lb.truncated, occluded=lb.occluded,
-            alpha=alpha_new, box2d=box, h=lb.h, w=lb.w, l=lb.l,
-            x=x_new, y=lb.y, z=lb.z, ry=ry_new, score=lb.score,
-        ))
+        moved = dataclasses.replace(lb, x=x_new, ry=ry_new,
+                                    alpha=wrap_angle(ry_new - math.atan2(x_new, lb.z)))
+        seen = project_box(label_corners(moved), frame.calib, w, h)
+        if seen is not None:
+            box, truncated = seen
+            flipped.append(dataclasses.replace(moved, box2d=box, truncated=truncated))
     out = dataclasses.replace(frame, left=frame.right[:, ::-1].copy(),
                               right=frame.left[:, ::-1].copy(), labels=flipped)
 

@@ -71,6 +71,7 @@ class Manifest:
     classes: list = field(default_factory=list)
     priors: dict = field(default_factory=dict)   # class -> list of scale dicts
     splits: dict = field(default_factory=dict)   # split -> list of frame ids
+    path: str = ""                               # the file it was written to or read from
 
 
 def _frame_id(i: int) -> str:
@@ -130,8 +131,8 @@ def generate_dataset(out_dir, seed: int, n_train: int, n_val: int,
     priors = estimate_priors(train_labels, [params.class_name], n_scales)
     manifest = Manifest(seed=seed, width=params.width, height=params.height,
                         params=params.as_dict(), classes=[params.class_name],
-                        priors=priors, splits=splits)
-    write_manifest(os.path.join(out_dir, MANIFEST_NAME), manifest)
+                        priors=priors, splits=splits, path=os.path.join(out_dir, MANIFEST_NAME))
+    write_manifest(manifest.path, manifest)
     return manifest
 
 
@@ -186,7 +187,7 @@ def read_manifest(path) -> Manifest:
         if k.startswith("split."):
             splits[k[len("split."):]] = v.split(",") if v else []
     return Manifest(**ints, params=params, classes=classes, priors=priors_out,
-                    splits=splits)
+                    splits=splits, path=os.fspath(path))
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +225,8 @@ def build_pseudo_gt(root, max_disp: int, window: int) -> int:
 def _read_image(path, manifest: Manifest) -> np.ndarray:
     img = read_ppm(path)
     if img.shape[:2] != (manifest.height, manifest.width):
-        raise ValueError(f"'{path}' is {img.shape[1]}x{img.shape[0]}, but the dataset's "
-                         f"manifest gives {manifest.width}x{manifest.height}")
+        raise ValueError(f"'{path}' is {img.shape[1]}x{img.shape[0]}, but {manifest.path} "
+                         f"gives {manifest.width}x{manifest.height}")
     return img
 
 

@@ -23,7 +23,7 @@ import os
 import numpy as np
 
 from .config import write_pairs
-from .kitti_io import ObjectLabel, read_kitti_label
+from .kitti_io import ObjectLabel, label_corners, read_kitti_label
 
 
 def _check_extents(labels, where: str = "") -> None:
@@ -33,11 +33,9 @@ def _check_extents(labels, where: str = "") -> None:
 
 
 def _footprint(lb: ObjectLabel) -> list:
-    """Counter-clockwise (x, z) corners of a label's footprint. As in the KITTI
-    devkit's ``toPolygon``, R_y(ry) turns the length axis to (cos ry, -sin ry)."""
-    c, s = math.cos(lb.ry), math.sin(lb.ry)
-    return [(lb.x + dl * lb.l * c + dw * lb.w * s, lb.z - dl * lb.l * s + dw * lb.w * c)
-            for dl, dw in ((0.5, 0.5), (-0.5, 0.5), (-0.5, -0.5), (0.5, -0.5))]
+    """Counter-clockwise (x, z) corners of a label's footprint, the bottom of its
+    ``label_corners`` (R_y(ry) as in the KITTI devkit's ``toPolygon``)."""
+    return [(x, z) for x, _, z in label_corners(lb)[:4]]
 
 
 def _clip_polygon(poly, a, b):

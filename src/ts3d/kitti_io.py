@@ -54,6 +54,16 @@ class ObjectLabel:
         return " ".join(fields)
 
 
+def label_corners(lb: ObjectLabel) -> list:
+    """The 8 camera-frame (x, y, z) corners of a label's 3D box: its footprint's
+    four counter-clockwise corners at the bottom (y), then at the top (y - h).
+    As in the KITTI devkit, R_y(ry) turns the length axis to (cos ry, -sin ry)."""
+    c, s = math.cos(lb.ry), math.sin(lb.ry)
+    footprint = [(lb.x + dl * lb.l * c + dw * lb.w * s, lb.z - dl * lb.l * s + dw * lb.w * c)
+                 for dl, dw in ((0.5, 0.5), (-0.5, 0.5), (-0.5, -0.5), (0.5, -0.5))]
+    return [(x, y, z) for y in (lb.y, lb.y - lb.h) for x, z in footprint]
+
+
 _NUMERIC_FIELDS = "truncated occluded alpha x1 y1 x2 y2 h w l x y z ry score".split()
 
 

@@ -17,7 +17,7 @@ from . import ops
 from .backbone import Backbone
 from .checkpoint import TEMPLATES_ENTRY
 from .config import QUERY_STRIDE, SUPERVISION_STRIDE, RunConfig
-from .dataset import MANIFEST_NAME, FrameData, Manifest, estimate_priors
+from .dataset import FrameData, Manifest, estimate_priors
 from .decoder import DecoderStack, GridQuery, dape, one_hot_disparity_pe, sine_pe_2d
 from .detect import (
     AnchorTemplate,
@@ -39,11 +39,7 @@ def anchor_templates(priors: dict, cfg: RunConfig) -> list:
     (``dataset.estimate_priors``); ratio r makes a 2D box w2d*sqrt(r) by h2d/sqrt(r)."""
     out = []
     for cls_id, name in enumerate(cfg.classes):
-        scales = priors[name]
-        if len(scales) != cfg.anchor_scales:
-            raise ValueError(f"manifest stores {len(scales)} anchor scales for '{name}', "
-                             f"configuration expects {cfg.anchor_scales}")
-        for sc in scales:
+        for sc in priors[name]:
             for r in cfg.anchor_ratios:
                 s = math.sqrt(r)
                 out.append(AnchorTemplate(cls_id, sc["w2d"] * s, sc["h2d"] / s,
@@ -54,11 +50,11 @@ def anchor_templates(priors: dict, cfg: RunConfig) -> list:
 def check_dataset(manifest: Manifest, cfg: RunConfig) -> None:
     """A model's dataset has the config's resolution and classes (else ``ConfigError``)."""
     if (manifest.width, manifest.height) != (cfg.width, cfg.height):
-        raise ConfigError(f"dataset resolution {manifest.width}x{manifest.height} does not "
-                          f"match configured {cfg.width}x{cfg.height}")
+        raise ConfigError(f"dataset resolution {manifest.width}x{manifest.height} of "
+                          f"{manifest.path} does not match configured {cfg.width}x{cfg.height}")
     if list(cfg.classes) != manifest.classes:
-        raise ConfigError(f"classes {list(cfg.classes)} differ from the dataset manifest's "
-                          f"{manifest.classes}")
+        raise ConfigError(f"classes {list(cfg.classes)} differ from {manifest.classes} of "
+                          f"{manifest.path}")
 
 
 def check_templates(table, classes, source: str) -> np.ndarray:
@@ -85,8 +81,12 @@ def build_anchor_templates(manifest: Manifest, cfg: RunConfig) -> list:
     (``check_dataset``) and holds ``cfg.anchor_scales`` valid priors per class (else
     ``ValueError``, see ``check_templates``)."""
     check_dataset(manifest, cfg)
+    for name, scales in manifest.priors.items():
+        if len(scales) != cfg.anchor_scales:
+            raise ValueError(f"{manifest.path} stores {len(scales)} anchor scales for '{name}', "
+                             f"configuration expects {cfg.anchor_scales}")
     templates = anchor_templates(manifest.priors, cfg)
-    check_templates(templates, cfg.classes, f"the priors of the dataset's {MANIFEST_NAME}")
+    check_templates(templates, cfg.classes, f"the priors of {manifest.path}")
     return templates
 
 

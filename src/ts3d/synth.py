@@ -2,15 +2,20 @@
 
 A textured ground plane plus textured axis-aligned cuboids ("cars") are
 ray-cast into both rectified views, each view in two passes. The geometry
-pass intersects every surface with the rays of its screen window only (the
-projected corners plus a pixel margin) and keeps, per pixel, the nearest
-depth, its owner and its surface kind. The shading pass then textures each
+pass casts rays through one ray-plane routine (``_View.cast``): every surface
+is a plane where one coordinate is constant, bounded on the other two axes,
+and only the rays of its screen window (the projected corners plus a pixel
+margin) are cast. Per pixel it keeps the nearest depth, its owner and its
+surface kind. Surfaces are cast in a fixed order, which decides exact depth
+ties: the ground (y = ground_y, z up to z_far), then the boxes far to near,
+each box's faces at z0, z1, x0, x1, y0, y1. The shading pass then textures each
 hit pixel once: it recomputes the world-anchored texture coordinates from
 the stored depth and kind and evaluates value noise there, so left and right
 images sample the same textures and the analytic disparity f*b/z is exact at
 every rendered pixel. Labels carry exact 3D boxes and their clipped 2D
-projections; fully occluded objects are dropped. No box reaches the
-near plane, so every face window comes from points in front of the camera.
+projections (``project_box``, which the flip augmentation shares); fully
+occluded objects are dropped. No box reaches the near plane, so every face
+window comes from points in front of the camera.
 """
 
 from __future__ import annotations
@@ -131,10 +136,28 @@ GROUND, Z_FACE, X_FACE, Y_FACE = 0, 1, 2, 3
 
 
 def _project_corners(corners: np.ndarray, f, cx, cy):
-    corners = corners.reshape(-1, 3)
-    us = f * corners[:, 0] / corners[:, 2] + cx
-    vs = f * corners[:, 1] / corners[:, 2] + cy
+    us = f * corners[..., 0] / corners[..., 2] + cx
+    vs = f * corners[..., 1] / corners[..., 2] + cy
     return us, vs
+
+
+def project_box(corners, calib: Calibration, width: int, height: int):
+    """The 2D box of 3D box corners (camera frame, last axis x, y, z) in the left
+    camera of ``calib``, clipped to a width x height image, and its truncation
+    1 - clipped / full area; None when a corner is not in front of the camera or
+    the clipped box is empty."""
+    corners = np.asarray(corners)
+    if not (corners[..., 2] > 0).all():
+        return None
+    us, vs = _project_corners(corners, calib.f, calib.cx, calib.cy)
+    full = np.array([us.min(), vs.min(), us.max(), vs.max()])
+    box = np.array([max(full[0], 0.0), max(full[1], 0.0),
+                    min(full[2], width - 1.0), min(full[3], height - 1.0)])
+    if box[2] <= box[0] or box[3] <= box[1]:
+        return None
+    area_full = (full[2] - full[0]) * (full[3] - full[1])
+    area_clip = (box[2] - box[0]) * (box[3] - box[1])
+    return box, float(max(0.0, 1.0 - area_clip / max(area_full, 1e-9)))
 
 
 def _span(lo: float, hi: float) -> slice:
@@ -159,49 +182,36 @@ class _View:
         us, vs = _project_corners(corners - (self.cam_x, 0.0, 0.0), self.f, self.cx, self.cy)
         return _span(vs.min(), vs.max()), _span(us.min(), us.max())
 
-    def paint(self, win, t, valid, owner: int, kind: int):
-        """Keep depth t (broadcast over the window) where valid and nearest."""
+    def cast(self, win, axis: int, value: float, bounds, owner: int, kind: int):
+        """Intersect the window's rays with the plane where coordinate ``axis``
+        (0 x, 1 y, 2 z) equals ``value``. Keep the hit's depth t where the hit lies
+        in ``bounds[a] = (lo, hi)`` on every other axis a whose bound is not None,
+        beyond the near plane and nearer than what the window holds."""
+        rows, cols = win
+        rx, ry = self.rx[cols], self.ry[rows]
+        with np.errstate(divide="ignore", invalid="ignore"):  # rays parallel to the plane
+            # the ray from (cam_x, 0, 0) along (rx, ry, 1) is at (cam_x + t rx, t ry, t)
+            t = (value - self.cam_x) / rx if axis == 0 else value / ry if axis == 1 else value
+            keep = t > NEAR_PLANE
+            for a, bound in enumerate(bounds):
+                if a != axis and bound is not None:
+                    p = self.cam_x + t * rx if a == 0 else t * ry if a == 1 else t
+                    keep = keep & (p >= bound[0]) & (p <= bound[1])
         depth = self.depth[win]
-        upd = valid & (t < depth) & (t > NEAR_PLANE)
-        np.copyto(depth, t, where=upd)
-        np.copyto(self.owner[win], owner, where=upd)
-        np.copyto(self.kind[win], kind, where=upd)
+        keep = keep & (t < depth)
+        np.copyto(depth, t, where=keep)
+        np.copyto(self.owner[win], owner, where=keep)
+        np.copyto(self.kind[win], kind, where=keep)
 
 
 def _render_box(view: _View, corners: np.ndarray, owner: int):
+    """Cast a box's faces at z0, z1 (front/rear), x0, x1 (sides), y0, y1 (top/bottom)."""
     (x0, y0, z0), (x1, y1, z1) = corners[0, 0, 0], corners[1, 1, 1]
-    # constant-depth faces (front/rear)
-    for z_plane, face in ((z0, corners[:, :, 0]), (z1, corners[:, :, 1])):
-        rows, cols = win = view.window(face)
-        px = view.cam_x + z_plane * view.rx[cols]
-        py = z_plane * view.ry[rows]
-        valid = (px >= x0) & (px <= x1) & (py >= y0) & (py <= y1)
-        view.paint(win, z_plane, valid, owner, Z_FACE)
-    # side faces
-    for x_plane, face in ((x0, corners[0]), (x1, corners[1])):
-        rows, cols = win = view.window(face)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = (x_plane - view.cam_x) / view.rx[cols]
-        t = np.where(np.isfinite(t), t, -1.0)
-        py = t * view.ry[rows]
-        valid = (t >= z0) & (t <= z1) & (py >= y0) & (py <= y1)
-        view.paint(win, t, valid, owner, X_FACE)
-    # top/bottom faces
-    for y_plane, face in ((y0, corners[:, 0]), (y1, corners[:, 1])):
-        rows, cols = win = view.window(face)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = y_plane / view.ry[rows]
-        t = np.where(np.isfinite(t), t, -1.0)
-        px = view.cam_x + t * view.rx[cols]
-        valid = (t >= z0) & (t <= z1) & (px >= x0) & (px <= x1)
-        view.paint(win, t, valid, owner, Y_FACE)
-
-
-def _render_ground(view: _View, params: SynthParams):
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = params.ground_y / view.ry
-    t = np.where(np.isfinite(t) & (view.ry > 1e-9), t, -1.0)
-    view.paint(np.s_[:, :], t, (t > 0) & (t <= params.z_far), -1, GROUND)
+    bounds = ((x0, x1), (y0, y1), (z0, z1))
+    for axis, kind in ((2, Z_FACE), (0, X_FACE), (1, Y_FACE)):
+        for side in (0, 1):
+            face = corners[(slice(None),) * axis + (side,)]
+            view.cast(view.window(face), axis, bounds[axis][side], bounds, owner, kind)
 
 
 def _shade(view: _View, salts: list, params: SynthParams) -> np.ndarray:
@@ -256,8 +266,9 @@ def synth_scene(seed: int, params: SynthParams | None = None) -> StereoFrame:
     salts = [seed * 131 + 17] + [seed * 977 + ob * 59 + 29 for ob in range(n_obj)]
     images = []
     for view in views:
-        _render_ground(view, params)
-        # far to near: the order decides exact depth ties
+        # the ground, then the boxes far to near: the order decides exact depth ties
+        view.cast((slice(None), slice(None)), 1, params.ground_y,
+                  (None, None, (-math.inf, params.z_far)), -1, GROUND)
         for ob in sorted(range(n_obj), key=lambda i: -objs[i]["z"]):
             _render_box(view, corners[ob], ob)
         images.append(_shade(view, salts, params))
@@ -266,23 +277,17 @@ def synth_scene(seed: int, params: SynthParams | None = None) -> StereoFrame:
     visible = np.bincount(left.owner.ravel() + 1, minlength=n_obj + 1)[1:]
     labels = []
     for i, o in enumerate(objs):
-        if visible[i] == 0:
+        seen = project_box(corners[i], calib, w, h) if visible[i] else None
+        if seen is None:
             continue
-        us, vs = _project_corners(corners[i], f, cx, cy)
-        full = np.array([us.min(), vs.min(), us.max(), vs.max()])
-        clipped = np.array([max(full[0], 0.0), max(full[1], 0.0),
-                            min(full[2], w - 1.0), min(full[3], h - 1.0)])
-        if clipped[2] <= clipped[0] or clipped[3] <= clipped[1]:
-            continue
-        area_full = (full[2] - full[0]) * (full[3] - full[1])
-        area_clip = (clipped[2] - clipped[0]) * (clipped[3] - clipped[1])
-        truncated = float(max(0.0, 1.0 - area_clip / max(area_full, 1e-9)))
+        box, truncated = seen
+        area_clip = (box[2] - box[0]) * (box[3] - box[1])
         frac_visible = min(1.0, int(visible[i]) / max(area_clip, 1.0))
         occluded = 0 if frac_visible >= 0.6 else (1 if frac_visible >= 0.25 else 2)
         alpha = wrap_angle(o["ry"] - math.atan2(o["x"], o["z"]))
         labels.append(ObjectLabel(
             type=params.class_name, truncated=truncated, occluded=occluded,
-            alpha=alpha, box2d=clipped, h=o["h"], w=o["w"], l=o["l"],
+            alpha=alpha, box2d=box, h=o["h"], w=o["w"], l=o["l"],
             x=o["x"], y=params.ground_y, z=o["z"], ry=o["ry"],
         ))
 

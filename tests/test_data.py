@@ -23,6 +23,7 @@ from ts3d.disphead import block_match_stereo
 from ts3d.kitti_io import (
     Calibration,
     ObjectLabel,
+    label_corners,
     make_calibration,
     parse_label_line,
     read_calib,
@@ -38,7 +39,7 @@ from ts3d.kitti_io import (
     write_raster_mask,
 )
 from ts3d.model import build_anchor_templates
-from ts3d.synth import SynthParams, _hash01, synth_scene
+from ts3d.synth import SynthParams, _hash01, project_box, synth_scene
 
 
 # ---------------------------------------------------------------------------
@@ -465,22 +466,41 @@ def test_photometric_jitter_preserves_labels_and_consistency(tmp_path):
     assert frame.left.min() >= 0.0 and frame.left.max() <= 1.0
 
 
+def _in_view(lb, calib, w, h, view):
+    """``project_box`` of a label's 3D box in the left (0) or right (1) camera."""
+    corners = np.array(label_corners(lb)) - (view * calib.baseline, 0.0, 0.0)
+    return project_box(corners, calib, w, h)
+
+
 def test_flip_twice_is_identity(tmp_path):
     frame = _loaded_frame(tmp_path)
+    h, w = frame.left.shape[:2]
+    # a car at the left edge of the left view, outside the right view, and a DontCare
+    edge = ObjectLabel("Car", 0.0, 0, 0.0, np.zeros(4), 1.5, 1.6, 3.9, -3.54, 1.5, 10.0, 0.0)
+    dontcare = parse_label_line("DontCare -1 -1 -10 0 0 5 5 -1 -1 -1 -1000 -1000 -1000 -10")
+    assert _in_view(edge, frame.calib, w, h, 0) and not _in_view(edge, frame.calib, w, h, 1)
+    frame.labels += [edge, dontcare]
     left0 = frame.left.copy()
     right0 = frame.right.copy()
-    labels0 = [(lb.x, lb.z, lb.ry, tuple(lb.box2d)) for lb in frame.labels]
     disp0 = frame.pseudo_disp.copy()
+    both = [lb for lb in frame.labels
+            if all(_in_view(lb, frame.calib, w, h, view) for view in (0, 1))]
+    assert len(both) == len(frame.labels) - 2
     frame = horizontal_flip(horizontal_flip(frame))
     assert np.array_equal(frame.left, left0)
     assert np.array_equal(frame.right, right0)
     assert np.array_equal(frame.pseudo_disp, disp0)
-    for lb, (x, z, ry, box) in zip(frame.labels, labels0):
-        assert lb.x == pytest.approx(x, abs=1e-9)
-        assert lb.z == pytest.approx(z)
-        assert math.sin(lb.ry) == pytest.approx(math.sin(ry), abs=1e-12)
-        assert math.cos(lb.ry) == pytest.approx(math.cos(ry), abs=1e-12)
-        assert np.allclose(lb.box2d, box, atol=1e-9)
+    # a label survives when it is visible in both views, as the projection of its 3D box
+    assert len(frame.labels) == len(both)
+    for lb, lb0 in zip(frame.labels, both):
+        assert lb.x == pytest.approx(lb0.x, abs=1e-9)
+        assert lb.z == pytest.approx(lb0.z)
+        assert math.sin(lb.ry) == pytest.approx(math.sin(lb0.ry), abs=1e-12)
+        assert math.cos(lb.ry) == pytest.approx(math.cos(lb0.ry), abs=1e-12)
+        box, truncated = _in_view(lb0, frame.calib, w, h, 0)
+        np.testing.assert_allclose(lb.box2d, box, rtol=0, atol=1e-9)
+        assert lb.truncated == pytest.approx(truncated, abs=1e-9)
+        assert lb.occluded == lb0.occluded
 
 
 def test_flip_preserves_rectified_geometry(tmp_path):
@@ -497,17 +517,49 @@ def test_flip_preserves_rectified_geometry(tmp_path):
     assert frame.pseudo_disp[frame.pseudo_valid].min() >= 0
 
 
-def test_flip_mirrors_boxes_and_yaw(tmp_path):
-    frame = _loaded_frame(tmp_path, with_pseudo=False)
-    w = frame.left.shape[1]
-    b = frame.calib.baseline
-    orig = [(lb.x, lb.ry, tuple(lb.box2d)) for lb in frame.labels]
-    frame = horizontal_flip(frame)
-    for lb, (x, ry, box) in zip(frame.labels, orig):
-        assert lb.x == pytest.approx(b - x)
-        assert math.cos(2 * lb.ry) == pytest.approx(math.cos(2 * (math.pi - ry)), abs=1e-9)
-        assert lb.box2d[0] == pytest.approx((w - 1) - box[2])
-        assert lb.box2d[2] == pytest.approx((w - 1) - box[0])
+def _synth_frames(n, **kw):
+    for seed in range(n):
+        sf = synth_scene(seed, SynthParams(**kw))
+        yield FrameData(str(seed), sf.left, sf.right, sf.calib, sf.labels)
+
+
+def test_flip_mirrors_boxes_and_yaw():
+    """A flipped label is its 3D box mirrored, and its 2D box is where the new
+    left view, the mirrored old right view, shows that box."""
+    n_labels = 0
+    for frame in _synth_frames(12, width=256, height=128):
+        h, w = frame.left.shape[:2]
+        b = frame.calib.baseline
+        flipped = horizontal_flip(frame)
+        assert len(flipped.labels) == len(frame.labels)
+        for lb, new in zip(frame.labels, flipped.labels):
+            assert new.x == pytest.approx(b - lb.x)
+            assert math.cos(2 * new.ry) == pytest.approx(math.cos(2 * (math.pi - lb.ry)),
+                                                         abs=1e-9)
+            box, truncated = _in_view(lb, frame.calib, w, h, 1)
+            mirrored = [(w - 1) - box[2], box[1], (w - 1) - box[0], box[3]]
+            np.testing.assert_allclose(new.box2d, mirrored, rtol=0, atol=1e-6)
+            assert new.truncated == pytest.approx(truncated, abs=1e-9)
+            assert new.occluded == lb.occluded
+            n_labels += 1
+    assert n_labels > 20
+
+
+def test_flipped_boxes_centre_on_their_projected_3d_centres():
+    """After a flip, as before it, the 2D boxes of untruncated cars centre on
+    where their 3D centres project, in the median of the signed offsets; one
+    car's offset follows the perspective of its near faces and can reach pixels."""
+    offsets = {False: [], True: []}
+    for frame in _synth_frames(16, width=256, height=128):
+        calib = frame.calib
+        for flip, labels in ((False, frame.labels), (True, horizontal_flip(frame).labels)):
+            for lb in labels:
+                if lb.truncated == 0:
+                    u = calib.f * lb.x / lb.z + calib.cx
+                    offsets[flip].append((lb.box2d[0] + lb.box2d[2]) / 2 - u)
+    assert len(offsets[True]) > 20
+    for flip in (False, True):
+        assert abs(np.median(offsets[flip])) <= 0.5, flip
 
 
 def test_augment_deterministic_given_rng(tmp_path):

@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -37,7 +38,7 @@ from ts3d.kitti_io import (
     write_ppm,
     write_raster_mask,
 )
-from ts3d.model import TS3D, build_anchor_templates
+from ts3d.model import TS3D, build_anchor_templates, check_dataset
 from ts3d.optim import AdamW, cosine_lr
 from ts3d.synth import SynthParams
 from ts3d.tensor import ConfigError
@@ -573,6 +574,31 @@ def test_cli_pseudogt_rejects_a_dataset_of_another_resolution_before_matching(tm
     assert code == 2, err
     assert "256x128" in err and "64x32" in err
     assert not (tmp_path / "data" / "disp").exists()
+
+
+def test_cli_pseudogt_names_the_manifest_of_a_dataset_of_another_resolution(tmp_path):
+    data = tmp_path / "data"
+    generate_dataset(data, seed=1, n_train=1, n_val=0, params=SynthParams(width=256, height=128),
+                     n_scales=1)
+    r = _cli("pseudogt", "--data", str(data), "--preset", "toy", cwd=tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert str(data / MANIFEST_NAME) in r.stderr and "Traceback" not in r.stderr
+
+
+def test_dataset_checks_name_the_manifest_by_its_path(tmp_path):
+    data = tmp_path / "data"
+    made = generate_dataset(data, seed=1, n_train=1, n_val=0,
+                            params=SynthParams(width=64, height=32), n_scales=1)
+    manifest = read_manifest(data / MANIFEST_NAME)
+    assert made.path == manifest.path == str(data / MANIFEST_NAME)
+    named = re.escape(manifest.path)
+    with pytest.raises(ConfigError, match=named):
+        check_dataset(manifest, _toy_cfg(classes=("Van",)))
+    with pytest.raises(ValueError, match=named):
+        build_anchor_templates(manifest, _toy_cfg(anchor_scales=2))
+    manifest.priors["Car"][0]["w2d"] = 0.0
+    with pytest.raises(ValueError, match=named):
+        build_anchor_templates(manifest, RunConfig.toy())
 
 
 @pytest.mark.parametrize("command, taken_by", [
