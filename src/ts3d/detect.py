@@ -229,8 +229,6 @@ def decode_box(anchor_boxes, priors, offsets, f, cx, cy) -> dict:
     +-LOG_SCALE_CLAMP before exp, so any offset decodes to finite, positive
     sizes and depth; an offset inside the band keeps its bits.
     """
-    if not np.isfinite(f) or f <= 0:
-        raise ValueError("calibration focal length must be positive and finite")
     ua, va, wa, ha = np.asarray(anchor_boxes, dtype=np.float64).T
     za, wpr, hpr, lpr = np.asarray(priors, dtype=np.float64).T
     o = np.asarray(offsets, dtype=np.float64).T

@@ -166,7 +166,8 @@ def _parse_projection(path, key: str, text: str) -> np.ndarray:
 
 def read_calib(path) -> Calibration:
     """The P2 (left) and P3 (right) projection rows of a KITTI calibration
-    file; other rows are not read."""
+    file; other rows are not read. The focal length and the baseline must be
+    positive: the flip and the disparity f b / z both assume so."""
     rows = {}
     with open(path, encoding="utf-8") as fh:
         for line in fh:
@@ -177,7 +178,14 @@ def read_calib(path) -> Calibration:
     if "P2" not in rows or "P3" not in rows:
         missing = [k for k in ("P2", "P3") if k not in rows]
         raise ValueError(f"calibration file '{path}' missing rows: {missing}")
-    return Calibration(p_left=rows["P2"], p_right=rows["P3"])
+    calib = Calibration(p_left=rows["P2"], p_right=rows["P3"])
+    if calib.f <= 0:
+        raise ValueError(f"calibration file '{path}': focal length P2[0,0] = {calib.f!r} "
+                         f"must be positive")
+    if calib.baseline <= 0:
+        raise ValueError(f"calibration file '{path}': baseline (P2[0,3] - P3[0,3]) / f = "
+                         f"{calib.baseline!r} m must be positive")
+    return calib
 
 
 def write_calib(path, calib: Calibration) -> None:

@@ -11,7 +11,8 @@ training losses (focal_loss, smooth_l1, soft_cross_entropy); each fused op is
 one node with a closed-form backward. There is no product or reduction op:
 an output needs no scalar objective, since Tensor.backward takes any seed.
 Each op validates shapes up front and registers a backward closure that
-accumulates into its parents (fan-out gradients add).
+returns one gradient per parent, None where there is none; Tensor.backward
+accumulates them into the parents (fan-out gradients add).
 """
 
 from __future__ import annotations
@@ -44,10 +45,7 @@ def add(a, b) -> Tensor:
 
     def build():
         def bw(g):
-            if a.requires_grad:
-                a.accumulate_grad(_unbroadcast(g, a.shape), "add")
-            if b.requires_grad:
-                b.accumulate_grad(_unbroadcast(g, b.shape), "add")
+            return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
         return bw
 
     return make_node(data, (a, b), "add", build)
@@ -60,8 +58,7 @@ def scale(a, s: float) -> Tensor:
 
     def build():
         def bw(g):
-            if a.requires_grad:
-                a.accumulate_grad(g * s, "scale")
+            return (g * s,)
         return bw
 
     return make_node(a.data * s, (a,), "scale", build)
@@ -72,8 +69,7 @@ def relu(a) -> Tensor:
 
     def build():
         def bw(g):
-            if a.requires_grad:
-                a.accumulate_grad(g * (a.data > 0), "relu")
+            return (g * (a.data > 0),)
         return bw
 
     return make_node(np.maximum(a.data, 0.0), (a,), "relu", build)
@@ -89,8 +85,7 @@ def reshape(a, shape) -> Tensor:
 
     def build():
         def bw(g):
-            if a.requires_grad:
-                a.accumulate_grad(g.reshape(a.shape), "reshape")
+            return (g.reshape(a.shape),)
         return bw
 
     return make_node(a.data.reshape(shape), (a,), "reshape", build)
@@ -101,15 +96,10 @@ def concat(tensors, axis: int = -1) -> Tensor:
     data = np.concatenate([t.data for t in ts], axis=axis)
 
     def build():
-        sizes = [t.shape[axis] for t in ts]
-        offsets = np.cumsum([0] + sizes)
+        cuts = np.cumsum([t.shape[axis] for t in ts])[:-1]
 
         def bw(g):
-            for t, lo, hi in zip(ts, offsets[:-1], offsets[1:]):
-                if t.requires_grad:
-                    idx = [slice(None)] * g.ndim
-                    idx[axis] = slice(lo, hi)
-                    t.accumulate_grad(np.ascontiguousarray(g[tuple(idx)]), "concat")
+            return [np.ascontiguousarray(part) for part in np.split(g, cuts, axis=axis)]
         return bw
 
     return make_node(data, ts, "concat", build)
@@ -124,10 +114,9 @@ def narrow(a, axis: int, start: int, length: int) -> Tensor:
 
     def build():
         def bw(g):
-            if a.requires_grad:
-                ga = np.zeros_like(a.data)
-                ga[idx] = g
-                a.accumulate_grad(ga, "narrow")
+            ga = np.zeros_like(a.data)
+            ga[idx] = g
+            return (ga,)
         return bw
 
     return make_node(a.data[idx], (a,), "narrow", build)
@@ -140,10 +129,9 @@ def take_rows(a, indices) -> Tensor:
 
     def build():
         def bw(g):
-            if a.requires_grad:
-                ga = np.zeros_like(a.data)
-                np.add.at(ga, indices, g)
-                a.accumulate_grad(ga, "take_rows")
+            ga = np.zeros_like(a.data)
+            np.add.at(ga, indices, g)
+            return (ga,)
         return bw
 
     return make_node(a.data[indices], (a,), "take_rows", build)
@@ -166,10 +154,7 @@ def matmul(a, b) -> Tensor:
 
     def build():
         def bw(g):
-            if a.requires_grad:
-                a.accumulate_grad(g @ b.data.T, "matmul")
-            if b.requires_grad:
-                b.accumulate_grad(a.data.T @ g, "matmul")
+            return g @ b.data.T, a.data.T @ g
         return bw
 
     return make_node(data, (a, b), "matmul", build)
@@ -192,12 +177,8 @@ def linear(x, w, b) -> Tensor:
     def build():
         def bw(g):
             gm = g.reshape(-1, c)
-            if x.requires_grad:
-                x.accumulate_grad((gm @ w.data.T).reshape(x.shape), "linear")
-            if w.requires_grad:
-                w.accumulate_grad(xm.T @ gm, "linear")
-            if b.requires_grad:
-                b.accumulate_grad(gm.sum(axis=0), "linear")
+            gx = (gm @ w.data.T).reshape(x.shape) if x.requires_grad else None
+            return gx, xm.T @ gm, gm.sum(axis=0)
         return bw
 
     return make_node(data.reshape(x.shape[:-1] + (c,)), (x, w, b), "linear", build)
@@ -215,9 +196,8 @@ def softmax(a, axis: int = -1) -> Tensor:
 
     def build():
         def bw(g):
-            if a.requires_grad:
-                dot = (g * data).sum(axis=axis, keepdims=True)
-                a.accumulate_grad(data * (g - dot), "softmax")
+            dot = (g * data).sum(axis=axis, keepdims=True)
+            return (data * (g - dot),)
         return bw
 
     return make_node(data, (a,), "softmax", build)
@@ -311,12 +291,7 @@ def attention(q, k, v, heads: int) -> Tensor:
                 ds *= p
                 dq[:, r0:r1] = ds @ kt.swapaxes(-1, -2)
                 dk += ds.swapaxes(-1, -2) @ qh[:, r0:r1]
-            if q.requires_grad:
-                q.accumulate_grad(merged(dq * s), "attention")
-            if k.requires_grad:
-                k.accumulate_grad(merged(dk), "attention")
-            if v.requires_grad:
-                v.accumulate_grad(merged(dv), "attention")
+            return merged(dq * s), merged(dk), merged(dv)
         return bw
 
     return make_node(data, (q, k, v), "attention", build)
@@ -353,15 +328,10 @@ def channel_norm(x, gamma, beta) -> Tensor:
             n *= x.shape[ax]
 
         def bw(g):
-            if gamma.requires_grad:
-                gamma.accumulate_grad((g * xhat).sum(axis=red), "channel_norm")
-            if beta.requires_grad:
-                beta.accumulate_grad(g.sum(axis=red), "channel_norm")
-            if x.requires_grad:
-                gy = g * gamma.data
-                m1 = gy.mean(axis=red, keepdims=True)
-                m2 = (gy * xhat).mean(axis=red, keepdims=True)
-                x.accumulate_grad(inv * (gy - m1 - xhat * m2), "channel_norm")
+            gy = g * gamma.data
+            m1 = gy.mean(axis=red, keepdims=True)
+            m2 = (gy * xhat).mean(axis=red, keepdims=True)
+            return inv * (gy - m1 - xhat * m2), (g * xhat).sum(axis=red), g.sum(axis=red)
         return bw
 
     return make_node(data, (x, gamma, beta), "channel_norm", build)
@@ -435,10 +405,10 @@ def _conv_forward(x: Tensor, kernel: Tensor, stride: int, padding: int):
     return out.reshape(ho, wo, cout)
 
 
-def _conv_backward(x: Tensor, kernel: Tensor, g: np.ndarray,
-                   stride: int, padding: int, op: str) -> None:
-    """Accumulate the input and kernel gradients of a bias-free conv from its
-    (ho, wo, cout) output gradient ``g``: the kernel gradient as im2col GEMMs
+def _conv_backward(x: Tensor, kernel: Tensor, g: np.ndarray, stride: int, padding: int):
+    """The (gx, gk) input and kernel gradients of a bias-free conv from its
+    (ho, wo, cout) output gradient ``g``, each None when that operand needs
+    no gradient (the stem's image input): the kernel gradient as im2col GEMMs
     over ``x.data`` padded again here, so the graph holds no padded copy until
     backward; the input gradient as a GEMM and a strided scatter-add for each
     tap into a padded buffer, then cropped."""
@@ -446,23 +416,24 @@ def _conv_backward(x: Tensor, kernel: Tensor, g: np.ndarray,
     ho, wo, _ = g.shape
     h, w, _ = x.shape
     gmat = g.reshape(ho * wo, cout)
+    gx = gk = None
     if kernel.requires_grad:
         xp = _pad_hw(x.data, padding)
         gk = np.zeros((kh * kw * cin, cout), dtype=kernel.dtype)
         for r0, r1, cols in _im2col_blocks(xp, kh, kw, stride, ho, wo):
             gk += cols.T @ gmat[r0 * wo : r1 * wo]
-        kernel.accumulate_grad(gk.reshape(kernel.shape), op)
+        gk = gk.reshape(kernel.shape)
     if x.requires_grad:
-        gxp = np.zeros((h + 2 * padding, w + 2 * padding, cin), dtype=x.dtype)
+        gx = np.zeros((h + 2 * padding, w + 2 * padding, cin), dtype=x.dtype)
         for i in range(kh):
             for j in range(kw):
-                gxp[i : i + (ho - 1) * stride + 1 : stride,
-                    j : j + (wo - 1) * stride + 1 : stride, :] += (
+                gx[i : i + (ho - 1) * stride + 1 : stride,
+                   j : j + (wo - 1) * stride + 1 : stride, :] += (
                     gmat @ kernel.data[i, j].T
                 ).reshape(ho, wo, cin)
         if padding:
-            gxp = np.ascontiguousarray(gxp[padding : padding + h, padding : padding + w])
-        x.accumulate_grad(gxp, op)
+            gx = np.ascontiguousarray(gx[padding : padding + h, padding : padding + w])
+    return gx, gk
 
 
 def conv2d(x, kernel, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
@@ -482,9 +453,8 @@ def conv2d(x, kernel, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
 
     def build():
         def bw(g):
-            if bias is not None and bias.requires_grad:
-                bias.accumulate_grad(g.sum(axis=(0, 1)), "conv2d")
-            _conv_backward(x, kernel, g, stride, padding, "conv2d")
+            grads = _conv_backward(x, kernel, g, stride, padding)
+            return grads if bias is None else (*grads, g.sum(axis=(0, 1)))
         return bw
 
     return make_node(out, parents, "conv2d", build)
@@ -528,17 +498,12 @@ def conv_norm_act(x, kernel, gamma, beta, relu: bool, stride: int, padding: int)
                 ga = ga * (out > 0)
             g_beta = ga.sum(axis=0)
             g_gamma = np.einsum("nc,nc->c", ga, xhat)
-            if gamma.requires_grad:
-                gamma.accumulate_grad(g_gamma, "conv_norm_act")
-            if beta.requires_grad:
-                beta.accumulate_grad(g_beta, "conv_norm_act")
-            if x.requires_grad or kernel.requires_grad:
-                gy = xhat * (g_gamma / n)
-                np.subtract(ga, gy, out=gy)
-                gy -= g_beta / n
-                gy *= inv * gamma.data
-                _conv_backward(x, kernel, gy.reshape(ho, wo, cout), stride, padding,
-                               "conv_norm_act")
+            gy = xhat * (g_gamma / n)
+            np.subtract(ga, gy, out=gy)
+            gy -= g_beta / n
+            gy *= inv * gamma.data
+            gx, gk = _conv_backward(x, kernel, gy.reshape(ho, wo, cout), stride, padding)
+            return gx, gk, g_gamma, g_beta
         return bw
 
     return make_node(out.reshape(ho, wo, cout), parents, "conv_norm_act", build)
@@ -552,8 +517,7 @@ def upsample2x(x) -> Tensor:
 
     def build():
         def bw(g):
-            if x.requires_grad:
-                x.accumulate_grad(g.reshape(h, 2, w, 2, c).sum(axis=(1, 3)), "upsample2x")
+            return (g.reshape(h, 2, w, 2, c).sum(axis=(1, 3)),)
         return bw
 
     return make_node(data, (x,), "upsample2x", build)
@@ -659,15 +623,15 @@ def bilinear_sample(feature, points) -> Tensor:
     def build():
         def bw(g):
             g = g.reshape(-1, c)
-            if feature.requires_grad:
-                gf = np.zeros_like(flat)
-                _scatter_rows(gf, rows, wt, g)
-                feature.accumulate_grad(gf.reshape(feature.shape), "bilinear_sample")
+            gf = np.zeros_like(feature.data) if feature.requires_grad else None
+            gp = None
+            if gf is not None:
+                _scatter_rows(gf.reshape(-1, c), rows, wt, g)
             if points.requires_grad:
                 dots = _gather_dots(flat, rows, g)
                 gp = np.stack([(dots * dwu).sum(axis=1), (dots * dwv).sum(axis=1)], axis=1)
-                points.accumulate_grad(gp.reshape(points.shape).astype(points.dtype),
-                                       "bilinear_sample")
+                gp = gp.reshape(points.shape).astype(points.dtype)
+            return gf, gp
         return bw
 
     return make_node(data, (feature, points), "bilinear_sample", build)
@@ -732,28 +696,26 @@ def ms_deform_attn(values, locations, weights) -> Tensor:
     def build():
         def bw(g):
             g = g.reshape(n_rows, d)
-            g_loc = np.empty_like(loc) if locations.requires_grad else None
-            g_aw = np.empty_like(aw) if weights.requires_grad else None
+            g_loc = np.empty_like(locations.data) if locations.requires_grad else None
+            g_aw = np.empty_like(weights.data) if weights.requires_grad else None
+            grads = []
             for lvl, (value, flat) in enumerate(zip(values, flats)):
                 rows, wt, dwu, dwv, a = corners(lvl, slopes=True)
                 if g_loc is not None or g_aw is not None:
                     dots = _gather_dots(flat, rows, g)
                     if g_aw is not None:
-                        g_aw[:, lvl] = (dots * wt).reshape(-1, k, 4).sum(axis=2)
+                        g_aw[:, :, lvl] = (dots * wt).reshape(n, m, k, 4).sum(axis=3)
                     if g_loc is not None:
                         dots *= a
                         h, w = value.shape[:2]
                         for axis, dw, extent in ((0, dwu, w), (1, dwv, h)):
-                            g_loc[:, lvl, :, axis] = (
-                                (dots * dw).reshape(-1, k, 4).sum(axis=2) * extent)
-                if value.requires_grad:
-                    gv = np.zeros_like(flat)
-                    _scatter_rows(gv, rows, wt * a, g)
-                    value.accumulate_grad(gv.reshape(value.shape), "ms_deform_attn")
-            if g_loc is not None:
-                locations.accumulate_grad(g_loc.reshape(locations.shape), "ms_deform_attn")
-            if g_aw is not None:
-                weights.accumulate_grad(g_aw.reshape(weights.shape), "ms_deform_attn")
+                            g_loc[:, :, lvl, :, axis] = (
+                                (dots * dw).reshape(n, m, k, 4).sum(axis=3) * extent)
+                gv = np.zeros_like(value.data) if value.requires_grad else None
+                if gv is not None:
+                    _scatter_rows(gv.reshape(-1, d), rows, wt * a, g)
+                grads.append(gv)
+            return *grads, g_loc, g_aw
         return bw
 
     return make_node(data.reshape(n, m * d), (*values, locations, weights),
@@ -830,10 +792,7 @@ def correlation_volume(x_left, x_right, n_disparities: int) -> Tensor:
                     gl[:, u0:u1] = sg @ rp[:, u0:u1 + nd - 1]
                 if grpad is not None:
                     grpad[:, u0:u1 + nd - 1] += sg.swapaxes(1, 2) @ left[:, u0:u1]
-            if gl is not None:
-                x_left.accumulate_grad(gl, "correlation_volume")
-            if grpad is not None:
-                x_right.accumulate_grad(grpad[:, nd - 1:], "correlation_volume")
+            return gl, None if grpad is None else grpad[:, nd - 1:]
         return bw
 
     return make_node(out, (x_left, x_right), "correlation_volume", build)
@@ -876,9 +835,7 @@ def focal_loss(logits, targets, alpha: float, gamma: float, weights=None) -> Ten
         dp *= (sig > eps) & (sig < 1.0 - eps)
 
         def bw(g):
-            if logits.requires_grad:
-                # dp/dx = p (1 - p)
-                logits.accumulate_grad(g * dp * sig * (1.0 - sig), "focal_loss")
+            return (g * dp * sig * (1.0 - sig),)  # dp/dx = p (1 - p)
         return bw
 
     return make_node(loss.sum(), (logits,), "focal_loss", build)
@@ -897,8 +854,7 @@ def smooth_l1(pred, target, beta: float) -> Tensor:
         dd = np.where(quad, d / beta, np.sign(d))
 
         def bw(g):
-            if pred.requires_grad:
-                pred.accumulate_grad(g * dd, "smooth_l1")
+            return (g * dd,)
         return bw
 
     return make_node(loss.sum(), (pred,), "smooth_l1", build)
@@ -923,8 +879,7 @@ def soft_cross_entropy(logits, target, weights) -> Tensor:
         dx *= weights[..., None]
 
         def bw(g):
-            if logits.requires_grad:
-                logits.accumulate_grad(g * dx, "soft_cross_entropy")
+            return (g * dx,)
         return bw
 
     return make_node((per_row * weights).sum(), (logits,), "soft_cross_entropy", build)

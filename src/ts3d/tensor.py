@@ -4,9 +4,10 @@ A Tensor wraps a contiguous numpy array plus an optional gradient buffer.
 Operators (see ops.py) build a small backward graph; backward(grad) walks it
 in reverse topological order from ``grad``, the gradient of some objective
 with respect to the tensor it is called on: any output can be seeded, as with
-a vector-Jacobian product, and a scalar may omit the seed (ones). Gradients
-of a value that is used several times add up, so callers must zero gradients
-between steps.
+a vector-Jacobian product, and a scalar may omit the seed (ones). Each node's
+backward returns its parents' gradients and backward() alone accumulates them,
+so gradients of a value used several times add up; callers must zero
+gradients between steps.
 backward() frees the graph as it goes: once a node's backward has run, its
 closure, its parent links and its gradient are dropped, so each saved array
 and interior gradient is released as soon as the pass is past it. Only
@@ -162,7 +163,13 @@ class Tensor:
             node = topo.pop()
             if node._backward_fn is None:
                 continue
-            node._backward_fn(node.grad)
+            grads = node._backward_fn(node.grad)
+            if len(grads) != len(node._parents):  # checked before any accumulation
+                raise ValueError(f"backward of '{node.op}' returned {len(grads)} gradients "
+                                 f"for {len(node._parents)} parents")
+            for p, g in zip(node._parents, grads):
+                if g is not None and p.requires_grad:
+                    p.accumulate_grad(g, node.op)
             node._backward_fn = _freed_backward(node.op)
             node._parents = ()
             node.grad = None
@@ -182,8 +189,9 @@ def make_node(data, parents, op: str, backward_builder) -> Tensor:
     """Create an op result; record the backward closure only when needed.
 
     ``backward_builder`` is a zero-argument callable returning the backward
-    function, so per-op backward precomputation is skipped entirely during
-    inference.
+    function, so per-op backward precomputation is skipped during inference.
+    The backward maps the output gradient to one gradient per parent, in
+    order, None where there is none; Tensor.backward accumulates them.
     """
     out = Tensor(data, check=False)
     out.op = op

@@ -49,12 +49,8 @@ def _format_record(step, lr, parts, total):
 
 
 def train_run(cfg: RunConfig, data_dir, out_dir, resume: bool = False,
-              print_every: int = 50, quiet: bool = False,
-              stop_after: int | None = None):
-    """Train on the dataset's train split; returns the trained model.
-
-    ``stop_after`` ends the run after that step count (from step 0, not
-    shortening the lr schedule); ``ckpt_last`` records the step reached."""
+              print_every: int = 50, quiet: bool = False):
+    """Train on the dataset's train split; returns the trained model."""
     manifest = read_manifest(os.path.join(data_dir, MANIFEST_NAME))
     train_ids = manifest.splits.get("train", [])
     if not train_ids:
@@ -93,10 +89,9 @@ def train_run(cfg: RunConfig, data_dir, out_dir, resume: bool = False,
     log = open(log_path, "w", encoding="utf-8")
     log.writelines(kept_lines)
     n = len(train_ids)
-    end_step = cfg.total_steps if stop_after is None else min(stop_after, cfg.total_steps)
     saved = False  # whether the last step wrote ckpt_last
     try:
-        for step in range(opt.step_count, end_step):
+        for step in range(opt.step_count, cfg.total_steps):
             model.zero_grad()
             acc = {"cls": 0.0, "reg": 0.0, "orient": 0.0, "disp": 0.0, "n_pos": 0}
             total_val = 0.0

@@ -124,6 +124,8 @@ def test_non_finite_label_field_names_file_line_and_field(tmp_path, field, value
 
 def test_calibration_disparity_arithmetic(tmp_path):
     calib = make_calibration(721.0, 609.5, 172.8, 0.54)
+    calib.p_left[0, 3] += 44.9  # KITTI's P2 and P3 are offset from the reference camera
+    calib.p_right[0, 3] += 44.9
     path = tmp_path / "calib.txt"
     write_calib(path, calib)
     back = read_calib(path)
@@ -137,6 +139,17 @@ def test_missing_projection_row_rejected(tmp_path):
     path.write_text("P2: " + " ".join(["1.0"] * 12) + "\n")
     with pytest.raises(ValueError, match="P3"):
         read_calib(path)
+
+
+@pytest.mark.parametrize("f, baseline, match", [(-721.0, 0.54, "focal length"),
+                                                (721.0, 0.0, "baseline"),
+                                                (721.0, -0.54, "baseline")])
+def test_non_positive_focal_or_baseline_names_the_file(tmp_path, f, baseline, match):
+    path = tmp_path / "calib.txt"
+    write_calib(path, make_calibration(f, 609.5, 172.8, baseline))
+    with pytest.raises(ValueError, match=match) as info:
+        read_calib(path)
+    assert str(path) in str(info.value)
 
 
 @pytest.mark.parametrize("key, index, entry", [("P2", 2, "nan"), ("P3", 11, "-inf"),

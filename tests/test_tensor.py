@@ -1,6 +1,8 @@
 """Tensor core: graph mechanics, invariants, error policy."""
 
+import ast
 import math
+import pathlib
 import weakref
 
 import numpy as np
@@ -15,6 +17,7 @@ from ts3d.tensor import (
     Parameter,
     Tensor,
     bind_parameter_names,
+    make_node,
     no_grad,
 )
 
@@ -147,6 +150,42 @@ def test_no_grad_skips_graph():
         y = ops.relu(x)
     assert not y.requires_grad
     assert y._backward_fn is None
+
+
+def _product(a, b, backward=None):
+    """a * b, whose backward returns a gradient for both parents unless
+    ``backward`` replaces it."""
+    def build():
+        return backward or (lambda g: (g * b.data, g * a.data))
+    return make_node(a.data * b.data, (a, b), "product", build)
+
+
+def test_gradient_returned_for_a_constant_parent_is_dropped():
+    x = Tensor([2.0, 3.0], dtype=np.float64, requires_grad=True)
+    c = Tensor([5.0, 7.0], dtype=np.float64)
+    _product(x, c).backward(np.ones(2))
+    assert np.array_equal(x.grad, [5.0, 7.0])
+    assert c.grad is None
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_backward_must_return_one_gradient_per_parent(count):
+    x = Tensor([2.0], dtype=np.float64, requires_grad=True)
+    out = _product(x, Tensor([5.0], dtype=np.float64), backward=lambda g: (g,) * count)
+    with pytest.raises(ValueError, match=f"'product' returned {count} gradients for 2"):
+        out.backward()
+    assert x.grad is None
+
+
+def test_only_tensor_backward_accumulates_gradients():
+    """Ops return their parents' gradients; one place accumulates them."""
+    package = pathlib.Path(ops.__file__).parent
+    callers = sorted(
+        path.name for path in package.glob("*.py")
+        if any(isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "accumulate_grad"
+               for node in ast.walk(ast.parse(path.read_text("utf-8")))))
+    assert callers == ["tensor.py"]
 
 
 def test_deterministic_forward():

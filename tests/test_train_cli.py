@@ -30,6 +30,7 @@ from ts3d.dataset import (
 )
 from ts3d.evalkit import evaluate_directories
 from ts3d.kitti_io import (
+    make_calibration,
     read_calib,
     read_kitti_label,
     read_ppm,
@@ -87,14 +88,25 @@ def test_training_trajectory_deterministic(toy_dataset, tmp_path):
     assert _read_log(tmp_path / "a") == _read_log(tmp_path / "b")
 
 
-@pytest.mark.parametrize("stop_after", [3, 4])
-def test_resume_reproduces_loss_trajectory(toy_dataset, tmp_path, stop_after):
+@pytest.mark.parametrize("crash_at", [3, 4])
+def test_resume_reproduces_loss_trajectory(toy_dataset, tmp_path, monkeypatch, crash_at):
     train_run(_toy_cfg(), toy_dataset, tmp_path / "full", quiet=True)
     full = _read_log(tmp_path / "full")
 
     split = tmp_path / "split"
-    train_run(_toy_cfg(), toy_dataset, split, quiet=True, stop_after=stop_after)
-    assert load_arrays(split / "ckpt_last.ts3d")["adamw.step"][0] == stop_after
+    step = AdamW.step
+
+    def crashing_step(self):
+        if self.step_count == crash_at:
+            raise RuntimeError("simulated crash")
+        return step(self)
+
+    monkeypatch.setattr(AdamW, "step", crashing_step)
+    with pytest.raises(RuntimeError, match="simulated"):
+        train_run(_toy_cfg(), toy_dataset, split, quiet=True)
+    monkeypatch.undo()
+    # the crash came after the checkpoint at step 3, the only one written
+    assert load_arrays(split / "ckpt_last.ts3d")["adamw.step"][0] == 3
     train_run(_toy_cfg(), toy_dataset, split, resume=True, quiet=True)
     assert _read_log(split) == full
     # one file per checkpoint tag
@@ -259,13 +271,12 @@ def test_failed_save_keeps_previous_checkpoint(toy_dataset, tmp_path, monkeypatc
     load_trained_model(cfg, toy_dataset, ckpt)
 
 
-@pytest.mark.parametrize("total_steps, stop_after, tags", [
-    (4, None, ["ckpt_000004", LAST_CKPT]),
-    (5, None, ["ckpt_000004", LAST_CKPT, LAST_CKPT]),
-    (4, 0, [LAST_CKPT]),
+@pytest.mark.parametrize("total_steps, tags", [
+    (4, ["ckpt_000004", LAST_CKPT]),
+    (5, ["ckpt_000004", LAST_CKPT, LAST_CKPT]),
 ])
 def test_ckpt_last_is_written_once_per_state(toy_dataset, tmp_path, monkeypatch,
-                                             total_steps, stop_after, tags):
+                                             total_steps, tags):
     """A last step on the checkpoint cadence has just written ckpt_last, so the
     end of the run does not write the same bytes again."""
     written = []
@@ -277,7 +288,7 @@ def test_ckpt_last_is_written_once_per_state(toy_dataset, tmp_path, monkeypatch,
 
     monkeypatch.setattr(ts3d.train, "save_checkpoint", recorded_save)
     train_run(_toy_cfg(total_steps=total_steps, checkpoint_every=4), toy_dataset,
-              tmp_path / "run", quiet=True, stop_after=stop_after)
+              tmp_path / "run", quiet=True)
     assert written == tags
     assert (tmp_path / "run" / (LAST_CKPT + ".ts3d")).exists()
 
@@ -441,8 +452,13 @@ def test_resolved_config_written(toy_dataset, tmp_path):
     assert load_config(path=tmp_path / "run" / "config.txt").diff(cfg) == []
 
 
-def test_run_config_bytes_are_pinned(toy_dataset, tmp_path):
-    train_run(_toy_cfg(), toy_dataset, tmp_path / "run", quiet=True, stop_after=0)
+def test_run_config_bytes_are_pinned(toy_dataset, tmp_path, monkeypatch):
+    def no_frames(*args):
+        raise RuntimeError("config.txt is all this test reads")
+
+    monkeypatch.setattr(ts3d.train, "load_frame", no_frames)
+    with pytest.raises(RuntimeError, match="config.txt"):
+        train_run(_toy_cfg(), toy_dataset, tmp_path / "run", quiet=True)
     lines = (tmp_path / "run" / "config.txt").read_bytes().splitlines(keepends=True)
     # pinned before bm_max_disp became 4 * c_disp; older config files list it
     kept = b"".join(ln for ln in lines if not ln.startswith(b"bm_max_disp="))
@@ -811,6 +827,20 @@ def test_cli_infer_rejects_a_missing_or_malformed_anchor_table_naming_the_file(
     assert code == 2
     assert str(ckpt) in capsys.readouterr().err
     assert not (tmp_path / "preds").exists()
+
+
+def test_cli_train_rejects_a_negative_focal_length_naming_the_file(toy_dataset, tmp_path):
+    data = tmp_path / "data"
+    shutil.copytree(toy_dataset, data)
+    paths = [data / "calib" / f"{frame}.txt"
+             for frame in read_manifest(data / MANIFEST_NAME).splits["train"]]
+    for path in paths:
+        calib = read_calib(path)
+        write_calib(path, make_calibration(-calib.f, calib.cx, calib.cy, calib.baseline))
+    r = _cli("train", "--data", str(data), "--out", "run", "--preset", "toy", "--quiet",
+             cwd=tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert "focal length" in r.stderr and any(str(path) in r.stderr for path in paths)
 
 
 def test_cli_infer_rejects_a_non_finite_calibration_naming_the_file(toy_ckpt, toy_dataset,
