@@ -40,6 +40,11 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _pair(values) -> str:
+    """A SynthParams range default as the LO,HI text of its synth flag."""
+    return ",".join(f"{x:g}" for x in values)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ts3d", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -57,8 +62,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--frames", type=int, default=8, help="training frames")
     p.add_argument("--val-frames", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--objects", default="1,4", help="min,max objects per frame")
-    p.add_argument("--z-range", default="4,30", help="min,max object distance (m)")
+    p.add_argument("--objects", default=_pair(SynthParams.n_objects),
+                   help="min,max objects per frame (default %(default)s)")
+    p.add_argument("--z-range", default=_pair(SynthParams.z_range),
+                   help="min,max object distance in m (default %(default)s)")
     add_config_args(p)
 
     p = sub.add_parser("pseudogt", help="cache block-matching disparity for a dataset")
@@ -184,6 +191,7 @@ def _cmd_infer(args) -> int:
 def _cmd_eval(args) -> int:
     cfg = _load_cfg(args)
     check_interval("--iou", args.iou, "(0, 1]")
+    check_interval("--min-height", args.min_height, "[0, inf)")
     gt_dir = args.gt
     label_sub = os.path.join(gt_dir, "label_2")
     if os.path.isdir(label_sub):

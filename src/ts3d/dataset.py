@@ -109,8 +109,14 @@ def estimate_priors(all_labels, classes, n_scales: int) -> dict:
 
 def generate_dataset(out_dir, seed: int, n_train: int, n_val: int,
                      params: SynthParams, n_scales: int) -> Manifest:
-    """Render frames to disk and write the manifest (bit-identical per seed)."""
+    """Render frames to disk and write the manifest (bit-identical per seed).
+    A dataset directory is written once: rendering over an existing one would
+    leave its cached pseudo ground truth beside the new images."""
     params.validate()  # before any directory is made
+    manifest_path = os.path.join(out_dir, MANIFEST_NAME)
+    if os.path.exists(manifest_path):
+        raise FileExistsError(f"'{manifest_path}' exists: {out_dir} already holds a "
+                              f"dataset; write the new one to another directory")
     for sub in ("image_2", "image_3", "label_2", "calib"):
         os.makedirs(os.path.join(out_dir, sub), exist_ok=True)
     n_total = n_train + n_val
@@ -131,7 +137,7 @@ def generate_dataset(out_dir, seed: int, n_train: int, n_val: int,
     priors = estimate_priors(train_labels, [params.class_name], n_scales)
     manifest = Manifest(seed=seed, width=params.width, height=params.height,
                         params=params.as_dict(), classes=[params.class_name],
-                        priors=priors, splits=splits, path=os.path.join(out_dir, MANIFEST_NAME))
+                        priors=priors, splits=splits, path=manifest_path)
     write_manifest(manifest.path, manifest)
     return manifest
 

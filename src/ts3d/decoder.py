@@ -60,7 +60,7 @@ def dape(disp_logits: Tensor, c_dec: int) -> Tensor:
     first c_dec - C_disp channels, softmax(disparity logits) in the last C_disp."""
     hq, wq, c_disp = disp_logits.shape
     pe_sine = sine_pe_2d(wq, hq, c_dec - c_disp, dtype=disp_logits.dtype)
-    return ops.concat([Tensor(pe_sine), ops.softmax(disp_logits, axis=-1)], axis=-1)
+    return ops.concat([Tensor(pe_sine), ops.softmax(disp_logits)], axis=-1)
 
 
 def one_hot_disparity_pe(disp_logits: Tensor, c_dec: int) -> Tensor:
@@ -171,7 +171,7 @@ class MSDeformCA(Module):
         locations = ops.add(ops.reshape(self.offset.forward(q), (n, m, nl, k, 2)),
                             Tensor(refs[:, None, None, None, :]))
         logits = ops.reshape(self.weight.forward(q), (n, m, nl * k))
-        weights = ops.reshape(ops.softmax(logits, axis=-1), (n, m, nl, k))
+        weights = ops.reshape(ops.softmax(logits), (n, m, nl, k))
         ctx = ops.ms_deform_attn(self.value_maps(levels), locations, weights)
         return self.out_proj.forward(ctx)
 

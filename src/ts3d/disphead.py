@@ -45,7 +45,7 @@ def softargmax(logits: Tensor) -> Tensor:
     (D bins), as a linear map onto the (D, 1) bin column; bounded in [0, D-1]."""
     d = logits.shape[-1]
     bins = Tensor(np.arange(d, dtype=logits.dtype).reshape(d, 1))
-    p = ops.softmax(logits, axis=-1)
+    p = ops.softmax(logits)
     return ops.reshape(ops.linear(p, bins, Tensor(np.zeros(1, dtype=logits.dtype))),
                        logits.shape[:-1])
 

@@ -1,15 +1,20 @@
 """Differentiable operators over Tensor.
 
-Exactly the operator set the detector needs: elementwise arithmetic (add,
-scale, relu), shape ops, matmul, the affine map over any leading shape
-(linear), conv2d (a row-blocked im2col GEMM), bilinear sampling,
-row-blocked multi-scale deformable attention over channel-merged value maps
-(ms_deform_attn), normalization, the backbone's fused conv ->
-channel_norm -> relu (conv_norm_act), softmax, row-blocked multi-head
-attention, nearest upsampling, the stereo correlation volume, and the
-training losses (focal_loss, smooth_l1, soft_cross_entropy); each fused op is
-one node with a closed-form backward. There is no product or reduction op:
-an output needs no scalar objective, since Tensor.backward takes any seed.
+The operator set the detector runs: elementwise arithmetic (add, scale,
+relu), shape ops, matmul, the affine map over any leading shape (linear),
+conv2d (a row-blocked im2col GEMM), row-blocked multi-scale deformable
+attention over channel-merged value maps (ms_deform_attn), normalization,
+the backbone's fused conv -> channel_norm -> relu (conv_norm_act), softmax
+over the last axis, row-blocked multi-head attention, nearest upsampling,
+the stereo correlation volume, and the training losses (focal_loss,
+smooth_l1, soft_cross_entropy); each fused op is one node with a closed-form
+backward. The model no longer calls bilinear_sample: it stays only for
+perfbench's tracer hook and its two gradcheck entries, until ROADMAP item 8
+deletes it with them. There is no product or reduction op: an output needs
+no scalar objective, since Tensor.backward takes any seed.
+Every operand an op differentiates is a Tensor, as is every list element of
+concat and ms_deform_attn; ops convert nothing, so a caller wraps a constant
+array in Tensor itself. Loss targets and weights are plain arrays.
 Each op validates shapes up front and registers a backward closure that
 returns one gradient per parent, None where there is none; Tensor.backward
 accumulates them into the parents (fan-out gradients add).
@@ -22,7 +27,7 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
-from .tensor import DimensionError, Tensor, as_tensor, grad_enabled, make_node
+from .tensor import DimensionError, Tensor, grad_enabled, make_node
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -40,7 +45,6 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 
 
 def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
     data = a.data + b.data
 
     def build():
@@ -53,7 +57,6 @@ def add(a, b) -> Tensor:
 
 def scale(a, s: float) -> Tensor:
     """Multiply by a python scalar (no dtype promotion)."""
-    a = as_tensor(a)
     s = float(s)
 
     def build():
@@ -65,8 +68,6 @@ def scale(a, s: float) -> Tensor:
 
 
 def relu(a) -> Tensor:
-    a = as_tensor(a)
-
     def build():
         def bw(g):
             return (g * (a.data > 0),)
@@ -80,7 +81,6 @@ def relu(a) -> Tensor:
 
 
 def reshape(a, shape) -> Tensor:
-    a = as_tensor(a)
     shape = tuple(shape)
 
     def build():
@@ -92,22 +92,20 @@ def reshape(a, shape) -> Tensor:
 
 
 def concat(tensors, axis: int = -1) -> Tensor:
-    ts = [as_tensor(t) for t in tensors]
-    data = np.concatenate([t.data for t in ts], axis=axis)
+    data = np.concatenate([t.data for t in tensors], axis=axis)
 
     def build():
-        cuts = np.cumsum([t.shape[axis] for t in ts])[:-1]
+        cuts = np.cumsum([t.shape[axis] for t in tensors])[:-1]
 
         def bw(g):
             return [np.ascontiguousarray(part) for part in np.split(g, cuts, axis=axis)]
         return bw
 
-    return make_node(data, ts, "concat", build)
+    return make_node(data, tensors, "concat", build)
 
 
 def narrow(a, axis: int, start: int, length: int) -> Tensor:
     """Static slice along one axis."""
-    a = as_tensor(a)
     idx = [slice(None)] * a.ndim
     idx[axis] = slice(start, start + length)
     idx = tuple(idx)
@@ -124,7 +122,6 @@ def narrow(a, axis: int, start: int, length: int) -> Tensor:
 
 def take_rows(a, indices) -> Tensor:
     """Gather rows along axis 0; scatter-adds on the way back."""
-    a = as_tensor(a)
     indices = np.asarray(indices, dtype=np.int64)
 
     def build():
@@ -143,7 +140,6 @@ def take_rows(a, indices) -> Tensor:
 
 def matmul(a, b) -> Tensor:
     """Matrix product of 2-D operands."""
-    a, b = as_tensor(a), as_tensor(b)
     if a.ndim != 2 or b.ndim != 2:
         raise DimensionError(f"matmul expects 2-D operands, got {a.shape} @ {b.shape}")
     if a.shape[1] != b.shape[0]:
@@ -163,7 +159,6 @@ def matmul(a, b) -> Tensor:
 def linear(x, w, b) -> Tensor:
     """``x @ w + b`` for (..., cin) inputs x, a (cin, c) kernel w and a (c,)
     bias b, as one node over the flattened (N, cin) rows."""
-    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if w.ndim != 2 or x.shape[-1:] != w.shape[:1] or b.shape != w.shape[1:]:
         raise DimensionError(
             f"linear expects (...,cin) inputs, a (cin,c) kernel and a (c,) bias, "
@@ -188,15 +183,15 @@ def linear(x, w, b) -> Tensor:
 # softmax
 
 
-def softmax(a, axis: int = -1) -> Tensor:
-    a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+def softmax(a) -> Tensor:
+    """Softmax over the last axis."""
+    shifted = a.data - a.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    data = e / e.sum(axis=axis, keepdims=True)
+    data = e / e.sum(axis=-1, keepdims=True)
 
     def build():
         def bw(g):
-            dot = (g * data).sum(axis=axis, keepdims=True)
+            dot = (g * data).sum(axis=-1, keepdims=True)
             return (data * (g - dot),)
         return bw
 
@@ -249,7 +244,6 @@ def attention(q, k, v, heads: int) -> Tensor:
     raised to it (see _attention_probs), which keeps every exponential
     normal.
     """
-    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if (q.ndim != 2 or k.ndim != 2 or k.shape != v.shape or q.shape[1] != k.shape[1]
             or heads < 1 or q.shape[1] % heads):
         raise DimensionError(
@@ -309,7 +303,6 @@ def channel_norm(x, gamma, beta) -> Tensor:
     Statistics come from the single sample itself, so the result is
     deterministic and batch-free. The last axis is the channel axis.
     """
-    x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     if gamma.shape != (x.shape[-1],) or beta.shape != (x.shape[-1],):
         raise DimensionError(
             f"channel_norm affine shapes {gamma.shape}/{beta.shape} do not match "
@@ -444,7 +437,6 @@ def conv2d(x, kernel, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
     output rows (Chellapilla et al., 2006), each block's column matrix capped
     at CONV_COLUMN_ELEMENTS; the input gradient is scattered tap by tap.
     """
-    x, kernel = as_tensor(x), as_tensor(kernel)
     out = _conv_forward(x, kernel, stride, padding)
     if bias is not None:
         out += bias.data
@@ -470,8 +462,6 @@ def conv_norm_act(x, kernel, gamma, beta, relu: bool, stride: int, padding: int)
     for the hand-written backward, otherwise the conv output buffer becomes
     the result.
     """
-    x, kernel = as_tensor(x), as_tensor(kernel)
-    gamma, beta = as_tensor(gamma), as_tensor(beta)
     y = _conv_forward(x, kernel, stride, padding)
     ho, wo, cout = y.shape
     if gamma.shape != (cout,) or beta.shape != (cout,):
@@ -511,7 +501,6 @@ def conv_norm_act(x, kernel, gamma, beta, relu: bool, stride: int, padding: int)
 
 def upsample2x(x) -> Tensor:
     """Nearest-neighbour x2 upsampling of an (H, W, C) map."""
-    x = as_tensor(x)
     h, w, c = x.shape
     data = np.repeat(np.repeat(x.data, 2, axis=0), 2, axis=1)
 
@@ -606,7 +595,6 @@ def bilinear_sample(feature, points) -> Tensor:
     the corner, gather and scatter helpers that ``ms_deform_attn`` uses.
     Differentiable with respect to the feature map and the point coordinates.
     """
-    feature, points = as_tensor(feature), as_tensor(points)
     if (feature.ndim not in (3, 4) or points.ndim != feature.ndim - 1
             or points.shape[:-2] != feature.shape[:-3] or points.shape[-1] != 2):
         raise DimensionError(
@@ -656,8 +644,6 @@ def ms_deform_attn(values, locations, weights) -> Tensor:
     recomputes the corners from the locations and scatters the value
     gradient over the corner rows, so the graph keeps nothing per sample.
     """
-    values = [as_tensor(v) for v in values]
-    locations, weights = as_tensor(locations), as_tensor(weights)
     if (locations.ndim != 5 or locations.shape[-1] != 2
             or weights.shape != locations.shape[:-1] or locations.shape[2] != len(values)
             or locations.shape[1] < 1
@@ -753,7 +739,6 @@ def correlation_volume(x_left, x_right, n_disparities: int) -> Tensor:
     a zeroed S through the same view and takes two GEMMs, S_g @ rpad_t and
     S_g^T @ left_t. Tiling keeps S small; untiled it is (h, w, w + n_disparities - 1).
     """
-    x_left, x_right = as_tensor(x_left), as_tensor(x_right)
     if x_left.shape != x_right.shape:
         raise DimensionError(
             f"correlation_volume inputs differ: {x_left.shape} vs {x_right.shape}"
@@ -811,7 +796,6 @@ def focal_loss(logits, targets, alpha: float, gamma: float, weights=None) -> Ten
     clipped entry gets no gradient. alpha = gamma = 1 gives -(1 - p_t) log p_t.
     The class loss passes the config's ``focal_alpha`` and ``focal_gamma``.
     """
-    logits = as_tensor(logits)
     eps = 1e-7
     pos = np.asarray(targets) > 0.5
     w = 1.0 if weights is None else np.asarray(weights, dtype=logits.dtype)
@@ -844,7 +828,6 @@ def focal_loss(logits, targets, alpha: float, gamma: float, weights=None) -> Ten
 def smooth_l1(pred, target, beta: float) -> Tensor:
     """Summed smooth L1 of d = pred - target: 0.5 d^2 / beta where |d| < beta,
     |d| - beta / 2 elsewhere; beta is the config's ``smooth_l1_beta``."""
-    pred = as_tensor(pred)
     d = pred.data - np.asarray(target, dtype=pred.dtype)
     a = np.abs(d)
     quad = a < beta
@@ -867,7 +850,6 @@ def soft_cross_entropy(logits, target, weights) -> Tensor:
     The gradient is w_i (softmax(x_i) sum_d t_id - t_i): w_i (softmax - t) for
     distribution targets. All-zero weights give +0.0 and zero gradients.
     """
-    logits = as_tensor(logits)
     target = np.asarray(target, dtype=logits.dtype)
     weights = np.asarray(weights, dtype=logits.dtype)
     shifted = logits.data - logits.data.max(axis=-1, keepdims=True)

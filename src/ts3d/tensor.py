@@ -13,6 +13,8 @@ closure, its parent links and its gradient are dropped, so each saved array
 and interior gradient is released as soon as the pass is past it. Only
 leaves keep their gradients; a second backward() through a freed node
 raises RuntimeError naming the op.
+Operators take Tensor operands only and convert nothing: an array or scalar
+enters the graph as Tensor(...), which is where float dtypes are settled.
 A Parameter is a trainable leaf Tensor with a name, its checkpoint identity;
 Module.astype casts all of a module's parameters at once.
 
@@ -203,12 +205,6 @@ def make_node(data, parents, op: str, backward_builder) -> Tensor:
     return out
 
 
-def as_tensor(x) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(x)
-
-
 class Parameter(Tensor):
     """A named trainable leaf tensor; the name is its checkpoint identity."""
 
@@ -238,10 +234,9 @@ class Module:
 
     def named_parameters(self, prefix: str = ""):
         for key, p in self._params.items():
-            yield (prefix + key if prefix else key), p
+            yield prefix + key, p
         for key, child in self._children.items():
-            sub = (prefix + key if prefix else key) + "."
-            yield from child.named_parameters(sub)
+            yield from child.named_parameters(prefix + key + ".")
 
     def parameters(self):
         for _, p in self.named_parameters():
@@ -274,17 +269,14 @@ class ModuleList(Module):
     def __iter__(self):
         return iter(self._items)
 
-    def __len__(self):
-        return len(self._items)
-
     def __getitem__(self, i):
         return self._items[i]
 
 
-def bind_parameter_names(root: Module, prefix: str = "") -> None:
+def bind_parameter_names(root: Module) -> None:
     """Assign dotted-path names to every parameter and check uniqueness."""
     seen = {}
-    for name, p in root.named_parameters(prefix):
+    for name, p in root.named_parameters():
         if name in seen:
             raise ValueError(f"duplicate parameter name '{name}'")
         seen[name] = p

@@ -141,7 +141,7 @@ def run_inference(model: TS3D, data_dir, split, out_dir):
     manifest = read_manifest(os.path.join(data_dir, MANIFEST_NAME))
     ids = manifest.splits.get(split, [])
     if not ids:
-        raise ConfigError(f"dataset has no '{split}' split")
+        raise ConfigError(f"dataset manifest '{manifest.path}' has no '{split}' split")
     os.makedirs(out_dir, exist_ok=True)
     written = []
     try:

@@ -57,7 +57,7 @@ def test_dape_widths_and_ordering():
     assert pe.shape == (3, 5, 256)
     # concatenation order: sine block first, disparity block last
     assert np.array_equal(pe.data[:, :, :160], sine_pe_2d(5, 3, 160, np.float32))
-    assert np.array_equal(pe.data[:, :, 160:], ops.softmax(logits, axis=-1).data)
+    assert np.array_equal(pe.data[:, :, 160:], ops.softmax(logits).data)
 
 
 def test_dape_simplex_rows():

@@ -385,20 +385,20 @@ def test_linear_shape_errors():
 
 def test_softmax_saturation():
     x = Tensor([1000.0, 0.0, 0.0])
-    out = ops.softmax(x, axis=0)
+    out = ops.softmax(x)
     assert np.allclose(out.data, [1.0, 0.0, 0.0], atol=1e-9)
 
 
 def test_softmax_uniform():
     for d in (2, 5, 24):
-        out = ops.softmax(Tensor(np.zeros(d)), axis=0)
+        out = ops.softmax(Tensor(np.zeros(d)))
         assert np.allclose(out.data, 1.0 / d)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.floats(-50, 50), min_size=1, max_size=16))
 def test_softmax_rows_sum_to_one(values):
-    out = ops.softmax(Tensor(np.array(values, dtype=np.float64)), axis=0)
+    out = ops.softmax(Tensor(np.array(values, dtype=np.float64)))
     assert out.data.min() > 0.0
     assert abs(out.data.sum() - 1.0) < 1e-6
 
@@ -407,13 +407,13 @@ def test_softmax_gradcheck():
     rng = np.random.default_rng(10)
     x = rand_tensor(rng, (4, 6))
 
-    assert grad_check(lambda x_: ops.softmax(x_, axis=1), [x], eps=1e-6, probe=99) < 1e-6
+    assert grad_check(ops.softmax, [x], eps=1e-6, probe=99) < 1e-6
 
 
 def test_sum_of_softmax_has_zero_gradient():
     rng = np.random.default_rng(11)
     x = rand_tensor(rng, (5,))
-    ops.softmax(x, axis=0).backward(np.ones(5))  # the gradient of sum(softmax(x))
+    ops.softmax(x).backward(np.ones(5))  # the gradient of sum(softmax(x))
     assert np.abs(x.grad).max() < 1e-15
 
 
@@ -428,7 +428,7 @@ def _attention_reference(q, k, v, heads):
     for h in range(heads):
         qh, kh, vh = (ops.narrow(t, 1, h * d, d) for t in (q, k, v))
         scores = ops.scale(ops.matmul(qh, _transpose(kh, (1, 0))), 1.0 / np.sqrt(d))
-        ctx.append(ops.matmul(ops.softmax(scores, axis=-1), vh))
+        ctx.append(ops.matmul(ops.softmax(scores), vh))
     return ops.concat(ctx, axis=1)
 
 
@@ -697,7 +697,7 @@ def test_operator_suite_multiple_shapes(shape):
     def f(x_, k_):
         y = ops.conv2d(x_, k_, stride=1, padding=1)
         y = ops.relu(y)
-        return ops.softmax(y, axis=-1)
+        return ops.softmax(y)
 
     assert grad_check(f, [x, k], eps=1e-6, probe=99) < 1e-6
 

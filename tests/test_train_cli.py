@@ -971,7 +971,8 @@ def test_cli_class_without_training_labels_gets_a_prior_per_anchor_scale(tmp_pat
 @pytest.mark.parametrize("command, flag, value", [
     ("train", "--print-every", "0"), ("train", "--print-every", "-3"),
     ("eval", "--iou", "0"), ("eval", "--iou", "-0.2"), ("eval", "--iou", "1.5"),
-    ("eval", "--iou", "nan"),
+    ("eval", "--iou", "nan"), ("eval", "--min-height", "-1"), ("eval", "--min-height", "nan"),
+    ("eval", "--min-height", "inf"),
 ])
 def test_cli_rejects_bad_print_every_and_iou_before_any_work(toy_dataset, tmp_path, command,
                                                              flag, value):
@@ -1005,6 +1006,44 @@ def test_cli_synth_rejects_a_z_range_that_reaches_the_near_plane(tmp_path):
     r = _cli("synth", "--out", "data", "--preset", "toy", "--frames", "1",
              "--z-range", "2.36,3", cwd=tmp_path)
     assert r.returncode == 0, r.stderr
+
+
+def _tree_digests(root):
+    return {p.relative_to(root): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_cli_synth_into_an_existing_dataset_is_exit_2_and_changes_no_file(tmp_path):
+    # new images beside the old disp/ rasters would train on mismatched pseudo-GT
+    r = _cli("synth", "--out", "data", "--preset", "toy", "--frames", "1", "--seed", "1",
+             cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    r = _cli("pseudogt", "--data", "data", "--preset", "toy", cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    before = _tree_digests(tmp_path / "data")
+    r = _cli("synth", "--out", "data", "--preset", "toy", "--frames", "1", "--seed", "2",
+             cwd=tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert os.path.join("data", MANIFEST_NAME) in r.stderr and "Traceback" not in r.stderr
+    assert _tree_digests(tmp_path / "data") == before
+
+
+def test_cli_synth_range_defaults_are_those_of_synth_params(tmp_path):
+    r = _cli("synth", "--out", "data", "--preset", "toy", "--frames", "1", cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    cfg = RunConfig.toy()
+    expected = [f"param.{k}={v}" for k, v in SynthParams(cfg.width, cfg.height).as_dict().items()
+                if k.startswith(("n_objects_", "z_"))]
+    lines = (tmp_path / "data" / MANIFEST_NAME).read_text().splitlines()
+    assert [ln for ln in lines if ln.startswith(("param.n_objects_", "param.z_"))] == expected
+
+
+def test_cli_infer_missing_split_names_the_manifest(toy_ckpt, toy_dataset, tmp_path):
+    r = _cli("infer", "--ckpt", str(toy_ckpt), "--data", str(toy_dataset), "--split", "test",
+             "--out", "preds", "--preset", "toy", cwd=tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert str(toy_dataset / MANIFEST_NAME) in r.stderr and "'test'" in r.stderr
+    assert not (tmp_path / "preds").exists()
 
 
 def test_cli_infer_failing_on_a_later_frame_leaves_no_prediction_file(toy_ckpt, toy_dataset,
