@@ -44,7 +44,7 @@ from .kitti_io import (
     write_raster_f32,
     write_raster_mask,
 )
-from .synth import StereoFrame, SynthParams, synth_scene
+from .synth import CLASS_NAME, StereoFrame, SynthParams, synth_scene
 
 MANIFEST_NAME = "manifest.txt"
 
@@ -134,9 +134,9 @@ def generate_dataset(out_dir, seed: int, n_train: int, n_val: int,
             train_labels.append(frame.labels)
         else:
             splits["val"].append(fid)
-    priors = estimate_priors(train_labels, [params.class_name], n_scales)
+    priors = estimate_priors(train_labels, [CLASS_NAME], n_scales)
     manifest = Manifest(seed=seed, width=params.width, height=params.height,
-                        params=params.as_dict(), classes=[params.class_name],
+                        params=params.as_dict(), classes=[CLASS_NAME],
                         priors=priors, splits=splits, path=manifest_path)
     write_manifest(manifest.path, manifest)
     return manifest

@@ -192,6 +192,7 @@ class TS3D(Module):
             "orient": norm * sum(float(l[2].item()) for l in layer_losses),
             "disp": float(disp_loss.item()),
             "n_pos": int(len(targets.pos_rows)),
+            "n_objects": targets.n_objects,
             "n_valid_px": int(n_valid),
         }
         return total, parts

@@ -7,7 +7,7 @@ is a plane where one coordinate is constant, bounded on the other two axes,
 and only the rays of its screen window (the projected corners plus a pixel
 margin) are cast. Per pixel it keeps the nearest depth, its owner and its
 surface kind. Surfaces are cast in a fixed order, which decides exact depth
-ties: the ground (y = ground_y, z up to z_far), then the boxes far to near,
+ties: the ground (y = GROUND_Y, z up to Z_FAR), then the boxes far to near,
 each box's faces at z0, z1, x0, x1, y0, y1. The shading pass then textures each
 hit pixel once: it recomputes the world-anchored texture coordinates from
 the stored depth and kind and evaluates value noise there, so left and right
@@ -16,6 +16,12 @@ every rendered pixel. Labels carry exact 3D boxes and their clipped 2D
 projections (``project_box``, which the flip augmentation shares); fully
 occluded objects are dropped. No box reaches the near plane, so every face
 window comes from points in front of the camera.
+
+What no caller varies is a module constant, which ``SynthParams.as_dict``
+writes into the manifest beside the fields callers set: the road plane
+``GROUND_Y``, the box heights ``H_RANGE``, the ground's far edge ``Z_FAR``, the
+value-noise lattice scales ``TEXTURE_COARSE`` and ``TEXTURE_FINE`` (all in m)
+and the label type ``CLASS_NAME``.
 """
 
 from __future__ import annotations
@@ -30,36 +36,39 @@ from .kitti_io import Calibration, ObjectLabel, make_calibration
 
 SKY_COLOR = np.array([0.72, 0.80, 0.92])
 NEAR_PLANE = 0.1  # m; nearer intersections are not drawn
+GROUND_Y = 1.5  # m; camera height above the road (y down)
+H_RANGE = (1.3, 1.8)  # m; box heights
+Z_FAR = 60.0  # m; the ground ends here
+TEXTURE_COARSE, TEXTURE_FINE = 0.8, 0.3  # m; value-noise lattice scales
+CLASS_NAME = "Car"
 
 
 @dataclass
 class SynthParams:
+    """What callers vary about a scene; the fixed rest are module constants."""
     width: int = 256
     height: int = 128
     focal: float = 200.0
     baseline: float = 0.3
-    ground_y: float = 1.5          # camera height above the road (y down)
     n_objects: tuple = (1, 4)      # inclusive range
     z_range: tuple = (4.0, 30.0)
-    h_range: tuple = (1.3, 1.8)
     w_range: tuple = (1.5, 2.0)
     l_range: tuple = (3.2, 4.5)
     yaw_choices: tuple = (0.0, math.pi / 2.0)  # keeps faces fronto-parallel
-    z_far: float = 60.0
-    texture_coarse: float = 0.8
-    texture_fine: float = 0.3
-    class_name: str = "Car"
 
     def as_dict(self) -> dict:
+        """The manifest's ``param.*`` entries: these fields and the scene constants."""
         return {
             "width": self.width, "height": self.height, "focal": self.focal,
-            "baseline": self.baseline, "ground_y": self.ground_y,
+            "baseline": self.baseline, "ground_y": GROUND_Y,
             "n_objects_min": self.n_objects[0], "n_objects_max": self.n_objects[1],
             "z_min": self.z_range[0], "z_max": self.z_range[1],
-            "h_min": self.h_range[0], "h_max": self.h_range[1],
+            "h_min": H_RANGE[0], "h_max": H_RANGE[1],
             "w_min": self.w_range[0], "w_max": self.w_range[1],
             "l_min": self.l_range[0], "l_max": self.l_range[1],
-            "z_far": self.z_far, "class_name": self.class_name,
+            "z_far": Z_FAR, "class_name": CLASS_NAME,
+            "yaw_choices": ",".join(str(y) for y in self.yaw_choices),
+            "texture_coarse": TEXTURE_COARSE, "texture_fine": TEXTURE_FINE,
         }
 
     def validate(self) -> "SynthParams":
@@ -214,7 +223,7 @@ def _render_box(view: _View, corners: np.ndarray, owner: int):
             view.cast(view.window(face), axis, bounds[axis][side], bounds, owner, kind)
 
 
-def _shade(view: _View, salts: list, params: SynthParams) -> np.ndarray:
+def _shade(view: _View, salts: list) -> np.ndarray:
     """Texture each hit pixel once. Surface (owner, kind) has the texture salt
     ``salts[owner + 1] + kind``."""
     hit = np.isfinite(view.depth)
@@ -223,7 +232,7 @@ def _shade(view: _View, salts: list, params: SynthParams) -> np.ndarray:
     u = np.where(kind == X_FACE, t, view.cam_x + t * np.broadcast_to(view.rx, hit.shape)[hit])
     v = np.where((kind == GROUND) | (kind == Y_FACE), t,
                  t * np.broadcast_to(view.ry, hit.shape)[hit])
-    cells = [_lattice_cell(u, v, s) for s in (params.texture_coarse, params.texture_fine)]
+    cells = [_lattice_cell(u, v, s) for s in (TEXTURE_COARSE, TEXTURE_FINE)]
     del t, u, v
     surface = (view.owner[hit] + 1) * 4 + kind
     salt = [s + k for s in salts for k in range(4)]
@@ -248,7 +257,7 @@ def synth_scene(seed: int, params: SynthParams | None = None) -> StereoFrame:
     objs = []
     for _ in range(n_obj):
         z = float(rng.uniform(*params.z_range))
-        hh = float(rng.uniform(*params.h_range))
+        hh = float(rng.uniform(*H_RANGE))
         ww = float(rng.uniform(*params.w_range))
         ll = float(rng.uniform(*params.l_range))
         ry = float(params.yaw_choices[rng.integers(0, len(params.yaw_choices))])
@@ -259,7 +268,7 @@ def synth_scene(seed: int, params: SynthParams | None = None) -> StereoFrame:
                      "sx": sx, "sz": sz})
     # (2, 2, 2, 3) box corners, indexed by the x, y and z side
     corners = [np.stack(np.meshgrid(
-        [o["x"] - o["sx"] / 2, o["x"] + o["sx"] / 2], [params.ground_y - o["h"], params.ground_y],
+        [o["x"] - o["sx"] / 2, o["x"] + o["sx"] / 2], [GROUND_Y - o["h"], GROUND_Y],
         [o["z"] - o["sz"] / 2, o["z"] + o["sz"] / 2], indexing="ij"), axis=-1) for o in objs]
 
     views = [_View(params, 0.0), _View(params, params.baseline)]
@@ -267,11 +276,11 @@ def synth_scene(seed: int, params: SynthParams | None = None) -> StereoFrame:
     images = []
     for view in views:
         # the ground, then the boxes far to near: the order decides exact depth ties
-        view.cast((slice(None), slice(None)), 1, params.ground_y,
-                  (None, None, (-math.inf, params.z_far)), -1, GROUND)
+        view.cast((slice(None), slice(None)), 1, GROUND_Y,
+                  (None, None, (-math.inf, Z_FAR)), -1, GROUND)
         for ob in sorted(range(n_obj), key=lambda i: -objs[i]["z"]):
             _render_box(view, corners[ob], ob)
-        images.append(_shade(view, salts, params))
+        images.append(_shade(view, salts))
 
     left = views[0]
     visible = np.bincount(left.owner.ravel() + 1, minlength=n_obj + 1)[1:]
@@ -286,9 +295,9 @@ def synth_scene(seed: int, params: SynthParams | None = None) -> StereoFrame:
         occluded = 0 if frac_visible >= 0.6 else (1 if frac_visible >= 0.25 else 2)
         alpha = wrap_angle(o["ry"] - math.atan2(o["x"], o["z"]))
         labels.append(ObjectLabel(
-            type=params.class_name, truncated=truncated, occluded=occluded,
+            type=CLASS_NAME, truncated=truncated, occluded=occluded,
             alpha=alpha, box2d=box, h=o["h"], w=o["w"], l=o["l"],
-            x=o["x"], y=params.ground_y, z=o["z"], ry=o["ry"],
+            x=o["x"], y=GROUND_Y, z=o["z"], ry=o["ry"],
         ))
 
     hit = np.isfinite(left.depth)

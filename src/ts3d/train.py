@@ -11,9 +11,11 @@ would hold every frame in memory. A checkpoint is one ``<tag>.ts3d`` file (see
 ``checkpoint``) with the parameters, the anchor templates and the AdamW step and
 moments; only a fresh run takes templates from the dataset's priors. The config
 alone supplies hyperparameters, so resuming needs only the saved step, and keeps
-only that many lines of the log (flushed before every checkpoint).
-A frame with no valid pseudo-GT pixels at the supervision stride trains with a
-zero disparity loss and raises a ``RuntimeWarning`` naming it.
+only that many lines of the log (flushed before every checkpoint); a log with
+fewer lines than the saved step cannot be resumed. A frame with no valid
+pseudo-GT pixels at the supervision stride trains with a zero disparity loss,
+and a frame whose objects of the run's classes match no anchor trains with no
+positive; each raises a ``RuntimeWarning`` naming the frame.
 """
 
 from __future__ import annotations
@@ -85,6 +87,11 @@ def train_run(cfg: RunConfig, data_dir, out_dir, resume: bool = False,
         if os.path.exists(log_path):
             with open(log_path, encoding="utf-8") as fh:
                 kept_lines = fh.readlines()[: opt.step_count]
+        if len(kept_lines) < opt.step_count:
+            held = (f"holds {len(kept_lines)} lines" if os.path.exists(log_path)
+                    else "is missing (0 lines)")
+            raise ConfigError(f"cannot resume: '{log_path}' {held}, but '{ckpt}' is at "
+                              f"step {opt.step_count}; the resumed log would lack steps")
 
     log = open(log_path, "w", encoding="utf-8")
     log.writelines(kept_lines)
@@ -107,6 +114,10 @@ def train_run(cfg: RunConfig, data_dir, out_dir, resume: bool = False,
                 if parts["n_valid_px"] == 0:
                     warnings.warn(f"frame {fid}: no valid pseudo-GT disparity pixels, "
                                   "so its disparity loss is 0", RuntimeWarning)
+                if parts["n_pos"] == 0 < parts["n_objects"]:
+                    warnings.warn(f"frame {fid}: {parts['n_objects']} objects of the run's "
+                                  "classes but no positive anchor, so its detection "
+                                  "loss has no positive", RuntimeWarning)
                 # d(batch mean)/d(this frame's loss)
                 loss.backward(np.full_like(loss.data, 1.0 / cfg.batch_size))
                 total_val += loss.item() / cfg.batch_size

@@ -399,7 +399,7 @@ def test_manifest_bytes_are_pinned(tmp_path):
     generate_dataset(tmp_path, seed=5, n_train=2, n_val=1,
                      params=SynthParams(width=64, height=32), n_scales=2)
     digest = hashlib.sha256((tmp_path / "manifest.txt").read_bytes()).hexdigest()
-    assert digest == "a93ca294c4d8f8f6202370f38600c3e6a263e93d0f061830b7eb3900bf1255e0"
+    assert digest == "50b0cf9dc95947e7fcc49336bd0529096cb63876529a68c8100477ee2a9d9c38"
 
 
 def test_dataset_regeneration_is_byte_identical(tmp_path):

@@ -204,6 +204,32 @@ def test_a_batch_trains_on_the_mean_of_its_frame_gradients(toy_dataset, tmp_path
         assert np.allclose(grads[name], p.grad / 2, rtol=1e-5, atol=1e-9), name
 
 
+def test_a_frame_with_objects_but_no_positive_anchor_warns_naming_it(toy_dataset, tmp_path):
+    # without forced matches no anchor's IoU exceeds tau_fg = 1
+    cfg = _toy_cfg(total_steps=3, tau_fg=1.0, ensure_matches=False)
+    with pytest.warns(RuntimeWarning) as record:
+        train_run(cfg, toy_dataset, tmp_path / "run", quiet=True)
+    warned = [re.fullmatch(r"frame (\d+): \d+ objects of the run's classes but no positive "
+                           r"anchor, so its detection loss has no positive", str(w.message))
+              for w in record]
+    # one epoch of batch 1: each train frame (each holds objects) once
+    assert sorted(m.group(1) for m in warned) == sorted(
+        read_manifest(toy_dataset / MANIFEST_NAME).splits["train"])
+    assert set(_read_log(tmp_path / "run", key="n_pos")) == {0}
+
+
+def test_an_object_free_frame_without_positive_anchors_does_not_warn(tmp_path):
+    data = tmp_path / "data"
+    params = SynthParams(width=64, height=32, focal=40.0, baseline=0.5, n_objects=(0, 0))
+    generate_dataset(data, seed=13, n_train=1, n_val=0, params=params, n_scales=1)
+    build_pseudo_gt(data, max_disp=RunConfig.toy().resolved_bm_max_disp(), window=7)
+    cfg = _toy_cfg(total_steps=1, tau_fg=1.0, ensure_matches=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        train_run(cfg, data, tmp_path / "run", quiet=True)
+    assert _read_log(tmp_path / "run", key="n_pos") == [0]
+
+
 def test_extending_a_finished_run_follows_new_schedule(toy_dataset, tmp_path):
     run = tmp_path / "run"
     train_run(_toy_cfg(total_steps=3), toy_dataset, run, quiet=True)
@@ -697,6 +723,26 @@ def test_cli_infer_checkpoint_listing_more_entries_than_it_holds_is_exit_2(toy_c
     assert not (tmp_path / "preds").exists()
 
 
+@pytest.mark.parametrize("kept", [None, 2])  # no log; 2 of the checkpoint's 3 lines
+def test_cli_resume_with_a_short_log_is_exit_2_naming_it(toy_dataset, tmp_path, kept):
+    # resuming would write a log that lacks the missing steps
+    run = tmp_path / "run"
+    train_run(_toy_cfg(total_steps=3), toy_dataset, run, quiet=True)
+    log = run / "metrics.log"
+    if kept is None:
+        log.unlink()
+    else:
+        log.write_text("".join(log.read_text().splitlines(keepends=True)[:kept]))
+    before = _tree_digests(run)
+    r = _cli("train", "--data", str(toy_dataset), "--out", str(run), "--preset", "toy",
+             "--set", "total_steps=3", "--set", "checkpoint_every=3", "--set", "batch_size=1",
+             "--resume", "--quiet", cwd=tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert str(log) in r.stderr and "Traceback" not in r.stderr
+    assert f"{kept or 0} lines" in r.stderr and "step 3" in r.stderr
+    assert _tree_digests(run) == before
+
+
 def test_cli_resume_from_parameters_only_checkpoint_is_exit_2(toy_dataset, tmp_path):
     run = tmp_path / "run"
     model = train_run(_toy_cfg(total_steps=1), toy_dataset, run, quiet=True)
@@ -1028,14 +1074,20 @@ def test_cli_synth_into_an_existing_dataset_is_exit_2_and_changes_no_file(tmp_pa
     assert _tree_digests(tmp_path / "data") == before
 
 
-def test_cli_synth_range_defaults_are_those_of_synth_params(tmp_path):
+def test_cli_synth_manifest_params_are_pinned(tmp_path):
+    # literal lines: a key dropped from SynthParams.as_dict must fail here
     r = _cli("synth", "--out", "data", "--preset", "toy", "--frames", "1", cwd=tmp_path)
     assert r.returncode == 0, r.stderr
-    cfg = RunConfig.toy()
-    expected = [f"param.{k}={v}" for k, v in SynthParams(cfg.width, cfg.height).as_dict().items()
-                if k.startswith(("n_objects_", "z_"))]
     lines = (tmp_path / "data" / MANIFEST_NAME).read_text().splitlines()
-    assert [ln for ln in lines if ln.startswith(("param.n_objects_", "param.z_"))] == expected
+    assert [ln for ln in lines if ln.startswith("param.")] == [
+        "param.width=64", "param.height=32", "param.focal=200.0", "param.baseline=0.3",
+        "param.ground_y=1.5", "param.n_objects_min=1", "param.n_objects_max=4",
+        "param.z_min=4.0", "param.z_max=30.0", "param.h_min=1.3", "param.h_max=1.8",
+        "param.w_min=1.5", "param.w_max=2.0", "param.l_min=3.2", "param.l_max=4.5",
+        "param.z_far=60.0", "param.class_name=Car",
+        "param.yaw_choices=0.0,1.5707963267948966",
+        "param.texture_coarse=0.8", "param.texture_fine=0.3",
+    ]
 
 
 def test_cli_infer_missing_split_names_the_manifest(toy_ckpt, toy_dataset, tmp_path):
